@@ -2,17 +2,21 @@
 
 All scores in this package live in the natural-log domain as float64.
 Zero probability is represented by ``NEG_INF`` (an explicit IEEE -inf),
-never by tiny positive floats, and NaN anywhere is treated as a bug in
-the caller: every public operation validates its inputs and raises
-``ValueError`` on NaN rather than letting it propagate silently.
+never by tiny positive floats, and NaN or +inf anywhere is treated as a
+bug in the caller: every public operation validates its inputs and
+raises ``ValueError`` rather than letting it propagate silently.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .ngram import SparseLmQueryResult
 
 NEG_INF = float("-inf")
 
@@ -21,8 +25,9 @@ def _as_float_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D score vector, got shape {arr.shape}")
-    if np.isnan(arr).any():
-        raise ValueError("NaN in score vector")
+    # one reduction catches both: NaN compares False, as does +inf
+    if arr.size and not arr.max() < np.inf:
+        raise ValueError("NaN or +inf in score vector")
     return arr
 
 
@@ -176,6 +181,7 @@ class ExternalLm(ABC):
         ...
 
     @abstractmethod
-    def top_r(self, state, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, logprobs) of the r highest-probability tokens."""
+    def top_r(self, state, r: int) -> SparseLmQueryResult:
+        """The r highest-probability tokens: ``word_ids`` and their
+        ``logprobs``, most probable first."""
         ...

@@ -9,13 +9,30 @@ only when token sequence AND every attached state agree (including the
 count of symbols emitted this frame, which feeds the blank history
 penalty); the returned n-best additionally merges pure token duplicates.
 
+An expansion scores all of its children as one array. With the dense
+methods (none/sf/li/lli/cli) only the ``beam`` best finite children are
+built, ties going to the lower word id as ``heapq.nlargest`` would keep
+them; this prune-before-merge is exact. A child's merge key is its token
+sequence and emission count, because the predictor and LM states are
+functions of the tokens. Its only possible parent is the hypothesis with
+one token less and one emission less, which is popped at most once per
+frame, so no child ever merges into A, and a child that is not among its
+siblings' best ``beam`` cannot reach the ``beam`` best of A either.
+Full expansion also re-sorts A when only the unbuilt children push it
+past the beam. Skipping that sort changes nothing: a stable sort keeps
+the relative order of equal scores, and that order is all ``max`` and
+``nlargest`` consult.
+
 With a class model attached, each expansion scores an augmented channel
 list built from the CAT1/2/3 transitions instead of the plain
 vocabulary row; when no transition is available at all, the hypothesis
 can still take blank, priced from the original uninterpolated scores.
-The "require-cat1" exit rule keeps expanding (within a bounded extra
-budget) until the frame-final set contains some state that can leave
-its class, so the beam is not spent entirely inside entity prefixes.
+Class states of different parents can share an exit history, so a child
+can merge into an existing A entry; clm and three-way therefore build
+every finite channel and merge before pruning. The "require-cat1" exit
+rule keeps expanding (within a bounded extra budget) until the
+frame-final set contains some state that can leave its class, so the
+beam is not spent entirely inside entity prefixes.
 """
 
 from __future__ import annotations
@@ -57,12 +74,17 @@ class DecoderConfig:
 
 @dataclass
 class DecodeStats:
-    """Per-utterance instrumentation for width and exit-rule accounting."""
+    """Per-utterance instrumentation for width and exit-rule accounting.
+
+    ``total_width`` counts the channels scored over all expansions,
+    ``n_children`` the child hypotheses actually built from them.
+    """
 
     n_frames: int = 0
     n_expansions: int = 0
     n_extra_expansions: int = 0
     total_width: int = 0
+    n_children: int = 0
     wall_time: float = 0.0
     warning: str | None = None
 
@@ -169,12 +191,27 @@ def _cat1_possible(hyp: Hypothesis, clm: ClassModel | None) -> bool:
     return hyp.clm_state.class_tag is None or clm.exit_logmass(hyp.clm_state) > NEG_INF
 
 
-class _FrameScorer:
-    """Builds (channels, posteriors, blank posterior) for one expansion.
+def _top_children(scores: np.ndarray, beam: int) -> np.ndarray:
+    """Ascending indices of the ``beam`` highest scores.
 
-    Channels are (word, clm-transition-or-None) pairs aligned with the
-    posterior vector. Transition enumeration is cached per (state, frame)
-    because expansions of sibling hypotheses revisit the same LM states.
+    Ties at the cut go to the lower index, the order in which
+    ``heapq.nlargest`` keeps equal keys.
+    """
+    cut = np.partition(scores, scores.size - beam)[scores.size - beam]
+    above = np.flatnonzero(scores > cut)
+    ties = np.flatnonzero(scores == cut)[: beam - above.size]
+    return np.sort(np.concatenate((above, ties)))
+
+
+class _FrameScorer:
+    """Builds (words, transitions, posteriors, blank posterior) for one
+    expansion.
+
+    ``words`` is the word-id array aligned with the posterior vector;
+    ``transitions`` is the aligned list of class-model transitions, or
+    None without a class model. Transition enumeration is cached per
+    (state, frame) because expansions of sibling hypotheses revisit the
+    same LM states.
     """
 
     def __init__(self, scorer, config, external_lm, class_model):
@@ -187,6 +224,7 @@ class _FrameScorer:
             self.fusion.method == "clm" or self.fusion.second_method == "clm"
         )
         self._trans_cache: dict = {}
+        self._rows: dict = {}
 
     def _transitions(self, clm_state, t, z_t_row):
         key = (clm_state.key(), t)
@@ -199,6 +237,30 @@ class _FrameScorer:
             self._trans_cache[key] = hit
         return hit
 
+    def _fused_row(self, pred_state, lm_state, z_u):
+        """The li/lli/cli-fused predictor row, cached per state pair: a
+        hypothesis carried into the next frame is expanded again with
+        both states unchanged."""
+        key = (pred_state, lm_state)
+        row = self._rows.get(key)
+        if row is None:
+            fu = self.fusion
+            if fu.method == "li":
+                row = li_scores(z_u, self.external.full_dist(lm_state), fu.alpha)
+            elif fu.method == "lli":
+                row = mix_scores(z_u, self.external.full_dist(lm_state), fu.alpha)
+            elif fu.method == "cli":
+                sp = self.external.top_r(lm_state, fu.rank_r)
+                row = z_u.copy()
+                if len(sp.word_ids):
+                    row[sp.word_ids] = li_scores(
+                        z_u[sp.word_ids], sp.logprobs, fu.alpha
+                    )
+            else:
+                raise ValueError(f"unhandled fusion method {fu.method!r}")
+            self._rows[key] = row
+        return row
+
     def expand(self, hyp: Hypothesis, t: int, z_t_row, blank_logit):
         fu = self.fusion
         z_u = self.scorer.predictor.full_dist(hyp.pred_state)
@@ -208,7 +270,7 @@ class _FrameScorer:
             trans = self._transitions(hyp.clm_state, t, z_t_row)
             if not (trans[0] or trans[1] or trans[2]):
                 fb = blank_fallback(ScoreVector(z_t_row), ScoreVector(z_u), b)
-                return [], np.empty(0), fb
+                return np.empty(0, dtype=np.int64), [], np.empty(0), fb
             z_u_sv = ScoreVector(z_u, normalized=True)
             if fu.method == "clm":
                 rows, aug = clm_predictor_interp(z_u_sv, trans, fu.alpha, fu.rank_r)
@@ -221,33 +283,17 @@ class _FrameScorer:
                 )
             words = np.fromiter((r.word for r in rows), dtype=np.int64, count=len(rows))
             posts = log_softmax(np.append(z_t_row[words] + aug, b))
-            channels = [(r.word, r) for r in rows]
-            return channels, posts[:-1], float(posts[-1])
+            return words, rows, posts[:-1], float(posts[-1])
 
         if fu.method == "none":
             joint = z_t_row + z_u
         elif fu.method == "sf":
             lm_row = self.external.full_dist(hyp.lm_state)
             joint = mix_scores(z_t_row + z_u, lm_row, fu.alpha)
-        elif fu.method == "li":
-            lm_row = self.external.full_dist(hyp.lm_state)
-            joint = z_t_row + li_scores(z_u, lm_row, fu.alpha)
-        elif fu.method == "lli":
-            lm_row = self.external.full_dist(hyp.lm_state)
-            joint = z_t_row + mix_scores(z_u, lm_row, fu.alpha)
-        elif fu.method == "cli":
-            sp = self.external.top_r(hyp.lm_state, fu.rank_r)
-            fused = z_u.copy()
-            if len(sp.word_ids):
-                fused[sp.word_ids] = li_scores(
-                    z_u[sp.word_ids], sp.logprobs, fu.alpha
-                )
-            joint = z_t_row + fused
         else:
-            raise ValueError(f"unhandled fusion method {fu.method!r}")
+            joint = z_t_row + self._fused_row(hyp.pred_state, hyp.lm_state, z_u)
         posts = log_softmax(np.append(joint, b))
-        channels = [(w, None) for w in range(z_u.size)]
-        return channels, posts[:-1], float(posts[-1])
+        return np.arange(z_u.size), None, posts[:-1], float(posts[-1])
 
 
 def beam_search(
@@ -322,11 +368,11 @@ def beam_search(
                 stats.n_extra_expansions += 1
             del A[best_key]
 
-            channels, posts, blank_post = frame_scorer.expand(
+            words, transitions, posts, blank_post = frame_scorer.expand(
                 best, t, z_t_row, blank_logit
             )
             stats.n_expansions += 1
-            stats.total_width += len(channels)
+            stats.total_width += words.size
 
             took_blank = Hypothesis(
                 best.tokens,
@@ -341,17 +387,22 @@ def beam_search(
             _merge(B, took_blank.state_key(), took_blank)
 
             if best.k < config.max_emit:
-                for (word, trans), post in zip(channels, posts):
-                    if post == NEG_INF:
-                        continue
+                cand = np.flatnonzero(posts != NEG_INF)
+                # dense methods prune before the merge, exactly (module docstring)
+                if transitions is None and cand.size > config.beam:
+                    cand = cand[_top_children(best.logscore + posts[cand], config.beam)]
+                stats.n_children += cand.size
+                for i, word, post in zip(
+                    cand.tolist(), words[cand].tolist(), posts[cand].tolist()
+                ):
                     child = Hypothesis(
                         best.tokens + (word,),
-                        best.logscore + float(post),
+                        best.logscore + post,
                         scorer.predictor.advance(best.pred_state, word),
                         external_lm.advance(best.lm_state, word) if use_lm else None,
-                        trans.successor if trans is not None else None,
+                        transitions[i].successor if transitions is not None else None,
                         best.k + 1,
-                        best.steps + ((t, best.k, word, float(post)),),
+                        best.steps + ((t, best.k, word, post),),
                         best.merged,
                     )
                     _merge(A, child.state_key() + (child.k,), child)

@@ -142,7 +142,7 @@ class NgramPredictor(ExternalLm):
         self._queries = CachedNgramQueries(model)
         self._exclude = (model.bos_id, model.eos_id)
         self._dense: dict[tuple, np.ndarray] = {}
-        self._order: dict[tuple, np.ndarray] = {}
+        self._top: dict[tuple, SparseLmQueryResult] = {}
 
     def initial_state(self):
         return (self.model.bos_id,)
@@ -167,20 +167,20 @@ class NgramPredictor(ExternalLm):
         return cached
 
     def top_r(self, state, r: int) -> SparseLmQueryResult:
-        key = tuple(state)
-        order = self._order.get(key)
-        if order is None:
-            dense = self.full_dist(key)
+        """Cached per (state, r); the shared result's arrays are read-only."""
+        key = (tuple(state), r)
+        hit = self._top.get(key)
+        if hit is None:
+            dense = self.full_dist(key[0])
             order = np.argsort(-dense, kind="stable")
-            order = order[dense[order] > NEG_INF]  # zero-mass words never rank
-            self._order[key] = order
-        take = order[:r]
-        dense = self._dense[key]
-        return SparseLmQueryResult(
-            take.astype(np.int64),
-            dense[take],
-            np.zeros(take.size, dtype=np.int64),
-        )
+            take = order[dense[order] > NEG_INF][:r]  # zero-mass words never rank
+            hit = SparseLmQueryResult(
+                take.astype(np.int64), dense[take], np.zeros(take.size, dtype=np.int64)
+            )
+            for arr in (hit.word_ids, hit.logprobs, hit.origins):
+                arr.flags.writeable = False
+            self._top[key] = hit
+        return hit
 
 
 class FntScorer:

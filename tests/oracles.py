@@ -462,3 +462,144 @@ def brute_force_edit_counts(ref, hyp):
     return max(
         (c for c in counts if sum(c) == best), key=lambda c: c[0]
     )
+
+
+def full_expansion_beam_search(
+    encoder, scorer, config, external_lm=None, class_model=None, stats=None
+):
+    """Beam search that builds every child of every expansion.
+
+    The decoder's search loop without pruning before the merge: every
+    finite channel becomes a child, children merge into A, and A is cut
+    back to the beam by a stable sort, as ``heapq.nlargest`` does it.
+    Channel posteriors come
+    from the decoder's own ``_FrameScorer``, so only the search
+    bookkeeping is re-implemented. Returns the n-best as
+    (tokens, logscore, steps, merged) tuples.
+
+    When ``stats`` is a dict it receives ``edge_ties``, the number of
+    cuts of A that fell between two equal scores.
+    """
+    import heapq
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from fntfuse.core import log_sum_exp
+    from fntfuse.decoder import _FrameScorer
+
+    fusion = config.fusion
+    use_clm = fusion.method == "clm" or fusion.second_method == "clm"
+    use_lm = external_lm is not None and (
+        fusion.method in ("sf", "li", "lli", "cli") or fusion.second_method == "clm"
+    )
+    frame_scorer = _FrameScorer(scorer, config, external_lm, class_model)
+    predictor = scorer.predictor
+    edge_ties = 0
+
+    # hypothesis: [tokens, logscore, pred, lm, clm, k, steps, merged]
+    def key(h):
+        return (h[0], h[2], h[3], h[4].key() if h[4] is not None else None)
+
+    def merge(pool, k, h):
+        old = pool.get(k)
+        if old is not None:
+            rep = old if old[1] >= h[1] else h
+            h = rep[:1] + [float(np.logaddexp(old[1], h[1]))] + rep[2:7] + [True]
+        pool[k] = h
+
+    def can_exit(h):
+        s = h[4]
+        return s is None or s.class_tag is None or class_model.exit_logmass(s) > -math.inf
+
+    def top(pool):
+        nonlocal edge_ties
+        ranked = sorted(pool.items(), key=lambda kv: kv[1][1], reverse=True)
+        if ranked[config.beam - 1][1][1] == ranked[config.beam][1][1]:
+            edge_ties += 1
+        return ranked[: config.beam]
+
+    init = [
+        (),
+        0.0,
+        predictor.initial_state(),
+        external_lm.initial_state() if use_lm else None,
+        class_model.initial_state() if use_clm else None,
+        0,
+        (),
+        False,
+    ]
+    B = {key(init): init}
+    for t in range(encoder.n_frames):
+        z_t, blank_logit = encoder.scores[t], float(encoder.blank_logits[t])
+        A = {}
+        for h in B.values():
+            merge(A, key(h) + (0,), h[:5] + [0] + h[6:])
+        B, extra = {}, 0
+        while A:
+            best_key = max(A, key=lambda k: A[k][1])
+            best = A[best_key]
+            if sum(1 for h in B.values() if h[1] >= best[1]) >= config.beam:
+                if config.exit_rule != "require-cat1" or any(
+                    can_exit(h)
+                    for h in heapq.nlargest(config.beam, B.values(), key=lambda h: h[1])
+                ):
+                    break
+                if extra >= 2 * config.beam:
+                    break
+                extra += 1
+            del A[best_key]
+            view = SimpleNamespace(
+                pred_state=best[2], lm_state=best[3], clm_state=best[4], k=best[5]
+            )
+            words, transitions, posts, blank_post = frame_scorer.expand(
+                view, t, z_t, blank_logit
+            )
+            blank = best[:1] + [best[1] + blank_post] + best[2:6]
+            blank += [best[6] + ((t, best[5], None, blank_post),), best[7]]
+            merge(B, key(blank), blank)
+            if best[5] < config.max_emit:
+                for i, post in enumerate(posts.tolist()):
+                    if post == -math.inf:
+                        continue
+                    w = int(words[i])
+                    child = [
+                        best[0] + (w,),
+                        best[1] + post,
+                        predictor.advance(best[2], w),
+                        external_lm.advance(best[3], w) if use_lm else None,
+                        transitions[i].successor if transitions is not None else None,
+                        best[5] + 1,
+                        best[6] + ((t, best[5], w, post),),
+                        best[7],
+                    ]
+                    merge(A, key(child) + (child[5],), child)
+            if len(A) > config.beam:
+                A = dict(top(A))
+        survivors = heapq.nlargest(config.beam, B.items(), key=lambda kv: kv[1][1])
+        if config.exit_rule == "require-cat1" and not any(
+            can_exit(h) for _, h in survivors
+        ):
+            capable = [kv for kv in B.items() if can_exit(kv[1])]
+            if capable:
+                survivors.append(max(capable, key=lambda kv: kv[1][1]))
+        B = dict(survivors)
+
+    by_tokens = {}
+    for h in B.values():
+        by_tokens.setdefault(h[0], []).append(h)
+    results = []
+    for tokens, group in by_tokens.items():
+        rep = max(group, key=lambda h: h[1])
+        results.append(
+            (
+                tokens,
+                float(log_sum_exp([h[1] for h in group])),
+                rep[6],
+                len(group) > 1 or any(h[7] for h in group),
+            )
+        )
+    results.sort(key=lambda r: (-r[1], r[0]))
+    if stats is not None:
+        stats["edge_ties"] = edge_ties
+    return results[: config.nbest]

@@ -39,6 +39,10 @@ class TestLogSumExp:
         with pytest.raises(ValueError):
             log_sum_exp([0.0, float("nan")])
 
+    def test_pos_inf_faults(self):
+        with pytest.raises(ValueError, match=r"\+inf"):
+            log_sum_exp([0.0, math.inf])
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -74,6 +78,11 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax([NEG_INF, NEG_INF])
 
+    def test_pos_inf_faults(self):
+        # unchecked, this would come back as NaN without a word
+        with pytest.raises(ValueError, match=r"\+inf"):
+            log_softmax([0.0, math.inf])
+
     def test_neg_inf_entry_gets_zero_mass(self):
         out = softmax([0.0, NEG_INF])
         assert out.values[0] == pytest.approx(0.0, abs=1e-12)
@@ -97,6 +106,10 @@ class TestScoreVector:
     def test_nan_faults(self):
         with pytest.raises(ValueError):
             ScoreVector([0.0, float("nan")])
+
+    def test_pos_inf_faults(self):
+        with pytest.raises(ValueError, match=r"\+inf"):
+            ScoreVector([math.inf, NEG_INF])
 
     def test_normalize(self):
         sv = ScoreVector([0.0, 0.0]).normalize()

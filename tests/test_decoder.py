@@ -18,7 +18,7 @@ from fntfuse.fusion import FusionConfig
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import EncoderOutput, FntScorer, NgramPredictor
 
-from oracles import exhaustive_decode
+from oracles import exhaustive_decode, full_expansion_beam_search
 
 SATURATE = 4096
 
@@ -217,6 +217,78 @@ class TestBeamVsExhaustive:
         assert all(len(r.tokens) <= cap for r in results)
 
 
+def make_tie_instance(rng, n_vocab, n_frames):
+    """Scorer, external LM and encoder whose children tie often.
+
+    Encoder rows take two logit levels and both LMs are bigram models of
+    one sentence holding every word once, so most words share a
+    predictor score. Blank is cheap only after an emission.
+    """
+    vocab = make_vocab(n_vocab)
+
+    def permutation_lm():
+        sentence = [int(w) for w in rng.permutation(n_vocab)]
+        return train_kneser_ney([sentence], 2, vocab=vocab, eos=False)
+
+    scorer = FntScorer(NgramPredictor(permutation_lm(), floor=0.05), gamma=3.0)
+    rows = [log_softmax(rng.integers(0, 2, size=n_vocab) * 3.0) for _ in range(n_frames)]
+    encoder = EncoderOutput(np.array(rows), rng.integers(-6, -3, size=n_frames) * 1.0)
+    return vocab, scorer, NgramPredictor(permutation_lm()), encoder
+
+
+PRUNING_CASES = {
+    "none": FusionConfig(),
+    "sf": FusionConfig("sf", 0.25),
+    "li": FusionConfig("li", 0.25),
+    "lli": FusionConfig("lli", 0.25),
+    "cli": FusionConfig("cli", 0.25, rank_r=2),
+    "clm": FusionConfig("clm", 0.5, rank_r=2),
+    "three-way": FusionConfig("li", 0.1, rank_r=2, second_method="clm", second_alpha=0.5),
+}
+
+
+class TestPruningVsFullExpansion:
+    """Unsaturated beams against the build-every-child reference loop:
+    building only the children that can survive must not change a bit
+    of the result."""
+
+    @pytest.mark.parametrize("name", list(PRUNING_CASES))
+    def test_identical_to_full_expansion(self, name):
+        fusion = PRUNING_CASES[name]
+        rng = np.random.default_rng(30)
+        ties = 0
+        for _ in range(5):
+            vocab, scorer, lm, encoder = make_tie_instance(rng, 5, 4)
+            clm = make_clm(rng, vocab)
+            for beam in (1, 2, 3, 4):
+                for rule in ("standard", "require-cat1"):
+                    config = DecoderConfig(
+                        beam=beam, nbest=beam, fusion=fusion, exit_rule=rule, max_emit=2
+                    )
+                    got, _ = beam_search(encoder, scorer, config, lm, clm)
+                    stats = {}
+                    want = full_expansion_beam_search(
+                        encoder, scorer, config, lm, clm, stats
+                    )
+                    ties += stats["edge_ties"]
+                    assert [
+                        (r.tokens, r.logscore, r.steps, r.merged) for r in got
+                    ] == want
+        assert ties > 0  # the cases reach ties at the beam edge
+
+    @pytest.mark.parametrize("method", ["none", "cli"])
+    def test_dense_decode_builds_at_most_beam_children(self, method):
+        rng = np.random.default_rng(31)
+        vocab, scorer, encoder = make_instance(rng, 12, 4)
+        lm = NgramPredictor(make_ngram(rng, vocab))
+        config = DecoderConfig(
+            beam=3, fusion=FusionConfig(method, 0.25, rank_r=4), max_emit=2
+        )
+        _, stats = beam_search(encoder, scorer, config, lm)
+        assert stats.total_width == 12 * stats.n_expansions
+        assert 0 < stats.n_children <= config.beam * stats.n_expansions
+
+
 class TestBeamProperties:
     def test_monotone_in_beam_width(self):
         rng = np.random.default_rng(18)
@@ -292,7 +364,7 @@ class TestReplayConsistency:
         clms = clm.initial_state() if clm is not None else None
         total = 0.0
         for t, k, word, post in hyp.steps:
-            channels, posts, blank_post = fs.expand(
+            words, transitions, posts, blank_post = fs.expand(
                 _Stub(pred, lms, clms, k), t, encoder.scores[t],
                 float(encoder.blank_logits[t]),
             )
@@ -300,15 +372,15 @@ class TestReplayConsistency:
                 assert blank_post == pytest.approx(post, abs=1e-9)
             else:
                 diffs = [
-                    (abs(p - post), ch)
-                    for ch, p in zip(channels, posts)
-                    if ch[0] == word
+                    (abs(posts[i] - post), i)
+                    for i in np.flatnonzero(words == word)
                 ]
-                err, (w, trans) = min(diffs, key=lambda x: x[0])
+                err, i = min(diffs)
                 assert err < 1e-9
-                pred = scorer.predictor.advance(pred, w)
+                trans = transitions[i] if transitions is not None else None
+                pred = scorer.predictor.advance(pred, word)
                 if use_lm:
-                    lms = lm.advance(lms, w)
+                    lms = lm.advance(lms, word)
                 if trans is not None:
                     clms = trans.successor
             total += post

@@ -203,6 +203,16 @@ class TestNgramPredictor:
                     outside = np.setdiff1d(np.arange(pred.n_words), res.word_ids)
                     assert np.max(dense[outside]) <= res.logprobs[-1] + 1e-12
 
+    def test_top_r_result_is_shared_and_read_only(self):
+        pred, _ = self.make(0.05)
+        state = pred.initial_state()
+        res = pred.top_r(state, 3)
+        assert pred.top_r(state, 3) is res
+        assert pred.top_r(state, 2) is not res
+        for arr in (res.word_ids, res.logprobs, res.origins):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
     def test_advance_truncates_history(self):
         pred, _ = self.make(0.0, order=3)
         s0 = pred.initial_state()
