@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from fntfuse import Vocabulary, build_prefix_tree, enumerate_transitions, train_tagged_clm
-from fntfuse.classlm import advance
+from fntfuse.classlm import CAT1, CAT2, CAT3
 
 # ---------------------------------------------------------------------
 # A prefix tree on its own. Entries are (word-id sequence, weight);
@@ -66,33 +66,38 @@ print()
 print(f"model: {model.n_words} words, tags {model.tag_ids}, order 2 tagged n-gram")
 
 
+CATS = {CAT1: "CAT1", CAT2: "CAT2", CAT3: "CAT3"}
+
+
 def show_transitions(state, label):
-    s1, s2, s3 = enumerate_transitions(model, state)
+    trans = enumerate_transitions(model, state)
     print(f"\nfrom {label}:")
-    for cat, trs in (("CAT1", s1), ("CAT2", s2), ("CAT3", s3)):
-        for tr in trs:
-            if tr.logprob == -math.inf:
-                continue
-            print(
-                f"  {cat} {vocab.token_of(tr.word):>6}"
-                f"  p={math.exp(tr.logprob):.4f}"
-                f"  -> tag={tr.successor.class_tag} node="
-                f"{-1 if tr.successor.node is None else tr.successor.node.uid}"
-            )
-    return (s1, s2, s3)
+    for i in range(len(trans)):
+        if trans.logprob[i] == -math.inf:
+            continue
+        succ = trans.successor(i)
+        print(
+            f"  {CATS[int(trans.category[i])]} {vocab.token_of(int(trans.word[i])):>6}"
+            f"  p={math.exp(trans.logprob[i]):.4f}"
+            f"  -> tag={succ.class_tag} node="
+            f"{-1 if succ.node is None else succ.node.uid}"
+        )
+    return trans
 
 
 state = model.initial_state()
-s1, s2, s3 = show_transitions(state, "sentence start")
+trans = show_transitions(state, "sentence start")
 
-# Step through 'call', then enter the name class via CAT2 'ann'.
-step = lambda st, trs, w: advance(
-    model, st, next(t for t in trs if t.word == w)
+# Step through 'call', then enter the name class via CAT2 'ann'. The
+# bundle holds the transitions as arrays; a successor state is built
+# only for the transition taken.
+step = lambda trs, cat, w: trs.successor(
+    next(i for i in range(len(trs)) if trs.category[i] == cat and trs.word[i] == w)
 )
-state = step(state, s1, wid("call"))
-s1, s2, s3 = show_transitions(state, "'call'")
-state = step(state, s2, wid("ann"))
-s1, s2, s3 = show_transitions(state, "'call', inside ⟨NAME⟩ at 'ann'")
+state = step(trans, CAT1, wid("call"))
+trans = show_transitions(state, "'call'")
+state = step(trans, CAT2, wid("ann"))
+trans = show_transitions(state, "'call', inside ⟨NAME⟩ at 'ann'")
 
 # Inside the tree, the word mass splits between going deeper (CAT3
 # 'arbor') and exiting the class first: every CAT1/CAT2 row above
@@ -107,11 +112,11 @@ rng = np.random.default_rng(0)
 worst = 0.0
 state = model.initial_state()
 for _ in range(12):
-    s1, s2, s3 = enumerate_transitions(model, state)
-    alive = [t for ts in (s1, s2, s3) for t in ts if t.logprob > -math.inf]
+    trans = enumerate_transitions(model, state)
+    alive = [i for i in range(len(trans)) if trans.logprob[i] > -math.inf]
     if not alive:
         break
-    mass = sum(math.exp(t.logprob) for t in alive)
+    mass = sum(math.exp(trans.logprob[i]) for i in alive)
     worst = max(worst, abs(mass - 1.0))
-    state = advance(model, state, alive[int(rng.integers(len(alive)))])
+    state = trans.successor(alive[int(rng.integers(len(alive)))])
 print(f"\nrandom-walk transition mass error: {worst:.2e}")

@@ -24,7 +24,7 @@ from .arpa import ArpaParseError, load_arpa, save_arpa
 from .classlm import (
     ClassModel,
     ClmState,
-    Transition,
+    Transitions,
     build_prefix_tree,
     enumerate_transitions,
     load_class_model,
@@ -109,7 +109,7 @@ __all__ = [
     "ScoreVector",
     "SparseLmQueryResult",
     "SweepReport",
-    "Transition",
+    "Transitions",
     "Vocabulary",
     "align",
     "beam_search",

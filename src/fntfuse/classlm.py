@@ -15,13 +15,19 @@ move between states:
 The tagged n-gram is trained without an end-of-sentence event, so its
 outcome space is exactly words plus tags and the three categories'
 masses sum to one at every state.
+
+``enumerate_transitions`` returns the transitions leaving a state as one
+bundle of arrays (``Transitions``), not one object per transition: the
+CAT1 block is the exit mass plus the dense tagged-n-gram row over
+word-pieces, CAT2/CAT3 blocks come from arrays stored on the prefix-tree
+nodes, and a successor state is built only for a transition a caller
+takes.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,9 +46,15 @@ def is_class_tag(token: str) -> bool:
 
 
 class PrefixNode:
-    """One prefix-tree position; compared by identity."""
+    """One prefix-tree position; compared by identity.
 
-    __slots__ = ("uid", "children", "child_logprob", "exit_logprob")
+    ``child_words`` (ascending) and ``child_logprobs`` hold
+    ``child_logprob`` as read-only arrays once the tree is built.
+    """
+
+    __slots__ = (
+        "uid", "children", "child_logprob", "exit_logprob", "child_words", "child_logprobs"
+    )
 
     def __init__(self, uid: int):
         self.uid = uid
@@ -106,6 +118,11 @@ def build_prefix_tree(entries) -> PrefixTree:
         end = ending.get(node.uid, 0.0)
         if end > 0.0:
             node.exit_logprob = math.log(end / total)
+        words = sorted(node.child_logprob)
+        node.child_words = np.array(words, dtype=np.int64)
+        node.child_logprobs = np.array([node.child_logprob[w] for w in words], dtype=np.float64)
+        node.child_words.setflags(write=False)
+        node.child_logprobs.setflags(write=False)
     return tree
 
 
@@ -121,14 +138,6 @@ class ClmState(NamedTuple):
             self.class_tag,
             -1 if self.node is None else self.node.uid,
         )
-
-
-@dataclass(frozen=True)
-class Transition:
-    category: int
-    word: int
-    logprob: float
-    successor: ClmState
 
 
 class ClassModel:
@@ -192,114 +201,122 @@ def encoder_rank_pass(encoder_scores, rprime: int) -> np.ndarray:
     return ranks < rprime
 
 
+class Transitions:
+    """All transitions leaving ``state``, as aligned read-only arrays in
+    S1‖S2‖S3 order: ``category``, ``word``, ``logprob``, and ``tag``,
+    the class a CAT2 transition enters (-1 elsewhere). ``cat2`` and
+    ``cat3`` slice out those blocks; CAT1 is everything before them.
+    """
+
+    def __init__(self, model, state, category, word, logprob, tag, gates=None):
+        self.model, self.state = model, state
+        self.category, self.word, self.logprob, self.tag = category, word, logprob, tag
+        for arr in (category, word, logprob, tag):
+            arr.setflags(write=False)
+        n1, n12 = np.searchsorted(category, (CAT2, CAT3)).tolist()
+        self.cat2, self.cat3 = slice(n1, n12), slice(n12, word.size)
+        self._gates: dict = {} if gates is None else gates
+
+    def __len__(self) -> int:
+        return self.word.size
+
+    def successor(self, i: int) -> ClmState:
+        """The state reached by transition ``i``."""
+        cat, word, tag = int(self.category[i]), int(self.word[i]), int(self.tag[i])
+        return advance(self.model, self.state, cat, word, tag)
+
+    def gated(self, word_gate: np.ndarray) -> "Transitions":
+        """These transitions without the CAT2/CAT3 ones whose word is
+        False in ``word_gate``. CAT1 is never gated, so the CAT1 rank
+        gates are shared."""
+        keep = word_gate[self.word]
+        keep[: self.cat2.start] = True
+        arrays = (self.category, self.word, self.logprob, self.tag)
+        return Transitions(self.model, self.state, *(a[keep] for a in arrays), self._gates)
+
+    def cat1_gate(self, rank_r: int) -> np.ndarray:
+        """Ascending indices of the ``rank_r`` most probable CAT1
+        transitions, computed once per ``rank_r``.
+
+        Ranking matches the trie enumeration key (descending
+        probability, ascending word id); zero-probability words are
+        never gated.
+        """
+        gate = self._gates.get(rank_r)
+        if gate is None:
+            n1 = self.cat2.start
+            lp = self.logprob[:n1]
+            top = np.lexsort((self.word[:n1], -lp))[:rank_r]
+            gate = self._gates[rank_r] = np.sort(top[lp[top] > NEG_INF])
+        return gate
+
+
 def enumerate_transitions(
     model: ClassModel, state: ClmState, encoder_scores=None, rprime: int | None = None
-):
-    """All transitions leaving ``state``: (S1, S2, S3) Transition lists.
+) -> Transitions:
+    """All transitions leaving ``state``.
 
-    S2/S3 words are dropped when their encoder rank is >= rprime (CAT1
-    is never gated). Pass encoder_scores=None to disable gating.
-    Repetitions of the same word across lists are preserved; each
-    carries its own successor. All three lists empty is a legal result
-    and signals blank fallback to the caller.
+    CAT2/CAT3 words are dropped when their encoder rank is >= rprime
+    (CAT1 is never gated). Pass encoder_scores=None to disable gating.
+    Repetitions of the same word across blocks are preserved; each
+    leads to its own successor. An empty result is legal and signals
+    blank fallback to the caller.
     """
-    if encoder_scores is None or rprime is None or rprime >= model.n_words:
-        gate = None
-    else:
-        gate = encoder_rank_pass(encoder_scores, rprime)
-
-    def passes(w: int) -> bool:
-        return gate is None or bool(gate[w])
-
+    blocks = []
     exit_lp = model.exit_logmass(state)
-    h_exit = model.exit_history(state)
-
-    s1: list[Transition] = []
-    s2: list[Transition] = []
-    s3: list[Transition] = []
-
-    if state.class_tag is not None:
-        node = state.node
-        for w in sorted(node.children):
-            if passes(w):
-                s3.append(
-                    Transition(
-                        CAT3,
-                        w,
-                        node.child_logprob[w],
-                        ClmState(state.history, state.class_tag, node.children[w]),
-                    )
-                )
-
     if exit_lp > NEG_INF:
-        res = model.ngram.top_r(
-            h_exit, len(model.vocab) + 2, exclude=model.word_exclude
+        chain = model.ngram.suffix_chain(model.exit_history(state))
+        res = model.ngram.top_r_chain(
+            chain, len(model.vocab) + 2, exclude=model.word_exclude
         )
         dense = np.full(model.n_words, NEG_INF)
         dense[res.word_ids] = res.logprobs
-        for w in range(model.n_words):
-            p = dense[w]
-            s1.append(
-                Transition(
-                    CAT1,
-                    w,
-                    NEG_INF if p == NEG_INF else exit_lp + float(p),
-                    ClmState(model.truncate(h_exit + (w,)), None, None),
-                )
-            )
+        blocks.append((CAT1, np.arange(model.n_words), exit_lp + dense, -1))
         for tag in model.tag_ids:
-            p_tag = model.ngram.logprob(tag, h_exit)
-            if p_tag == NEG_INF:
-                continue
-            root = model.trees[tag].root
-            for w in sorted(root.children):
-                if passes(w):
-                    s2.append(
-                        Transition(
-                            CAT2,
-                            w,
-                            exit_lp + p_tag + root.child_logprob[w],
-                            ClmState(h_exit, tag, root.children[w]),
-                        )
-                    )
+            p_tag = model.ngram.logprob_chain(tag, chain)
+            if p_tag > NEG_INF:
+                root = model.trees[tag].root
+                blocks.append(
+                    (CAT2, root.child_words, (exit_lp + p_tag) + root.child_logprobs, tag)
+                )
+    if state.class_tag is not None:
+        blocks.append((CAT3, state.node.child_words, state.node.child_logprobs, -1))
 
-    return s1, s2, s3
+    cats, words, logprobs, tags = zip(*blocks)
+    sizes = [w.size for w in words]
+    trans = Transitions(
+        model, state, np.repeat(cats, sizes), np.concatenate(words),
+        np.concatenate(logprobs), np.repeat(tags, sizes),
+    )
+    if encoder_scores is None or rprime is None or rprime >= model.n_words:
+        return trans
+    return trans.gated(encoder_rank_pass(encoder_scores, rprime))
 
 
-def advance(model: ClassModel, state: ClmState, transition: Transition) -> ClmState:
-    """Successor of ``state`` under ``transition``, with consistency checks."""
-    cat, w, succ = transition.category, transition.word, transition.successor
-    if cat == CAT1:
-        if state.class_tag is not None and model.exit_logmass(state) == NEG_INF:
-            raise ValueError("CAT1 from a node with no exit mass")
-        expected = ClmState(
-            model.truncate(model.exit_history(state) + (w,)), None, None
-        )
-    elif cat == CAT2:
-        if state.class_tag is not None and model.exit_logmass(state) == NEG_INF:
-            raise ValueError("CAT2 from a node with no exit mass")
-        tag = succ.class_tag
+def advance(
+    model: ClassModel, state: ClmState, category: int, word: int, tag: int = -1
+) -> ClmState:
+    """Successor of ``state`` under one transition, with consistency
+    checks; ``tag`` names the class a CAT2 transition enters."""
+    if category in (CAT1, CAT2) and model.exit_logmass(state) == NEG_INF:
+        raise ValueError(f"CAT{category} from a node with no exit mass")
+    if category == CAT1:
+        return ClmState(model.truncate(model.exit_history(state) + (word,)), None, None)
+    if category == CAT2:
         if tag not in model.trees:
             raise ValueError(f"CAT2 into unknown class id {tag}")
-        root = model.trees[tag].root
-        if w not in root.children:
-            raise ValueError(f"CAT2 word {w} does not start class id {tag}")
-        expected = ClmState(model.exit_history(state), tag, root.children[w])
-    elif cat == CAT3:
+        node = model.trees[tag].root.children.get(word)
+        if node is None:
+            raise ValueError(f"CAT2 word {word} does not start class id {tag}")
+        return ClmState(model.exit_history(state), tag, node)
+    if category == CAT3:
         if state.class_tag is None:
             raise ValueError("CAT3 outside of a class")
-        if w not in state.node.children:
-            raise ValueError(f"CAT3 word {w} not under the current node")
-        expected = ClmState(state.history, state.class_tag, state.node.children[w])
-    else:
-        raise ValueError(f"unknown transition category {cat}")
-    if (
-        expected.history != succ.history
-        or expected.class_tag != succ.class_tag
-        or expected.node is not succ.node
-    ):
-        raise ValueError("transition does not apply to this state")
-    return succ
+        node = state.node.children.get(word)
+        if node is None:
+            raise ValueError(f"CAT3 word {word} not under the current node")
+        return ClmState(state.history, state.class_tag, node)
+    raise ValueError(f"unknown transition category {category}")
 
 
 def train_tagged_clm(

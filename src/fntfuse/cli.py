@@ -75,20 +75,20 @@ class _Opts:
         return value
 
 
-def _read_sentences(path, vocab: Vocabulary):
+def _read_sentences(lines, vocab: Vocabulary, source: str):
+    """Token-id sentences from text lines, skipping blank ones; errors
+    carry a ``source:lineno:`` prefix."""
     out = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(lines, start=1):
         toks = line.split()
         if not toks:
             continue
         try:
             out.append(vocab.ids_of(toks))
         except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
+            raise ValueError(f"{source}:{lineno}: {e}") from None
     if not out:
-        raise ValueError(f"{path}: no sentences")
+        raise ValueError(f"{source}: no sentences")
     return out
 
 
@@ -130,7 +130,7 @@ def _scenario_setup(opts, fusion: FusionConfig):
         pred_model = load_arpa(pred_path, scn.vocab)
     else:
         pred_model = train_kneser_ney(
-            _read_sentences_from(scn.train_texts, scn.vocab),
+            _read_sentences(scn.train_texts, scn.vocab, "scenario train text"),
             order,
             vocab=scn.vocab,
             eos=False,
@@ -146,7 +146,7 @@ def _scenario_setup(opts, fusion: FusionConfig):
             lm_model = load_arpa(lm_path, scn.vocab)
         else:
             lm_model = train_kneser_ney(
-                _read_sentences_from(scn.adapt_texts, scn.vocab),
+                _read_sentences(scn.adapt_texts, scn.vocab, "scenario adapt text"),
                 order,
                 vocab=scn.vocab,
                 eos=False,
@@ -167,21 +167,13 @@ def _scenario_setup(opts, fusion: FusionConfig):
     return scn, tests, scorer, external, class_model
 
 
-def _read_sentences_from(texts, vocab: Vocabulary):
-    out = []
-    for line in texts:
-        toks = line.split()
-        if toks:
-            out.append(vocab.ids_of(toks))
-    if not out:
-        raise ValueError("no sentences in scenario text")
-    return out
-
-
 def cmd_train_ngram(args) -> int:
     opts = _Opts(args)
     vocab = Vocabulary.from_file(opts.require("vocab"))
-    sentences = _read_sentences(opts.require("text"), vocab)
+    path = opts.require("text")
+    sentences = _read_sentences(
+        Path(path).read_text(encoding="utf-8").splitlines(), vocab, path
+    )
     model = train_kneser_ney(
         sentences,
         int(opts.get("order", 3)),

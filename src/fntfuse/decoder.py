@@ -9,30 +9,40 @@ only when token sequence AND every attached state agree (including the
 count of symbols emitted this frame, which feeds the blank history
 penalty); the returned n-best additionally merges pure token duplicates.
 
-An expansion scores all of its children as one array. With the dense
-methods (none/sf/li/lli/cli) only the ``beam`` best finite children are
-built, ties going to the lower word id as ``heapq.nlargest`` would keep
-them; this prune-before-merge is exact. A child's merge key is its token
-sequence and emission count, because the predictor and LM states are
-functions of the tokens. Its only possible parent is the hypothesis with
-one token less and one emission less, which is popped at most once per
-frame, so no child ever merges into A, and a child that is not among its
-siblings' best ``beam`` cannot reach the ``beam`` best of A either.
-Full expansion also re-sorts A when only the unbuilt children push it
-past the beam. Skipping that sort changes nothing: a stable sort keeps
-the relative order of equal scores, and that order is all ``max`` and
-``nlargest`` consult.
-
 With a class model attached, each expansion scores an augmented channel
 list built from the CAT1/2/3 transitions instead of the plain
 vocabulary row; when no transition is available at all, the hypothesis
 can still take blank, priced from the original uninterpolated scores.
-Class states of different parents can share an exit history, so a child
-can merge into an existing A entry; clm and three-way therefore build
-every finite channel and merge before pruning. The "require-cat1" exit
-rule keeps expanding (within a bounded extra budget) until the
-frame-final set contains some state that can leave its class, so the
-beam is not spent entirely inside entity prefixes.
+The "require-cat1" exit rule keeps expanding (within a bounded extra
+budget) until the frame-final set contains some state that can leave
+its class, so the beam is not spent entirely inside entity prefixes.
+
+An expansion scores all of its children as one array and builds a
+``Hypothesis`` only for the ``beam`` best finite children (ties to the
+lower channel index, as ``heapq.nlargest`` keeps them) plus every child
+whose tokens and emission count match an entry already in A; A is then
+cut back to the beam whenever A plus the unbuilt children exceeds it.
+This merge-aware cut leaves A and B, entries and dict order, exactly as
+building every child would:
+
+1. Siblings never share a merge key (tokens, emission count, class
+   state; predictor and LM states are functions of the tokens). With
+   one word, a CAT1 successor is outside any class, CAT2 and CAT3
+   successors differ in class tag or tree node (CAT2 at depth one, CAT3
+   deeper), and CAT2 successors differ by tag.
+2. So a child can only climb by merging into an A entry that already
+   exists, which has the child's tokens and count: those are built.
+3. Any other child outside the ``beam`` best is outranked by ``beam``
+   distinct A entries (the best siblings or the entries they merged
+   into), each strictly higher, or equal and ahead of it in dict order,
+   since children enter in channel order and a merge keeps the older
+   place. A then exceeds the beam, and the stable ``nlargest`` cut
+   drops that child and keeps the same survivors either way. With no
+   child unbuilt, both ways hold the same dict and cut alike.
+
+Without a class model no child can merge into A at all: its only
+possible parent has its tokens minus one and is popped at most once per
+frame, so the dense methods skip the merge check.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classlm import ClassModel, enumerate_transitions
+from .classlm import ClassModel, ClmState, encoder_rank_pass, enumerate_transitions
 from .core import NEG_INF, ExternalLm, ScoreVector, log_softmax, log_sum_exp
 from .fusion import FusionConfig, clm_predictor_interp, li_scores, mix_scores, three_way
 
@@ -109,27 +119,16 @@ class DecodedHypothesis:
     merged: bool
 
 
+@dataclass(slots=True)
 class Hypothesis:
-    __slots__ = (
-        "tokens",
-        "logscore",
-        "pred_state",
-        "lm_state",
-        "clm_state",
-        "k",
-        "steps",
-        "merged",
-    )
-
-    def __init__(self, tokens, logscore, pred_state, lm_state, clm_state, k, steps, merged):
-        self.tokens = tokens
-        self.logscore = logscore
-        self.pred_state = pred_state
-        self.lm_state = lm_state
-        self.clm_state = clm_state
-        self.k = k
-        self.steps = steps
-        self.merged = merged
+    tokens: tuple
+    logscore: float
+    pred_state: object
+    lm_state: object
+    clm_state: ClmState | None
+    k: int
+    steps: tuple
+    merged: bool
 
     def state_key(self):
         clm = self.clm_state.key() if self.clm_state is not None else None
@@ -167,22 +166,14 @@ def blank_fallback(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> float:
 
 def _merge(pool: dict, key, hyp: Hypothesis):
     old = pool.get(key)
-    if old is None:
-        pool[key] = hyp
-        return
-    total = np.logaddexp(old.logscore, hyp.logscore)
-    rep = old if old.logscore >= hyp.logscore else hyp
-    merged = Hypothesis(
-        rep.tokens,
-        float(total),
-        rep.pred_state,
-        rep.lm_state,
-        rep.clm_state,
-        rep.k,
-        rep.steps,
-        True,
-    )
-    pool[key] = merged
+    if old is not None:
+        rep = old if old.logscore >= hyp.logscore else hyp
+        total = float(np.logaddexp(old.logscore, hyp.logscore))
+        hyp = Hypothesis(
+            rep.tokens, total, rep.pred_state, rep.lm_state, rep.clm_state,
+            rep.k, rep.steps, True,
+        )
+    pool[key] = hyp
 
 
 def _cat1_possible(hyp: Hypothesis, clm: ClassModel | None) -> bool:
@@ -203,15 +194,30 @@ def _top_children(scores: np.ndarray, beam: int) -> np.ndarray:
     return np.sort(np.concatenate((above, ties)))
 
 
+def _merge_siblings(A: dict, best: Hypothesis, words: np.ndarray, cand: np.ndarray):
+    """The channels in ``cand`` whose child would have the token
+    sequence and emission count of an entry already in A: the only
+    children of ``best`` that can merge into A."""
+    n, k = len(best.tokens) + 1, best.k + 1
+    targets = [
+        h.tokens[-1]
+        for h in A.values()
+        if h.k == k and len(h.tokens) == n and h.tokens[:-1] == best.tokens
+    ]
+    return cand[np.isin(words[cand], targets)] if targets else cand[:0]
+
+
 class _FrameScorer:
     """Builds (words, transitions, posteriors, blank posterior) for one
     expansion.
 
     ``words`` is the word-id array aligned with the posterior vector;
-    ``transitions`` is the aligned list of class-model transitions, or
-    None without a class model. Transition enumeration is cached per
-    (state, frame) because expansions of sibling hypotheses revisit the
-    same LM states.
+    ``transitions`` is the aligned class-model ``Transitions`` bundle,
+    or None without a class model. Transitions are cached for the
+    decode, keyed by the class state alone: hypotheses of this and later
+    frames revisit the same states. Only an r' encoder-rank gate makes
+    them depend on the frame; the gate is ranked once per frame, and the
+    gated transitions are cached by (state, frame).
     """
 
     def __init__(self, scorer, config, external_lm, class_model):
@@ -224,18 +230,24 @@ class _FrameScorer:
             self.fusion.method == "clm" or self.fusion.second_method == "clm"
         )
         self._trans_cache: dict = {}
+        self._gated: dict = {}
+        self._gate_frame = self._word_gate = None
         self._rows: dict = {}
 
     def _transitions(self, clm_state, t, z_t_row):
-        key = (clm_state.key(), t)
-        hit = self._trans_cache.get(key)
-        if hit is None:
-            gate = z_t_row if self.config.rank_rprime is not None else None
-            hit = enumerate_transitions(
-                self.clm, clm_state, gate, self.config.rank_rprime
-            )
-            self._trans_cache[key] = hit
-        return hit
+        key = clm_state.key()
+        trans = self._trans_cache.get(key)
+        if trans is None:
+            trans = self._trans_cache[key] = enumerate_transitions(self.clm, clm_state)
+        if self.config.rank_rprime is None:
+            return trans
+        gated = self._gated.get((key, t))
+        if gated is None:
+            if self._gate_frame != t:
+                self._gate_frame = t
+                self._word_gate = encoder_rank_pass(z_t_row, self.config.rank_rprime)
+            gated = self._gated[key, t] = trans.gated(self._word_gate)
+        return gated
 
     def _fused_row(self, pred_state, lm_state, z_u):
         """The li/lli/cli-fused predictor row, cached per state pair: a
@@ -268,22 +280,18 @@ class _FrameScorer:
 
         if self.use_clm:
             trans = self._transitions(hyp.clm_state, t, z_t_row)
-            if not (trans[0] or trans[1] or trans[2]):
+            if not len(trans):
                 fb = blank_fallback(ScoreVector(z_t_row), ScoreVector(z_u), b)
-                return np.empty(0, dtype=np.int64), [], np.empty(0), fb
-            z_u_sv = ScoreVector(z_u, normalized=True)
+                return trans.word, trans, np.empty(0), fb
             if fu.method == "clm":
-                rows, aug = clm_predictor_interp(z_u_sv, trans, fu.alpha, fu.rank_r)
+                aug = clm_predictor_interp(z_u, trans, fu.alpha, fu.rank_r)
             else:
-                dense = ScoreVector(
-                    self.external.full_dist(hyp.lm_state), normalized=True
+                aug = three_way(
+                    z_u, self.external.full_dist(hyp.lm_state), trans,
+                    fu.alpha, fu.second_alpha, fu.rank_r,
                 )
-                rows, aug = three_way(
-                    z_u_sv, dense, trans, fu.alpha, fu.second_alpha, fu.rank_r
-                )
-            words = np.fromiter((r.word for r in rows), dtype=np.int64, count=len(rows))
-            posts = log_softmax(np.append(z_t_row[words] + aug, b))
-            return words, rows, posts[:-1], float(posts[-1])
+            posts = log_softmax(np.append(z_t_row[trans.word] + aug, b))
+            return trans.word, trans, posts[:-1], float(posts[-1])
 
         if fu.method == "none":
             joint = z_t_row + z_u
@@ -325,14 +333,10 @@ def beam_search(
     )
 
     init = Hypothesis(
-        tokens=(),
-        logscore=0.0,
-        pred_state=scorer.predictor.initial_state(),
-        lm_state=external_lm.initial_state() if use_lm else None,
-        clm_state=class_model.initial_state() if frame_scorer.use_clm else None,
-        k=0,
-        steps=(),
-        merged=False,
+        (), 0.0, scorer.predictor.initial_state(),
+        external_lm.initial_state() if use_lm else None,
+        class_model.initial_state() if frame_scorer.use_clm else None,
+        0, (), False,
     )
     B = {init.state_key(): init}
 
@@ -375,22 +379,23 @@ def beam_search(
             stats.total_width += words.size
 
             took_blank = Hypothesis(
-                best.tokens,
-                best.logscore + blank_post,
-                best.pred_state,
-                best.lm_state,
-                best.clm_state,
-                best.k,
-                best.steps + ((t, best.k, None, blank_post),),
-                best.merged,
+                best.tokens, best.logscore + blank_post, best.pred_state,
+                best.lm_state, best.clm_state, best.k,
+                best.steps + ((t, best.k, None, blank_post),), best.merged,
             )
             _merge(B, took_blank.state_key(), took_blank)
 
+            unbuilt = 0
             if best.k < config.max_emit:
                 cand = np.flatnonzero(posts != NEG_INF)
-                # dense methods prune before the merge, exactly (module docstring)
-                if transitions is None and cand.size > config.beam:
-                    cand = cand[_top_children(best.logscore + posts[cand], config.beam)]
+                # the merge-aware cut, exact (module docstring)
+                if cand.size > config.beam:
+                    keep = cand[_top_children(best.logscore + posts[cand], config.beam)]
+                    if transitions is not None:  # dense children never merge
+                        merging = _merge_siblings(A, best, words, cand)
+                        keep = np.union1d(keep, merging) if merging.size else keep
+                    unbuilt = cand.size - keep.size
+                    cand = keep
                 stats.n_children += cand.size
                 for i, word, post in zip(
                     cand.tolist(), words[cand].tolist(), posts[cand].tolist()
@@ -400,17 +405,16 @@ def beam_search(
                         best.logscore + post,
                         scorer.predictor.advance(best.pred_state, word),
                         external_lm.advance(best.lm_state, word) if use_lm else None,
-                        transitions[i].successor if transitions is not None else None,
+                        transitions.successor(i) if transitions is not None else None,
                         best.k + 1,
                         best.steps + ((t, best.k, word, post),),
                         best.merged,
                     )
                     _merge(A, child.state_key() + (child.k,), child)
-            if len(A) > config.beam:
-                keep = heapq.nlargest(
-                    config.beam, A.items(), key=lambda kv: kv[1].logscore
+            if len(A) + unbuilt > config.beam:
+                A = dict(
+                    heapq.nlargest(config.beam, A.items(), key=lambda kv: kv[1].logscore)
                 )
-                A = dict(keep)
 
         survivors = heapq.nlargest(
             config.beam, B.items(), key=lambda kv: kv[1].logscore

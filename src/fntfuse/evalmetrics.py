@@ -145,6 +145,7 @@ class EvalReport:
     total_expansions: int
     total_frames: int
     total_width: int
+    n_warnings: int = 0  # utterances whose decode set DecodeStats.warning
 
     @property
     def n_utts(self) -> int:
@@ -186,6 +187,7 @@ class EvalReport:
             f" time_ms={1000.0 * self.mean_decode_time:.3f}"
             f" width={self.mean_width:.3f}"
             f" expf={self.expansions_per_frame:.3f}"
+            f" warnings={self.n_warnings}"
         )
 
 
@@ -233,7 +235,7 @@ def evaluate(
     subs = ins = dels = n_words = 0
     entity_tokens = entity_errors = 0
     total_time = 0.0
-    total_exp = total_frames = total_width = 0
+    total_exp = total_frames = total_width = n_warnings = 0
     for utt, (counts, n_entity, errors, stats) in zip(tests, scored):
         rows.append((utt.utt_id, *counts))
         subs += counts.subs
@@ -246,6 +248,7 @@ def evaluate(
         total_exp += stats.n_expansions
         total_frames += stats.n_frames
         total_width += stats.total_width
+        n_warnings += stats.warning is not None
     return EvalReport(
         name,
         tuple(rows),
@@ -259,6 +262,7 @@ def evaluate(
         total_exp,
         total_frames,
         total_width,
+        n_warnings,
     )
 
 

@@ -9,10 +9,13 @@ the predictor row untouched, so its output is deliberately left
 unnormalized for the final softmax to absorb.
 
 The class-model stage (``clm_predictor_interp``) maps the CAT1/2/3
-transition lists of a class-based LM onto an augmented predictor row:
+transition arrays of a class-based LM onto an augmented predictor row:
 gated linear interpolation for CAT1, full linear interpolation for
 CAT2, and raw class-tree log-probabilities for CAT3, preserving
-enumeration order and word repetitions across the three blocks.
+enumeration order and word repetitions across the three blocks. It and
+``three_way`` are the decoder's own class-model fusion; they check
+ScoreVector inputs and take the decoder's bare ``full_dist`` rows as
+they are.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classlm import Transition
-from .core import NEG_INF, ScoreVector
+from .classlm import Transitions
+from .core import ScoreVector
 from .ngram import SparseLmQueryResult
 
 DENSE_METHODS = ("sf", "li", "lli", "cli")
@@ -145,78 +148,52 @@ def conditional_linear_interp(
     return ScoreVector(out)
 
 
-def _cat1_gate(s1: list[Transition], rank_r: int) -> set[int]:
-    """Word ids of the rank_r most probable CAT1 transitions.
-
-    Ranking matches the trie enumeration key (descending probability,
-    ascending word id); zero-probability words are never gated.
-    """
-    logprobs = np.array([t.logprob for t in s1])
-    words = np.array([t.word for t in s1])
-    order = np.lexsort((words, -logprobs))
-    gated: set[int] = set()
-    for i in order[:rank_r]:
-        if logprobs[i] == NEG_INF:
-            break
-        gated.add(int(words[i]))
-    return gated
+def _normalized_row(z, what: str) -> np.ndarray:
+    """Values of a dense normalized row. A ScoreVector is checked here;
+    a bare array is a ``full_dist`` row, normalized under the
+    ExternalLm contract, and is taken as it is."""
+    if not isinstance(z, ScoreVector):
+        return z
+    _require_dense(z)
+    if not z.normalized:
+        raise ValueError(f"{what} needs a normalized input")
+    return z.values
 
 
 def clm_predictor_interp(
-    z_u: ScoreVector,
-    transitions: tuple[list[Transition], list[Transition], list[Transition]],
-    alpha: float,
-    rank_r: int,
-) -> tuple[list[Transition], np.ndarray]:
-    """Build the augmented predictor row from class-model transitions.
+    z_u, transitions: Transitions, alpha: float, rank_r: int
+) -> np.ndarray:
+    """The augmented predictor row for class-model transitions.
 
-    Returns the concatenated CAT1/CAT2/CAT3 transitions in enumeration
-    order together with the aligned score row: CAT1 words inside the
-    rank gate get linear interpolation of z_u with the class-model
-    probability, CAT1 words outside it keep z_u unchanged, CAT2 words
-    always interpolate, and CAT3 scores are the class-tree transition
-    log-probabilities taken as-is. Word repetitions across blocks stay
-    separate rows; an empty CAT1 block is simply absent.
+    Returns scores aligned with ``transitions`` (S1‖S2‖S3): CAT1 words
+    inside the rank gate get linear interpolation of z_u with the
+    class-model probability, CAT1 words outside it keep z_u unchanged,
+    CAT2 words always interpolate, and CAT3 scores are the class-tree
+    transition log-probabilities taken as-is. ``z_u`` is a normalized
+    ScoreVector or a predictor's ``full_dist`` row.
     """
-    _require_dense(z_u)
-    if not z_u.normalized:
-        raise ValueError("class-model interpolation needs a normalized z_u")
+    zv = _normalized_row(z_u, "class-model interpolation")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if rank_r < 1:
         raise ValueError(f"rank_r must be >= 1, got {rank_r}")
-    s1, s2, s3 = transitions
-    zv = z_u.values
-    blocks = []
-    if s1:
-        gated = _cat1_gate(s1, rank_r)
-        w1 = np.array([t.word for t in s1])
-        lp1 = np.array([t.logprob for t in s1])
-        mask = np.array([w in gated for w in w1.tolist()])
-        scores1 = zv[w1].copy()
-        if mask.any():
-            scores1[mask] = li_scores(zv[w1[mask]], lp1[mask], alpha)
-        blocks.append(scores1)
-    if s2:
-        w2 = np.array([t.word for t in s2])
-        lp2 = np.array([t.logprob for t in s2])
-        blocks.append(li_scores(zv[w2], lp2, alpha))
-    if s3:
-        blocks.append(np.array([t.logprob for t in s3]))
-    rows = list(s1) + list(s2) + list(s3)
-    scores = np.concatenate(blocks) if blocks else np.empty(0)
-    return rows, scores
+    lp = transitions.logprob
+    scores = zv[transitions.word]
+    for block in (transitions.cat1_gate(rank_r), transitions.cat2):
+        scores[block] = li_scores(scores[block], lp[block], alpha)
+    scores[transitions.cat3] = lp[transitions.cat3]
+    return scores
 
 
 def three_way(
-    z_u: ScoreVector,
-    dense_lm: ScoreVector,
-    transitions: tuple[list[Transition], list[Transition], list[Transition]],
-    alpha1: float,
-    alpha2: float,
-    rank_r: int,
-) -> tuple[list[Transition], np.ndarray]:
+    z_u, dense_lm, transitions: Transitions, alpha1: float, alpha2: float, rank_r: int
+) -> np.ndarray:
     """Consecutive combination: dense-LM linear interpolation, then the
-    class-model stage applied to the stage-one output."""
-    stage1 = linear_interp(z_u, dense_lm, alpha1)
+    class-model stage applied to the stage-one output. ``z_u`` and
+    ``dense_lm`` are normalized ScoreVectors or ``full_dist`` rows."""
+    zv = _normalized_row(z_u, "linear interpolation")
+    lm = _normalized_row(dense_lm, "linear interpolation")
+    if zv.size != lm.size:
+        raise ValueError(f"support mismatch: {lm.size} vs {zv.size}")
+    stage1 = li_scores(zv, lm, alpha1)
     return clm_predictor_interp(stage1, transitions, alpha2, rank_r)

@@ -254,7 +254,7 @@ def exhaustive_decode(
     beam at least that wide can never prune, so beam search must agree
     with this enumeration exactly.
     """
-    from fntfuse.classlm import enumerate_transitions
+    from fntfuse.classlm import CAT1, CAT2, enumerate_transitions
 
     fusion = config.fusion
     use_clm = fusion.method == "clm" or fusion.second_method == "clm"
@@ -287,8 +287,8 @@ def exhaustive_decode(
         lm_row = external_lm.full_dist(lm_state) if use_lm else None
 
         if use_clm:
-            s1, s2, s3 = enumerate_transitions(class_model, clm_state)
-            if not (s1 or s2 or s3):
+            trans = enumerate_transitions(class_model, clm_state)
+            if not len(trans):
                 blank_post = b - _lse(
                     [float(z_t[w] + z_u[w]) for w in range(n_vocab)] + [b]
                 )
@@ -305,23 +305,28 @@ def exhaustive_decode(
             clm_alpha = (
                 fusion.second_alpha if fusion.second_method == "clm" else fusion.alpha
             )
+            rows = [
+                (int(c), int(w), float(lp), i)
+                for i, (c, w, lp) in enumerate(
+                    zip(trans.category, trans.word, trans.logprob)
+                )
+            ]
+            s1 = [r for r in rows if r[0] == CAT1]
             finite = sorted(
-                (tr for tr in s1 if tr.logprob > float("-inf")),
-                key=lambda tr: (-tr.logprob, tr.word),
+                (r for r in s1 if r[2] > float("-inf")),
+                key=lambda r: (-r[2], r[1]),
             )
-            gated = {tr.word for tr in finite[: fusion.rank_r]}
-            for tr in s1:
-                z = base[tr.word]
-                score = li(z, tr.logprob, clm_alpha) if tr.word in gated else z
-                channels.append((tr.word, tr.successor))
-                raw.append(float(z_t[tr.word]) + score)
-            for tr in s2:
-                score = li(base[tr.word], tr.logprob, clm_alpha)
-                channels.append((tr.word, tr.successor))
-                raw.append(float(z_t[tr.word]) + score)
-            for tr in s3:
-                channels.append((tr.word, tr.successor))
-                raw.append(float(z_t[tr.word]) + tr.logprob)
+            gated = {r[1] for r in finite[: fusion.rank_r]}
+            for cat, w, lp, i in rows:
+                if cat == CAT1:
+                    z = base[w]
+                    score = li(z, lp, clm_alpha) if w in gated else z
+                elif cat == CAT2:
+                    score = li(base[w], lp, clm_alpha)
+                else:
+                    score = lp
+                channels.append((w, trans.successor(i)))
+                raw.append(float(z_t[w]) + score)
             denom = _lse(raw + [b])
             return channels, [r - denom for r in raw], b - denom
 
@@ -568,7 +573,7 @@ def full_expansion_beam_search(
                         best[1] + post,
                         predictor.advance(best[2], w),
                         external_lm.advance(best[3], w) if use_lm else None,
-                        transitions[i].successor if transitions is not None else None,
+                        transitions.successor(i) if transitions is not None else None,
                         best[5] + 1,
                         best[6] + ((t, best[5], w, post),),
                         best[7],

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from fntfuse.classlm import (
-    advance,
     build_prefix_tree,
     enumerate_transitions,
     train_tagged_clm,
@@ -51,6 +50,7 @@ from oracles import OracleKn, clm_prefix_masses, exhaustive_decode
 
 BEAM = 4
 RANK_R = 200
+OVERHEAD_PASSES = 5  # interleaved timing passes per side, performance criterion
 
 ACC_TEMPLATES = (
     "please call ⟨NAME⟩ right away",
@@ -284,12 +284,12 @@ def test_distributions_normalize(verdict):
         _, model = toy_class_model(order=order)
         state = model.initial_state()
         for _ in range(100):
-            s1, s2, s3 = enumerate_transitions(model, state)
-            live = [t for t in s1 + s2 + s3 if t.logprob > NEG_INF]
-            mass = sum(math.exp(t.logprob) for t in live)
+            trans = enumerate_transitions(model, state)
+            live = [i for i in range(len(trans)) if trans.logprob[i] > NEG_INF]
+            mass = sum(math.exp(trans.logprob[i]) for i in live)
             worst = max(worst, abs(mass - 1.0))
             n_states += 1
-            state = advance(model, state, live[int(rng.integers(len(live)))])
+            state = trans.successor(live[int(rng.integers(len(live)))])
     devs["clm"] = worst
 
     elapsed = time.monotonic() - t0
@@ -475,14 +475,14 @@ def test_class_model_path_mass(verdict):
         for _ in range(4):
             nxt: dict = {}
             for (words, _), (state, mass) in frontier.items():
-                s1, s2, s3 = enumerate_transitions(model, state)
-                for t in s1 + s2 + s3:
-                    if t.logprob == NEG_INF:
+                trans = enumerate_transitions(model, state)
+                for i in range(len(trans)):
+                    if trans.logprob[i] == NEG_INF:
                         continue
-                    succ = advance(model, state, t)
-                    key = (words + (t.word,), succ.key())
+                    succ = trans.successor(i)
+                    key = (words + (int(trans.word[i]),), succ.key())
                     prev = nxt.get(key)
-                    add = mass * math.exp(t.logprob)
+                    add = mass * math.exp(trans.logprob[i])
                     nxt[key] = (succ, add if prev is None else prev[1] + add)
             frontier = nxt
             for (words, _), (_, mass) in frontier.items():
@@ -570,18 +570,20 @@ def test_fusion_runtime_overhead(scenario, grid, verdict):
     s = scenario
     subset = s["tests"][:150]
     cli_alpha, _ = grid["report"].alpha_star("cli", "test")
-    base = evaluate(
-        "none", subset, s["vocab"], s["scorer"], DecoderConfig(beam=BEAM, fusion=FusionConfig())
+    configs = (
+        (DecoderConfig(beam=BEAM, fusion=FusionConfig()), None),
+        (DecoderConfig(beam=BEAM, fusion=FusionConfig("cli", cli_alpha, RANK_R)), s["external"]),
     )
-    fused = evaluate(
-        "cli",
-        subset,
-        s["vocab"],
-        s["scorer"],
-        DecoderConfig(beam=BEAM, fusion=FusionConfig("cli", cli_alpha, RANK_R)),
-        s["external"],
-    )
-    slowdown = fused.mean_decode_time / base.mean_decode_time - 1.0
+    # a whole ~0.8 s pass per side lets host noise swing the ratio by 20
+    # points; decoding both configs per utterance, in alternating order,
+    # shows both the same host, and the fastest pass of each is compared
+    spent = [[0.0] * OVERHEAD_PASSES for _ in configs]  # [none, cli][pass]
+    for k in range(OVERHEAD_PASSES):
+        for i, utt in enumerate(subset):
+            for j in ((0, 1) if (i + k) % 2 == 0 else (1, 0)):
+                _, stats = beam_search(utt.encoder, s["scorer"], *configs[j])
+                spent[j][k] += stats.wall_time
+    slowdown = min(spent[1]) / min(spent[0]) - 1.0
 
     small = build_bench_model(15_000, seed=0)
     big = build_bench_model(1_800_000, seed=0)
@@ -593,7 +595,7 @@ def test_fusion_runtime_overhead(scenario, grid, verdict):
     verdict(
         "performance",
         ok,
-        f"cli slowdown={100 * slowdown:.0f}% (cap 35%),"
+        f"cli slowdown={100 * slowdown:.0f}% (cap 35%, min of {OVERHEAD_PASSES} passes),"
         f" top-{RANK_R} latency ratio={ratio:.2f} at {n_big} vs {n_small} ngrams (cap 2.0)",
     )
 

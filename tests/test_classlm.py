@@ -176,8 +176,8 @@ class TestTrainTaggedClm:
                 if node.exit_logprob > NEG_INF:
                     mass += math.exp(node.exit_logprob)
                 assert mass == pytest.approx(1.0, abs=1e-9)
-        s1, s2, s3 = enumerate_transitions(model, model.initial_state())
-        total = sum(math.exp(t.logprob) for t in s1 + s2 + s3)
+        trans = enumerate_transitions(model, model.initial_state())
+        total = sum(math.exp(lp) for lp in trans.logprob.tolist())
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -187,6 +187,16 @@ class TestEncoderRankPass:
         assert list(encoder_rank_pass(scores, 1)) == [True, False, False]
         assert list(encoder_rank_pass(scores, 2)) == [True, True, False]
         assert list(encoder_rank_pass(scores, 3)) == [True, True, True]
+
+
+def indices(trans, category, word=None, tag=None):
+    """Bundle indices of one category, optionally one word and one tag."""
+    mask = trans.category == category
+    if word is not None:
+        mask &= trans.word == word
+    if tag is not None:
+        mask &= trans.tag == tag
+    return np.flatnonzero(mask).tolist()
 
 
 class TestEnumerateTransitions:
@@ -205,44 +215,45 @@ class TestEnumerateTransitions:
     def test_in_class_state_continues_and_exits(self):
         vocab, model = toy_class_model(order=5)
         state = self.state_inside_type(model, vocab)
-        s1, s2, s3 = enumerate_transitions(model, state)
-        words3 = {t.word: t for t in s3}
+        trans = enumerate_transitions(model, state)
+        words3 = {int(trans.word[i]): trans.logprob[i] for i in indices(trans, CAT3)}
         mobile = vocab.id_of("▁mobile")
         assert mobile in words3 and vocab.id_of("▁home") in words3
-        assert words3[mobile].logprob == state.node.child_logprob[mobile]
+        assert words3[mobile] == state.node.child_logprob[mobile]
         # "▁his" alone is a complete entry, so exit mass is positive
         # and CAT1 covers the whole word space
-        assert len(s1) == model.n_words
+        assert len(indices(trans, CAT1)) == model.n_words
 
     def test_no_class_state_is_plain_ngram(self):
         vocab, model = toy_class_model()
         state = model.initial_state()
-        s1, s2, s3 = enumerate_transitions(model, state)
-        assert s3 == []
+        trans = enumerate_transitions(model, state)
+        assert indices(trans, CAT3) == []
+        s1 = indices(trans, CAT1)
         assert len(s1) == model.n_words
-        for t in s1:
-            assert t.logprob == model.ngram.logprob(t.word, state.history)
-            assert t.successor.class_tag is None
+        for i in s1:
+            assert trans.logprob[i] == model.ngram.logprob(int(trans.word[i]), state.history)
+            assert trans.successor(i).class_tag is None
 
     def test_transition_mass_conserved_at_random_states(self):
         _, model = toy_class_model(order=2)
         rng = np.random.default_rng(4)
         state = model.initial_state()
         for _ in range(120):
-            s1, s2, s3 = enumerate_transitions(model, state)
-            candidates = [t for t in s1 + s2 + s3 if t.logprob > NEG_INF]
-            total = sum(math.exp(t.logprob) for t in candidates)
+            trans = enumerate_transitions(model, state)
+            candidates = [i for i in range(len(trans)) if trans.logprob[i] > NEG_INF]
+            total = sum(math.exp(trans.logprob[i]) for i in candidates)
             assert total == pytest.approx(1.0, abs=1e-9)
-            probs = np.array([math.exp(t.logprob) for t in candidates])
+            probs = np.array([math.exp(trans.logprob[i]) for i in candidates])
             pick = candidates[rng.choice(len(candidates), p=probs / probs.sum())]
-            state = advance(model, state, pick)
+            state = trans.successor(pick)
 
     def test_words_never_tag_ids(self):
         _, model = toy_class_model()
         state = model.initial_state()
-        s1, s2, s3 = enumerate_transitions(model, state)
-        for t in s1 + s2 + s3:
-            assert 0 <= t.word < model.n_words
+        trans = enumerate_transitions(model, state)
+        for w in trans.word.tolist():
+            assert 0 <= w < model.n_words
 
     def test_gating_monotone(self):
         vocab, model = toy_class_model(order=5)
@@ -252,10 +263,14 @@ class TestEnumerateTransitions:
         seen = set()
         prev: set = set()
         for rprime in (1, 2, 4, len(PIECES)):
-            s1, s2, s3 = enumerate_transitions(model, state, scores, rprime)
-            cur = {(t.category, t.word, t.successor.key()) for t in s2 + s3}
+            trans = enumerate_transitions(model, state, scores, rprime)
+            s23 = indices(trans, CAT2) + indices(trans, CAT3)
+            cur = {
+                (int(trans.category[i]), int(trans.word[i]), trans.successor(i).key())
+                for i in s23
+            }
             assert prev <= cur
-            seen = {t.word for t in s2 + s3}
+            seen = {int(trans.word[i]) for i in s23}
             assert all(
                 bool(encoder_rank_pass(scores, rprime)[w]) for w in seen
             )
@@ -264,41 +279,37 @@ class TestEnumerateTransitions:
     def test_repeated_word_kept_in_separate_lists(self):
         vocab, model = toy_class_model()
         state = model.initial_state()
-        s1, s2, _ = enumerate_transitions(model, state)
+        trans = enumerate_transitions(model, state)
         john = vocab.id_of("▁john")
-        in_s1 = [t for t in s1 if t.word == john]
-        in_s2 = [t for t in s2 if t.word == john]
+        in_s1 = indices(trans, CAT1, john)
+        in_s2 = indices(trans, CAT2, john)
         assert in_s1 and in_s2
-        assert in_s1[0].successor.key() != in_s2[0].successor.key()
-        assert in_s2[0].successor.class_tag is not None
+        assert trans.successor(in_s1[0]).key() != trans.successor(in_s2[0]).key()
+        assert trans.successor(in_s2[0]).class_tag is not None
+        assert trans.successor(in_s2[0]).class_tag == trans.tag[in_s2[0]]
 
 
 class TestAdvance:
     def test_cat2_enters_class_with_pending_tag(self):
         vocab, model = toy_class_model()
         state = model.initial_state()
-        _, s2, _ = enumerate_transitions(model, state)
-        t = next(x for x in s2 if x.successor.class_tag == model.vocab.id_of("⟨NAME⟩"))
-        succ = advance(model, state, t)
+        trans = enumerate_transitions(model, state)
+        i = indices(trans, CAT2, tag=model.vocab.id_of("⟨NAME⟩"))[0]
+        succ = trans.successor(i)
+        assert succ.class_tag == model.vocab.id_of("⟨NAME⟩")
         assert succ.history == state.history  # tag not yet in history
-        assert succ.node is model.trees[succ.class_tag].root.children[t.word]
+        assert succ.node is model.trees[succ.class_tag].root.children[int(trans.word[i])]
 
     def test_exit_appends_tag_then_word(self):
         vocab, model = toy_class_model(order=5)
         state = model.initial_state()
-        _, s2, _ = enumerate_transitions(model, state)
-        t2 = next(
-            x
-            for x in s2
-            if x.successor.class_tag == model.vocab.id_of("⟨NAME⟩")
-            and x.word == vocab.id_of("▁john")
-        )
-        inside = advance(model, state, t2)
+        trans = enumerate_transitions(model, state)
+        i2 = indices(trans, CAT2, vocab.id_of("▁john"), model.vocab.id_of("⟨NAME⟩"))[0]
+        inside = trans.successor(i2)
         assert inside.node.exit_logprob > NEG_INF  # "▁john" is a full entry
-        s1, _, _ = enumerate_transitions(model, inside)
         on = vocab.id_of("▁on")
-        t1 = next(x for x in s1 if x.word == on)
-        after = advance(model, inside, t1)
+        trans = enumerate_transitions(model, inside)
+        after = trans.successor(indices(trans, CAT1, on)[0])
         assert after.history == model.truncate(
             state.history + (model.vocab.id_of("⟨NAME⟩"), on)
         )
@@ -307,29 +318,36 @@ class TestAdvance:
     def test_same_prefix_two_distinct_states(self):
         vocab, model = toy_class_model()
         state = model.initial_state()
-        s1, s2, _ = enumerate_transitions(model, state)
+        trans = enumerate_transitions(model, state)
         john = vocab.id_of("▁john")
-        via_word = advance(model, state, next(t for t in s1 if t.word == john))
-        via_class = advance(model, state, next(t for t in s2 if t.word == john))
+        via_word = trans.successor(indices(trans, CAT1, john)[0])
+        via_class = trans.successor(indices(trans, CAT2, john)[0])
         assert via_word.key() != via_class.key()
 
     def test_mismatched_transition_faults(self):
         vocab, model = toy_class_model()
         state = model.initial_state()
-        _, _, s3_empty = enumerate_transitions(model, state)
-        assert s3_empty == []
-        other = self_state = ClmState(state.history, None, None)
-        from fntfuse.classlm import Transition
-
-        bogus = Transition(CAT3, vocab.id_of("▁john"), -1.0, state)
-        with pytest.raises(ValueError):
-            advance(model, state, bogus)
-        # CAT1 transition replayed from a different state faults
-        s1, _, _ = enumerate_transitions(
-            model, ClmState((vocab.id_of("▁call"),), None, None)
+        assert indices(enumerate_transitions(model, state), CAT3) == []
+        john = vocab.id_of("▁john")
+        with pytest.raises(ValueError, match="outside of a class"):
+            advance(model, state, CAT3, john)
+        # a CAT3 transition replayed at a node it does not leave faults
+        name, kind = model.vocab.id_of("⟨NAME⟩"), model.vocab.id_of("⟨TYPE⟩")
+        at_his = ClmState(
+            state.history, kind, model.trees[kind].root.children[vocab.id_of("▁his")]
         )
-        with pytest.raises(ValueError):
-            advance(model, ClmState((vocab.id_of("▁on"),), None, None), s1[0])
+        at_john = ClmState(state.history, name, model.trees[name].root.children[john])
+        trans = enumerate_transitions(model, at_his)
+        i3 = indices(trans, CAT3)[0]
+        assert trans.successor(i3).node.uid > 0
+        with pytest.raises(ValueError, match="not under the current node"):
+            advance(model, at_john, CAT3, int(trans.word[i3]))
+        with pytest.raises(ValueError, match="does not start"):
+            advance(model, state, CAT2, vocab.id_of("▁on"), name)
+        with pytest.raises(ValueError, match="unknown class"):
+            advance(model, state, CAT2, john, vocab.id_of("▁on"))
+        with pytest.raises(ValueError, match="unknown transition category"):
+            advance(model, state, 4, john)
 
 
 class TestPathMassEquivalence:
@@ -342,14 +360,14 @@ class TestPathMassEquivalence:
         for _ in range(4):
             nxt: dict = {}
             for (words, _), (state, mass) in frontier.items():
-                s1, s2, s3 = enumerate_transitions(model, state)
-                for t in s1 + s2 + s3:
-                    if t.logprob == NEG_INF:
+                trans = enumerate_transitions(model, state)
+                for i in range(len(trans)):
+                    if trans.logprob[i] == NEG_INF:
                         continue
-                    succ = advance(model, state, t)
-                    key = (words + (t.word,), succ.key())
+                    succ = trans.successor(i)
+                    key = (words + (int(trans.word[i]),), succ.key())
                     old = nxt.get(key)
-                    add = mass * math.exp(t.logprob)
+                    add = mass * math.exp(trans.logprob[i])
                     nxt[key] = (succ, add if old is None else old[1] + add)
             frontier = nxt
             for (words, _), (_, mass) in frontier.items():
@@ -397,18 +415,13 @@ class TestClassFileIO:
         for _ in range(3):
             got = enumerate_transitions(loaded, state_b)
             want = enumerate_transitions(model, state_a)
-            flat_g = [t for part in got for t in part]
-            flat_w = [t for part in want for t in part]
-            assert [(t.category, t.word) for t in flat_g] == [
-                (t.category, t.word) for t in flat_w
-            ]
-            for tg, tw in zip(flat_g, flat_w):
-                if tw.logprob == NEG_INF:
-                    assert tg.logprob == NEG_INF
+            for field in ("category", "word", "tag"):
+                assert getattr(got, field).tolist() == getattr(want, field).tolist()
+            for lg, lw in zip(got.logprob.tolist(), want.logprob.tolist()):
+                if lw == NEG_INF:
+                    assert lg == NEG_INF
                 else:
-                    np.testing.assert_allclose(tg.logprob, tw.logprob, atol=1e-9)
-            pick = next(
-                i for i, t in enumerate(flat_w) if t.category == CAT2
-            )
-            state_a = advance(model, state_a, flat_w[pick])
-            state_b = advance(loaded, state_b, flat_g[pick])
+                    np.testing.assert_allclose(lg, lw, atol=1e-9)
+            pick = indices(want, CAT2)[0]
+            state_a = want.successor(pick)
+            state_b = got.successor(pick)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fntfuse.classlm import train_tagged_clm
+from fntfuse import decoder, simulate
+from fntfuse.classlm import enumerate_transitions, train_tagged_clm
 from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_softmax
 from fntfuse.decoder import (
     DecoderConfig,
@@ -14,6 +15,7 @@ from fntfuse.decoder import (
     blank_fallback,
     joint_step,
 )
+from fntfuse.evalmetrics import evaluate
 from fntfuse.fusion import FusionConfig
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import EncoderOutput, FntScorer, NgramPredictor
@@ -288,6 +290,26 @@ class TestPruningVsFullExpansion:
         assert stats.total_width == 12 * stats.n_expansions
         assert 0 < stats.n_children <= config.beam * stats.n_expansions
 
+    @pytest.mark.parametrize("name", ["clm", "three-way"])
+    def test_clm_decode_builds_few_children(self, name, monkeypatch):
+        rng = np.random.default_rng(37)
+        vocab, scorer, lm, encoder = make_tie_instance(rng, 8, 5)
+        clm = make_clm(rng, vocab)
+        merging = []
+        siblings = decoder._merge_siblings
+
+        def counted(*args):
+            out = siblings(*args)
+            merging.append(out.size)
+            return out
+
+        monkeypatch.setattr(decoder, "_merge_siblings", counted)
+        config = DecoderConfig(beam=3, fusion=PRUNING_CASES[name], max_emit=2)
+        _, stats = beam_search(encoder, scorer, config, lm, clm)
+        assert sum(merging) > 0  # some children are built only to merge
+        assert 0 < stats.n_children < stats.total_width
+        assert stats.n_children <= config.beam * stats.n_expansions + sum(merging)
+
 
 class TestBeamProperties:
     def test_monotone_in_beam_width(self):
@@ -377,12 +399,11 @@ class TestReplayConsistency:
                 ]
                 err, i = min(diffs)
                 assert err < 1e-9
-                trans = transitions[i] if transitions is not None else None
                 pred = scorer.predictor.advance(pred, word)
                 if use_lm:
                     lms = lm.advance(lms, word)
-                if trans is not None:
-                    clms = trans.successor
+                if transitions is not None:
+                    clms = transitions.successor(i)
             total += post
         return total
 
@@ -480,6 +501,18 @@ class TestExitRule:
         assert results and all(np.isfinite(r.logscore) for r in results)
         assert stats.mean_width > 0
 
+    def test_evaluate_counts_exhausted_budgets(self):
+        encoder, scorer, clm = self.build_entity_trap()
+        utts = [
+            simulate.TestUtterance(f"u{i}", ("p0p1",), ("p0", "p1"), (), encoder) for i in range(2)
+        ]
+        fusion = FusionConfig("clm", 0.9, rank_r=3)
+        for rule, warned in (("standard", 0), ("require-cat1", len(utts))):
+            config = DecoderConfig(beam=1, nbest=1, fusion=fusion, exit_rule=rule)
+            rep = evaluate(rule, utts, clm.base_vocab, scorer, config, class_model=clm)
+            assert rep.n_warnings == warned
+            assert rep.line().endswith(f" warnings={warned}")
+
 
 class TestGatedDeadEnd:
     def test_blank_fallback_keeps_hypothesis_alive(self):
@@ -506,6 +539,34 @@ class TestGatedDeadEnd:
         )
         results, _ = beam_search(encoder, FntScorer(predictor), config, class_model=model)
         assert results and all(np.isfinite(r.logscore) for r in results)
+
+
+class TestGatedTransitions:
+    def test_frame_gate_matches_enumeration(self):
+        from fntfuse.decoder import _FrameScorer
+
+        rng = np.random.default_rng(27)
+        vocab, scorer, encoder = make_instance(rng, 5, 3)
+        clm = make_clm(rng, vocab)
+        states = {clm.initial_state().key(): clm.initial_state()}
+        for _ in range(2):
+            for state in list(states.values()):
+                trans = enumerate_transitions(clm, state)
+                for i in range(len(trans)):
+                    succ = trans.successor(i)
+                    states.setdefault(succ.key(), succ)
+        config = DecoderConfig(fusion=FusionConfig("clm", 0.5, rank_r=2), rank_rprime=2)
+        fs = _FrameScorer(scorer, config, None, clm)
+        dropped = 0
+        for t in range(encoder.n_frames):
+            for state in states.values():
+                got = fs._transitions(state, t, encoder.scores[t])
+                want = enumerate_transitions(clm, state, encoder.scores[t], 2)
+                for name in ("category", "word", "logprob", "tag"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                dropped += len(enumerate_transitions(clm, state)) - len(got)
+        assert any(s.class_tag is not None for s in states.values())
+        assert dropped > 0  # the r' gate removes CAT2/CAT3 transitions
 
 
 class TestConfigValidation:

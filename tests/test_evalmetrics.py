@@ -206,6 +206,8 @@ class TestEvalReport:
         assert int(fields["utts"]) == 2
         assert float(fields["wer"]) == pytest.approx(0.3)
         assert float(fields["entity_rate"]) == pytest.approx(0.25)
+        assert int(fields["warnings"]) == 0
+        assert self.make(n_warnings=3).line().endswith(" warnings=3")
 
 
 class TestEvaluate:

@@ -254,60 +254,64 @@ class TestClmPredictorInterp:
     def test_block_order_and_alignment(self):
         state = self.model.initial_state()
         trans = enumerate_transitions(self.model, state)
-        rows, scores = clm_predictor_interp(self.z_u, trans, 0.5, 200)
-        assert len(rows) == len(scores)
-        cats = [t.category for t in rows]
+        scores = clm_predictor_interp(self.z_u, trans, 0.5, 200)
+        assert len(trans) == len(scores)
+        cats = trans.category.tolist()
         assert cats == sorted(cats)  # CAT1 block, then CAT2, then CAT3
-        assert rows == list(trans[0]) + list(trans[1]) + list(trans[2])
+        assert cats.count(CAT1) == trans.cat2.start
+        assert cats.count(CAT2) == trans.cat2.stop - trans.cat2.start
+        assert cats.count(CAT3) == trans.cat3.stop - trans.cat3.start == 0
 
     def test_cat3_scores_raw(self):
         state = exit_state(self.model, self.vocab)
         trans = enumerate_transitions(self.model, state)
-        rows, scores = clm_predictor_interp(self.z_u, trans, 0.5, 200)
-        for t, sc in zip(rows, scores):
-            if t.category == CAT3:
-                assert sc == t.logprob
+        scores = clm_predictor_interp(self.z_u, trans, 0.5, 200)
+        assert CAT3 in trans.category
+        for cat, lp, sc in zip(trans.category, trans.logprob, scores):
+            if cat == CAT3:
+                assert sc == lp
 
     def test_cat2_scores_full_interpolation(self):
         state = self.model.initial_state()
         trans = enumerate_transitions(self.model, state)
-        rows, scores = clm_predictor_interp(self.z_u, trans, 0.25, 200)
-        for t, sc in zip(rows, scores):
-            if t.category == CAT2:
+        scores = clm_predictor_interp(self.z_u, trans, 0.25, 200)
+        for cat, w, lp, sc in zip(trans.category, trans.word, trans.logprob, scores):
+            if cat == CAT2:
                 want = math.log(
-                    0.25 * math.exp(t.logprob)
-                    + 0.75 * math.exp(self.z_u.values[t.word])
+                    0.25 * math.exp(lp)
+                    + 0.75 * math.exp(self.z_u.values[w])
                 )
                 assert sc == pytest.approx(want, abs=1e-12)
 
     def test_cat1_rank_gate(self):
         state = self.model.initial_state()
         trans = enumerate_transitions(self.model, state)
-        s1 = trans[0]
-        by_prob = sorted(s1, key=lambda t: (-t.logprob, t.word))
-        gated_words = {t.word for t in by_prob[:2]}
-        rows, scores = clm_predictor_interp(self.z_u, trans, 0.5, 2)
-        for t, sc in zip(rows, scores):
-            if t.category != CAT1:
+        s1 = [
+            (lp, w) for cat, w, lp in zip(trans.category, trans.word, trans.logprob)
+            if cat == CAT1
+        ]
+        by_prob = sorted(s1, key=lambda t: (-t[0], t[1]))
+        gated_words = {w for _, w in by_prob[:2]}
+        scores = clm_predictor_interp(self.z_u, trans, 0.5, 2)
+        for cat, w, lp, sc in zip(trans.category, trans.word, trans.logprob, scores):
+            if cat != CAT1:
                 continue
-            if t.word in gated_words:
+            if w in gated_words:
                 want = math.log(
-                    0.5 * math.exp(t.logprob)
-                    + 0.5 * math.exp(self.z_u.values[t.word])
+                    0.5 * math.exp(lp)
+                    + 0.5 * math.exp(self.z_u.values[w])
                 )
                 assert sc == pytest.approx(want, abs=1e-12)
             else:
-                assert sc == self.z_u.values[t.word]
+                assert sc == self.z_u.values[w]
 
     def test_zero_prob_cat1_words_never_gated(self):
         state = self.model.initial_state()
         trans = enumerate_transitions(self.model, state)
-        dead = [t for t in trans[0] if t.logprob == NEG_INF]
-        assert dead  # closed vocabulary leaves unseen words at zero
-        rows, scores = clm_predictor_interp(self.z_u, trans, 0.5, 10_000)
-        for t, sc in zip(rows, scores):
-            if t.category == CAT1 and t.logprob == NEG_INF:
-                assert sc == self.z_u.values[t.word]
+        dead = (trans.category == CAT1) & (trans.logprob == NEG_INF)
+        assert dead.any()  # closed vocabulary leaves unseen words at zero
+        scores = clm_predictor_interp(self.z_u, trans, 0.5, 10_000)
+        np.testing.assert_array_equal(scores[dead], self.z_u.values[trans.word[dead]])
 
     def test_no_exit_drops_cat1_and_cat2(self):
         pieces = ["▁a", "▁b", "▁c"]
@@ -323,21 +327,22 @@ class TestClmPredictorInterp:
             (vocab.id_of("▁c"),), tag, model.trees[tag].root.children[vocab.id_of("▁a")]
         )
         trans = enumerate_transitions(model, inner)
-        assert trans[0] == [] and trans[1] == []
+        assert CAT1 not in trans.category and CAT2 not in trans.category
         rng = np.random.default_rng(9)
         z_u = softmax(rng.normal(size=3))
-        rows, scores = clm_predictor_interp(z_u, trans, 0.5, 200)
-        assert [t.category for t in rows] == [CAT3]
+        scores = clm_predictor_interp(z_u, trans, 0.5, 200)
+        assert trans.category.tolist() == [CAT3]
         assert scores[0] == 0.0  # single forced continuation
 
     def test_repeated_words_keep_separate_rows(self):
         state = self.model.initial_state()
         trans = enumerate_transitions(self.model, state)
-        rows, _ = clm_predictor_interp(self.z_u, trans, 0.5, 200)
+        scores = clm_predictor_interp(self.z_u, trans, 0.5, 200)
+        assert len(scores) == len(trans)
         john = self.vocab.id_of("▁john")
-        hits = [t for t in rows if t.word == john]
+        hits = np.flatnonzero(trans.word == john).tolist()
         assert len(hits) >= 2
-        assert len({t.successor.key() for t in hits}) == len(hits)
+        assert len({trans.successor(i).key() for i in hits}) == len(hits)
 
     def test_unnormalized_z_faults(self):
         trans = enumerate_transitions(self.model, self.model.initial_state())
@@ -345,6 +350,13 @@ class TestClmPredictorInterp:
             clm_predictor_interp(
                 ScoreVector(self.z_u.values), trans, 0.5, 200
             )
+
+    def test_bare_row_matches_score_vector(self):
+        trans = enumerate_transitions(self.model, exit_state(self.model, self.vocab))
+        np.testing.assert_array_equal(
+            clm_predictor_interp(self.z_u.values, trans, 0.5, 2),
+            clm_predictor_interp(self.z_u, trans, 0.5, 2),
+        )
 
 
 class TestThreeWay:
@@ -356,33 +368,38 @@ class TestThreeWay:
         self.trans = enumerate_transitions(self.model, self.model.initial_state())
 
     def test_second_alpha_zero_is_dense_only(self):
-        rows, scores = three_way(self.z_u, self.dense, self.trans, 0.3, 0.0, 200)
+        scores = three_way(self.z_u, self.dense, self.trans, 0.3, 0.0, 200)
         stage1 = linear_interp(self.z_u, self.dense, 0.3)
-        for t, sc in zip(rows, scores):
-            if t.category in (CAT1, CAT2):
-                assert sc == stage1.values[t.word]
+        for cat, w, sc in zip(self.trans.category, self.trans.word, scores):
+            if cat in (CAT1, CAT2):
+                assert sc == stage1.values[w]
 
     def test_first_alpha_zero_is_clm_only(self):
-        rows, scores = three_way(self.z_u, self.dense, self.trans, 0.0, 0.9, 200)
-        rows2, scores2 = clm_predictor_interp(self.z_u, self.trans, 0.9, 200)
-        assert rows == rows2
+        scores = three_way(self.z_u, self.dense, self.trans, 0.0, 0.9, 200)
+        scores2 = clm_predictor_interp(self.z_u, self.trans, 0.9, 200)
         np.testing.assert_array_equal(scores, scores2)
 
     def test_consecutive_differs_from_joint_mixing(self):
         a1, a2 = 0.3, 0.4
-        _, scores = three_way(self.z_u, self.dense, self.trans, a1, a2, 200)
-        s1 = self.trans[0]
+        scores = three_way(self.z_u, self.dense, self.trans, a1, a2, 200)
+        n1 = self.trans.cat2.start
         joint = np.array(
             [
                 math.log(
-                    a2 * math.exp(t.logprob)
-                    + a1 * math.exp(self.dense.values[t.word])
-                    + (1 - a1 - a2) * math.exp(self.z_u.values[t.word])
+                    a2 * math.exp(lp)
+                    + a1 * math.exp(self.dense.values[w])
+                    + (1 - a1 - a2) * math.exp(self.z_u.values[w])
                 )
-                if t.logprob > NEG_INF
+                if lp > NEG_INF
                 else NEG_INF
-                for t in s1
+                for w, lp in zip(self.trans.word[:n1], self.trans.logprob[:n1])
             ]
         )
         finite = np.isfinite(joint)
-        assert np.max(np.abs(scores[: len(s1)][finite] - joint[finite])) > 1e-6
+        assert np.max(np.abs(scores[:n1][finite] - joint[finite])) > 1e-6
+
+    def test_unnormalized_or_mismatched_inputs_fault(self):
+        with pytest.raises(ValueError, match="normalized"):
+            three_way(ScoreVector(self.z_u.values), self.dense, self.trans, 0.3, 0.4, 200)
+        with pytest.raises(ValueError, match="support mismatch"):
+            three_way(self.z_u, softmax(np.zeros(3)), self.trans, 0.3, 0.4, 200)
