@@ -169,8 +169,6 @@ class ClassModel:
         for tag_id in self.tag_ids:
             if not (self.n_words <= tag_id < len(self.vocab)):
                 raise ValueError(f"tree tag id {tag_id} outside tag space")
-        # CAT1 queries range over word-pieces only
-        self.word_exclude = (ngram.bos_id, ngram.eos_id, *self.tag_ids)
 
     def initial_state(self) -> ClmState:
         return ClmState((self.ngram.bos_id,), None, None)
@@ -266,11 +264,8 @@ def enumerate_transitions(
     exit_lp = model.exit_logmass(state)
     if exit_lp > NEG_INF:
         chain = model.ngram.suffix_chain(model.exit_history(state))
-        res = model.ngram.top_r_chain(
-            chain, len(model.vocab) + 2, exclude=model.word_exclude
-        )
-        dense = np.full(model.n_words, NEG_INF)
-        dense[res.word_ids] = res.logprobs
+        # CAT1 ranges over word-pieces only: drop the tags, bos and eos
+        dense = model.ngram.dense_row(chain)[: model.n_words]
         blocks.append((CAT1, np.arange(model.n_words), exit_lp + dense, -1))
         for tag in model.tag_ids:
             p_tag = model.ngram.logprob_chain(tag, chain)

@@ -21,14 +21,16 @@ if TYPE_CHECKING:
 NEG_INF = float("-inf")
 
 
-def _as_float_array(values) -> np.ndarray:
+def _checked(values) -> tuple[np.ndarray, float]:
+    """``values`` as a 1-D float64 array, and its max (-inf if empty)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D score vector, got shape {arr.shape}")
-    # one reduction catches both: NaN compares False, as does +inf
-    if arr.size and not arr.max() < np.inf:
+    m = float(arr.max()) if arr.size else NEG_INF
+    # one comparison catches both: NaN compares False, as does +inf
+    if not m < np.inf:
         raise ValueError("NaN or +inf in score vector")
-    return arr
+    return arr, m
 
 
 def log_sum_exp(values) -> float:
@@ -36,14 +38,10 @@ def log_sum_exp(values) -> float:
 
     -inf entries contribute zero mass; an all--inf input returns -inf.
     """
-    arr = _as_float_array(values)
-    if arr.size == 0:
-        return NEG_INF
-    m = float(np.max(arr))
+    arr, m = _checked(values)
     if m == NEG_INF:
         return NEG_INF
-    with np.errstate(divide="ignore"):
-        return m + float(np.log(np.sum(np.exp(arr - m))))
+    return m + float(np.log(np.sum(np.exp(arr - m))))
 
 
 def log_softmax(values) -> np.ndarray:
@@ -52,11 +50,10 @@ def log_softmax(values) -> np.ndarray:
     Raises ValueError if the input carries no mass at all, since there
     is no distribution to normalize to.
     """
-    arr = _as_float_array(values)
-    denom = log_sum_exp(arr)
-    if denom == NEG_INF:
+    arr, m = _checked(values)
+    if m == NEG_INF:
         raise ValueError("cannot normalize a zero-mass score vector")
-    return arr - denom
+    return arr - (m + float(np.log(np.sum(np.exp(arr - m)))))
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class ScoreVector:
     support: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_array(self.values))
+        object.__setattr__(self, "values", _checked(self.values)[0])
         if self.support is not None:
             sup = np.asarray(self.support, dtype=np.int64)
             if sup.shape != self.values.shape:

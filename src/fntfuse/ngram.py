@@ -5,7 +5,8 @@ contiguous block of child arcs sorted by descending log-probability
 (ties by ascending word-id), plus a word-sorted secondary index for
 point lookups. That layout makes rank-r continuation queries a cheap
 array scan with iterative fallback to shorter contexts, independent of
-total model size.
+total model size. Dense rows scatter each node's finite arcs shortest
+context first, so a word's longest finite arc decides, as in rank-r.
 
 Sentence boundaries use two reserved ids appended after the vocabulary:
 ``bos_id = len(vocab)`` and ``eos_id = len(vocab) + 1``. The start
@@ -161,11 +162,6 @@ class NgramModel:
             self._wsorted[k] = words[order_idx]
             index_prev = index_cur
 
-        # predictable space: seen unigram types minus the start sentinel
-        self.predictable_count = int(
-            np.count_nonzero(self._probs[1] > NEG_INF)
-        )
-
     # -- structure access ------------------------------------------------
 
     def level_size(self, k: int) -> int:
@@ -283,6 +279,20 @@ class NgramModel:
             np.asarray(out_p, dtype=np.float64),
             np.asarray(out_m, dtype=np.int32),
         )
+
+    def dense_row(self, chain) -> np.ndarray:
+        """All ``len(vocab) + 2`` log-probabilities over ``chain``: one
+        scatter per node, shortest context first, so a longer context
+        overwrites a shorter one and -inf arcs never write. Bit-identical
+        to scattering ``top_r_chain(chain, len(vocab) + 2)``, where the
+        longest context claims a word first and -inf arcs are skipped."""
+        row = np.full(len(self.vocab) + 2, NEG_INF)
+        for node, acc in reversed(chain):
+            lo, hi = self.node_span(node)
+            probs = self._probs[node[0] + 1][lo:hi]
+            finite = probs > NEG_INF
+            row[self._words[node[0] + 1][lo:hi][finite]] = acc + probs[finite]
+        return row
 
     def iter_ngrams(self, k: int):
         """Yield (gram tuple, logprob, logbow-or-None) at order k, trie order."""

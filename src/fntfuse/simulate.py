@@ -21,7 +21,7 @@ import numpy as np
 
 from .classlm import write_class_file, parse_class_file
 from .core import NEG_INF, ExternalLm, Vocabulary, log_softmax
-from .ngram import CachedNgramQueries, NgramModel, SparseLmQueryResult
+from .ngram import NgramModel, SparseLmQueryResult
 
 SCORES_MAGIC = "FNTSCORES v1"
 
@@ -139,8 +139,6 @@ class NgramPredictor(ExternalLm):
         self.model = model
         self.floor = floor
         self.n_words = len(model.vocab)
-        self._queries = CachedNgramQueries(model)
-        self._exclude = (model.bos_id, model.eos_id)
         self._dense: dict[tuple, np.ndarray] = {}
         self._top: dict[tuple, SparseLmQueryResult] = {}
 
@@ -152,17 +150,17 @@ class NgramPredictor(ExternalLm):
         return (tuple(state) + (int(token_id),))[-keep:] if keep else ()
 
     def full_dist(self, state) -> np.ndarray:
+        """Cached per state; the shared row is read-only."""
         key = tuple(state)
         cached = self._dense.get(key)
         if cached is None:
-            res = self._queries.top_r(key, self.n_words + 2, exclude=self._exclude)
-            cached = np.full(self.n_words, NEG_INF)
-            cached[res.word_ids] = res.logprobs
+            cached = self.model.dense_row(self.model.suffix_chain(key))[: self.n_words]
             if self.floor > 0.0:
                 cached = np.logaddexp(
                     math.log1p(-self.floor) + cached,
                     math.log(self.floor / self.n_words),
                 )
+            cached.flags.writeable = False
             self._dense[key] = cached
         return cached
 

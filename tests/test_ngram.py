@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fntfuse.core import NEG_INF, Vocabulary
+from fntfuse.arpa import load_arpa
 from fntfuse.ngram import CachedNgramQueries, NgramModel, train_kneser_ney
 
 from helpers import random_corpus, random_history
@@ -225,6 +226,68 @@ class TestTopR:
         _, _, model = tiny_model(["a b"], 2, ["a", "b"])
         with pytest.raises(ValueError):
             model.top_r((), 0)
+
+
+def scattered_top_r(model, chain):
+    """The dense row built the old way: the exhaustive rank query
+    scattered into an all -inf row."""
+    res = model.top_r_chain(chain, len(model.vocab) + 2)
+    row = np.full(len(model.vocab) + 2, NEG_INF)
+    row[res.word_ids] = res.logprobs
+    return row
+
+
+class TestDenseRow:
+    @pytest.mark.parametrize("eos", [True, False])
+    def test_equals_scattered_rank_query_on_random_histories(self, eos):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            vocab, sentences = random_corpus(rng)
+            model = train_kneser_ney(
+                sentences, int(rng.integers(1, 5)), vocab=vocab, eos=eos
+            )
+            for _ in range(30):
+                chain = model.suffix_chain(
+                    random_history(rng, len(vocab), model.bos_id)
+                )
+                assert np.array_equal(
+                    model.dense_row(chain), scattered_top_r(model, chain)
+                )
+
+    def test_zero_probability_arc_falls_through_to_shorter_context(self, tmp_path):
+        vocab = Vocabulary(["a", "b", "c"])
+        path = tmp_path / "zero.arpa"
+        path.write_text(
+            "\\data\\\n"
+            "ngram 1=5\nngram 2=4\nngram 3=1\n"
+            "\n\\1-grams:\n"
+            "-0.5\ta\t-0.25\n"
+            "-0.75\tb\t-0.1\n"
+            "-1\tc\n"
+            "-0.9\t</s>\n"
+            "-99\t<s>\t-0.3\n"
+            "\n\\2-grams:\n"
+            "-0.2\ta b\t-0.05\n"
+            "-99\ta c\n"
+            "-0.4\t<s> a\t-0.15\n"
+            "-99\tb a\n"
+            "\n\\3-grams:\n"
+            "-99\t<s> a b\n"
+            "\n\\end\\\n",
+            encoding="utf-8",
+        )
+        model = load_arpa(path, vocab)
+        a, c = vocab.ids_of(["a", "c"])
+        symbols = range(len(vocab) + 2)
+        histories = [()] + [(x,) for x in symbols] + [
+            (x, y) for x in symbols for y in symbols
+        ]
+        for h in histories:
+            chain = model.suffix_chain(h)
+            assert np.array_equal(model.dense_row(chain), scattered_top_r(model, chain))
+        # the -inf arc for c after a is skipped: bow(a) times P(c) shows through
+        ln10 = math.log(10.0)
+        assert model.dense_row(model.suffix_chain((a,)))[c] == (-0.25 * ln10) + (-1.0 * ln10)
 
 
 class TestCachedQueries:

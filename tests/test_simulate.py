@@ -235,6 +235,13 @@ class TestNgramPredictor:
         b = pred.full_dist(pred.initial_state())
         assert a is b
 
+    @pytest.mark.parametrize("floor", [0.0, 0.1])
+    def test_shared_dense_row_is_read_only(self, floor):
+        pred, _ = self.make(floor)
+        row = pred.full_dist(pred.initial_state())
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+
 
 class TestFntScorer:
     def test_blank_history_penalty(self):
