@@ -21,13 +21,16 @@ bundle of arrays (``Transitions``), not one object per transition: the
 CAT1 block is the exit mass plus the dense tagged-n-gram row over
 word-pieces, CAT2/CAT3 blocks come from arrays stored on the prefix-tree
 nodes, and a successor state is built only for a transition a caller
-takes.
+takes, and kept on the bundle once built. A ``ClassModel`` memoizes
+one bundle per class state for its lifetime (``cached_transitions``),
+bounded by ``TRANSITION_MEMO_CAP`` transitions in all.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -37,6 +40,11 @@ from .core import NEG_INF, Vocabulary
 from .ngram import NgramModel, train_kneser_ney
 
 CAT1, CAT2, CAT3 = 1, 2, 3
+
+# Transitions a ClassModel's memo may hold over all its bundles: at 21
+# bytes of arrays each, ~22 MB when full. Decoding 120 utterances of a
+# V~120 entity-rich scenario touches ~64k.
+TRANSITION_MEMO_CAP = 1 << 20
 
 _TAG_RE = re.compile(r"^⟨[A-Z]+⟩$")
 
@@ -141,7 +149,17 @@ class ClmState(NamedTuple):
 
 
 class ClassModel:
-    """Tagged n-gram plus class prefix trees, immutable after build."""
+    """Tagged n-gram plus class prefix trees, immutable after build
+    apart from a memo of ``Transitions`` bundles.
+
+    The memo maps ``ClmState.key()`` to the bundle enumerated for that
+    state, which is a pure function of the model and the key, so decodes
+    may share it, in sequence or on threads (a bundle's own successor and
+    gate memos are plain dict sets: a race only builds a value twice). It
+    holds at most ``TRANSITION_MEMO_CAP`` transitions and is emptied
+    whole when the next bundle would pass that; the lock keeps that
+    count exact.
+    """
 
     def __init__(
         self,
@@ -157,6 +175,9 @@ class ClassModel:
         self.n_words = len(base_vocab)
         self.tag_ids = sorted(trees)
         self.entries = entries  # tag -> [(piece strings, weight)], for persistence
+        self._memo: dict = {}
+        self._memo_lock = threading.Lock()
+        self.n_memo_transitions = 0
         for tag_id in range(self.n_words, len(self.vocab)):
             token = self.vocab.token_of(tag_id)
             if not is_class_tag(token):
@@ -186,6 +207,23 @@ class ClassModel:
     def exit_logmass(self, state: ClmState) -> float:
         return 0.0 if state.class_tag is None else state.node.exit_logprob
 
+    def cached_transitions(self, key) -> "Transitions | None":
+        """The memoized bundle of the class state with this key, if any."""
+        return self._memo.get(key)
+
+    def cache_transitions(self, key, trans: "Transitions") -> None:
+        """Memoize ``trans`` under ``key``; a bundle larger than the cap
+        is not kept."""
+        n = len(trans)
+        with self._memo_lock:
+            if key in self._memo or n > TRANSITION_MEMO_CAP:
+                return
+            if self.n_memo_transitions + n > TRANSITION_MEMO_CAP:
+                self._memo.clear()
+                self.n_memo_transitions = 0
+            self._memo[key] = trans
+            self.n_memo_transitions += n
+
 
 def encoder_rank_pass(encoder_scores, rprime: int) -> np.ndarray:
     """Boolean gate: True where the 0-based encoder rank is < rprime.
@@ -201,10 +239,16 @@ def encoder_rank_pass(encoder_scores, rprime: int) -> np.ndarray:
 
 class Transitions:
     """All transitions leaving ``state``, as aligned read-only arrays in
-    S1‖S2‖S3 order: ``category``, ``word``, ``logprob``, and ``tag``,
-    the class a CAT2 transition enters (-1 elsewhere). ``cat2`` and
-    ``cat3`` slice out those blocks; CAT1 is everything before them.
+    S1‖S2‖S3 order: ``category`` (int8), ``word`` (int64), ``logprob``,
+    and ``tag`` (int32), the class a CAT2 transition enters (-1
+    elsewhere). ``cat2`` and ``cat3`` slice out those blocks; CAT1 is
+    everything before them.
     """
+
+    __slots__ = (
+        "model", "state", "category", "word", "logprob", "tag", "cat2", "cat3",
+        "_gates", "_successors",
+    )
 
     def __init__(self, model, state, category, word, logprob, tag, gates=None):
         self.model, self.state = model, state
@@ -214,14 +258,18 @@ class Transitions:
         n1, n12 = np.searchsorted(category, (CAT2, CAT3)).tolist()
         self.cat2, self.cat3 = slice(n1, n12), slice(n12, word.size)
         self._gates: dict = {} if gates is None else gates
+        self._successors: dict = {}
 
     def __len__(self) -> int:
         return self.word.size
 
     def successor(self, i: int) -> ClmState:
-        """The state reached by transition ``i``."""
-        cat, word, tag = int(self.category[i]), int(self.word[i]), int(self.tag[i])
-        return advance(self.model, self.state, cat, word, tag)
+        """The state reached by transition ``i``, built once."""
+        succ = self._successors.get(i)
+        if succ is None:
+            cat, word, tag = int(self.category[i]), int(self.word[i]), int(self.tag[i])
+            succ = self._successors[i] = advance(self.model, self.state, cat, word, tag)
+        return succ
 
     def gated(self, word_gate: np.ndarray) -> "Transitions":
         """These transitions without the CAT2/CAT3 ones whose word is
@@ -280,8 +328,8 @@ def enumerate_transitions(
     cats, words, logprobs, tags = zip(*blocks)
     sizes = [w.size for w in words]
     trans = Transitions(
-        model, state, np.repeat(cats, sizes), np.concatenate(words),
-        np.concatenate(logprobs), np.repeat(tags, sizes),
+        model, state, np.repeat(np.array(cats, np.int8), sizes), np.concatenate(words),
+        np.concatenate(logprobs), np.repeat(np.array(tags, np.int32), sizes),
     )
     if encoder_scores is None or rprime is None or rprime >= model.n_words:
         return trans

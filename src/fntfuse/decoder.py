@@ -87,7 +87,9 @@ class DecodeStats:
     """Per-utterance instrumentation for width and exit-rule accounting.
 
     ``total_width`` counts the channels scored over all expansions,
-    ``n_children`` the child hypotheses actually built from them.
+    ``n_children`` the child hypotheses actually built from them, and
+    ``n_enumerations`` the class states this decode had to enumerate
+    because the class model's memo did not hold them.
     """
 
     n_frames: int = 0
@@ -95,6 +97,7 @@ class DecodeStats:
     n_extra_expansions: int = 0
     total_width: int = 0
     n_children: int = 0
+    n_enumerations: int = 0
     wall_time: float = 0.0
     warning: str | None = None
 
@@ -213,11 +216,17 @@ class _FrameScorer:
 
     ``words`` is the word-id array aligned with the posterior vector;
     ``transitions`` is the aligned class-model ``Transitions`` bundle,
-    or None without a class model. Transitions are cached for the
-    decode, keyed by the class state alone: hypotheses of this and later
-    frames revisit the same states. Only an r' encoder-rank gate makes
-    them depend on the frame; the gate is ranked once per frame, and the
-    gated transitions are cached by (state, frame).
+    or None without a class model. Transitions come from the class
+    model's memo, keyed by the class state alone, so they outlive the
+    decode: hypotheses of this frame, later frames and later decodes
+    revisit the same states. A miss enumerates the state and fills the
+    memo. Only an r' encoder-rank gate makes transitions depend on the
+    frame; the gate is ranked once per frame, and the gated transitions
+    are cached for the decode by (state, frame).
+
+    Fused rows are cached for the decode as well: the li/lli/cli row per
+    (predictor state, LM state), and the clm or three-way row, read-only,
+    per (predictor state, LM state, transitions bundle).
     """
 
     def __init__(self, scorer, config, external_lm, class_model):
@@ -229,16 +238,19 @@ class _FrameScorer:
         self.use_clm = (
             self.fusion.method == "clm" or self.fusion.second_method == "clm"
         )
-        self._trans_cache: dict = {}
         self._gated: dict = {}
         self._gate_frame = self._word_gate = None
         self._rows: dict = {}
+        self._clm_rows: dict = {}
+        self.n_enumerations = 0
 
     def _transitions(self, clm_state, t, z_t_row):
         key = clm_state.key()
-        trans = self._trans_cache.get(key)
+        trans = self.clm.cached_transitions(key)
         if trans is None:
-            trans = self._trans_cache[key] = enumerate_transitions(self.clm, clm_state)
+            self.n_enumerations += 1
+            trans = enumerate_transitions(self.clm, clm_state)
+            self.clm.cache_transitions(key, trans)
         if self.config.rank_rprime is None:
             return trans
         gated = self._gated.get((key, t))
@@ -273,6 +285,27 @@ class _FrameScorer:
             self._rows[key] = row
         return row
 
+    def _clm_row(self, hyp: Hypothesis, trans, z_u):
+        """The clm or three-way augmented row aligned with ``trans``.
+
+        Keyed by the bundle itself, which stands for the class state (and
+        the frame under an r' gate); the key holds it, so its identity is
+        not reused within the decode."""
+        key = (hyp.pred_state, hyp.lm_state, trans)
+        row = self._clm_rows.get(key)
+        if row is None:
+            fu = self.fusion
+            if fu.method == "clm":
+                row = clm_predictor_interp(z_u, trans, fu.alpha, fu.rank_r)
+            else:
+                row = three_way(
+                    z_u, self.external.full_dist(hyp.lm_state), trans,
+                    fu.alpha, fu.second_alpha, fu.rank_r,
+                )
+            row.setflags(write=False)
+            self._clm_rows[key] = row
+        return row
+
     def expand(self, hyp: Hypothesis, t: int, z_t_row, blank_logit):
         fu = self.fusion
         z_u = self.scorer.predictor.full_dist(hyp.pred_state)
@@ -283,13 +316,7 @@ class _FrameScorer:
             if not len(trans):
                 fb = blank_fallback(ScoreVector(z_t_row), ScoreVector(z_u), b)
                 return trans.word, trans, np.empty(0), fb
-            if fu.method == "clm":
-                aug = clm_predictor_interp(z_u, trans, fu.alpha, fu.rank_r)
-            else:
-                aug = three_way(
-                    z_u, self.external.full_dist(hyp.lm_state), trans,
-                    fu.alpha, fu.second_alpha, fu.rank_r,
-                )
+            aug = self._clm_row(hyp, trans, z_u)
             posts = log_softmax(np.append(z_t_row[trans.word] + aug, b))
             return trans.word, trans, posts[:-1], float(posts[-1])
 
@@ -449,5 +476,6 @@ def beam_search(
             )
         )
     results.sort(key=lambda r: (-r.logscore, r.tokens))
+    stats.n_enumerations = frame_scorer.n_enumerations
     stats.wall_time = time.perf_counter() - t0
     return results[: config.nbest], stats

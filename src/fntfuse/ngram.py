@@ -6,7 +6,8 @@ contiguous block of child arcs sorted by descending log-probability
 point lookups. That layout makes rank-r continuation queries a cheap
 array scan with iterative fallback to shorter contexts, independent of
 total model size. Dense rows scatter each node's finite arcs shortest
-context first, so a word's longest finite arc decides, as in rank-r.
+context first, so a word's longest finite arc decides, as in rank-r
+queries and point lookups.
 
 Sentence boundaries use two reserved ids appended after the vocabulary:
 ``bos_id = len(vocab)`` and ``eos_id = len(vocab) + 1``. The start
@@ -228,13 +229,17 @@ class NgramModel:
         return self.logprob_chain(word_id, self.suffix_chain(history))
 
     def logprob_chain(self, word_id: int, chain) -> float:
+        """The longest context's finite arc for ``word_id``; a -inf arc
+        is skipped and the shorter context decides, as in ``top_r_chain``
+        and ``dense_row``."""
         if not 0 <= word_id < len(self.vocab) + 2:
             raise ValueError(f"word id out of range: {word_id}")
         for node, acc in chain:
             arc = self._find_arc(node, word_id)
             if arc >= 0:
                 p = self._probs[node[0] + 1][arc]
-                return NEG_INF if p == NEG_INF else acc + float(p)
+                if p > NEG_INF:
+                    return acc + float(p)
         return NEG_INF
 
     def top_r(self, history, r: int, exclude=()) -> SparseLmQueryResult:

@@ -287,7 +287,7 @@ def exhaustive_decode(
         lm_row = external_lm.full_dist(lm_state) if use_lm else None
 
         if use_clm:
-            trans = enumerate_transitions(class_model, clm_state)
+            trans = enumerate_transitions(class_model, clm_state, z_t, config.rank_rprime)
             if not len(trans):
                 blank_post = b - _lse(
                     [float(z_t[w] + z_u[w]) for w in range(n_vocab)] + [b]

@@ -2,11 +2,13 @@
 joint softmax, blank fallback, merge, and exit-rule mechanics."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from fntfuse import decoder, simulate
+from fntfuse import classlm, decoder, simulate
 from fntfuse.classlm import enumerate_transitions, train_tagged_clm
 from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_softmax
 from fntfuse.decoder import (
@@ -207,6 +209,22 @@ class TestBeamVsExhaustive:
             max_emit=2,
         )
         assert_matches_oracle(encoder, scorer, config, lm=lm, clm=clm)
+
+    def test_gated_clm_fusion(self):
+        # the r' gate makes transitions and fused rows depend on the frame
+        rng = np.random.default_rng(18)
+        for fusion in (
+            FusionConfig("clm", 0.5, rank_r=2),
+            FusionConfig("li", 0.1, rank_r=2, second_method="clm", second_alpha=0.5),
+        ):
+            for rprime in (1, 2):
+                vocab, scorer, encoder = make_instance(rng, 3, 2)
+                lm = NgramPredictor(make_ngram(rng, vocab))
+                clm = make_clm(rng, vocab)
+                config = DecoderConfig(
+                    beam=SATURATE, nbest=3, fusion=fusion, rank_rprime=rprime, max_emit=2
+                )
+                assert_matches_oracle(encoder, scorer, config, lm=lm, clm=clm)
 
     def test_max_emit_three(self):
         rng = np.random.default_rng(17)
@@ -567,6 +585,163 @@ class TestGatedTransitions:
                 dropped += len(enumerate_transitions(clm, state)) - len(got)
         assert any(s.class_tag is not None for s in states.values())
         assert dropped > 0  # the r' gate removes CAT2/CAT3 transitions
+
+
+MEMO_CASES = {
+    "clm": DecoderConfig(beam=3, nbest=3, fusion=FusionConfig("clm", 0.5, rank_r=2)),
+    "clm-gated": DecoderConfig(
+        beam=3, nbest=3, fusion=FusionConfig("clm", 0.5, rank_r=2),
+        exit_rule="require-cat1", rank_rprime=8,
+    ),
+    "three-way": DecoderConfig(
+        beam=3, nbest=3,
+        fusion=FusionConfig("li", 0.25, rank_r=2, second_method="clm", second_alpha=0.5),
+    ),
+}
+
+
+class TestTransitionMemo:
+    """The class model's transition memo outlives a decode; sharing it,
+    filling it from other configurations, or emptying it must not change
+    any result."""
+
+    def instance(self):
+        rng = np.random.default_rng(41)
+        vocab, scorer, _ = make_instance(rng, 12, 1)
+        lm = NgramPredictor(make_ngram(rng, vocab))
+        encoders = [make_encoder(rng, 5, 12) for _ in range(4)]
+        return vocab, scorer, lm, encoders
+
+    def fresh_clm(self, vocab):
+        return make_clm(np.random.default_rng(42), vocab)
+
+    def decode(self, encoder, scorer, config, lm, clm):
+        results, stats = beam_search(encoder, scorer, config, lm, clm)
+        return [(r.tokens, r.logscore, r.steps, r.merged) for r in results], stats
+
+    def test_shared_model_matches_fresh_model(self):
+        vocab, scorer, lm, encoders = self.instance()
+        shared = self.fresh_clm(vocab)
+        for encoder in encoders:
+            for config in MEMO_CASES.values():
+                got, _ = self.decode(encoder, scorer, config, lm, shared)
+                want, _ = self.decode(encoder, scorer, config, lm, self.fresh_clm(vocab))
+                assert got == want
+        assert shared.n_memo_transitions > 0
+
+    def test_repeat_decode_enumerates_nothing(self):
+        vocab, scorer, lm, encoders = self.instance()
+        clm = self.fresh_clm(vocab)
+        for name, config in MEMO_CASES.items():
+            for encoder in encoders:
+                first, _ = self.decode(encoder, scorer, config, lm, clm)
+                again, repeat = self.decode(encoder, scorer, config, lm, clm)
+                assert again == first
+                assert repeat.n_enumerations == 0, name
+        _, stats = self.decode(encoders[0], scorer, MEMO_CASES["clm"], lm, self.fresh_clm(vocab))
+        assert stats.n_enumerations > 0
+
+    @pytest.mark.parametrize("cap", [5, 40])
+    def test_tiny_cap_changes_nothing(self, cap, monkeypatch):
+        vocab, scorer, lm, encoders = self.instance()
+        want = [
+            self.decode(encoder, scorer, config, lm, self.fresh_clm(vocab))[0]
+            for encoder in encoders
+            for config in MEMO_CASES.values()
+        ]
+        monkeypatch.setattr(classlm, "TRANSITION_MEMO_CAP", cap)
+        clm = self.fresh_clm(vocab)
+        held = []
+        cache = clm.cache_transitions
+
+        def recorded(key, trans):
+            cache(key, trans)
+            held.append(clm.n_memo_transitions)
+
+        monkeypatch.setattr(clm, "cache_transitions", recorded)
+        got = [
+            self.decode(encoder, scorer, config, lm, clm)[0]
+            for encoder in encoders
+            for config in MEMO_CASES.values()
+        ]
+        assert got == want
+        assert held and max(held) <= cap
+        assert sum(len(t) for t in clm._memo.values()) == clm.n_memo_transitions
+
+    @pytest.mark.parametrize("rprime", [None, 2])
+    def test_successors_are_built_once_and_match_enumeration(self, rprime):
+        rng = np.random.default_rng(43)
+        vocab, scorer, encoder = make_instance(rng, 5, 3)
+        clm = make_clm(rng, vocab)
+        config = DecoderConfig(fusion=FusionConfig("clm", 0.5, rank_r=2), rank_rprime=rprime)
+        fs = decoder._FrameScorer(scorer, config, None, clm)
+        states = [clm.initial_state()]
+        for t in range(encoder.n_frames):
+            row = encoder.scores[t]
+            for state in list(states):
+                got = fs._transitions(state, t, row)
+                want = enumerate_transitions(clm, state, row, rprime)
+                for i in range(len(got)):
+                    succ = got.successor(i)
+                    assert succ.key() == want.successor(i).key()
+                    assert got.successor(i) is succ
+                    states.append(succ)
+        assert any(s.class_tag is not None for s in states)
+
+    def test_concurrent_fills_keep_the_count_exact(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        vocab = make_vocab(5)
+        clm = make_clm(rng, vocab)
+        states = [clm.initial_state()]
+        for state in list(states):
+            trans = enumerate_transitions(clm, state)
+            states += [trans.successor(i) for i in range(len(trans))]
+        bundles = [(s.key(), enumerate_transitions(clm, s)) for s in states]
+        cap = 50
+        monkeypatch.setattr(classlm, "TRANSITION_MEMO_CAP", cap)
+
+        def fill():
+            for _ in range(1000):
+                for key, trans in bundles:
+                    if clm.cached_transitions(key) is None:
+                        clm.cache_transitions(key, trans)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert clm.n_memo_transitions == sum(len(t) for t in clm._memo.values()) <= cap
+
+    def test_cached_bundles_and_rows_are_read_only(self, monkeypatch):
+        vocab, scorer, lm, encoders = self.instance()
+        clm = self.fresh_clm(vocab)
+        scorers = []
+
+        class Recording(decoder._FrameScorer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scorers.append(self)
+
+        monkeypatch.setattr(decoder, "_FrameScorer", Recording)
+        for config in MEMO_CASES.values():
+            beam_search(encoders[0], scorer, config, lm, clm)
+        arrays = [
+            getattr(t, name)
+            for t in clm._memo.values()
+            for name in ("category", "word", "logprob", "tag")
+        ]
+        rows = [row for fs in scorers for row in fs._clm_rows.values()]
+        assert arrays and rows
+        for arr in arrays + rows:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 0
 
 
 class TestConfigValidation:

@@ -284,7 +284,10 @@ class TestDenseRow:
         ]
         for h in histories:
             chain = model.suffix_chain(h)
-            assert np.array_equal(model.dense_row(chain), scattered_top_r(model, chain))
+            row = model.dense_row(chain)
+            assert np.array_equal(row, scattered_top_r(model, chain))
+            for w in symbols:
+                assert model.logprob(w, h) == row[w]
         # the -inf arc for c after a is skipped: bow(a) times P(c) shows through
         ln10 = math.log(10.0)
         assert model.dense_row(model.suffix_chain((a,)))[c] == (-0.25 * ln10) + (-1.0 * ln10)
