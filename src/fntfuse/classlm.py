@@ -140,7 +140,10 @@ class ClmState(NamedTuple):
     node: Optional[PrefixNode]
 
     def key(self):
-        """Hashable merge identity (tree nodes keyed by uid)."""
+        """Hashable merge identity, tree nodes keyed by uid. Within one
+        model the state itself is an equal identity (nodes compare by
+        identity) and costs no tuple; ``key()`` also compares states
+        across equal models."""
         return (
             self.history,
             self.class_tag,
@@ -152,13 +155,14 @@ class ClassModel:
     """Tagged n-gram plus class prefix trees, immutable after build
     apart from a memo of ``Transitions`` bundles.
 
-    The memo maps ``ClmState.key()`` to the bundle enumerated for that
-    state, which is a pure function of the model and the key, so decodes
+    The memo maps a class state to the bundle enumerated for it, which
+    is a pure function of the model and the state, so decodes
     may share it, in sequence or on threads (a bundle's own successor and
     gate memos are plain dict sets: a race only builds a value twice). It
     holds at most ``TRANSITION_MEMO_CAP`` transitions and is emptied
     whole when the next bundle would pass that; the lock keeps that
-    count exact.
+    count exact. The decoder keys it by the ``ClmState`` itself; a
+    ``key()`` tuple names the same state but is a different key.
     """
 
     def __init__(

@@ -53,7 +53,9 @@ def log_softmax(values) -> np.ndarray:
     arr, m = _checked(values)
     if m == NEG_INF:
         raise ValueError("cannot normalize a zero-mass score vector")
-    return arr - (m + float(np.log(np.sum(np.exp(arr - m)))))
+    mass = arr - m
+    np.exp(mass, out=mass)  # in place: one temporary, same values
+    return arr - (m + float(np.log(mass.sum())))
 
 
 @dataclass(frozen=True)

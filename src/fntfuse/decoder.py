@@ -17,13 +17,19 @@ The "require-cat1" exit rule keeps expanding (within a bounded extra
 budget) until the frame-final set contains some state that can leave
 its class, so the beam is not spent entirely inside entity prefixes.
 
-An expansion scores all of its children as one array and builds a
-``Hypothesis`` only for the ``beam`` best finite children (ties to the
-lower channel index, as ``heapq.nlargest`` keeps them) plus every child
-whose tokens and emission count match an entry already in A; A is then
-cut back to the beam whenever A plus the unbuilt children exceeds it.
-This merge-aware cut leaves A and B, entries and dict order, exactly as
-building every child would:
+An expansion is one array pass. The joint row (word channels, blank
+last) is written into a buffer the scorer owns for the decode and
+normalized by one log-softmax. One selection over the children's
+scores (parent score plus posterior, -inf for a dead channel) returns
+the ``beam`` best finite channels in ascending order, ties to the lower
+channel index as ``heapq.nlargest`` keeps them, and the finite count.
+It costs a partition, one scan and a count of the dead channels; ties
+at the cut and fewer than ``beam`` finite channels take further passes
+only when they occur. A ``Hypothesis`` is built only for those children plus
+every child whose tokens and emission count match an entry already in
+A; A is then cut back to the beam whenever A plus the unbuilt children
+exceeds it. This merge-aware cut leaves A and B, entries and dict
+order, exactly as building every child would:
 
 1. Siblings never share a merge key (tokens, emission count, class
    state; predictor and LM states are functions of the tokens). With
@@ -40,6 +46,10 @@ building every child would:
    drops that child and keeps the same survivors either way. With no
    child unbuilt, both ways hold the same dict and cut alike.
 
+Every beam cut (of A, and of B at the end of a frame) is
+``sorted(..., reverse=True)[:beam]``, which the ``heapq`` docs define as
+equal to ``heapq.nlargest``, and which is cheaper on a few entries.
+
 Without a class model no child can merge into A at all: its only
 possible parent has its tokens minus one and is popped at most once per
 frame, so the dense methods skip the merge check.
@@ -47,7 +57,6 @@ frame, so the dense methods skip the merge check.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -134,8 +143,9 @@ class Hypothesis:
     merged: bool
 
     def state_key(self):
-        clm = self.clm_state.key() if self.clm_state is not None else None
-        return (self.tokens, self.pred_state, self.lm_state, clm)
+        # a ClmState is its own merge identity within one model (tree
+        # nodes compare by identity), so no key() tuple is built here
+        return (self.tokens, self.pred_state, self.lm_state, self.clm_state)
 
 
 def joint_step(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> ScoreVector:
@@ -150,8 +160,8 @@ def joint_step(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> ScoreVecto
         z_t.support is not None and not np.array_equal(z_t.support, z_u.support)
     ):
         raise ValueError("support mismatch between encoder and predictor rows")
-    vals = np.append(z_t.values + z_u.values, z_blank)
-    return ScoreVector(log_softmax(vals), normalized=True)
+    row = _fill_joint(np.empty(len(z_u) + 1), z_t.values, z_u.values, z_blank)
+    return ScoreVector(log_softmax(row), normalized=True)
 
 
 def blank_fallback(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> float:
@@ -163,8 +173,16 @@ def blank_fallback(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> float:
     """
     if len(z_t) != len(z_u):
         raise ValueError(f"support mismatch: {len(z_t)} vs {len(z_u)}")
-    denom = log_sum_exp(np.append(z_t.values + z_u.values, z_blank))
-    return float(z_blank) - denom
+    row = _fill_joint(np.empty(len(z_u) + 1), z_t.values, z_u.values, z_blank)
+    return float(z_blank) - log_sum_exp(row)
+
+
+def _fill_joint(row: np.ndarray, enc, pred, blank: float) -> np.ndarray:
+    """Write the joint row into ``row``: ``enc + pred`` on the word
+    channels, ``blank`` last."""
+    np.add(enc, pred, out=row[:-1])
+    row[-1] = blank
+    return row
 
 
 def _merge(pool: dict, key, hyp: Hypothesis):
@@ -185,44 +203,66 @@ def _cat1_possible(hyp: Hypothesis, clm: ClassModel | None) -> bool:
     return hyp.clm_state.class_tag is None or clm.exit_logmass(hyp.clm_state) > NEG_INF
 
 
-def _top_children(scores: np.ndarray, beam: int) -> np.ndarray:
-    """Ascending indices of the ``beam`` highest scores.
+def _top_children(scores: np.ndarray, beam: int) -> tuple[np.ndarray, int]:
+    """Ascending indices of the ``beam`` highest finite scores (all of
+    them if fewer are finite), and the number of finite scores.
 
     Ties at the cut go to the lower index, the order in which
-    ``heapq.nlargest`` keeps equal keys.
+    ``heapq.nlargest`` keeps equal keys. The common case is a partition,
+    one ``>= cut`` scan and a count of the -inf entries; ties at the cut
+    and fewer than ``beam`` finite scores take further passes only when
+    they occur.
     """
-    cut = np.partition(scores, scores.size - beam)[scores.size - beam]
-    above = np.flatnonzero(scores > cut)
-    ties = np.flatnonzero(scores == cut)[: beam - above.size]
-    return np.sort(np.concatenate((above, ties)))
+    n = scores.size
+    if n > beam:
+        cut = np.partition(scores, n - beam)[n - beam]
+        if cut > NEG_INF:
+            keep = np.flatnonzero(scores >= cut)
+            surplus = keep.size - beam
+            if surplus:  # ties at the cut: drop the highest-index ones
+                ties = np.flatnonzero(scores[keep] == cut)
+                keep = np.delete(keep, ties[-surplus:])
+            return keep, n - np.count_nonzero(scores == NEG_INF)
+    keep = np.flatnonzero(scores > NEG_INF)
+    return keep, keep.size
 
 
-def _merge_siblings(A: dict, best: Hypothesis, words: np.ndarray, cand: np.ndarray):
-    """The channels in ``cand`` whose child would have the token
-    sequence and emission count of an entry already in A: the only
-    children of ``best`` that can merge into A."""
+def _merge_siblings(A: dict, best: Hypothesis, words: np.ndarray, scores: np.ndarray):
+    """The finite channels of ``scores`` whose child would have the
+    token sequence and emission count of an entry already in A: the
+    only children of ``best`` that can merge into A."""
     n, k = len(best.tokens) + 1, best.k + 1
     targets = [
         h.tokens[-1]
         for h in A.values()
         if h.k == k and len(h.tokens) == n and h.tokens[:-1] == best.tokens
     ]
-    return cand[np.isin(words[cand], targets)] if targets else cand[:0]
+    if not targets:
+        return np.empty(0, dtype=np.intp)
+    hits = np.flatnonzero(np.isin(words, targets))
+    return hits[scores[hits] > NEG_INF]
 
 
 class _FrameScorer:
     """Builds (words, transitions, posteriors, blank posterior) for one
     expansion.
 
-    ``words`` is the word-id array aligned with the posterior vector;
-    ``transitions`` is the aligned class-model ``Transitions`` bundle,
-    or None without a class model. Transitions come from the class
-    model's memo, keyed by the class state alone, so they outlive the
-    decode: hypotheses of this frame, later frames and later decodes
-    revisit the same states. A miss enumerates the state and fills the
-    memo. Only an r' encoder-rank gate makes transitions depend on the
-    frame; the gate is ranked once per frame, and the gated transitions
-    are cached for the decode by (state, frame).
+    ``words`` is the word-id array aligned with the posterior vector:
+    the class model's transition words, or one read-only ``arange``
+    shared by every dense expansion of the decode. ``transitions`` is
+    the aligned class-model ``Transitions`` bundle, or None without a
+    class model. Transitions come from the class model's memo, keyed by
+    the class state alone, so they outlive the decode: hypotheses of
+    this frame, later frames and later decodes revisit the same states.
+    A miss enumerates the state and fills the memo. Only an r'
+    encoder-rank gate makes transitions depend on the frame; the gate is
+    ranked once per frame, and the gated transitions are cached for the
+    decode by (state, frame).
+
+    The joint row is written into one buffer the scorer owns for the
+    decode, grown to the widest row seen, and normalized by one
+    ``log_softmax``, whose result is a fresh array: no posterior handed
+    out aliases the buffer.
 
     Fused rows are cached for the decode as well: the li/lli/cli row per
     (predictor state, LM state), and the clm or three-way row, read-only,
@@ -242,23 +282,31 @@ class _FrameScorer:
         self._gate_frame = self._word_gate = None
         self._rows: dict = {}
         self._clm_rows: dict = {}
+        self._buf = np.empty(0)
+        self._dense_words = None
         self.n_enumerations = 0
 
+    def _joint(self, n: int) -> np.ndarray:
+        """The first n + 1 floats of the decode's joint buffer."""
+        if self._buf.size <= n:
+            self._buf = np.empty(n + 1)
+        return self._buf[: n + 1]
+
     def _transitions(self, clm_state, t, z_t_row):
-        key = clm_state.key()
-        trans = self.clm.cached_transitions(key)
+        # the state itself is the memo key: equal states are equal keys
+        trans = self.clm.cached_transitions(clm_state)
         if trans is None:
             self.n_enumerations += 1
             trans = enumerate_transitions(self.clm, clm_state)
-            self.clm.cache_transitions(key, trans)
+            self.clm.cache_transitions(clm_state, trans)
         if self.config.rank_rprime is None:
             return trans
-        gated = self._gated.get((key, t))
+        gated = self._gated.get((clm_state, t))
         if gated is None:
             if self._gate_frame != t:
                 self._gate_frame = t
                 self._word_gate = encoder_rank_pass(z_t_row, self.config.rank_rprime)
-            gated = self._gated[key, t] = trans.gated(self._word_gate)
+            gated = self._gated[clm_state, t] = trans.gated(self._word_gate)
         return gated
 
     def _fused_row(self, pred_state, lm_state, z_u):
@@ -314,21 +362,29 @@ class _FrameScorer:
         if self.use_clm:
             trans = self._transitions(hyp.clm_state, t, z_t_row)
             if not len(trans):
-                fb = blank_fallback(ScoreVector(z_t_row), ScoreVector(z_u), b)
-                return trans.word, trans, np.empty(0), fb
+                # blank fallback: priced from the original joint scores
+                row = _fill_joint(self._joint(z_u.size), z_t_row, z_u, b)
+                return trans.word, trans, np.empty(0), b - log_sum_exp(row)
+            words = trans.word
             aug = self._clm_row(hyp, trans, z_u)
-            posts = log_softmax(np.append(z_t_row[trans.word] + aug, b))
-            return trans.word, trans, posts[:-1], float(posts[-1])
-
-        if fu.method == "none":
-            joint = z_t_row + z_u
-        elif fu.method == "sf":
-            lm_row = self.external.full_dist(hyp.lm_state)
-            joint = mix_scores(z_t_row + z_u, lm_row, fu.alpha)
+            row = _fill_joint(self._joint(words.size), z_t_row[words], aug, b)
         else:
-            joint = z_t_row + self._fused_row(hyp.pred_state, hyp.lm_state, z_u)
-        posts = log_softmax(np.append(joint, b))
-        return np.arange(z_u.size), None, posts[:-1], float(posts[-1])
+            trans, words = None, self._dense_words
+            if words is None:
+                words = self._dense_words = np.arange(z_u.size)
+                words.setflags(write=False)
+            row = self._joint(z_u.size)
+            if fu.method == "none":
+                _fill_joint(row, z_t_row, z_u, b)
+            elif fu.method == "sf":
+                lm_row = self.external.full_dist(hyp.lm_state)
+                row[:-1] = mix_scores(z_t_row + z_u, lm_row, fu.alpha)
+                row[-1] = b
+            else:
+                fused = self._fused_row(hyp.pred_state, hyp.lm_state, z_u)
+                _fill_joint(row, z_t_row, fused, b)
+        posts = log_softmax(row)
+        return words, trans, posts[:-1], float(posts[-1])
 
 
 def beam_search(
@@ -387,9 +443,9 @@ def beam_search(
             if settled >= config.beam:
                 if config.exit_rule != "require-cat1" or any(
                     _cat1_possible(h, class_model)
-                    for h in heapq.nlargest(
-                        config.beam, B.values(), key=lambda h: h.logscore
-                    )
+                    for h in sorted(
+                        B.values(), key=lambda h: h.logscore, reverse=True
+                    )[: config.beam]
                 ):
                     break
                 if extra_used >= 2 * config.beam:
@@ -414,18 +470,17 @@ def beam_search(
 
             unbuilt = 0
             if best.k < config.max_emit:
-                cand = np.flatnonzero(posts != NEG_INF)
+                scores = best.logscore + posts
+                keep, n_finite = _top_children(scores, config.beam)
                 # the merge-aware cut, exact (module docstring)
-                if cand.size > config.beam:
-                    keep = cand[_top_children(best.logscore + posts[cand], config.beam)]
+                if n_finite > keep.size:
                     if transitions is not None:  # dense children never merge
-                        merging = _merge_siblings(A, best, words, cand)
+                        merging = _merge_siblings(A, best, words, scores)
                         keep = np.union1d(keep, merging) if merging.size else keep
-                    unbuilt = cand.size - keep.size
-                    cand = keep
-                stats.n_children += cand.size
+                    unbuilt = n_finite - keep.size
+                stats.n_children += keep.size
                 for i, word, post in zip(
-                    cand.tolist(), words[cand].tolist(), posts[cand].tolist()
+                    keep.tolist(), words[keep].tolist(), posts[keep].tolist()
                 ):
                     child = Hypothesis(
                         best.tokens + (word,),
@@ -439,13 +494,11 @@ def beam_search(
                     )
                     _merge(A, child.state_key() + (child.k,), child)
             if len(A) + unbuilt > config.beam:
-                A = dict(
-                    heapq.nlargest(config.beam, A.items(), key=lambda kv: kv[1].logscore)
-                )
+                ranked = sorted(A.items(), key=lambda kv: kv[1].logscore, reverse=True)
+                A = dict(ranked[: config.beam])
 
-        survivors = heapq.nlargest(
-            config.beam, B.items(), key=lambda kv: kv[1].logscore
-        )
+        ranked = sorted(B.items(), key=lambda kv: kv[1].logscore, reverse=True)
+        survivors = ranked[: config.beam]
         if (
             config.exit_rule == "require-cat1"
             and class_model is not None

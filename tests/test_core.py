@@ -74,6 +74,17 @@ class TestSoftmax:
             assert abs(np.exp(out).sum() - 1.0) <= 1e-9
             assert np.argmax(out) == np.argmax(x)
 
+    def test_matches_the_plain_expression_and_leaves_input_alone(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 5, 121, 1101):
+            x = rng.normal(scale=5.0, size=n)
+            x[1::7] = NEG_INF
+            before = x.copy()
+            m = x.max()
+            want = x - (m + float(np.log(np.sum(np.exp(x - m)))))
+            assert np.array_equal(log_softmax(x), want)
+            assert np.array_equal(x, before)
+
     def test_all_neg_inf_faults(self):
         with pytest.raises(ValueError):
             softmax([NEG_INF, NEG_INF])

@@ -1,6 +1,7 @@
 """Beam search against the exhaustive path-enumeration oracle, plus the
 joint softmax, blank fallback, merge, and exit-rule mechanics."""
 
+import heapq
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import pytest
 
 from fntfuse import classlm, decoder, simulate
 from fntfuse.classlm import enumerate_transitions, train_tagged_clm
-from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_softmax
+from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_softmax, log_sum_exp
 from fntfuse.decoder import (
     DecoderConfig,
     beam_search,
@@ -18,7 +19,15 @@ from fntfuse.decoder import (
     joint_step,
 )
 from fntfuse.evalmetrics import evaluate
-from fntfuse.fusion import FusionConfig
+from fntfuse.fusion import (
+    FusionConfig,
+    clm_predictor_interp,
+    conditional_linear_interp,
+    linear_interp,
+    loglinear_interp,
+    shallow_fuse,
+    three_way,
+)
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import EncoderOutput, FntScorer, NgramPredictor
 
@@ -124,6 +133,15 @@ class TestJointStep:
         with pytest.raises(ValueError, match="mismatch"):
             joint_step(sup, ScoreVector([-1.0, -2.0]), 0.0)
 
+    def test_equals_append_then_softmax(self):
+        rng = np.random.default_rng(54)
+        for n in (1, 7, 300):
+            z_t, z_u, b = rng.normal(size=n), rng.normal(size=n), float(rng.normal())
+            z_u[::5] = NEG_INF
+            want = log_softmax(np.append(z_t + z_u, b))
+            got = joint_step(ScoreVector(z_t), ScoreVector(z_u), b)
+            assert np.array_equal(got.values, want)
+
 
 class TestBlankFallback:
     def test_uniform(self):
@@ -149,6 +167,14 @@ class TestBlankFallback:
         want = math.log(0.4 / sum(raw))
         got = blank_fallback(z_t, z_u, math.log(0.4))
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_equals_append_then_log_sum_exp(self):
+        rng = np.random.default_rng(55)
+        for n in (1, 7, 300):
+            z_t, z_u, b = rng.normal(size=n), rng.normal(size=n), float(rng.normal())
+            z_u[::5] = NEG_INF
+            want = b - log_sum_exp(np.append(z_t + z_u, b))
+            assert blank_fallback(ScoreVector(z_t), ScoreVector(z_u), b) == want
 
 
 class TestBeamVsExhaustive:
@@ -327,6 +353,145 @@ class TestPruningVsFullExpansion:
         assert sum(merging) > 0  # some children are built only to merge
         assert 0 < stats.n_children < stats.total_width
         assert stats.n_children <= config.beam * stats.n_expansions + sum(merging)
+
+
+class TestChildSelection:
+    """``_top_children`` against ``heapq.nlargest`` over the finite
+    indices, exactly, on rows with ties at the cut and -inf entries
+    scattered through them."""
+
+    @pytest.mark.parametrize("beam", [1, 2, 4, 7])
+    def test_matches_nlargest_over_finite_indices(self, beam):
+        rng = np.random.default_rng(51)
+        tied_cuts = 0
+        for n_finite in sorted({max(beam - 1, 0), beam, beam + 1, 8 * beam + 5, 0}):
+            for n_dead in (0, 1, 9):
+                for _ in range(40):
+                    scores = np.full(n_finite + n_dead, NEG_INF)
+                    live = rng.permutation(scores.size)[:n_finite]
+                    # three levels: ties at the cut are common
+                    scores[live] = rng.integers(0, 3, size=n_finite) * 0.5 - 7.0
+                    finite = np.flatnonzero(scores > NEG_INF).tolist()
+                    want = sorted(heapq.nlargest(beam, finite, key=lambda i: scores[i]))
+                    keep, count = decoder._top_children(scores, beam)
+                    assert keep.dtype.kind == "i"
+                    assert keep.tolist() == want
+                    assert count == n_finite
+                    ranked = sorted(scores[finite], reverse=True)
+                    if n_finite > beam and ranked[beam - 1] == ranked[beam]:
+                        tied_cuts += 1
+        assert tied_cuts > 0  # the rows reach ties at the cut
+
+
+class TestExpand:
+    """``_FrameScorer.expand`` against the construction it replaced: the
+    joint row with blank appended, normalized by one log-softmax."""
+
+    @staticmethod
+    def reference(fusion, scorer, lm, clm, hyp, z_t, blank_logit):
+        z_u = scorer.predictor.full_dist(hyp.pred_state)
+        b = scorer.blank_score(blank_logit, hyp.k)
+        lm_row = lm.full_dist(hyp.lm_state)
+        method = fusion.method
+        if method == "clm" or fusion.second_method == "clm":
+            trans = enumerate_transitions(clm, hyp.clm_state)
+            if method == "clm":
+                row = clm_predictor_interp(z_u, trans, fusion.alpha, fusion.rank_r)
+            else:
+                row = three_way(
+                    z_u, lm_row, trans, fusion.alpha, fusion.second_alpha, fusion.rank_r
+                )
+            words, joint = trans.word, z_t[trans.word] + row
+        else:
+            words = np.arange(z_u.size)
+            pred = ScoreVector(z_u, normalized=True)
+            ext = ScoreVector(lm_row, normalized=True)
+            if method == "none":
+                joint = z_t + z_u
+            elif method == "sf":
+                joint = shallow_fuse(ScoreVector(z_t + z_u), ext, fusion.alpha).values
+            elif method == "li":
+                joint = z_t + linear_interp(pred, ext, fusion.alpha).values
+            elif method == "lli":
+                joint = z_t + loglinear_interp(pred, ext, fusion.alpha).values
+            else:
+                sparse = lm.top_r(hyp.lm_state, fusion.rank_r)
+                joint = z_t + conditional_linear_interp(pred, sparse, fusion.alpha).values
+        posts = log_softmax(np.append(joint, b))
+        return words, posts[:-1], float(posts[-1])
+
+    @pytest.mark.parametrize("name", list(PRUNING_CASES))
+    def test_matches_append_then_softmax(self, name):
+        fusion = PRUNING_CASES[name]
+        rng = np.random.default_rng(52)
+        vocab, scorer, encoder = make_instance(rng, 6, 3)
+        lm = NgramPredictor(make_ngram(rng, vocab))
+        clm = make_clm(rng, vocab)
+        config = DecoderConfig(fusion=fusion)
+        use_clm = fusion.method == "clm" or fusion.second_method == "clm"
+        fs = decoder._FrameScorer(scorer, config, lm, clm if use_clm else None)
+        got, want = [], []
+        for _ in range(6):
+            pred, lms, clms = scorer.predictor.initial_state(), lm.initial_state(), clm.initial_state()
+            for depth in range(3):
+                for t in range(encoder.n_frames):
+                    hyp = _Stub(pred, lms, clms if use_clm else None, depth % 2)
+                    z_t, blank_logit = encoder.scores[t], float(encoder.blank_logits[t])
+                    words, _, posts, blank_post = fs.expand(hyp, t, z_t, blank_logit)
+                    if got:  # the previous result survives this expansion
+                        assert np.array_equal(got[-1][1], got[-1][3])
+                    got.append((words, posts, blank_post, posts.copy()))
+                    want.append(self.reference(fusion, scorer, lm, clm, hyp, z_t, blank_logit))
+                trans = enumerate_transitions(clm, clms)
+                i = int(rng.integers(len(trans)))
+                word = int(trans.word[i])
+                pred, lms = scorer.predictor.advance(pred, word), lm.advance(lms, word)
+                clms = trans.successor(i)
+        for (words, posts, blank_post, snapshot), (w_words, w_posts, w_blank) in zip(got, want):
+            assert np.array_equal(words, w_words)
+            assert np.array_equal(posts, w_posts)
+            assert np.array_equal(posts, snapshot)  # no later expand wrote over it
+            assert blank_post == w_blank
+
+    @pytest.mark.parametrize("name", ["none", "sf", "cli"])
+    def test_dense_word_index_is_shared_and_read_only(self, name):
+        rng = np.random.default_rng(56)
+        vocab, scorer, encoder = make_instance(rng, 5, 2)
+        lm = NgramPredictor(make_ngram(rng, vocab))
+        fs = decoder._FrameScorer(scorer, DecoderConfig(fusion=PRUNING_CASES[name]), lm, None)
+        pred, lms = scorer.predictor.initial_state(), lm.initial_state()
+        first = fs.expand(_Stub(pred, lms, None, 0), 0, encoder.scores[0], 0.0)[0]
+        pred, lms = scorer.predictor.advance(pred, 3), lm.advance(lms, 3)
+        second = fs.expand(_Stub(pred, lms, None, 1), 1, encoder.scores[1], 0.0)[0]
+        assert second is first
+        assert first.tolist() == list(range(5))
+        with pytest.raises(ValueError, match="read-only"):
+            first[:1] = 0
+
+    def test_dead_end_prices_blank_like_blank_fallback(self):
+        vocab = make_vocab(4)
+        model = train_tagged_clm(
+            [["⟨X⟩", "p3"], ["p3", "⟨X⟩"], ["p3"]],
+            {"⟨X⟩": [(("p0", "p1", "p2"), 1.0)]},
+            2,
+            vocab,
+        )
+        rng = np.random.default_rng(57)
+        scorer = FntScorer(NgramPredictor(make_ngram(rng, vocab), floor=0.3), gamma=0.5)
+        config = DecoderConfig(fusion=FusionConfig("clm", 0.9, rank_r=4), rank_rprime=1)
+        trans = enumerate_transitions(model, model.initial_state())
+        enter = [
+            i for i in range(len(trans))
+            if trans.category[i] == classlm.CAT2 and trans.word[i] == 0
+        ]
+        inside = trans.successor(enter[0])  # after p0: only p1 continues, no exit
+        z_t = log_softmax(np.array([0.0, -6.0, -6.0, -6.0]))  # the r' gate drops p1
+        pred = scorer.predictor.initial_state()
+        fs = decoder._FrameScorer(scorer, config, None, model)
+        _, got, posts, blank_post = fs.expand(_Stub(pred, None, inside, 1), 0, z_t, -2.0)
+        assert len(got) == 0 and posts.size == 0
+        z_u = ScoreVector(scorer.predictor.full_dist(pred))
+        assert blank_post == blank_fallback(ScoreVector(z_t), z_u, scorer.blank_score(-2.0, 1))
 
 
 class TestBeamProperties:
