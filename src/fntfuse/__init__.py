@@ -6,7 +6,7 @@ The package splits into small, separately testable layers:
 - ``core``: vocabulary, log-space helpers, the ScoreVector container,
   and the ExternalLm interface.
 - ``ngram``: Kneser-Ney training and a sorted-array backoff trie with
-  rank-r continuation queries and a per-history cache.
+  rank-r continuation queries and dense rows.
 - ``arpa``: text serialization of n-gram models.
 - ``classlm``: class-tagged n-gram models, per-class prefix trees, and
   the tagged-state transition system.
@@ -65,7 +65,6 @@ from .fusion import (
     three_way,
 )
 from .ngram import (
-    CachedNgramQueries,
     NgramModel,
     SparseLmQueryResult,
     train_kneser_ney,
@@ -89,7 +88,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA_GRID",
     "ArpaParseError",
-    "CachedNgramQueries",
     "ClassModel",
     "ClmState",
     "DecodeStats",

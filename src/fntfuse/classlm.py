@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -156,13 +155,12 @@ class ClassModel:
     apart from a memo of ``Transitions`` bundles.
 
     The memo maps a class state to the bundle enumerated for it, which
-    is a pure function of the model and the state, so decodes
-    may share it, in sequence or on threads (a bundle's own successor and
-    gate memos are plain dict sets: a race only builds a value twice). It
-    holds at most ``TRANSITION_MEMO_CAP`` transitions and is emptied
-    whole when the next bundle would pass that; the lock keeps that
-    count exact. The decoder keys it by the ``ClmState`` itself; a
-    ``key()`` tuple names the same state but is a different key.
+    is a pure function of the model and the state, so decodes run one
+    after another may share it. It is not locked: one decode at a time.
+    It holds at most ``TRANSITION_MEMO_CAP`` transitions and is emptied
+    whole when the next bundle would pass that. The decoder keys it by
+    the ``ClmState`` itself; a ``key()`` tuple names the same state but
+    is a different key.
     """
 
     def __init__(
@@ -180,7 +178,6 @@ class ClassModel:
         self.tag_ids = sorted(trees)
         self.entries = entries  # tag -> [(piece strings, weight)], for persistence
         self._memo: dict = {}
-        self._memo_lock = threading.Lock()
         self.n_memo_transitions = 0
         for tag_id in range(self.n_words, len(self.vocab)):
             token = self.vocab.token_of(tag_id)
@@ -219,14 +216,13 @@ class ClassModel:
         """Memoize ``trans`` under ``key``; a bundle larger than the cap
         is not kept."""
         n = len(trans)
-        with self._memo_lock:
-            if key in self._memo or n > TRANSITION_MEMO_CAP:
-                return
-            if self.n_memo_transitions + n > TRANSITION_MEMO_CAP:
-                self._memo.clear()
-                self.n_memo_transitions = 0
-            self._memo[key] = trans
-            self.n_memo_transitions += n
+        if key in self._memo or n > TRANSITION_MEMO_CAP:
+            return
+        if self.n_memo_transitions + n > TRANSITION_MEMO_CAP:
+            self._memo.clear()
+            self.n_memo_transitions = 0
+        self._memo[key] = trans
+        self.n_memo_transitions += n
 
 
 def encoder_rank_pass(encoder_scores, rprime: int) -> np.ndarray:

@@ -256,11 +256,8 @@ def cmd_eval(args) -> int:
     fusion = _fusion_config(opts)
     config = _decoder_config(opts, fusion)
     scn, tests, scorer, external, class_model = _scenario_setup(opts, fusion)
-    jobs = int(opts.get("jobs", 1))
     name = fusion.method if fusion.second_method is None else f"{fusion.method}+clm"
-    rep = evaluate(
-        name, tests, scn.vocab, scorer, config, external, class_model, jobs=jobs
-    )
+    rep = evaluate(name, tests, scn.vocab, scorer, config, external, class_model)
     if bool(opts.get("with_baseline", False)) and fusion.method != "none":
         base = evaluate(
             "none",
@@ -268,7 +265,6 @@ def cmd_eval(args) -> int:
             scn.vocab,
             scorer,
             _decoder_config(opts, FusionConfig()),
-            jobs=jobs,
         )
         print(base.line())
         print(rep.line())
@@ -299,7 +295,6 @@ def cmd_sweep(args) -> int:
         beam=int(opts.get("beam", 8)),
         rank_r=int(opts.get("rank_r", 200)),
         max_emit=int(opts.get("max_emit", 5)),
-        jobs=int(opts.get("jobs", 1)),
     )
     print(report.table())
     for line in report.lines():
@@ -359,7 +354,6 @@ def _add_fusion_flags(p: argparse.ArgumentParser):
     p.add_argument("--nbest", type=int, help="n-best size (default 1)")
     p.add_argument("--exit-rule", choices=EXIT_RULES, dest="exit_rule")
     p.add_argument("--max-emit", type=int, dest="max_emit", help="per-frame emission cap (default 5)")
-    p.add_argument("--jobs", type=int, help="parallel decode workers (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-r", type=int, dest="rank_r")
     p.add_argument("--beam", type=int)
     p.add_argument("--max-emit", type=int, dest="max_emit")
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="rank-query latency across model sizes; optional decode slowdown")

@@ -10,7 +10,7 @@ raises ``ValueError`` rather than letting it propagate silently.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,38 +60,25 @@ def log_softmax(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """A log-domain score vector, dense or sparse.
+    """A dense log-domain score vector over token ids ``0..len-1`` of
+    some agreed vocabulary. A sparse row (the words of a rank-r query)
+    is a ``SparseLmQueryResult`` instead.
 
-    Dense vectors (``support is None``) cover token ids ``0..len-1`` of
-    some agreed vocabulary. Sparse vectors carry an explicit ``support``
-    array of token ids aligned with ``values``; the order of entries is
-    meaningful (query results keep their ranking order).
-
-    ``normalized`` marks vectors whose exponentials sum to one over
-    their support. Operations that break normalization must clear it.
+    ``normalized`` marks vectors whose exponentials sum to one.
+    Operations that break normalization must clear it.
     """
 
     values: np.ndarray
     normalized: bool = False
-    support: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _checked(self.values)[0])
-        if self.support is not None:
-            sup = np.asarray(self.support, dtype=np.int64)
-            if sup.shape != self.values.shape:
-                raise ValueError(
-                    f"support shape {sup.shape} != values shape {self.values.shape}"
-                )
-            if sup.size and np.unique(sup).size != sup.size:
-                raise ValueError("duplicate token ids in sparse support")
-            object.__setattr__(self, "support", sup)
 
     def __len__(self) -> int:
         return self.values.size
 
     def normalize(self) -> "ScoreVector":
-        return ScoreVector(log_softmax(self.values), True, self.support)
+        return ScoreVector(log_softmax(self.values), True)
 
     def mass(self) -> float:
         """Total probability mass, exp(log_sum_exp(values))."""

@@ -64,7 +64,14 @@ import numpy as np
 
 from .classlm import ClassModel, ClmState, encoder_rank_pass, enumerate_transitions
 from .core import NEG_INF, ExternalLm, ScoreVector, log_softmax, log_sum_exp
-from .fusion import FusionConfig, clm_predictor_interp, li_scores, mix_scores, three_way
+from .fusion import (
+    FusionConfig,
+    clm_predictor_interp,
+    cli_scores,
+    li_scores,
+    mix_scores,
+    three_way,
+)
 
 EXIT_RULES = ("standard", "require-cat1")
 
@@ -152,14 +159,10 @@ def joint_step(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> ScoreVecto
     """Final posterior: softmax over the word channels plus blank.
 
     Word channels are the elementwise sum of encoder and predictor
-    scores; both inputs must be aligned (same length, same support).
+    scores; both inputs must have the same length.
     """
     if len(z_t) != len(z_u):
         raise ValueError(f"support mismatch: {len(z_t)} vs {len(z_u)}")
-    if (z_t.support is None) != (z_u.support is None) or (
-        z_t.support is not None and not np.array_equal(z_t.support, z_u.support)
-    ):
-        raise ValueError("support mismatch between encoder and predictor rows")
     row = _fill_joint(np.empty(len(z_u) + 1), z_t.values, z_u.values, z_blank)
     return ScoreVector(log_softmax(row), normalized=True)
 
@@ -323,11 +326,7 @@ class _FrameScorer:
                 row = mix_scores(z_u, self.external.full_dist(lm_state), fu.alpha)
             elif fu.method == "cli":
                 sp = self.external.top_r(lm_state, fu.rank_r)
-                row = z_u.copy()
-                if len(sp.word_ids):
-                    row[sp.word_ids] = li_scores(
-                        z_u[sp.word_ids], sp.logprobs, fu.alpha
-                    )
+                row = cli_scores(z_u, sp.word_ids, sp.logprobs, fu.alpha)
             else:
                 raise ValueError(f"unhandled fusion method {fu.method!r}")
             self._rows[key] = row

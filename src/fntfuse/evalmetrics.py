@@ -15,7 +15,6 @@ aggregation.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -199,14 +198,13 @@ def evaluate(
     config: DecoderConfig,
     external_lm=None,
     class_model=None,
-    jobs: int = 1,
 ) -> EvalReport:
     """Decode and score every test utterance under one configuration.
 
-    Results are ordered by input position regardless of ``jobs``; the
-    decoded top hypothesis is detokenized to words before alignment.
-    Entity errors count reference entity words whose alignment op is
-    anything but a match.
+    Utterances are decoded one after another and reported in input
+    order; the decoded top hypothesis is detokenized to words before
+    alignment. Entity errors count reference entity words whose
+    alignment op is anything but a match.
     """
 
     def one(utt):
@@ -225,11 +223,7 @@ def evaluate(
         counts = EditCounts(subs, ins, dels, len(utt.ref_words))
         return counts, len(entity), errors, stats
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(one, tests))
-    else:
-        scored = [one(utt) for utt in tests]
+    scored = [one(utt) for utt in tests]
 
     rows = []
     subs = ins = dels = n_words = 0
@@ -374,7 +368,6 @@ def sweep(
     beam: int = 8,
     rank_r: int = 200,
     max_emit: int = 5,
-    jobs: int = 1,
 ) -> SweepReport:
     """Decode every (method, weight, split) combination on the grid.
 
@@ -395,9 +388,7 @@ def sweep(
             beam=beam, nbest=1, fusion=fusion, max_emit=max_emit
         )
         label = f"{method}@{alpha:g}/{split}" if method != "none" else f"base/{split}"
-        return evaluate(
-            label, tests, vocab, scorer, config, external_lm=external_lm, jobs=jobs
-        )
+        return evaluate(label, tests, vocab, scorer, config, external_lm=external_lm)
 
     baselines = {
         split: run(split, tests, "none", 0.0) for split, tests in splits.items()

@@ -67,13 +67,9 @@ class FusionConfig:
             raise ValueError(f"rank_r must be >= 1, got {self.rank_r}")
 
 
-def _require_dense(*vectors: ScoreVector):
-    n = len(vectors[0])
-    for v in vectors:
-        if v.support is not None:
-            raise ValueError("fusion operators take dense score vectors")
-        if len(v) != n:
-            raise ValueError(f"support mismatch: {len(v)} vs {n}")
+def _require_aligned(z: ScoreVector, logp: ScoreVector):
+    if len(logp) != len(z):
+        raise ValueError(f"support mismatch: {len(logp)} vs {len(z)}")
 
 
 def li_scores(z: np.ndarray, logp: np.ndarray, alpha: float) -> np.ndarray:
@@ -94,13 +90,24 @@ def mix_scores(z: np.ndarray, logp: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * logp + (1.0 - alpha) * z
 
 
+def cli_scores(
+    z: np.ndarray, word_ids: np.ndarray, logprobs: np.ndarray, alpha: float
+) -> np.ndarray:
+    """A copy of ``z`` with ``li_scores`` written at ``word_ids``: the
+    conditional-linear row, for the decoder and the checked wrapper."""
+    out = z.copy()
+    if word_ids.size:
+        out[word_ids] = li_scores(z[word_ids], logprobs, alpha)
+    return out
+
+
 def shallow_fuse(z: ScoreVector, logp: ScoreVector, alpha: float) -> ScoreVector:
     """Weighted log-score sum over JOINT scores: alpha*logp + (1-alpha)*z.
 
     ``logp`` must be a normalized external-LM distribution; the output
     is unnormalized and feeds the final softmax.
     """
-    _require_dense(z, logp)
+    _require_aligned(z, logp)
     if not logp.normalized:
         raise ValueError("shallow fusion needs a normalized external LM")
     return ScoreVector(mix_scores(z.values, logp.values, alpha))
@@ -112,7 +119,7 @@ def linear_interp(z: ScoreVector, logp: ScoreVector, alpha: float) -> ScoreVecto
     out[w] = log(alpha*p[w] + (1-alpha)*exp(z[w])); both inputs must be
     normalized, and convexity keeps the output normalized.
     """
-    _require_dense(z, logp)
+    _require_aligned(z, logp)
     if not (z.normalized and logp.normalized):
         raise ValueError("linear interpolation needs normalized inputs")
     return ScoreVector(li_scores(z.values, logp.values, alpha), normalized=True)
@@ -120,7 +127,7 @@ def linear_interp(z: ScoreVector, logp: ScoreVector, alpha: float) -> ScoreVecto
 
 def loglinear_interp(z: ScoreVector, logp: ScoreVector, alpha: float) -> ScoreVector:
     """Weighted log-score sum over PREDICTOR scores; unnormalized output."""
-    _require_dense(z, logp)
+    _require_aligned(z, logp)
     return ScoreVector(mix_scores(z.values, logp.values, alpha))
 
 
@@ -132,7 +139,6 @@ def conditional_linear_interp(
     Words outside ``sparse`` keep their predictor score unchanged, so
     the row no longer sums to one and is returned unnormalized.
     """
-    _require_dense(z)
     if not z.normalized:
         raise ValueError("conditional linear interpolation needs a normalized z")
     if not 0.0 <= alpha <= 1.0:
@@ -142,10 +148,7 @@ def conditional_linear_interp(
         raise ValueError("duplicate word ids in sparse LM query")
     if ids.size and (ids.min() < 0 or ids.max() >= len(z)):
         raise ValueError("sparse LM query ids outside the score vector")
-    out = z.values.copy()
-    if ids.size:
-        out[ids] = li_scores(z.values[ids], sparse.logprobs, alpha)
-    return ScoreVector(out)
+    return ScoreVector(cli_scores(z.values, ids, sparse.logprobs, alpha))
 
 
 def _normalized_row(z, what: str) -> np.ndarray:
@@ -154,7 +157,6 @@ def _normalized_row(z, what: str) -> np.ndarray:
     ExternalLm contract, and is taken as it is."""
     if not isinstance(z, ScoreVector):
         return z
-    _require_dense(z)
     if not z.normalized:
         raise ValueError(f"{what} needs a normalized input")
     return z.values

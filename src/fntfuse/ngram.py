@@ -18,7 +18,7 @@ and is excluded from the uniform base distribution.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,7 +242,7 @@ class NgramModel:
                     return acc + float(p)
         return NEG_INF
 
-    def top_r(self, history, r: int, exclude=()) -> SparseLmQueryResult:
+    def top_r(self, history, r: int) -> SparseLmQueryResult:
         """Up to r continuations of ``history`` by fallback enumeration.
 
         Emits the longest matched context's arcs in descending stored
@@ -250,14 +250,14 @@ class NgramModel:
         accumulated backoff weights, skipping already-emitted words)
         until r entries are collected or the unigram level is exhausted.
         The guarantee is per-node rank order, not global top-r
-        optimality. ``exclude`` ids are never emitted.
+        optimality.
         """
-        return self.top_r_chain(self.suffix_chain(history), r, exclude)
+        return self.top_r_chain(self.suffix_chain(history), r)
 
-    def top_r_chain(self, chain, r: int, exclude=()) -> SparseLmQueryResult:
+    def top_r_chain(self, chain, r: int) -> SparseLmQueryResult:
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
-        seen = set(exclude)
+        seen = set()
         out_w, out_p, out_m = [], [], []
         for node, acc in chain:
             level = node[0] + 1
@@ -414,59 +414,3 @@ def train_kneser_ney(
 
     return NgramModel(vocab, order, tables)
 
-
-@dataclass
-class QueryCacheStats:
-    queries: int = 0
-    trie_walks: int = 0
-
-
-class CachedNgramQueries:
-    """Memoizing front-end for logprob/top_r against one model.
-
-    Keys are (matched-node chain, r): the chain is a pure function of
-    the longest matched suffix, so it fully determines every answer.
-    Exclusion sets are honored by over-fetching r + len(exclude)
-    entries and filtering, keeping cache keys exclusion-free. Not
-    shareable across threads; create one per decoder.
-    """
-
-    def __init__(self, model: NgramModel):
-        self.model = model
-        self.stats = QueryCacheStats()
-        self._chains: dict = {}
-        self._topr: dict = {}
-        self._logp: dict = {}
-
-    def _chain(self, history):
-        h = tuple(history)
-        hit = self._chains.get(h)
-        if hit is None:
-            self.stats.trie_walks += 1
-            hit = self._chains[h] = tuple(self.model.suffix_chain(h))
-        return hit
-
-    def logprob(self, word_id: int, history=()) -> float:
-        self.stats.queries += 1
-        chain = self._chain(history)
-        key = (chain, word_id)
-        hit = self._logp.get(key)
-        if hit is None:
-            hit = self._logp[key] = self.model.logprob_chain(word_id, chain)
-        return hit
-
-    def top_r(self, history, r: int, exclude=()) -> SparseLmQueryResult:
-        self.stats.queries += 1
-        chain = self._chain(history)
-        fetch = r if not exclude else r + len(exclude)
-        key = (chain, fetch)
-        hit = self._topr.get(key)
-        if hit is None:
-            hit = self._topr[key] = self.model.top_r_chain(chain, fetch)
-        if not exclude:
-            return hit
-        keep = ~np.isin(hit.word_ids, np.fromiter(exclude, dtype=np.int64))
-        idx = np.nonzero(keep)[0][:r]
-        return SparseLmQueryResult(
-            hit.word_ids[idx], hit.logprobs[idx], hit.origins[idx]
-        )

@@ -49,6 +49,9 @@ class EncoderOutput:
             )
         if np.isnan(scores).any() or np.isnan(blanks).any():
             raise ValueError("NaN in encoder output")
+        hot = np.flatnonzero(blanks == np.inf)
+        if hot.size:
+            raise ValueError(f"frame {hot[0]}: blank logit is +inf")
         mass = np.exp(scores).sum(axis=1)
         bad = np.where(np.abs(mass - 1.0) > 1e-6)[0]
         if bad.size:
@@ -165,7 +168,10 @@ class NgramPredictor(ExternalLm):
         return cached
 
     def top_r(self, state, r: int) -> SparseLmQueryResult:
-        """Cached per (state, r); the shared result's arrays are read-only."""
+        """Cached per (state, r); the shared result's arrays are read-only.
+        Unlike a trie query (see ``SparseLmQueryResult``), ``logprobs``
+        are the floor-mixed ``full_dist`` values, not the model's
+        ``logprob``, and ``origins`` are all 0."""
         key = (tuple(state), r)
         hit = self._top.get(key)
         if hit is None:

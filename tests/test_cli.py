@@ -268,6 +268,15 @@ class TestDecode:
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["decode", "eval", "sweep"])
+def test_jobs_flag_is_a_usage_error(command, scenario_dir, capsys):
+    # utterances decode one after another; there is no worker count to set
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", scenario_dir, "--utts", "1", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 class TestEval:
     def test_baseline_and_werr(self, scenario_dir, capsys):
         rc = main(

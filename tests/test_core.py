@@ -101,19 +101,6 @@ class TestSoftmax:
 
 
 class TestScoreVector:
-    def test_sparse_support_alignment(self):
-        sv = ScoreVector(np.log([0.5, 0.25]), support=[3, 1])
-        assert len(sv) == 2
-        assert list(sv.support) == [3, 1]
-
-    def test_duplicate_support_faults(self):
-        with pytest.raises(ValueError):
-            ScoreVector([0.0, -1.0], support=[2, 2])
-
-    def test_support_shape_mismatch_faults(self):
-        with pytest.raises(ValueError):
-            ScoreVector([0.0, -1.0], support=[1, 2, 3])
-
     def test_nan_faults(self):
         with pytest.raises(ValueError):
             ScoreVector([0.0, float("nan")])

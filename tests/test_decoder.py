@@ -3,8 +3,6 @@ joint softmax, blank fallback, merge, and exit-rule mechanics."""
 
 import heapq
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -129,9 +127,6 @@ class TestJointStep:
     def test_support_mismatch_faults(self):
         with pytest.raises(ValueError, match="mismatch"):
             joint_step(ScoreVector([-1.0]), ScoreVector([-1.0, -2.0]), 0.0)
-        sup = ScoreVector([-1.0, -2.0], support=[0, 3])
-        with pytest.raises(ValueError, match="mismatch"):
-            joint_step(sup, ScoreVector([-1.0, -2.0]), 0.0)
 
     def test_equals_append_then_softmax(self):
         rng = np.random.default_rng(54)
@@ -852,37 +847,6 @@ class TestTransitionMemo:
                     assert got.successor(i) is succ
                     states.append(succ)
         assert any(s.class_tag is not None for s in states)
-
-    def test_concurrent_fills_keep_the_count_exact(self, monkeypatch):
-        rng = np.random.default_rng(44)
-        vocab = make_vocab(5)
-        clm = make_clm(rng, vocab)
-        states = [clm.initial_state()]
-        for state in list(states):
-            trans = enumerate_transitions(clm, state)
-            states += [trans.successor(i) for i in range(len(trans))]
-        bundles = [(s.key(), enumerate_transitions(clm, s)) for s in states]
-        cap = 50
-        monkeypatch.setattr(classlm, "TRANSITION_MEMO_CAP", cap)
-
-        def fill():
-            for _ in range(1000):
-                for key, trans in bundles:
-                    if clm.cached_transitions(key) is None:
-                        clm.cache_transitions(key, trans)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=fill) for _ in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert clm.n_memo_transitions == sum(len(t) for t in clm._memo.values()) <= cap
 
     def test_cached_bundles_and_rows_are_read_only(self, monkeypatch):
         vocab, scorer, lm, encoders = self.instance()

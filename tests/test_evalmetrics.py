@@ -5,7 +5,6 @@ sweeps, and the rank-query benchmark."""
 import numpy as np
 import pytest
 
-from fntfuse.classlm import train_tagged_clm
 from fntfuse.decoder import DecoderConfig
 from fntfuse.evalmetrics import (
     ALPHA_GRID,
@@ -254,35 +253,6 @@ class TestEvaluate:
         assert rep.dels == sum(r[3] for r in rep.per_utt)
         assert rep.n_words == sum(r[4] for r in rep.per_utt)
         assert [r[0] for r in rep.per_utt] == [u.utt_id for u in scn.tests]
-
-    def test_parallel_equals_sequential(self):
-        scn, scorer, external = scenario_setup(tau=1.0)
-        config = DecoderConfig(beam=4, nbest=1, fusion=FusionConfig("li", 0.25))
-        seq = evaluate(
-            "run", scn.tests, scn.vocab, scorer, config, external_lm=external
-        )
-        par = evaluate(
-            "run", scn.tests, scn.vocab, scorer, config, external_lm=external, jobs=3
-        )
-        assert par.per_utt == seq.per_utt
-        assert (par.subs, par.ins, par.dels) == (seq.subs, seq.ins, seq.dels)
-        assert par.entity_errors == seq.entity_errors
-        assert par.total_expansions == seq.total_expansions
-
-    def test_parallel_equals_sequential_on_shared_class_model(self):
-        # the threads share one class model and fill its transition memo
-        scn, scorer, external = scenario_setup(tau=1.0)
-        clm = train_tagged_clm(scn.clm_texts, scn.class_entries, 3, scn.vocab)
-        config = DecoderConfig(
-            beam=4, nbest=1, fusion=FusionConfig("li", 0.25, 20, "clm", 0.5)
-        )
-        args = ("run", scn.tests, scn.vocab, scorer, config, external, clm)
-        par = evaluate(*args, jobs=3)
-        seq = evaluate(*args)
-        assert clm.n_memo_transitions > 0
-        assert par.per_utt == seq.per_utt
-        assert (par.subs, par.ins, par.dels) == (seq.subs, seq.ins, seq.dels)
-        assert par.total_expansions == seq.total_expansions
 
 
 class TestSweep:

@@ -7,7 +7,7 @@ import pytest
 
 from fntfuse.core import NEG_INF, Vocabulary
 from fntfuse.arpa import load_arpa
-from fntfuse.ngram import CachedNgramQueries, NgramModel, train_kneser_ney
+from fntfuse.ngram import NgramModel, train_kneser_ney
 
 from helpers import random_corpus, random_history
 from oracles import OracleKn
@@ -215,13 +215,6 @@ class TestTopR:
             small = model.top_r(h, 3)
             assert small.pairs() == big.pairs()[: len(small)]
 
-    def test_excluded_ids_never_emitted(self):
-        vocab, _, model = tiny_model(["a b", "a c"], 2, ["a", "b", "c"])
-        a, b = vocab.ids_of(["a", "b"])
-        res = model.top_r((a,), 4, exclude=(b, model.eos_id))
-        assert b not in res.word_ids
-        assert model.eos_id not in res.word_ids
-
     def test_invalid_r_faults(self):
         _, _, model = tiny_model(["a b"], 2, ["a", "b"])
         with pytest.raises(ValueError):
@@ -291,51 +284,3 @@ class TestDenseRow:
         # the -inf arc for c after a is skipped: bow(a) times P(c) shows through
         ln10 = math.log(10.0)
         assert model.dense_row(model.suffix_chain((a,)))[c] == (-0.25 * ln10) + (-1.0 * ln10)
-
-
-class TestCachedQueries:
-    def test_repeat_query_returns_identical_object(self):
-        _, _, model = tiny_model(["a b", "a c"], 2, ["a", "b", "c"])
-        cache = CachedNgramQueries(model)
-        first = cache.top_r((0,), 3)
-        assert cache.top_r((0,), 3) is first
-
-    def test_transparency_on_interleaved_histories(self):
-        rng = np.random.default_rng(8)
-        vocab, sentences = random_corpus(rng, n_types=8, n_sentences=12)
-        model = train_kneser_ney(sentences, 3, vocab=vocab)
-        cache = CachedNgramQueries(model)
-        histories = [random_history(rng, len(vocab), model.bos_id) for _ in range(12)]
-        for _ in range(3):
-            for h in histories:
-                assert (
-                    cache.top_r(h, 5).pairs() == model.top_r(h, 5).pairs()
-                )
-                w = int(rng.integers(0, len(vocab) + 2))
-                assert cache.logprob(w, h) == model.logprob(w, h)
-
-    def test_exclusions_match_uncached(self):
-        rng = np.random.default_rng(9)
-        vocab, sentences = random_corpus(rng, n_types=9, n_sentences=15)
-        model = train_kneser_ney(sentences, 3, vocab=vocab)
-        cache = CachedNgramQueries(model)
-        for _ in range(20):
-            h = random_history(rng, len(vocab), model.bos_id)
-            excl = tuple(
-                int(t) for t in rng.choice(len(vocab) + 2, size=2, replace=False)
-            )
-            got = cache.top_r(h, 4, exclude=excl)
-            want = model.top_r(h, 4, exclude=excl)
-            assert got.pairs() == want.pairs()
-            assert list(got.origins) == list(want.origins)
-
-    def test_trie_walks_amortized_away(self):
-        rng = np.random.default_rng(10)
-        vocab, sentences = random_corpus(rng, n_types=10, n_sentences=15)
-        model = train_kneser_ney(sentences, 3, vocab=vocab)
-        cache = CachedNgramQueries(model)
-        histories = [random_history(rng, len(vocab), model.bos_id) for _ in range(40)]
-        for i in range(10_000):
-            cache.top_r(histories[i % len(histories)], 6)
-        assert cache.stats.queries == 10_000
-        assert cache.stats.trie_walks * 10 <= cache.stats.queries

@@ -80,6 +80,13 @@ class TestEncoderOutput:
         with pytest.raises(ValueError, match="frame 1"):
             EncoderOutput(np.array([good, good - 0.5]), np.zeros(2))
 
+    def test_inf_blank_fault_names_frame(self):
+        # -inf is a legal blank logit (blank gets no mass); +inf has no softmax
+        good = log_softmax(np.zeros(3))
+        EncoderOutput(np.array([good, good]), np.array([0.0, NEG_INF]))
+        with pytest.raises(ValueError, match=r"frame 1: blank logit is \+inf"):
+            EncoderOutput(np.array([good, good]), np.array([0.0, np.inf]))
+
     def test_properties(self):
         enc = small_encoder(np.random.default_rng(0), n_frames=5, n_vocab=7)
         assert enc.n_frames == 5
@@ -123,6 +130,16 @@ class TestScoreFileIO:
         with pytest.raises(
             ValueError, match=f"byte {offset}: truncated, expected 3 frames but found 1"
         ):
+            load_scores(path)
+
+    def test_inf_blank_names_frame(self, tmp_path):
+        enc = small_encoder(np.random.default_rng(5), n_frames=3, n_vocab=2)
+        path = tmp_path / "utt.fnt"
+        save_scores(enc, path)
+        lines = path.read_text().split("\n")
+        lines[2] = " ".join(lines[2].split()[:-1] + ["inf"])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=r"frame 1: blank logit is \+inf"):
             load_scores(path)
 
     def test_field_count_reports_offset(self, tmp_path):
