@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import NEG_INF, Vocabulary
-from .ngram import NgramModel
+from .ngram import NgramModel, gram_ids
 
 SOS_TOKEN = "<s>"
 EOS_TOKEN = "</s>"
@@ -61,19 +63,12 @@ def load_arpa(path, vocab: Vocabulary) -> NgramModel:
 
     Tokens must resolve through the vocabulary (or be the two sentinel
     spellings); anything else is a fault, as are header/section
-    mismatches. Each k-gram's (k-1)-gram context must be present.
+    mismatches, non-numeric, NaN or +inf values, duplicate k-grams and
+    a k-gram whose (k-1)-gram context is absent. Each fault names its
+    line. Each section becomes one sorted array of gram ids.
     """
-    bos, eos = len(vocab), len(vocab) + 1
-
-    def resolve(tok: str, lineno: int) -> int:
-        if tok == SOS_TOKEN:
-            return bos
-        if tok == EOS_TOKEN:
-            return eos
-        try:
-            return vocab.id_of(tok)
-        except ValueError:
-            raise ArpaParseError(lineno, f"token not in vocabulary: {tok!r}") from None
+    index = {tok: i for i, tok in enumerate(vocab)}
+    index.update({SOS_TOKEN: len(vocab), EOS_TOKEN: len(vocab) + 1})
 
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -115,11 +110,11 @@ def load_arpa(path, vocab: Vocabulary) -> NgramModel:
             v = float(raw)
         except ValueError:
             raise ArpaParseError(lineno, f"bad numeric field: {raw!r}") from None
-        if math.isnan(v):
-            raise ArpaParseError(lineno, "NaN value")
+        if math.isnan(v) or v == math.inf:
+            raise ArpaParseError(lineno, f"NaN or +inf value: {raw!r}")
         return NEG_INF if v <= _ZERO_LOG10 else v * _LN10
 
-    tables = [dict() for _ in range(order)]
+    keys, logprobs, bows = [], [], []
     expected_k = 1
     while True:
         if text is None:
@@ -138,7 +133,7 @@ def load_arpa(path, vocab: Vocabulary) -> NgramModel:
             )
         if k > order:
             raise ArpaParseError(lineno, f"section {k} beyond header order {order}")
-        table = tables[k - 1]
+        tokens, probs, bow_col, linenos = [], [], [], []
         for _ in range(counts[k]):
             lineno, text = next_content()
             if text is None or text.startswith("\\"):
@@ -149,20 +144,39 @@ def load_arpa(path, vocab: Vocabulary) -> NgramModel:
             fields = text.split()
             if len(fields) not in (k + 1, k + 2):
                 raise ArpaParseError(lineno, f"expected {k}-gram entry, got {text!r}")
-            prob = parse_value(fields[0], lineno)
-            gram = tuple(resolve(t, lineno) for t in fields[1 : k + 1])
-            bow = parse_value(fields[k + 1], lineno) if len(fields) == k + 2 else None
-            if k == order and bow is not None:
+            probs.append(parse_value(fields[0], lineno))
+            for tok in fields[1 : k + 1]:
+                if tok not in index:
+                    raise ArpaParseError(lineno, f"token not in vocabulary: {tok!r}")
+                tokens.append(index[tok])
+            has_bow = len(fields) == k + 2
+            if has_bow and k == order:
                 raise ArpaParseError(lineno, "backoff weight at maximum order")
-            if gram in table:
-                raise ArpaParseError(lineno, f"duplicate {k}-gram: {text!r}")
-            table[gram] = (prob, bow)
+            bow_col.append(parse_value(fields[k + 1], lineno) if has_bow else 0.0)
+            linenos.append(lineno)
+
+        rows = np.array(tokens, dtype=np.int64).reshape(-1, k)
+        ids, missing = gram_ids(rows, keys, len(vocab) + 2)
+        if missing >= 0:
+            bad = linenos[missing]
+            raise ArpaParseError(
+                bad, f"{k}-gram lacks its {k - 1}-gram context: {lines[bad - 1].strip()!r}"
+            )
+        sort = np.argsort(ids, kind="stable")
+        ids = ids[sort]
+        repeats = sort[1:][ids[1:] == ids[:-1]]
+        if repeats.size:
+            bad = linenos[int(repeats.min())]
+            raise ArpaParseError(bad, f"duplicate {k}-gram: {lines[bad - 1].strip()!r}")
+        keys.append(ids)
+        logprobs.append(np.array(probs)[sort])
+        bows.append(np.array(bow_col)[sort])
         lineno, text = next_content()
         expected_k += 1
     if expected_k != order + 1:
         raise ArpaParseError(lineno or len(lines), "missing n-gram sections")
 
     try:
-        return NgramModel(vocab, order, tables)
+        return NgramModel(vocab, order, keys, logprobs, bows)
     except ValueError as err:
         raise ValueError(f"inconsistent ARPA model: {err}") from None

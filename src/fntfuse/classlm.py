@@ -382,23 +382,25 @@ def train_tagged_clm(
                     raise ValueError(f"nested class tag {piece!r} in {tag!r} entry")
     clm_vocab = base_vocab.extended(tags)
 
-    sentences = []
-    for sent in tagged_sentences:
-        ids = []
-        for tok in sent:
-            if is_class_tag(tok) and tok not in entries_by_tag:
-                raise ValueError(f"corpus tag {tok!r} has no class definition")
-            ids.append(clm_vocab.id_of(tok))
-        sentences.append(ids)
-
+    tagged_sentences = list(tagged_sentences)
+    corpus_tokens = set().union(*tagged_sentences)  # checked once per distinct token
+    undefined = [t for t in corpus_tokens if t not in entries_by_tag and is_class_tag(t)]
+    if undefined:
+        raise ValueError(f"corpus tag {min(undefined)!r} has no class definition")
+    sentences = [clm_vocab.ids_of(sent) for sent in tagged_sentences]
     ngram = train_kneser_ney(sentences, order, vocab=clm_vocab, eos=False)
-    trees = {
+    entries = dict(entries_by_tag)
+    return ClassModel(ngram, _class_trees(entries, clm_vocab, base_vocab), base_vocab, entries)
+
+
+def _class_trees(entries_by_tag, clm_vocab: Vocabulary, base_vocab: Vocabulary) -> dict:
+    """Tag id -> the prefix tree of the tag's entries."""
+    return {
         clm_vocab.id_of(tag): build_prefix_tree(
-            [(base_vocab.ids_of(seq), weight) for seq, weight in entries_by_tag[tag]]
+            [(base_vocab.ids_of(seq), weight) for seq, weight in tag_entries]
         )
-        for tag in tags
+        for tag, tag_entries in entries_by_tag.items()
     }
-    return ClassModel(ngram, trees, base_vocab, entries=dict(entries_by_tag))
 
 
 def parse_class_file(path) -> dict[str, list[tuple[tuple[str, ...], float]]]:
@@ -451,10 +453,4 @@ def load_class_model(dirpath, base_vocab: Vocabulary) -> ClassModel:
     entries = parse_class_file(os.path.join(dirpath, "classes.tsv"))
     clm_vocab = base_vocab.extended(sorted(entries))
     ngram = load_arpa(os.path.join(dirpath, "ngram.arpa"), clm_vocab)
-    trees = {
-        clm_vocab.id_of(tag): build_prefix_tree(
-            [(base_vocab.ids_of(seq), weight) for seq, weight in tag_entries]
-        )
-        for tag, tag_entries in entries.items()
-    }
-    return ClassModel(ngram, trees, base_vocab, entries=entries)
+    return ClassModel(ngram, _class_trees(entries, clm_vocab, base_vocab), base_vocab, entries)

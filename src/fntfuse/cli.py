@@ -3,16 +3,20 @@
 Thin wrappers over the library: each subcommand parses flags, loads or
 trains the models involved, runs the corresponding operation, and
 prints the machine-readable report lines the test suite and CI parse.
-A YAML config file may supply any flag's value; explicit flags win.
+A YAML config file may supply any flag's value; explicit flags win, and
+a key that names no flag of the subcommand is a usage error.
 
 Subcommands: train-ngram, build-clm, synth, decode, eval, sweep, bench.
-Exit code 0 on success, 1 with a diagnostic on stderr on any fault.
+Exit code 0 on success, 1 with a diagnostic on stderr on any fault, 2
+on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -23,10 +27,11 @@ from .core import Vocabulary
 from .decoder import EXIT_RULES, DecoderConfig, beam_search
 from .evalmetrics import (
     ALPHA_GRID,
+    bench_corpus,
     bench_topr,
-    build_bench_model,
     detokenize,
     evaluate,
+    ngram_count,
     sweep,
 )
 from .fusion import METHODS, FusionConfig
@@ -54,11 +59,18 @@ def _load_config(path):
 
 
 class _Opts:
-    """Flag values merged over config-file values merged over defaults."""
+    """Flag values merged over config-file values merged over defaults.
+    A config key that names no flag of the subcommand (nor one of
+    ``extra_keys``) is a usage error, as an unknown flag is."""
 
-    def __init__(self, args):
+    def __init__(self, args, extra_keys=()):
         self.args = args
         self.config = _load_config(getattr(args, "config", None))
+        known = set(vars(args)).union(extra_keys) - {"command", "func", "config"}
+        unknown = sorted(set(self.config) - known, key=str)
+        if unknown:  # exit 2 with argparse's message format
+            print(f"fntfuse: error: unknown config key {unknown[0]!r}", file=sys.stderr)
+            raise SystemExit(2)
 
     def get(self, key, default=None):
         flag = getattr(self.args, key, None)
@@ -125,33 +137,20 @@ def _scenario_setup(opts, fusion: FusionConfig):
     floor = float(opts.get("floor", 0.05))
     gamma = float(opts.get("gamma", 6.0))
 
-    pred_path = opts.get("predictor")
-    if pred_path is not None:
-        pred_model = load_arpa(pred_path, scn.vocab)
-    else:
-        pred_model = train_kneser_ney(
-            _read_sentences(scn.train_texts, scn.vocab, "scenario train text"),
-            order,
-            vocab=scn.vocab,
-            eos=False,
-        )
-    scorer = FntScorer(NgramPredictor(pred_model, floor=floor), gamma=gamma)
+    def ngram(flag: str, texts, what: str):
+        path = opts.get(flag)
+        if path is not None:
+            return load_arpa(path, scn.vocab)
+        sentences = _read_sentences(texts, scn.vocab, f"scenario {what} text")
+        return train_kneser_ney(sentences, order, vocab=scn.vocab, eos=False)
 
+    predictor = NgramPredictor(ngram("predictor", scn.train_texts, "train"), floor=floor)
+    scorer = FntScorer(predictor, gamma=gamma)
     need_lm = fusion.method in ("sf", "li", "lli", "cli")
     need_clm = fusion.method == "clm" or fusion.second_method == "clm"
     external = None
     if need_lm or fusion.second_method == "clm":
-        lm_path = opts.get("lm")
-        if lm_path is not None:
-            lm_model = load_arpa(lm_path, scn.vocab)
-        else:
-            lm_model = train_kneser_ney(
-                _read_sentences(scn.adapt_texts, scn.vocab, "scenario adapt text"),
-                order,
-                vocab=scn.vocab,
-                eos=False,
-            )
-        external = NgramPredictor(lm_model)
+        external = NgramPredictor(ngram("lm", scn.adapt_texts, "adapt"))
     class_model = None
     if need_clm:
         clm_path = opts.get("clm")
@@ -182,7 +181,7 @@ def cmd_train_ngram(args) -> int:
     )
     out = opts.require("out")
     save_arpa(model, out)
-    total = sum(model.level_size(k) for k in range(1, model.order + 1))
+    total = ngram_count(model)
     print(f"TRAIN-NGRAM order={model.order} sentences={len(sentences)} ngrams={total} out={out}")
     return 0
 
@@ -207,8 +206,8 @@ def cmd_build_clm(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    opts = _Opts(args)
-    cfg = dict(opts.config)
+    opts = _Opts(args, [f.name for f in fields(ScenarioSpec)])
+    cfg = {k: v for k, v in opts.config.items() if k != "out"}
     if "templates" not in cfg or "classes" not in cfg:
         raise ValueError("synth needs a config file with templates and classes")
     cfg["templates"] = tuple(cfg["templates"])
@@ -308,7 +307,13 @@ def cmd_bench(args) -> int:
     r = int(opts.get("rank_r", 200))
     n_queries = int(opts.get("queries", 2000))
     seed = int(opts.get("seed", 0))
-    models = {f"n{size}": build_bench_model(size, seed=seed) for size in sizes}
+    models = {}
+    for size in sizes:
+        vocab, sentences = bench_corpus(size, seed=seed)
+        t0 = time.perf_counter()
+        models[f"n{size}"] = model = train_kneser_ney(sentences, 3, vocab=vocab, eos=False)
+        build_s = time.perf_counter() - t0
+        print(f"BENCH-BUILD label=n{size} ngrams={ngram_count(model)} build_s={build_s:.3f}")
     points = bench_topr(models, r=r, n_queries=n_queries, seed=seed)
     for p in points:
         print(p.line())
@@ -420,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beam", type=int)
+    p.add_argument("--max-emit", type=int, dest="max_emit")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_bench)
 

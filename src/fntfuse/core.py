@@ -124,7 +124,10 @@ class Vocabulary:
         return self._tokens[token_id]
 
     def ids_of(self, tokens) -> list[int]:
-        return [self.id_of(t) for t in tokens]
+        try:
+            return [self._index[t] for t in tokens]
+        except KeyError as err:
+            raise ValueError(f"token not in vocabulary: {err.args[0]!r}") from None
 
     def tokens_of(self, ids) -> list[str]:
         return [self.token_of(i) for i in ids]

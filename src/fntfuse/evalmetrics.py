@@ -425,12 +425,10 @@ def ngram_count(model: NgramModel) -> int:
     return sum(model.level_size(k) for k in range(1, model.order + 1))
 
 
-def build_bench_model(n_target: int, order: int = 3, seed: int = 0) -> NgramModel:
-    """Train a synthetic model holding roughly ``n_target`` n-grams.
-
-    Zipf-shaped random text; the token budget is sized so that the
-    distinct-n-gram total lands near the target for order 3.
-    """
+def bench_corpus(n_target: int, seed: int = 0) -> tuple[Vocabulary, list]:
+    """A vocabulary and Zipf-shaped random id sentences, with a token
+    budget sized so that an order-3 model holds roughly ``n_target``
+    distinct n-grams."""
     if n_target < 100:
         raise ValueError(f"target too small to shape: {n_target}")
     rng = np.random.default_rng(seed)
@@ -444,7 +442,12 @@ def build_bench_model(n_target: int, order: int = 3, seed: int = 0) -> NgramMode
         length = int(rng.integers(8, 17))
         sentences.append([int(w) for w in rng.choice(n_types, size=length, p=weights)])
         drawn += length
-    vocab = Vocabulary([f"w{i}" for i in range(n_types)])
+    return Vocabulary([f"w{i}" for i in range(n_types)]), sentences
+
+
+def build_bench_model(n_target: int, order: int = 3, seed: int = 0) -> NgramModel:
+    """A model of ``bench_corpus(n_target, seed)``: ~``n_target`` n-grams."""
+    vocab, sentences = bench_corpus(n_target, seed)
     return train_kneser_ney(sentences, order, vocab=vocab, eos=False)
 
 

@@ -9,6 +9,10 @@ total model size. Dense rows scatter each node's finite arcs shortest
 context first, so a word's longest finite arc decides, as in rank-r
 queries and point lookups.
 
+Training (array passes after the sort-based estimation of KenLM's
+``lmplz``) and the ARPA loader hand ``NgramModel`` the same input: per
+order, the ascending array of gram ids (see ``gram_ids``).
+
 Sentence boundaries use two reserved ids appended after the vocabulary:
 ``bos_id = len(vocab)`` and ``eos_id = len(vocab) + 1``. The start
 symbol is context-only: it is never predicted, carries -inf probability,
@@ -17,8 +21,8 @@ and is excluded from the uniform base distribution.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -27,14 +31,14 @@ from .core import NEG_INF, Vocabulary
 ROOT = (0, -1)  # trie handle of the empty context
 
 
-def _estimate_discounts(adjusted_counts) -> tuple[float, float, float]:
+def _estimate_discounts(adjusted_counts: np.ndarray) -> tuple[float, float, float]:
     """Per-order discounts (D1, D2, D3+) from counts-of-counts.
 
     Degenerate statistics (any of n1..n4 zero, or a discount outside
     (0, bin]) fall back to a flat 0.75 for all three bins.
     """
-    n = Counter(c for c in adjusted_counts if 1 <= c <= 4)
-    n1, n2, n3, n4 = n[1], n[2], n[3], n[4]
+    small = adjusted_counts[adjusted_counts <= 4]
+    n1, n2, n3, n4 = (int(n) for n in np.bincount(small, minlength=5)[1:5])
     if min(n1, n2, n3, n4) == 0:
         return (0.75, 0.75, 0.75)
     y = n1 / (n1 + 2.0 * n2)
@@ -67,15 +71,32 @@ class SparseLmQueryResult:
         return list(zip(self.word_ids.tolist(), self.logprobs.tolist()))
 
 
+def gram_ids(tokens: np.ndarray, lower_keys, n_symbols: int) -> tuple[np.ndarray, int]:
+    """Ids of the k-grams in the rows of ``tokens`` given the ascending
+    ids of orders 1..k-1, and the first row whose context is absent (-1
+    if none). A k-gram's id is its last token plus ``n_symbols`` times
+    the rank of its (k-1)-gram prefix among the (k-1)-gram ids, so
+    ascending ids are grams in lexicographic order, contexts in blocks."""
+    ids = tokens[:, 0]
+    found = np.ones(ids.size, dtype=bool)
+    for j in range(1, tokens.shape[1]):
+        known = np.append(lower_keys[j - 1], -1)  # -1 matches no id
+        rank = np.searchsorted(known[:-1], ids)
+        found &= known[rank] == ids
+        ids = rank * n_symbols + tokens[:, j]
+    return ids, (-1 if found.all() else int(np.argmin(found)))
+
+
 class NgramModel:
     """Immutable backoff n-gram model over a vocabulary plus sentinels."""
 
-    def __init__(self, vocab: Vocabulary, order: int, tables):
-        """Assemble the trie from per-order {ngram-tuple: (logprob, logbow)}.
+    def __init__(self, vocab: Vocabulary, order: int, keys, logprobs, bows):
+        """Lay out the trie from per-order arrays of gram ids.
 
-        ``tables[k-1]`` maps k-gram tuples over token ids (vocabulary ids
-        plus the two sentinels) to (log-prob, log-backoff-or-None). Not
-        meant to be called directly; use train_kneser_ney or load_arpa.
+        ``keys[k-1]`` holds the k-gram ids (see ``gram_ids``), strictly
+        ascending; ``logprobs[k-1]`` and ``bows[k-1]`` are aligned float64
+        arrays, bow 0.0 where a gram has none. Not meant to be called
+        directly; use train_kneser_ney or load_arpa.
         """
         self.vocab = vocab
         self.order = order
@@ -85,7 +106,7 @@ class NgramModel:
 
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if len(tables) != order or not tables[0]:
+        if len(keys) != order or keys[0].size == 0:
             raise ValueError("model tables empty or order mismatch")
 
         self._words = [None] * (order + 1)      # arc word ids, prob-sorted
@@ -97,71 +118,31 @@ class NgramModel:
         self._wsorted = [None] * (order + 1)    # arc words, word-sorted per node
         self._worder = [None] * (order + 1)     # absolute arc index for _wsorted
 
-        index_prev: dict = {}
+        arc_of_rank = np.full(1, -1, dtype=np.int64)  # the root
         for k in range(1, order + 1):
-            table = tables[k - 1]
-            if k == 1:
-                grouped = {ROOT[1]: sorted(table.keys())}
-            else:
-                grouped = defaultdict(list)
-                for gram in table:
-                    ctx = gram[:-1]
-                    parent = index_prev.get(ctx)
-                    if parent is None:
-                        raise ValueError(
-                            f"{k}-gram {gram} lacks its ({k - 1})-gram context"
-                        )
-                    grouped[parent].append(gram)
-
-            n = len(table)
-            words = np.empty(n, dtype=np.int32)
-            probs = np.empty(n, dtype=np.float64)
-            bows = np.zeros(n, dtype=np.float64)
-            parents = np.empty(n, dtype=np.int64)
-            lo = np.zeros(n, dtype=np.int64)
-            hi = np.zeros(n, dtype=np.int64)
-            index_cur: dict = {}
-            pos = 0
-            for parent in sorted(grouped):
-                grams = grouped[parent]
-                grams.sort(key=lambda g, t=table: (-t[g][0], g[-1]))
-                start = pos
-                for gram in grams:
-                    prob, bow = table[gram]
-                    w = gram[-1]
-                    if not 0 <= w < n_symbols:
-                        raise ValueError(f"token id out of range in {gram}")
-                    words[pos] = w
-                    probs[pos] = prob
-                    bows[pos] = 0.0 if bow is None else bow
-                    parents[pos] = parent
-                    index_cur[gram] = pos
-                    pos += 1
-                if k > 1:
-                    self._child_lo[k - 1][parent] = start
-                    self._child_hi[k - 1][parent] = pos
-            assert pos == n
-
-            order_idx = np.empty(n, dtype=np.int64)
-            spans = (
-                [(0, n)]
-                if k == 1
-                else [
-                    (int(self._child_lo[k - 1][p]), int(self._child_hi[k - 1][p]))
-                    for p in sorted(grouped)
-                ]
-            )
-            for s, e in spans:
-                order_idx[s:e] = s + np.argsort(words[s:e], kind="stable")
+            key = keys[k - 1]
+            n = key.size
+            words = (key % n_symbols).astype(np.int32)
+            parents = arc_of_rank[key // n_symbols]
+            # each node's arcs contiguous, by descending prob, ties by word
+            layout = np.lexsort((words, -logprobs[k - 1], parents))
+            words = words[layout]
+            parents = parents[layout]
             self._words[k] = words
-            self._probs[k] = probs
-            self._bows[k] = bows
+            self._probs[k] = logprobs[k - 1][layout]
+            self._bows[k] = bows[k - 1][layout]
             self._parents[k] = parents
-            self._child_lo[k] = lo
-            self._child_hi[k] = hi
-            self._worder[k] = order_idx
-            self._wsorted[k] = words[order_idx]
-            index_prev = index_cur
+            if k > 1:  # the parents' child spans; [0, 0) for a leaf
+                size = np.bincount(parents, minlength=self._words[k - 1].size)
+                hi = np.cumsum(size)
+                self._child_lo[k - 1] = np.where(size > 0, hi - size, 0)
+                self._child_hi[k - 1] = np.where(size > 0, hi, 0)
+            self._worder[k] = np.lexsort((words, parents))
+            self._wsorted[k] = words[self._worder[k]]
+            arc_of_rank = np.empty(n, dtype=np.int64)
+            arc_of_rank[layout] = np.arange(n)
+        self._child_lo[order] = np.zeros(n, dtype=np.int64)
+        self._child_hi[order] = np.zeros(n, dtype=np.int64)
 
     # -- structure access ------------------------------------------------
 
@@ -301,27 +282,15 @@ class NgramModel:
 
     def iter_ngrams(self, k: int):
         """Yield (gram tuple, logprob, logbow-or-None) at order k, trie order."""
-        words = self._words
-        parents = self._parents
-
-        def gram_of(level, idx):
-            toks = []
-            while level >= 1:
-                toks.append(int(words[level][idx]))
-                idx = int(parents[level][idx])
-                level -= 1
-            return tuple(reversed(toks))
-
-        has_children = (
-            None
-            if k >= self.order
-            else self._child_hi[k] > self._child_lo[k]
-        )
-        for i in range(self.level_size(k)):
-            bow = None
-            if has_children is not None and has_children[i]:
-                bow = float(self._bows[k][i])
-            yield gram_of(k, i), float(self._probs[k][i]), bow
+        arcs, columns = np.arange(self.level_size(k)), []
+        for level in range(k, 0, -1):
+            columns.append(self._words[level][arcs])
+            arcs = self._parents[level][arcs]
+        grams = np.column_stack(columns[::-1]).tolist()
+        has_bow = (self._child_hi[k] > self._child_lo[k]).tolist()
+        probs, bows = self._probs[k].tolist(), self._bows[k].tolist()
+        for gram, prob, bow, has in zip(grams, probs, bows, has_bow):
+            yield tuple(gram), prob, bow if has else None
 
 
 def train_kneser_ney(
@@ -335,6 +304,11 @@ def train_kneser_ney(
     class-tagged model requires. Lower-order distributions use
     continuation counts except for start-initial n-grams, which keep
     their raw counts.
+
+    Each order is counted with one ``np.unique`` over its gram ids, and
+    each context's discounted mass is one ``reduceat`` over its block.
+    The float64 operations are the per-gram formulas' own, in their
+    order, so the model is bit-identical to one estimated gram by gram.
     """
     sentences = list(sentences)
     if not sentences:
@@ -342,75 +316,79 @@ def train_kneser_ney(
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n_vocab = len(vocab)
-    bos, eid = n_vocab, n_vocab + 1
+    bos, eid, n_symbols = n_vocab, n_vocab + 1, n_vocab + 2
 
-    raw = [None] + [Counter() for _ in range(order)]
-    for sent in sentences:
-        padded = [bos] + list(sent) + ([eid] if eos else [])
-        for tok in sent:
-            if not 0 <= tok < n_vocab:
-                raise ValueError(f"corpus token id out of range: {tok}")
-        for k in range(1, order + 1):
-            for i in range(len(padded) - k + 1):
-                raw[k][tuple(padded[i : i + k])] += 1
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    tokens = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=lengths.sum())
+    bad = (tokens < 0) | (tokens >= n_vocab)
+    if bad.any():
+        raise ValueError(f"corpus token id out of range: {tokens[bad.argmax()]}")
 
-    adjusted = [None] + [None] * order
-    adjusted[order] = dict(raw[order])
-    for k in range(order - 1, 0, -1):
-        cont = Counter()
-        for gram in raw[k + 1]:
-            cont[gram[1:]] += 1
-        adjusted[k] = {
-            g: (raw[k][g] if g[0] == bos else cont[g]) for g in raw[k]
-        }
+    # the corpus as one stream, each sentence between its sentinels
+    padded = lengths + 1 + eos
+    ends = np.cumsum(padded)
+    stream = np.full(ends[-1], eid)
+    body = np.ones(stream.size, dtype=bool)
+    body[ends - padded] = False
+    stream[ends - padded] = bos
+    if eos:
+        body[ends - 1] = False
+    stream[body] = tokens
+    ends = np.repeat(ends, padded)  # ends[i]: the end of position i's sentence
 
-    discounts = []
+    # per order: ascending gram ids, adjusted counts (raw ones where a
+    # gram is of the highest order or starts with bos, else continuation
+    # counts) and, for k > 1, each gram's suffix rank one order down
+    keys, adjusted, suffix, initial = [], [], [], None
+    pos = np.arange(stream.size)
+    rank_at = np.zeros(stream.size, dtype=np.int64)  # empty prefix: rank 0
     for k in range(1, order + 1):
-        vals = [c for g, c in adjusted[k].items() if not (k == 1 and g == (bos,))]
-        discounts.append(_estimate_discounts(vals))
+        if k > 1:
+            pos = pos[pos + k - 1 < ends[pos]]
+        ids = rank_at[pos] * n_symbols + stream[pos + k - 1]
+        uniq, at, inverse, counts = np.unique(
+            ids, return_index=True, return_inverse=True, return_counts=True
+        )
+        if k > 1:
+            suffix.append(rank_at[pos[at] + 1])
+            cont = np.bincount(suffix[-1], minlength=keys[-1].size)
+            adjusted[-1] = np.where(initial, adjusted[-1], cont)
+        initial = stream[pos[at]] == bos
+        rank_at = np.empty(stream.size, dtype=np.int64)
+        rank_at[pos] = inverse
+        keys.append(uniq)
+        adjusted.append(counts)
 
-    vpred = sum(1 for g in adjusted[1] if g != (bos,))
+    predictable = keys[0] != bos
+    vpred = int(predictable.sum())
     if vpred == 0:
         raise ValueError("corpus has no predictable tokens")
     base = 1.0 / vpred
 
-    # contexts grouped per order; probabilities built bottom-up so each
-    # level interpolates with the already-final lower-order values
-    tables = []
-    prob_prev: dict = {}
+    # probabilities bottom-up, each order interpolating with the final
+    # lower-order values; each context's gamma becomes its backoff weight
+    logprobs, bows, prob_prev = [], [], None
     for k in range(1, order + 1):
-        d1, d2, d3 = discounts[k - 1]
-        nodes = defaultdict(dict)
-        for g, c in adjusted[k].items():
-            if k == 1 and g == (bos,):
-                continue
-            nodes[g[:-1]][g[-1]] = c
-        table: dict = {}
-        prob_cur: dict = {}
-        gammas: dict = {}
-        for ctx, conts in nodes.items():
-            total = sum(conts.values())
-            n1 = sum(1 for c in conts.values() if c == 1)
-            n2 = sum(1 for c in conts.values() if c == 2)
-            n3 = sum(1 for c in conts.values() if c >= 3)
-            gamma = (d1 * n1 + d2 * n2 + d3 * n3) / total
-            gammas[ctx] = gamma
-            for w, c in conts.items():
-                d = d1 if c == 1 else d2 if c == 2 else d3
-                lower = base if k == 1 else prob_prev[ctx[1:] + (w,)]
-                p = max(c - d, 0.0) / total + gamma * lower
-                prob_cur[ctx + (w,)] = p
-                table[ctx + (w,)] = (float(np.log(p)), None)
-        if k == 1:
-            table[(bos,)] = (NEG_INF, None)
-        else:
-            # hang each context's backoff weight on its own entry
-            prev = tables[k - 2]
-            for ctx, gamma in gammas.items():
-                prob, _ = prev[ctx]
-                prev[ctx] = (prob, float(np.log(gamma)))
-        tables.append(table)
-        prob_prev = prob_cur
+        n = keys[k - 1].size
+        kept = predictable if k == 1 else slice(None)  # <s> is never predicted
+        c = adjusted[k - 1][kept]
+        d1, d2, d3 = _estimate_discounts(c)
+        ctx = np.zeros(c.size, dtype=np.int64) if k == 1 else keys[k - 1] // n_symbols
+        heads = np.flatnonzero(np.diff(ctx, prepend=-1))
+        total = np.add.reduceat(c, heads)
+        bins = (c == 1, c == 2, c >= 3)
+        n1, n2, n3 = (np.add.reduceat(b.astype(np.int64), heads) for b in bins)
+        gamma = (d1 * n1 + d2 * n2 + d3 * n3) / total
+        span = np.diff(heads, append=c.size)
+        d = np.where(c == 1, d1, np.where(c == 2, d2, d3))
+        lower = base if k == 1 else prob_prev[suffix[k - 2]]
+        p = np.maximum(c - d, 0.0) / np.repeat(total, span) + np.repeat(gamma, span) * lower
+        prob_prev = np.zeros(n)
+        prob_prev[kept] = p
+        logprobs.append(np.full(n, NEG_INF))
+        logprobs[-1][kept] = np.log(p)
+        if k > 1:
+            bows[-1][ctx[heads]] = np.log(gamma)
+        bows.append(np.zeros(n))
 
-    return NgramModel(vocab, order, tables)
-
+    return NgramModel(vocab, order, keys, logprobs, bows)

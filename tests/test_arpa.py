@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fntfuse.arpa import load_arpa, save_arpa
+from fntfuse.arpa import ArpaParseError, load_arpa, save_arpa
 from fntfuse.core import NEG_INF, Vocabulary
 from fntfuse.ngram import train_kneser_ney
 
@@ -185,3 +185,87 @@ class TestMalformedInput:
         path = write(tmp_path / "m.arpa", self.base().replace("-0.5\ta", "oops\ta"))
         with pytest.raises(ValueError, match="numeric"):
             load_arpa(path, Vocabulary(["a", "b"]))
+
+
+def fuzzed_file(kind, rng, tmp_path):
+    """A trained model's ARPA file with one seeded fault of ``kind``,
+    and the 1-based line the fault must be reported at."""
+    vocab, sentences = random_corpus(rng, n_types=8, n_sentences=14)
+    model = train_kneser_ney(sentences, 3, vocab=vocab)
+    path = tmp_path / "m.arpa"
+    save_arpa(model, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+
+    def section(k):
+        start = lines.index(f"\\{k}-grams:") + 1
+        return start, lines.index("", start)
+
+    def gram(i):
+        return lines[i].split("\t")[1]
+
+    def recount(k, delta):
+        head = lines.index(f"ngram {k}={model.level_size(k)}")
+        lines[head] = f"ngram {k}={model.level_size(k) + delta}"
+
+    k = int(rng.integers(2 if kind == "context" else 1, model.order + 1))
+    start, end = section(k)
+    i = int(rng.integers(start, end))
+    fields = lines[i].split("\t")
+    if kind == "truncated":  # the section stops early; the next marker is met
+        del lines[i:end]
+        bad = i + 1
+    elif kind == "unknown":
+        toks = fields[1].split()
+        toks[int(rng.integers(len(toks)))] = "▁unseen"
+        fields[1] = " ".join(toks)
+        lines[i] = "\t".join(fields)
+        bad = i
+    elif kind in ("nan", "inf"):
+        spell = ["nan", "NaN"] if kind == "nan" else ["inf", "+inf", "Infinity", "1e400"]
+        fields[int(rng.choice([0, 2] if len(fields) == 3 else [0]))] = str(rng.choice(spell))
+        lines[i] = "\t".join(fields)
+        bad = i
+    elif kind == "duplicate":
+        bad = int(rng.integers(i + 1, end + 1))
+        lines.insert(bad, lines[i])
+        recount(k, 1)
+    else:  # context: delete the (k-1)-gram that grams[i] extends
+        prefix = gram(i).rsplit(" ", 1)[0]
+        lo, hi = section(k - 1)
+        del lines[next(j for j in range(lo, hi) if gram(j) == prefix)]
+        recount(k - 1, -1)
+        start, end = section(k)
+        bad = next(j for j in range(start, end) if gram(j).rsplit(" ", 1)[0] == prefix)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, vocab, bad + 1
+
+
+class TestFuzzedFiles:
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("truncated", "fewer entries"),
+            ("unknown", "not in vocabulary"),
+            ("context", "lacks its [12]-gram context"),
+            ("duplicate", "duplicate"),
+            ("nan", "NaN or \\+inf value: '(nan|NaN)'"),
+            ("inf", "NaN or \\+inf value: '(inf|\\+inf|Infinity|1e400)'"),
+        ],
+    )
+    def test_fault_named_at_its_line(self, kind, message, tmp_path):
+        rng = np.random.default_rng(500)
+        for _ in range(8):
+            path, vocab, lineno = fuzzed_file(kind, rng, tmp_path)
+            with pytest.raises(ArpaParseError, match=message) as err:
+                load_arpa(path, vocab)
+            assert err.value.lineno == lineno
+            assert str(err.value).startswith(f"line {lineno}: ")
+
+    def test_finite_positive_values_still_load(self, tmp_path):
+        vocab = Vocabulary(["a", "b"])
+        path = write(
+            tmp_path / "m.arpa",
+            "\\data\\\nngram 1=2\n\n\\1-grams:\n0.25\ta\n-0.5\tb\n\n\\end\\\n",
+        )
+        model = load_arpa(path, vocab)
+        assert model.logprob(vocab.id_of("a"), ()) == 0.25 * math.log(10.0)

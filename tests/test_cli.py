@@ -277,6 +277,29 @@ def test_jobs_flag_is_a_usage_error(command, scenario_dir, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["decode", "eval", "sweep", "bench"])
+def test_unknown_config_key_is_a_usage_error(command, scenario_dir, tmp_path, capsys):
+    # a misspelled beam used to decode at the default beam and exit 0
+    cfg = tmp_path / "c.yaml"
+    write_yaml(cfg, {"scenario": scenario_dir, "utts": 1, "beem": 4})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unknown config key 'beem'" in capsys.readouterr().err
+
+
+def test_synth_config_takes_spec_keys_and_out(tmp_path, capsys):
+    cfg = tmp_path / "s.yaml"
+    write_yaml(cfg, {**SCENARIO_CFG, "out": str(tmp_path / "scn")})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert (tmp_path / "scn").is_dir()
+    write_yaml(cfg, {**SCENARIO_CFG, "n_tests": 4})
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path / "scn2")])
+    assert exc.value.code == 2
+    assert "unknown config key 'n_tests'" in capsys.readouterr().err
+
+
 class TestEval:
     def test_baseline_and_werr(self, scenario_dir, capsys):
         rc = main(
@@ -357,6 +380,11 @@ class TestBench:
             _, kv = parse_kv(line)
             assert float(kv["us_per_query"]) > 0.0
             assert kv["r"] == "20"
+        builds = [parse_kv(l)[1] for l in lines if l.startswith("BENCH-BUILD ")]
+        assert [b["label"] for b in builds] == ["n800", "n2000"]
+        for b, line in zip(builds, bench):
+            assert b["ngrams"] == parse_kv(line)[1]["ngrams"]
+            assert float(b["build_s"]) >= 0.0
         ratio = next(l for l in lines if l.startswith("BENCH-RATIO"))
         _, kv = parse_kv(ratio)
         assert float(kv["large_over_small"]) > 0.0

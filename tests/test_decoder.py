@@ -17,15 +17,7 @@ from fntfuse.decoder import (
     joint_step,
 )
 from fntfuse.evalmetrics import evaluate
-from fntfuse.fusion import (
-    FusionConfig,
-    clm_predictor_interp,
-    conditional_linear_interp,
-    linear_interp,
-    loglinear_interp,
-    shallow_fuse,
-    three_way,
-)
+from fntfuse.fusion import FusionConfig
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import EncoderOutput, FntScorer, NgramPredictor
 
@@ -380,38 +372,44 @@ class TestChildSelection:
 
 class TestExpand:
     """``_FrameScorer.expand`` against the construction it replaced: the
-    joint row with blank appended, normalized by one log-softmax."""
+    joint row with blank appended, normalized by one log-softmax. The
+    fused rows are written out here as formulas, so a fault in the
+    fusion operators the decoder calls shows as a mismatch."""
 
     @staticmethod
     def reference(fusion, scorer, lm, clm, hyp, z_t, blank_logit):
+        def li(z, logp, a):  # log(a * exp(logp) + (1 - a) * exp(z)), 0 < a < 1
+            return np.logaddexp(math.log(a) + logp, math.log1p(-a) + z)
+
         z_u = scorer.predictor.full_dist(hyp.pred_state)
         b = scorer.blank_score(blank_logit, hyp.k)
         lm_row = lm.full_dist(hyp.lm_state)
-        method = fusion.method
+        method, a = fusion.method, fusion.alpha
         if method == "clm" or fusion.second_method == "clm":
             trans = enumerate_transitions(clm, hyp.clm_state)
             if method == "clm":
-                row = clm_predictor_interp(z_u, trans, fusion.alpha, fusion.rank_r)
+                row = z_u[trans.word]
             else:
-                row = three_way(
-                    z_u, lm_row, trans, fusion.alpha, fusion.second_alpha, fusion.rank_r
-                )
+                row, a = li(z_u, lm_row, a)[trans.word], fusion.second_alpha
+            for block in (trans.cat1_gate(fusion.rank_r), trans.cat2):
+                row[block] = li(row[block], trans.logprob[block], a)
+            row[trans.cat3] = trans.logprob[trans.cat3]
             words, joint = trans.word, z_t[trans.word] + row
         else:
             words = np.arange(z_u.size)
-            pred = ScoreVector(z_u, normalized=True)
-            ext = ScoreVector(lm_row, normalized=True)
             if method == "none":
                 joint = z_t + z_u
             elif method == "sf":
-                joint = shallow_fuse(ScoreVector(z_t + z_u), ext, fusion.alpha).values
+                joint = a * lm_row + (1.0 - a) * (z_t + z_u)
             elif method == "li":
-                joint = z_t + linear_interp(pred, ext, fusion.alpha).values
+                joint = z_t + li(z_u, lm_row, a)
             elif method == "lli":
-                joint = z_t + loglinear_interp(pred, ext, fusion.alpha).values
+                joint = z_t + (a * lm_row + (1.0 - a) * z_u)
             else:
                 sparse = lm.top_r(hyp.lm_state, fusion.rank_r)
-                joint = z_t + conditional_linear_interp(pred, sparse, fusion.alpha).values
+                row = z_u.copy()
+                row[sparse.word_ids] = li(z_u[sparse.word_ids], sparse.logprobs, a)
+                joint = z_t + row
         posts = log_softmax(np.append(joint, b))
         return words, posts[:-1], float(posts[-1])
 

@@ -1,15 +1,16 @@
 """Kneser-Ney training, trie queries, rank-r fallback enumeration, cache."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fntfuse.core import NEG_INF, Vocabulary
-from fntfuse.arpa import load_arpa
+from fntfuse.arpa import load_arpa, save_arpa
 from fntfuse.ngram import NgramModel, train_kneser_ney
 
-from helpers import random_corpus, random_history
+from helpers import random_corpus, random_history, toy_class_model
 from oracles import OracleKn
 
 
@@ -284,3 +285,165 @@ class TestDenseRow:
         # the -inf arc for c after a is skipped: bow(a) times P(c) shows through
         ln10 = math.log(10.0)
         assert model.dense_row(model.suffix_chain((a,)))[c] == (-0.25 * ln10) + (-1.0 * ln10)
+
+
+TRIE_ARRAYS = (
+    "_words", "_probs", "_bows", "_child_lo", "_child_hi",
+    "_parents", "_wsorted", "_worder",
+)
+
+
+def trie_digests(models):
+    """Leading 12 hex digits of the sha256 of each trie array (in
+    ``TRIE_ARRAYS`` order), taken over every level of every model in
+    turn: dtype, shape and bytes."""
+    out = []
+    for name in TRIE_ARRAYS:
+        h = hashlib.sha256()
+        for model in models:
+            for arr in getattr(model, name)[1:]:
+                h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+        out.append(h.hexdigest()[:12])
+    return tuple(out)
+
+
+def kn_corpus_models(order, eos):
+    """25 small seeded random corpora plus one large enough for
+    estimated (not fallback) discounts, all trained at ``order``."""
+    rng = np.random.default_rng(1000 + 10 * order + eos)
+    corpora = [random_corpus(rng) for _ in range(25)]
+    corpora.append(random_corpus(rng, n_types=40, n_sentences=300))
+    return [
+        train_kneser_ney(sentences, order, vocab=vocab, eos=eos)
+        for vocab, sentences in corpora
+    ]
+
+
+def arpa_round_trip_models(tmp_path):
+    rng = np.random.default_rng(77)
+    vocab, sentences = random_corpus(rng, n_types=30, n_sentences=200)
+    path = tmp_path / "m.arpa"
+    save_arpa(train_kneser_ney(sentences, 3, vocab=vocab), path)
+    return [load_arpa(path, vocab)]
+
+
+def log_fingerprint():
+    """Names the float64 ``np.log`` in use: numpy's AVX-512 loops and its
+    other x86-64 paths round some values differently, and the trained
+    log-probabilities with them."""
+    x = np.linspace(1e-9, 1.0, 200_001)
+    return hashlib.sha256(np.log(x).tobytes()).hexdigest()[:16]
+
+
+# The trie arrays as the dict-based trainer and constructor built them,
+# per float64 log; the array pipeline must lay out the same bits.
+TRIE_DIGESTS = {
+    "5bfd3ecd74a8a1b4": {
+        "kn-o1-eos1": (
+            "bc3bee06c7d9", "71e1d4c2322a", "be3a4e4d77f8", "c4f81764c463",
+            "c4f81764c463", "6911fa3f636e", "e68f1823164a", "fd54ab5120ec",
+        ),
+        "kn-o1-eos0": (
+            "ce11d9efee94", "cc52ec2d05ed", "ddeb6af5e57f", "e08710e7ea33",
+            "e08710e7ea33", "292755b84100", "87c02b36ac43", "d95339693236",
+        ),
+        "kn-o2-eos1": (
+            "a224d555772d", "6744d7c24627", "46179479a837", "e2e75883a916",
+            "29327409cc22", "301d7821bcb2", "1bfa32ec9c8f", "fbf1d537131b",
+        ),
+        "kn-o2-eos0": (
+            "ba42da403852", "2ae62b1ff729", "834ec1be8700", "4be3684f9d3c",
+            "bf32fea977c2", "7a01a01bc3c7", "8415158102c4", "3180912253f4",
+        ),
+        "kn-o3-eos1": (
+            "ef8f1470bd35", "a3f5cb5f9388", "cc6caaa19e51", "a470a507dcbe",
+            "84dff3b73dfa", "23b75301dd9c", "7c0dacc0d5da", "fec5a4b3def9",
+        ),
+        "kn-o3-eos0": (
+            "8a9e51dede12", "006fa7529f7e", "b9a5c1189626", "016fd40e2a37",
+            "33c7ebc7986b", "e45249e8f801", "89a018fb3c21", "3011897ac6ad",
+        ),
+        "kn-o4-eos1": (
+            "30b73f447eeb", "df3b958fecce", "65dae2ea70fe", "a5aac0cfd13b",
+            "9c630f886769", "1a8117efda0f", "0fb670936d28", "5b8010ffd860",
+        ),
+        "kn-o4-eos0": (
+            "54d735a3cc1f", "90e8c96da3be", "e7c39381b7fa", "fa4819a3a3fc",
+            "7e9d118797de", "e5a76cef2d64", "ab0fa2c8fefa", "91fabb21abd7",
+        ),
+        "clm-o3": (
+            "1197462d7287", "4927124ce26c", "18698476dc29", "9eae8478278c",
+            "e19da6f2af1f", "65dbd5fdfeac", "0d720810ebeb", "ad302553840b",
+        ),
+        "arpa-o3": (
+            "ce5ef5a65f0a", "9c05dc3346f6", "460bf566a7c7", "0f6b59e16a27",
+            "b73f07314467", "88012fcd0032", "cd67f304f263", "afbb6615c5a2",
+        ),
+    },
+    "f8afdcc45ce514e7": {
+        "kn-o1-eos1": (
+            "bc3bee06c7d9", "71e1d4c2322a", "be3a4e4d77f8", "c4f81764c463",
+            "c4f81764c463", "6911fa3f636e", "e68f1823164a", "fd54ab5120ec",
+        ),
+        "kn-o1-eos0": (
+            "ce11d9efee94", "cc52ec2d05ed", "ddeb6af5e57f", "e08710e7ea33",
+            "e08710e7ea33", "292755b84100", "87c02b36ac43", "d95339693236",
+        ),
+        "kn-o2-eos1": (
+            "a224d555772d", "6744d7c24627", "46179479a837", "e2e75883a916",
+            "29327409cc22", "301d7821bcb2", "1bfa32ec9c8f", "fbf1d537131b",
+        ),
+        "kn-o2-eos0": (
+            "ba42da403852", "2ae62b1ff729", "3ccf370e4d15", "4be3684f9d3c",
+            "bf32fea977c2", "7a01a01bc3c7", "8415158102c4", "3180912253f4",
+        ),
+        "kn-o3-eos1": (
+            "ef8f1470bd35", "a3f5cb5f9388", "6e115e13a156", "a470a507dcbe",
+            "84dff3b73dfa", "23b75301dd9c", "7c0dacc0d5da", "fec5a4b3def9",
+        ),
+        "kn-o3-eos0": (
+            "8a9e51dede12", "db48877360d2", "b9a5c1189626", "016fd40e2a37",
+            "33c7ebc7986b", "e45249e8f801", "89a018fb3c21", "3011897ac6ad",
+        ),
+        "kn-o4-eos1": (
+            "30b73f447eeb", "340f878aecaa", "f47b9e0968b2", "a5aac0cfd13b",
+            "9c630f886769", "1a8117efda0f", "0fb670936d28", "5b8010ffd860",
+        ),
+        "kn-o4-eos0": (
+            "54d735a3cc1f", "d0948ffa9f88", "e7c39381b7fa", "fa4819a3a3fc",
+            "7e9d118797de", "e5a76cef2d64", "ab0fa2c8fefa", "91fabb21abd7",
+        ),
+        "clm-o3": (
+            "1197462d7287", "4927124ce26c", "18698476dc29", "9eae8478278c",
+            "e19da6f2af1f", "65dbd5fdfeac", "0d720810ebeb", "ad302553840b",
+        ),
+        "arpa-o3": (
+            "ce5ef5a65f0a", "9c05dc3346f6", "460bf566a7c7", "0f6b59e16a27",
+            "b73f07314467", "88012fcd0032", "cd67f304f263", "afbb6615c5a2",
+        ),
+    },
+}
+
+
+class TestTrieDigests:
+    @pytest.fixture(scope="class")
+    def expected(self):
+        fingerprint = log_fingerprint()
+        if fingerprint not in TRIE_DIGESTS:
+            pytest.skip(f"no trie digests recorded for this float64 log ({fingerprint})")
+        return TRIE_DIGESTS[fingerprint]
+
+    @pytest.mark.parametrize("eos", [True, False])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_trained_kn(self, expected, order, eos):
+        got = trie_digests(kn_corpus_models(order, eos))
+        assert got == expected[f"kn-o{order}-eos{int(eos)}"]
+
+    def test_class_tagged(self, expected):
+        got = trie_digests([toy_class_model(order=3)[1].ngram])
+        assert got == expected["clm-o3"]
+
+    def test_arpa_save_load(self, expected, tmp_path):
+        got = trie_digests(arpa_round_trip_models(tmp_path))
+        assert got == expected["arpa-o3"]
