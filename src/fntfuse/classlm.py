@@ -103,8 +103,8 @@ def build_prefix_tree(entries) -> PrefixTree:
         seq = tuple(seq)
         if not seq:
             raise ValueError("empty class entry")
-        if weight <= 0:
-            raise ValueError(f"class entry weight must be positive, got {weight}")
+        if not 0.0 < weight < math.inf:
+            raise ValueError(f"class entry weight must be finite and positive, got {weight}")
         node = root
         through[root.uid] += weight
         for w in seq:
@@ -116,6 +116,8 @@ def build_prefix_tree(entries) -> PrefixTree:
             through[child.uid] += weight
             node = child
         ending[node.uid] = ending.get(node.uid, 0.0) + weight
+    if through[root.uid] == math.inf:
+        raise ValueError("class entry weights sum past the float64 range")
 
     tree = PrefixTree(root, uid)
     for node in tree.iter_nodes():
@@ -421,9 +423,15 @@ def parse_class_file(path) -> dict[str, list[tuple[tuple[str, ...], float]]]:
                 raise ValueError(f"line {lineno}: empty entry")
             weight = 1.0
             if len(fields) == 3:
-                weight = float(fields[2])
-                if weight <= 0:
-                    raise ValueError(f"line {lineno}: weight must be positive")
+                try:
+                    weight = float(fields[2])
+                except ValueError:
+                    weight = math.nan
+                if not 0.0 < weight < math.inf:
+                    raise ValueError(
+                        f"line {lineno}: weight must be a finite positive number, "
+                        f"got {fields[2]!r}"
+                    )
             entries.setdefault(tag, []).append((entry, weight))
     if not entries:
         raise ValueError(f"no class entries in {path}")

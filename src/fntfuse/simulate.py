@@ -23,7 +23,8 @@ from .classlm import write_class_file, parse_class_file
 from .core import NEG_INF, ExternalLm, Vocabulary, log_softmax
 from .ngram import NgramModel, SparseLmQueryResult
 
-SCORES_MAGIC = "FNTSCORES v1"
+SCORES_MAGIC = "FNTSCORES v2"
+SCORES_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ class EncoderOutput:
             raise ValueError(
                 f"blank logits shape {blanks.shape} != frame count {scores.shape[0]}"
             )
-        if np.isnan(scores).any() or np.isnan(blanks).any():
-            raise ValueError("NaN in encoder output")
+        nan = np.flatnonzero(np.isnan(scores).any(axis=1) | np.isnan(blanks))
+        if nan.size:
+            raise ValueError(f"frame {nan[0]}: NaN in encoder output")
         hot = np.flatnonzero(blanks == np.inf)
         if hot.size:
             raise ValueError(f"frame {hot[0]}: blank logit is +inf")
@@ -71,57 +73,56 @@ class EncoderOutput:
 
 
 def save_scores(enc: EncoderOutput, path) -> None:
-    """Write an EncoderOutput as a text score file (exact round trip)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{SCORES_MAGIC} T={enc.n_frames} V={enc.n_vocab}\n")
-        for t in range(enc.n_frames):
-            row = [repr(v) for v in enc.scores[t].tolist()]
-            row.append(repr(float(enc.blank_logits[t])))
-            f.write(" ".join(row) + "\n")
+    """Write an EncoderOutput as a binary score file (exact round trip).
+
+    An ASCII header line ``FNTSCORES v2 T=<frames> V=<vocab>`` is
+    followed by T rows, each the V scores and then the blank logit, as
+    little-endian float64.
+    """
+    rows = np.column_stack([enc.scores, enc.blank_logits]).astype(SCORES_DTYPE, copy=False)
+    with open(path, "wb") as f:
+        f.write(f"{SCORES_MAGIC} T={enc.n_frames} V={enc.n_vocab}\n".encode("ascii"))
+        f.write(rows.tobytes())
 
 
 def load_scores(path, expect_vocab: int | None = None) -> EncoderOutput:
-    """Parse a score file; faults carry the byte offset of the problem."""
+    """Read a score file; faults carry the byte offset of the problem."""
     data = Path(path).read_bytes()
-    text = data.decode("utf-8")
-    offset = 0
-    lines = text.split("\n")
-    header = lines[0]
+    end = data.find(b"\n")
+    header = data[: end if end >= 0 else 64].decode("ascii", "replace")
     if not header.startswith(SCORES_MAGIC):
         raise ValueError(f"byte 0: bad header {header[:40]!r}")
     try:
         fields = dict(kv.split("=") for kv in header[len(SCORES_MAGIC) :].split())
         n_frames, n_vocab = int(fields["T"]), int(fields["V"])
     except (ValueError, KeyError):
-        raise ValueError(f"byte 0: malformed header {header!r}") from None
+        n_frames = n_vocab = -1
+    if end < 0 or min(n_frames, n_vocab) < 0:
+        raise ValueError(f"byte 0: malformed header {header!r}")
     if expect_vocab is not None and n_vocab != expect_vocab:
         raise ValueError(
             f"byte 0: header V={n_vocab} disagrees with vocabulary size {expect_vocab}"
         )
-    offset = len(header.encode("utf-8")) + 1
-    scores = np.empty((n_frames, n_vocab))
-    blanks = np.empty(n_frames)
-    for t in range(n_frames):
-        if t + 1 >= len(lines) or lines[t + 1] == "":
-            raise ValueError(
-                f"byte {min(offset, len(data))}: truncated, expected {n_frames} "
-                f"frames but found {t}"
-            )
-        line = lines[t + 1]
-        parts = line.split()
-        if len(parts) != n_vocab + 1:
-            raise ValueError(
-                f"byte {offset}: frame {t} has {len(parts)} fields, "
-                f"expected {n_vocab + 1}"
-            )
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"byte {offset}: frame {t} has a non-numeric field") from None
-        scores[t] = row[:-1]
-        blanks[t] = row[-1]
-        offset += len(line.encode("utf-8")) + 1
-    return EncoderOutput(scores, blanks)
+    offset = end + 1
+    row_bytes = SCORES_DTYPE.itemsize * (n_vocab + 1)
+    body = len(data) - offset
+    found = body // row_bytes
+    if found < n_frames:
+        raise ValueError(
+            f"byte {offset + found * row_bytes}: truncated, expected {n_frames} "
+            f"frames but found {found}"
+        )
+    if body > n_frames * row_bytes:
+        raise ValueError(
+            f"byte {offset + n_frames * row_bytes}: trailing bytes after {n_frames} frames"
+        )
+    rows = np.frombuffer(
+        data, SCORES_DTYPE, count=n_frames * (n_vocab + 1), offset=offset
+    ).reshape(n_frames, n_vocab + 1)
+    # copies: owned, aligned, C-contiguous native float64, not views of ``data``
+    return EncoderOutput(
+        rows[:, :-1].astype(np.float64, order="C"), rows[:, -1].astype(np.float64)
+    )
 
 
 class NgramPredictor(ExternalLm):
@@ -453,16 +454,26 @@ def read_scenario(directory) -> Scenario:
     ]
     classes = parse_class_file(d / "classes.tsv")
     tests = []
-    for line in (d / "refs.tsv").read_text(encoding="utf-8").splitlines():
-        utt_id, words, idx, ref_pieces = line.split("\t")
-        enc = load_scores(d / "scores" / f"{utt_id}.fnt", expect_vocab=len(vocab))
-        tests.append(
-            TestUtterance(
-                utt_id,
-                tuple(words.split()),
-                tuple(ref_pieces.split()),
-                tuple(int(i) for i in idx.split(",") if i),
-                enc,
+    refs = (d / "refs.tsv").read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(refs, start=1):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(
+                f"refs.tsv line {lineno}: expected 4 tab-separated fields, got {len(fields)}"
             )
+        utt_id, words, idx, ref_pieces = fields
+        try:
+            entities = tuple(int(i) for i in idx.split(",") if i)
+        except ValueError:
+            raise ValueError(
+                f"refs.tsv line {lineno}: entity word indices must be integers, got {idx!r}"
+            ) from None
+        name = f"scores/{utt_id}.fnt"
+        try:
+            enc = load_scores(d / name, expect_vocab=len(vocab))
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
+        tests.append(
+            TestUtterance(utt_id, tuple(words.split()), tuple(ref_pieces.split()), entities, enc)
         )
     return Scenario(vocab, train, adapt, clm, classes, tests)

@@ -96,6 +96,16 @@ class TestBuildPrefixTree:
         with pytest.raises(ValueError):
             build_prefix_tree([((1,), 0.0)])
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_faults(self, weight):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_prefix_tree([((1,), 1.0), ((2,), weight)])
+
+    def test_weight_sum_overflow_faults(self):
+        # each weight is finite; their sum at the root is not
+        with pytest.raises(ValueError, match="float64 range"):
+            build_prefix_tree([((1,), 1e308), ((2,), 1e308)])
+
     def test_root_never_exits(self):
         tree = build_prefix_tree([((1,), 1.0), ((2, 3), 4.0)])
         assert tree.root.exit_logprob == NEG_INF
@@ -405,6 +415,15 @@ class TestClassFileIO:
         path = tmp_path / "c.tsv"
         path.write_text("⟨NAME⟩\t▁john\t-1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="positive"):
+            parse_class_file(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "Infinity", "heavy", ""])
+    def test_non_finite_or_non_numeric_weight_names_line(self, tmp_path, weight):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"⟨NAME⟩\t▁john\t2.0\n⟨NAME⟩\t▁ada\t{weight}\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=f"line 2: weight must be a finite positive number, got '{weight}'"
+        ):
             parse_class_file(path)
 
     def test_model_save_load_round_trip(self, tmp_path):

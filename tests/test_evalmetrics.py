@@ -11,6 +11,7 @@ from fntfuse.evalmetrics import (
     EditCounts,
     EvalReport,
     align,
+    bench_corpus,
     bench_topr,
     build_bench_model,
     detokenize,
@@ -330,6 +331,24 @@ class TestBench:
         assert 0.3 * 800 <= ns <= 3 * 800
         assert 0.3 * 8000 <= nb <= 3 * 8000
         assert nb > 3 * ns
+
+    @pytest.mark.parametrize("n_target,seed", [(100, 0), (900, 3), (5000, 1), (24000, 7)])
+    def test_corpus_draws_match_rng_choice(self, n_target, seed):
+        # the performance gate's data: the once-built cdf must draw exactly
+        # what one Generator.choice(p=...) call per sentence draws
+        vocab, got = bench_corpus(n_target, seed)
+        n_types = len(vocab)
+        weights = 1.0 / np.arange(1, n_types + 1) ** 1.05
+        weights /= weights.sum()
+        rng = np.random.default_rng(seed)
+        want = []
+        drawn = 0
+        while drawn < max(n_target // 2, 60):
+            length = int(rng.integers(8, 17))
+            want.append([int(w) for w in rng.choice(n_types, size=length, p=weights)])
+            drawn += length
+        assert got == want
+        assert all(type(w) is int for w in got[0])
 
     def test_build_too_small_faults(self):
         with pytest.raises(ValueError, match="target"):

@@ -70,9 +70,9 @@ class TestEncoderOutput:
         row = log_softmax(np.zeros(3))
         bad = np.array([row, row])
         bad[1, 0] = float("nan")
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="frame 1: NaN"):
             EncoderOutput(bad, np.zeros(2))
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="frame 0: NaN"):
             EncoderOutput(np.array([row]), np.array([float("nan")]))
 
     def test_normalization_fault_names_frame(self):
@@ -93,6 +93,10 @@ class TestEncoderOutput:
         assert enc.n_vocab == 7
 
 
+def header_len(path):
+    return path.read_bytes().index(b"\n") + 1
+
+
 class TestScoreFileIO:
     def test_bitwise_round_trip(self, tmp_path):
         enc = small_encoder(np.random.default_rng(1), n_frames=4, n_vocab=6)
@@ -101,21 +105,51 @@ class TestScoreFileIO:
         back = load_scores(path)
         assert np.array_equal(back.scores, enc.scores)
         assert np.array_equal(back.blank_logits, enc.blank_logits)
+        assert back.scores.tobytes() == enc.scores.tobytes()
+        assert back.blank_logits.tobytes() == enc.blank_logits.tobytes()
+        for arr in (back.scores, back.blank_logits):
+            assert arr.dtype == np.float64
+            assert arr.flags.owndata and arr.flags.aligned and arr.flags.c_contiguous
+            assert arr.flags.writeable
+
+    def test_layout(self, tmp_path):
+        # header line, then T rows of V scores and the blank, little-endian float64
+        enc = small_encoder(np.random.default_rng(6), n_frames=3, n_vocab=5)
+        path = tmp_path / "utt.fnt"
+        save_scores(enc, path)
+        data = path.read_bytes()
+        head = b"FNTSCORES v2 T=3 V=5\n"
+        assert data.startswith(head)
+        body = np.frombuffer(data[len(head) :], dtype="<f8").reshape(3, 6)
+        assert np.array_equal(body[:, :5], enc.scores)
+        assert np.array_equal(body[:, 5], enc.blank_logits)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.fnt"
         path.write_text("NOTSCORES T=1 V=2\n0.0 0.0 0.0\n")
         with pytest.raises(ValueError, match="byte 0: bad header"):
             load_scores(path)
-        path.write_text("FNTSCORES v1 T=x V=2\n")
+        for header in ("FNTSCORES v2 T=x V=2\n", "FNTSCORES v2 T=1\n", "FNTSCORES v2 T=1 V=-2\n"):
+            path.write_text(header)
+            with pytest.raises(ValueError, match="byte 0: malformed header"):
+                load_scores(path)
+        path.write_bytes(b"FNTSCORES v2 T=0 V=2")  # no end of header line
         with pytest.raises(ValueError, match="byte 0: malformed header"):
+            load_scores(path)
+
+    def test_text_v1_file_refused(self, tmp_path):
+        enc = small_encoder(np.random.default_rng(7), n_frames=2, n_vocab=3)
+        path = tmp_path / "utt.fnt"
+        rows = [" ".join(repr(v) for v in [*enc.scores[t], enc.blank_logits[t]]) for t in range(2)]
+        path.write_text("FNTSCORES v1 T=2 V=3\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="byte 0: bad header 'FNTSCORES v1"):
             load_scores(path)
 
     def test_vocab_mismatch(self, tmp_path):
         enc = small_encoder(np.random.default_rng(2), n_vocab=4)
         path = tmp_path / "utt.fnt"
         save_scores(enc, path)
-        with pytest.raises(ValueError, match="disagrees with vocabulary size 6"):
+        with pytest.raises(ValueError, match="byte 0: header V=4 disagrees with vocabulary size 6"):
             load_scores(path, expect_vocab=6)
         assert load_scores(path, expect_vocab=4).n_vocab == 4
 
@@ -123,46 +157,113 @@ class TestScoreFileIO:
         enc = small_encoder(np.random.default_rng(3), n_frames=3, n_vocab=2)
         path = tmp_path / "utt.fnt"
         save_scores(enc, path)
-        lines = path.read_text().split("\n")
-        truncated = "\n".join(lines[:2]) + "\n"
-        path.write_text(truncated)
-        offset = len(truncated.encode())
+        head = header_len(path)
+        path.write_bytes(path.read_bytes()[: head + 24])  # exactly one frame left
         with pytest.raises(
-            ValueError, match=f"byte {offset}: truncated, expected 3 frames but found 1"
+            ValueError, match=f"byte {head + 24}: truncated, expected 3 frames but found 1"
         ):
+            load_scores(path)
+
+    def test_partial_last_frame_reports_its_start(self, tmp_path):
+        enc = small_encoder(np.random.default_rng(4), n_frames=2, n_vocab=3)
+        path = tmp_path / "utt.fnt"
+        save_scores(enc, path)
+        head = header_len(path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(
+            ValueError, match=f"byte {head + 32}: truncated, expected 2 frames but found 1"
+        ):
+            load_scores(path)
+
+    def test_trailing_bytes_fault(self, tmp_path):
+        enc = small_encoder(np.random.default_rng(5), n_frames=2, n_vocab=3)
+        path = tmp_path / "utt.fnt"
+        save_scores(enc, path)
+        head = header_len(path)
+        with open(path, "ab") as f:
+            f.write(b"\n")
+        with pytest.raises(ValueError, match=f"byte {head + 64}: trailing bytes after 2 frames"):
             load_scores(path)
 
     def test_inf_blank_names_frame(self, tmp_path):
         enc = small_encoder(np.random.default_rng(5), n_frames=3, n_vocab=2)
         path = tmp_path / "utt.fnt"
         save_scores(enc, path)
-        lines = path.read_text().split("\n")
-        lines[2] = " ".join(lines[2].split()[:-1] + ["inf"])
-        path.write_text("\n".join(lines))
+        data = bytearray(path.read_bytes())
+        at = header_len(path) + 24 * 1 + 16  # frame 1, the blank column
+        data[at : at + 8] = np.array(np.inf, dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=r"frame 1: blank logit is \+inf"):
             load_scores(path)
 
-    def test_field_count_reports_offset(self, tmp_path):
-        enc = small_encoder(np.random.default_rng(4), n_frames=2, n_vocab=3)
+
+class TestScoreFileFuzz:
+    """Seeded damage to a valid file: every case fails naming its byte or
+    frame, and none loads."""
+
+    N_FRAMES, N_VOCAB = 5, 4
+    ROW = 8 * (N_VOCAB + 1)
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        enc = small_encoder(np.random.default_rng(11), self.N_FRAMES, self.N_VOCAB)
         path = tmp_path / "utt.fnt"
         save_scores(enc, path)
-        lines = path.read_text().split("\n")
-        offset = len((lines[0] + "\n").encode())
-        lines[1] = "0.5 0.5"
-        path.write_text("\n".join(lines))
+        return path, path.read_bytes(), header_len(path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_truncation_at_random_lengths(self, written, seed):
+        path, data, head = written
+        rng = np.random.default_rng(seed)
+        for cut in rng.integers(0, len(data), size=16):
+            path.write_bytes(data[:cut])
+            if cut < head:
+                with pytest.raises(ValueError, match="byte 0: (bad|malformed) header"):
+                    load_scores(path)
+                continue
+            found = (cut - head) // self.ROW
+            with pytest.raises(
+                ValueError,
+                match=f"byte {head + found * self.ROW}: truncated, "
+                f"expected {self.N_FRAMES} frames but found {found}",
+            ):
+                load_scores(path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_appended_bytes(self, written, seed):
+        path, data, head = written
+        extra = np.random.default_rng(seed).integers(0, 256, size=1 + seed * 13, dtype=np.uint8)
+        path.write_bytes(data + extra.tobytes())
         with pytest.raises(
-            ValueError, match=f"byte {offset}: frame 0 has 2 fields, expected 4"
+            ValueError,
+            match=f"byte {len(data)}: trailing bytes after {self.N_FRAMES} frames",
         ):
             load_scores(path)
 
-    def test_non_numeric_field(self, tmp_path):
-        enc = small_encoder(np.random.default_rng(5), n_frames=1, n_vocab=2)
-        path = tmp_path / "utt.fnt"
-        save_scores(enc, path)
-        lines = path.read_text().split("\n")
-        lines[1] = "-0.5 oops -1.0"
-        path.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match="frame 0 has a non-numeric field"):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wrong_header_vocab(self, written, seed):
+        path, data, head = written
+        wrong = int(np.random.default_rng(seed).choice([1, 2, 3, 5, 6, 9]))
+        path.write_bytes(data.replace(b"V=4", b"V=%d" % wrong, 1))
+        with pytest.raises(
+            ValueError, match=f"byte 0: header V={wrong} disagrees with vocabulary size 4"
+        ):
+            load_scores(path, expect_vocab=self.N_VOCAB)
+        # without the vocabulary to check against, the size check catches it
+        with pytest.raises(ValueError, match="truncated|trailing bytes"):
+            load_scores(path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_in_body_names_frame(self, written, seed, value):
+        path, data, head = written
+        rng = np.random.default_rng(seed)
+        frame, col = int(rng.integers(self.N_FRAMES)), int(rng.integers(self.N_VOCAB + 1))
+        at = head + frame * self.ROW + 8 * col
+        damaged = bytearray(data)
+        damaged[at : at + 8] = np.array(value, dtype="<f8").tobytes()
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(ValueError, match=f"frame {frame}"):
             load_scores(path)
 
 
@@ -471,3 +572,38 @@ class TestScenarioIO:
         back = read_scenario(tmp_path / "scn")
         for a, b in zip(scn.tests, back.tests):
             assert a.entity_word_indices == b.entity_word_indices
+
+    def test_bad_score_file_named(self, tmp_path):
+        scn = synthesize_scenario(small_spec(n_test=3))
+        write_scenario(scn, tmp_path / "scn")
+        utt = scn.tests[1].utt_id
+        path = tmp_path / "scn" / "scores" / f"{utt}.fnt"
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=rf"^scores/{utt}\.fnt: byte \d+: truncated"):
+            read_scenario(tmp_path / "scn")
+
+    def test_refs_field_count_names_line(self, tmp_path):
+        scn = synthesize_scenario(small_spec(n_test=3))
+        write_scenario(scn, tmp_path / "scn")
+        refs = tmp_path / "scn" / "refs.tsv"
+        lines = refs.read_text(encoding="utf-8").splitlines()
+        lines[1] = "\t".join(lines[1].split("\t")[:3])
+        refs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match="refs.tsv line 2: expected 4 tab-separated fields, got 3"
+        ):
+            read_scenario(tmp_path / "scn")
+
+    def test_refs_bad_entity_index_names_line(self, tmp_path):
+        scn = synthesize_scenario(small_spec(n_test=3))
+        write_scenario(scn, tmp_path / "scn")
+        refs = tmp_path / "scn" / "refs.tsv"
+        lines = refs.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[2] = "1,x"
+        lines[2] = "\t".join(fields)
+        refs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match="refs.tsv line 3: entity word indices must be integers, got '1,x'"
+        ):
+            read_scenario(tmp_path / "scn")
