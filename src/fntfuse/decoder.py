@@ -1,13 +1,13 @@
 """Time-synchronous transducer beam search with external-LM fusion.
 
 Per frame, the frame-final set B of the previous frame is carried over
-as the expansion set A; the most probable hypothesis in A is repeatedly
+as the expansion set A; the most probable entry in A is repeatedly
 popped and expanded until beam-many hypotheses in B outscore everything
 left in A. Emissions advance the predictor and any attached external-LM
 states; blanks never do. Hypotheses are merged by probability summation
-only when token sequence AND every attached state agree (including the
-count of symbols emitted this frame, which feeds the blank history
-penalty); the returned n-best additionally merges pure token duplicates.
+only when token sequence, class state and (in A) the count k of symbols
+emitted this frame agree, k because it feeds the blank history penalty;
+the returned n-best additionally merges pure token duplicates.
 
 With a class model attached, each expansion scores an augmented channel
 list built from the CAT1/2/3 transitions instead of the plain
@@ -17,6 +17,28 @@ The "require-cat1" exit rule keeps expanding (within a bounded extra
 budget) until the frame-final set contains some state that can leave
 its class, so the beam is not spent entirely inside entity prefixes.
 
+Bookkeeping is O(1) per child, whatever the utterance length:
+
+- A decode interns token prefixes. A dict maps (parent prefix id,
+  token) to a prefix id, so a prefix id names exactly one token
+  sequence. A ``Hypothesis`` carries its prefix id and a back-pointer
+  ``steps`` = (parent's steps, this step). Step tuples, and the tokens
+  they record, are unwound only for the final set's hypotheses.
+- The merge key is (prefix id, class state), plus k in A. The predictor
+  and LM states are left out, and that is exact: each is the initial
+  state advanced token by token, a function of the token sequence, so
+  two hypotheses with one prefix id hold equal states. The key merges
+  exactly the pairs a key of (tokens, predictor state, LM state, class
+  state) would.
+- A child enters A pending: its score, parent, word, posterior, class
+  successor (None when dense) and merged flag. Only when it is popped
+  does it advance the predictor and LM states and intern its prefix;
+  most children never are. Its key is (parent prefix id, word,
+  successor, k), the same identity, since parent id and word name the
+  child's tokens. A pending key never meets a carried one: a pending
+  child has k >= 1, and the only built entries of A are the carried
+  ones at k = 0, since a popped child leaves A for good.
+
 An expansion is one array pass. The joint row (word channels, blank
 last) is written into a buffer the scorer owns for the decode and
 normalized by one log-softmax. One selection over the children's
@@ -25,34 +47,35 @@ the ``beam`` best finite channels in ascending order, ties to the lower
 channel index as ``heapq.nlargest`` keeps them, and the finite count.
 It costs a partition, one scan and a count of the dead channels; ties
 at the cut and fewer than ``beam`` finite channels take further passes
-only when they occur. A ``Hypothesis`` is built only for those children plus
-every child whose tokens and emission count match an entry already in
-A; A is then cut back to the beam whenever A plus the unbuilt children
-exceeds it. This merge-aware cut leaves A and B, entries and dict
-order, exactly as building every child would:
+only when they occur. Only those children are recorded in A, plus every
+child whose tokens and emission count match a pending child already in
+A; A is then cut back to the beam whenever A plus the unrecorded
+children exceeds it. This merge-aware cut leaves A and B, entries and
+dict order, exactly as recording every child would:
 
 1. Siblings never share a merge key (tokens, emission count, class
-   state; predictor and LM states are functions of the tokens). With
-   one word, a CAT1 successor is outside any class, CAT2 and CAT3
-   successors differ in class tag or tree node (CAT2 at depth one, CAT3
-   deeper), and CAT2 successors differ by tag.
+   state). With one word, a CAT1 successor is outside any class, CAT2
+   and CAT3 successors differ in class tag or tree node (CAT2 at depth
+   one, CAT3 deeper), and CAT2 successors differ by tag.
 2. So a child can only climb by merging into an A entry that already
-   exists, which has the child's tokens and count: those are built.
+   exists, which has the child's tokens and count: a pending child of
+   an earlier-popped entry with ``best``'s prefix id and k. Those are
+   recorded.
 3. Any other child outside the ``beam`` best is outranked by ``beam``
    distinct A entries (the best siblings or the entries they merged
    into), each strictly higher, or equal and ahead of it in dict order,
    since children enter in channel order and a merge keeps the older
    place. A then exceeds the beam, and the stable ``nlargest`` cut
    drops that child and keeps the same survivors either way. With no
-   child unbuilt, both ways hold the same dict and cut alike.
+   child left out, both ways hold the same dict and cut alike.
 
 Every beam cut (of A, and of B at the end of a frame) is
 ``sorted(..., reverse=True)[:beam]``, which the ``heapq`` docs define as
 equal to ``heapq.nlargest``, and which is cheaper on a few entries.
 
 Without a class model no child can merge into A at all: its only
-possible parent has its tokens minus one and is popped at most once per
-frame, so the dense methods skip the merge check.
+possible parent has its tokens minus one and k minus one, and is popped
+at most once per frame, so the dense methods skip the merge check.
 """
 
 from __future__ import annotations
@@ -103,9 +126,10 @@ class DecodeStats:
     """Per-utterance instrumentation for width and exit-rule accounting.
 
     ``total_width`` counts the channels scored over all expansions,
-    ``n_children`` the child hypotheses actually built from them, and
-    ``n_enumerations`` the class states this decode had to enumerate
-    because the class model's memo did not hold them.
+    ``n_children`` the children recorded in A (pending) from them,
+    ``n_popped_children`` the pending children popped and so built into
+    hypotheses, and ``n_enumerations`` the class states this decode had
+    to enumerate because the class model's memo did not hold them.
     """
 
     n_frames: int = 0
@@ -113,6 +137,7 @@ class DecodeStats:
     n_extra_expansions: int = 0
     total_width: int = 0
     n_children: int = 0
+    n_popped_children: int = 0
     n_enumerations: int = 0
     wall_time: float = 0.0
     warning: str | None = None
@@ -140,7 +165,11 @@ class DecodedHypothesis:
 
 @dataclass(slots=True)
 class Hypothesis:
-    tokens: tuple
+    """A carried or popped hypothesis. ``prefix`` is its interned token
+    prefix; ``steps`` is () at the start, else (parent's steps, (frame,
+    k, token-or-None, log-posterior))."""
+
+    prefix: int
     logscore: float
     pred_state: object
     lm_state: object
@@ -149,10 +178,27 @@ class Hypothesis:
     steps: tuple
     merged: bool
 
-    def state_key(self):
-        # a ClmState is its own merge identity within one model (tree
-        # nodes compare by identity), so no key() tuple is built here
-        return (self.tokens, self.pred_state, self.lm_state, self.clm_state)
+
+@dataclass(slots=True)
+class _Pending:
+    """A child recorded in A but not built: ``parent`` emits ``word``
+    with log-posterior ``post``; ``successor`` is its class state."""
+
+    logscore: float
+    parent: Hypothesis
+    word: int
+    post: float
+    successor: ClmState | None
+    merged: bool
+
+
+def _unwind(steps: tuple) -> tuple:
+    """The step tuples a back-pointer chain stands for, oldest first."""
+    out = []
+    while steps:
+        steps, step = steps
+        out.append(step)
+    return tuple(reversed(out))
 
 
 def joint_step(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> ScoreVector:
@@ -188,16 +234,19 @@ def _fill_joint(row: np.ndarray, enc, pred, blank: float) -> np.ndarray:
     return row
 
 
-def _merge(pool: dict, key, hyp: Hypothesis):
+def _merge(pool: dict, key, entry):
+    """Put a Hypothesis or _Pending into ``pool``. On a key already held,
+    the higher-scoring entry (the held one on a tie) represents both,
+    with their summed score, in the held one's place. An entry belongs
+    to the one pool it is in, so it is updated in place."""
     old = pool.get(key)
     if old is not None:
-        rep = old if old.logscore >= hyp.logscore else hyp
-        total = float(np.logaddexp(old.logscore, hyp.logscore))
-        hyp = Hypothesis(
-            rep.tokens, total, rep.pred_state, rep.lm_state, rep.clm_state,
-            rep.k, rep.steps, True,
-        )
-    pool[key] = hyp
+        total = float(np.logaddexp(old.logscore, entry.logscore))
+        if old.logscore >= entry.logscore:
+            entry = old
+        entry.logscore = total
+        entry.merged = True
+    pool[key] = entry
 
 
 def _cat1_possible(hyp: Hypothesis, clm: ClassModel | None) -> bool:
@@ -220,29 +269,29 @@ def _top_children(scores: np.ndarray, beam: int) -> tuple[np.ndarray, int]:
     if n > beam:
         cut = np.partition(scores, n - beam)[n - beam]
         if cut > NEG_INF:
-            keep = np.flatnonzero(scores >= cut)
+            keep = (scores >= cut).nonzero()[0]
             surplus = keep.size - beam
             if surplus:  # ties at the cut: drop the highest-index ones
-                ties = np.flatnonzero(scores[keep] == cut)
+                ties = (scores[keep] == cut).nonzero()[0]
                 keep = np.delete(keep, ties[-surplus:])
             return keep, n - np.count_nonzero(scores == NEG_INF)
-    keep = np.flatnonzero(scores > NEG_INF)
+    keep = (scores > NEG_INF).nonzero()[0]
     return keep, keep.size
 
 
 def _merge_siblings(A: dict, best: Hypothesis, words: np.ndarray, scores: np.ndarray):
     """The finite channels of ``scores`` whose child would have the
-    token sequence and emission count of an entry already in A: the
-    only children of ``best`` that can merge into A."""
-    n, k = len(best.tokens) + 1, best.k + 1
+    token sequence and emission count of an entry already in A (a
+    pending child of ``best``'s prefix and k): the only children of
+    ``best`` that can merge into A."""
     targets = [
-        h.tokens[-1]
-        for h in A.values()
-        if h.k == k and len(h.tokens) == n and h.tokens[:-1] == best.tokens
+        e.word
+        for e in A.values()
+        if type(e) is _Pending and e.parent.prefix == best.prefix and e.parent.k == best.k
     ]
     if not targets:
         return np.empty(0, dtype=np.intp)
-    hits = np.flatnonzero(np.isin(words, targets))
+    hits = np.isin(words, targets).nonzero()[0]
     return hits[scores[hits] > NEG_INF]
 
 
@@ -405,7 +454,8 @@ def beam_search(
     t0 = time.perf_counter()
     stats = DecodeStats(n_frames=encoder.n_frames)
     frame_scorer = _FrameScorer(scorer, config, external_lm, class_model)
-    probe = scorer.predictor.full_dist(scorer.predictor.initial_state())
+    predictor = scorer.predictor
+    probe = predictor.full_dist(predictor.initial_state())
     if probe.size != encoder.n_vocab:
         raise ValueError(
             f"predictor covers {probe.size} tokens, encoder {encoder.n_vocab}"
@@ -414,24 +464,24 @@ def beam_search(
         fu.method in ("sf", "li", "lli", "cli") or fu.second_method == "clm"
     )
 
+    prefix_ids: dict = {}  # (parent prefix id, token) -> prefix id; 0 is ()
     init = Hypothesis(
-        (), 0.0, scorer.predictor.initial_state(),
+        0, 0.0, predictor.initial_state(),
         external_lm.initial_state() if use_lm else None,
         class_model.initial_state() if frame_scorer.use_clm else None,
         0, (), False,
     )
-    B = {init.state_key(): init}
+    B = {(0, init.clm_state): init}
 
     for t in range(encoder.n_frames):
         z_t_row = encoder.scores[t]
         blank_logit = float(encoder.blank_logits[t])
         A: dict = {}
         for h in B.values():
-            carried = Hypothesis(
-                h.tokens, h.logscore, h.pred_state, h.lm_state, h.clm_state,
+            A[h.prefix, h.clm_state, 0] = Hypothesis(
+                h.prefix, h.logscore, h.pred_state, h.lm_state, h.clm_state,
                 0, h.steps, h.merged,
             )
-            _merge(A, carried.state_key() + (0,), carried)
         B = {}
         extra_used = 0
 
@@ -453,6 +503,19 @@ def beam_search(
                 extra_used += 1
                 stats.n_extra_expansions += 1
             del A[best_key]
+            if type(best) is _Pending:  # built now that it is popped
+                parent, word = best.parent, best.word
+                best = Hypothesis(
+                    prefix_ids.setdefault((parent.prefix, word), len(prefix_ids) + 1),
+                    best.logscore,
+                    predictor.advance(parent.pred_state, word),
+                    external_lm.advance(parent.lm_state, word) if use_lm else None,
+                    best.successor,
+                    parent.k + 1,
+                    (parent.steps, (t, parent.k, word, best.post)),
+                    best.merged,
+                )
+                stats.n_popped_children += 1
 
             words, transitions, posts, blank_post = frame_scorer.expand(
                 best, t, z_t_row, blank_logit
@@ -461,13 +524,13 @@ def beam_search(
             stats.total_width += words.size
 
             took_blank = Hypothesis(
-                best.tokens, best.logscore + blank_post, best.pred_state,
+                best.prefix, best.logscore + blank_post, best.pred_state,
                 best.lm_state, best.clm_state, best.k,
-                best.steps + ((t, best.k, None, blank_post),), best.merged,
+                (best.steps, (t, best.k, None, blank_post)), best.merged,
             )
-            _merge(B, took_blank.state_key(), took_blank)
+            _merge(B, (best.prefix, best.clm_state), took_blank)
 
-            unbuilt = 0
+            unrecorded = 0
             if best.k < config.max_emit:
                 scores = best.logscore + posts
                 keep, n_finite = _top_children(scores, config.beam)
@@ -476,23 +539,16 @@ def beam_search(
                     if transitions is not None:  # dense children never merge
                         merging = _merge_siblings(A, best, words, scores)
                         keep = np.union1d(keep, merging) if merging.size else keep
-                    unbuilt = n_finite - keep.size
+                    unrecorded = n_finite - keep.size
                 stats.n_children += keep.size
-                for i, word, post in zip(
-                    keep.tolist(), words[keep].tolist(), posts[keep].tolist()
-                ):
-                    child = Hypothesis(
-                        best.tokens + (word,),
-                        best.logscore + post,
-                        scorer.predictor.advance(best.pred_state, word),
-                        external_lm.advance(best.lm_state, word) if use_lm else None,
-                        transitions.successor(i) if transitions is not None else None,
-                        best.k + 1,
-                        best.steps + ((t, best.k, word, post),),
-                        best.merged,
+                k = best.k + 1
+                for i, word, post in zip(keep.tolist(), words[keep].tolist(), posts[keep].tolist()):
+                    succ = transitions.successor(i) if transitions is not None else None
+                    _merge(
+                        A, (best.prefix, word, succ, k),
+                        _Pending(best.logscore + post, best, word, post, succ, best.merged),
                     )
-                    _merge(A, child.state_key() + (child.k,), child)
-            if len(A) + unbuilt > config.beam:
+            if len(A) + unrecorded > config.beam:
                 ranked = sorted(A.items(), key=lambda kv: kv[1].logscore, reverse=True)
                 A = dict(ranked[: config.beam])
 
@@ -512,18 +568,17 @@ def beam_search(
                 )
         B = dict(survivors)
 
-    by_tokens: dict = {}
+    by_prefix: dict = {}
     for h in B.values():
-        by_tokens.setdefault(h.tokens, []).append(h)
+        by_prefix.setdefault(h.prefix, []).append(h)
     results = []
-    for tokens, group in by_tokens.items():
-        total = log_sum_exp([h.logscore for h in group])
-        rep = max(group, key=lambda h: h.logscore)
+    for group in by_prefix.values():
+        steps = _unwind(max(group, key=lambda h: h.logscore).steps)
         results.append(
             DecodedHypothesis(
-                tokens,
-                float(total),
-                rep.steps,
+                tuple(step[2] for step in steps if step[2] is not None),
+                float(log_sum_exp([h.logscore for h in group])),
+                steps,
                 len(group) > 1 or any(h.merged for h in group),
             )
         )

@@ -26,6 +26,13 @@ from .ngram import NgramModel, SparseLmQueryResult
 SCORES_MAGIC = "FNTSCORES v2"
 SCORES_DTYPE = np.dtype("<f8")
 
+# Bounds of an NgramPredictor's two per-state caches, each emptied whole
+# when full: dense rows up to ROW_CACHE_VALUES floats in all (16 MB), and
+# up to TOP_CACHE_ENTRIES top-r results (~20 MB at ~610 bytes an entry
+# at r = 4). A decodebench pass holds at most ~590 rows and ~530 results.
+ROW_CACHE_VALUES = 1 << 21
+TOP_CACHE_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class EncoderOutput:
@@ -135,6 +142,11 @@ class NgramPredictor(ExternalLm):
     (probability-descending, ties by ascending id) regardless of floor,
     unlike the raw trie query, which enumerates longest-context arcs
     first.
+
+    Rows and top-r results are cached per state across decodes, at most
+    ``ROW_CACHE_VALUES // n_words`` rows (but one) and
+    ``TOP_CACHE_ENTRIES`` results; a full cache is emptied whole before
+    the next entry goes in.
     """
 
     def __init__(self, model: NgramModel, floor: float = 0.0):
@@ -165,6 +177,8 @@ class NgramPredictor(ExternalLm):
                     math.log(self.floor / self.n_words),
                 )
             cached.flags.writeable = False
+            if len(self._dense) >= ROW_CACHE_VALUES // self.n_words:
+                self._dense.clear()
             self._dense[key] = cached
         return cached
 
@@ -184,6 +198,8 @@ class NgramPredictor(ExternalLm):
             )
             for arr in (hit.word_ids, hit.logprobs, hit.origins):
                 arr.flags.writeable = False
+            if len(self._top) >= TOP_CACHE_ENTRIES:
+                self._top.clear()
             self._top[key] = hit
         return hit
 

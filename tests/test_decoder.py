@@ -309,6 +309,40 @@ class TestPruningVsFullExpansion:
                     ] == want
         assert ties > 0  # the cases reach ties at the beam edge
 
+    @pytest.mark.parametrize("name", ["none", "cli", "clm", "three-way"])
+    def test_identical_to_full_expansion_on_long_utterances(self, name):
+        # T~150-200: the prefix ids and step back-pointers must rebuild
+        # long token and step sequences exactly
+        fusion = PRUNING_CASES[name]
+        rng = np.random.default_rng(61)
+        vocab, scorer, _ = make_instance(rng, 6, 1)
+        lm = NgramPredictor(make_ngram(rng, vocab))
+        clm = make_clm(rng, vocab)
+        parts = [
+            make_encoder(rng, n, 6, peak=rng.integers(0, 6, size=n))
+            for n in rng.integers(4, 9, size=28).tolist()
+        ]
+        encoder = EncoderOutput(
+            np.concatenate([e.scores for e in parts]),
+            np.concatenate([e.blank_logits for e in parts]) - 6.0,  # emissions win often
+        )
+        assert 150 <= encoder.n_frames <= 200
+        config = DecoderConfig(beam=4, nbest=4, fusion=fusion, max_emit=2)
+        got, _ = beam_search(encoder, scorer, config, lm, clm)
+        want = full_expansion_beam_search(encoder, scorer, config, lm, clm)
+        assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+        assert min(len(r.tokens) for r in got) > 25
+        assert min(len(r.steps) for r in got) >= encoder.n_frames
+
+    @pytest.mark.parametrize("name", list(PRUNING_CASES))
+    def test_popped_children_are_a_share_of_those_recorded(self, name):
+        rng = np.random.default_rng(62)
+        vocab, scorer, lm, encoder = make_tie_instance(rng, 8, 5)
+        clm = make_clm(rng, vocab)
+        config = DecoderConfig(beam=3, fusion=PRUNING_CASES[name], max_emit=2)
+        _, stats = beam_search(encoder, scorer, config, lm, clm)
+        assert 0 < stats.n_popped_children <= stats.n_children
+
     @pytest.mark.parametrize("method", ["none", "cli"])
     def test_dense_decode_builds_at_most_beam_children(self, method):
         rng = np.random.default_rng(31)

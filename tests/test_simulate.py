@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fntfuse import simulate
 from fntfuse.core import NEG_INF, log_softmax
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import (
@@ -352,6 +353,31 @@ class TestNgramPredictor:
         a = pred.full_dist(pred.initial_state())
         b = pred.full_dist(pred.initial_state())
         assert a is b
+
+    @pytest.mark.parametrize("floor", [0.0, 0.05])
+    def test_row_caches_hold_the_cap_and_refill_identically(self, floor, monkeypatch):
+        pred, _ = self.make(floor)
+        rng = np.random.default_rng(10)
+        states = self.random_states(pred, rng, 300)
+        first = {}
+        for state in states:  # uncapped: each state's row and top-3 once
+            first.setdefault(state, (pred.full_dist(state), pred.top_r(state, 3)))
+        monkeypatch.setattr(simulate, "ROW_CACHE_VALUES", 5 * pred.n_words)
+        monkeypatch.setattr(simulate, "TOP_CACHE_ENTRIES", 7)
+        capped, _ = self.make(floor)
+        held = []
+        for _ in range(2):
+            for state in states:
+                row, top = capped.full_dist(state), capped.top_r(state, 3)
+                want_row, want_top = first[state]
+                assert row.tobytes() == want_row.tobytes()
+                assert top.word_ids.tolist() == want_top.word_ids.tolist()
+                assert top.logprobs.tobytes() == want_top.logprobs.tobytes()
+                held.append((len(capped._dense), len(capped._top)))
+        assert len(first) > 7  # more states than either cache holds
+        rows, tops = zip(*held)
+        assert max(rows) == 5 and max(tops) == 7
+        assert min(rows[1:]) == min(tops[1:]) == 1  # both were emptied
 
     @pytest.mark.parametrize("floor", [0.0, 0.1])
     def test_shared_dense_row_is_read_only(self, floor):
