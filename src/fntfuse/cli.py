@@ -3,8 +3,16 @@
 Thin wrappers over the library: each subcommand parses flags, loads or
 trains the models involved, runs the corresponding operation, and
 prints the machine-readable report lines the test suite and CI parse.
-A YAML config file may supply any flag's value; explicit flags win, and
-a key that names no flag of the subcommand is a usage error.
+
+A YAML config file (``--config``) may supply any flag's value. Flags
+win over config values, which win over defaults. argparse does the
+layering: the config's values become the subcommand's defaults and the
+command line is parsed again, so a config value goes through its
+flag's ``type`` as a command-line value would, and a bad one is a usage
+error. A config key that names no flag of the subcommand is a usage
+error too. Decoder and fusion flags default to None, and only the
+values a flag or the config gave reach ``DecoderConfig`` and
+``FusionConfig``, whose fields hold the defaults.
 
 Subcommands: train-ngram, build-clm, synth, decode, eval, sweep, bench.
 Exit code 0 on success, 1 with a diagnostic on stderr on any fault, 2
@@ -34,7 +42,7 @@ from .evalmetrics import (
     ngram_count,
     sweep,
 )
-from .fusion import METHODS, FusionConfig
+from .fusion import DENSE_METHODS, METHODS, FusionConfig
 from .ngram import train_kneser_ney
 from .simulate import (
     FntScorer,
@@ -45,10 +53,10 @@ from .simulate import (
     write_scenario,
 )
 
+SPEC_KEYS = tuple(f.name for f in fields(ScenarioSpec))  # synth's config keys
+
 
 def _load_config(path):
-    if path is None:
-        return {}
     with open(path, encoding="utf-8") as f:
         cfg = yaml.safe_load(f)
     if cfg is None:
@@ -58,33 +66,23 @@ def _load_config(path):
     return cfg
 
 
-class _Opts:
-    """Flag values merged over config-file values merged over defaults.
-    A config key that names no flag of the subcommand (nor one of
-    ``extra_keys``) is a usage error, as an unknown flag is."""
-
-    def __init__(self, args, extra_keys=()):
-        self.args = args
-        self.config = _load_config(getattr(args, "config", None))
-        known = set(vars(args)).union(extra_keys) - {"command", "func", "config"}
-        unknown = sorted(set(self.config) - known, key=str)
-        if unknown:  # exit 2 with argparse's message format
-            print(f"fntfuse: error: unknown config key {unknown[0]!r}", file=sys.stderr)
-            raise SystemExit(2)
-
-    def get(self, key, default=None):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            return self.config[key]
-        return default
-
-    def require(self, key):
-        value = self.get(key)
-        if value is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        return value
+def _layer_config(parser, sub, args, argv) -> argparse.Namespace:
+    """``argv`` parsed again with the config file's values as the
+    subcommand ``sub``'s defaults. A scalar given for a flag that takes
+    a value is passed as the string the command line would give, so the
+    flag's type parses it; a switch (default False) takes it as it is."""
+    config = _load_config(args.config)
+    flags = set(vars(args)) - {"command", "func", "config"}
+    known = flags.union(SPEC_KEYS) if args.command == "synth" else flags
+    unknown = sorted(set(config) - known, key=str)
+    if unknown:
+        sub.error(f"unknown config key {unknown[0]!r}")
+    valued = {k for k in flags if sub.get_default(k) is not False}
+    sub.set_defaults(**{
+        k: str(v) if k in valued and type(v) in (bool, int, float) else v
+        for k, v in config.items()
+    })
+    return parser.parse_args(argv)
 
 
 def _read_sentences(lines, vocab: Vocabulary, source: str):
@@ -104,82 +102,72 @@ def _read_sentences(lines, vocab: Vocabulary, source: str):
     return out
 
 
-def _fusion_config(opts) -> FusionConfig:
-    method = opts.get("method", "none")
-    alpha = float(opts.get("alpha", 0.0))
-    alpha2 = opts.get("alpha2")
-    rank_r = int(opts.get("rank_r", 200))
-    if alpha2 is not None:
-        return FusionConfig(method, alpha, rank_r, "clm", float(alpha2))
-    return FusionConfig(method, alpha, rank_r)
+def _require(args, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise ValueError(f"missing required option --{key.replace('_', '-')}")
+    return value
 
 
-def _decoder_config(opts, fusion: FusionConfig) -> DecoderConfig:
-    rprime = opts.get("rank_rprime")
-    return DecoderConfig(
-        beam=int(opts.get("beam", 8)),
-        nbest=int(opts.get("nbest", 1)),
-        fusion=fusion,
-        rank_rprime=None if rprime is None else int(rprime),
-        exit_rule=opts.get("exit_rule", "standard"),
-        max_emit=int(opts.get("max_emit", 5)),
-    )
+def _given(args, *keys) -> dict:
+    """The options among ``keys`` that a flag or the config gave."""
+    return {k: v for k in keys if (v := getattr(args, k, None)) is not None}
 
 
-def _scenario_setup(opts, fusion: FusionConfig):
-    """Scenario plus the models the fusion configuration needs.
+def _fusion_config(args) -> FusionConfig:
+    given = _given(args, "method", "alpha", "rank_r")
+    if args.alpha2 is not None:
+        given.update(second_method="clm", second_alpha=args.alpha2)
+    return FusionConfig(**given)
+
+
+def _decoder_config(args, fusion: FusionConfig) -> DecoderConfig:
+    given = _given(args, "beam", "nbest", "rank_rprime", "exit_rule", "max_emit")
+    return DecoderConfig(fusion=fusion, **given)
+
+
+def _scenario_setup(args, use_lm: bool, use_clm: bool = False):
+    """Scenario plus the models asked for: the predictor always, the
+    dense external LM and the class model when ``use_lm``/``use_clm``.
 
     Models default to being trained from the scenario's own text files;
     explicit ARPA / class-model paths override.
     """
-    scn = read_scenario(opts.require("scenario"))
-    order = int(opts.get("order", 3))
-    floor = float(opts.get("floor", 0.05))
-    gamma = float(opts.get("gamma", 6.0))
+    scn = read_scenario(_require(args, "scenario"))
 
-    def ngram(flag: str, texts, what: str):
-        path = opts.get(flag)
+    def ngram(path, texts, what: str):
         if path is not None:
             return load_arpa(path, scn.vocab)
         sentences = _read_sentences(texts, scn.vocab, f"scenario {what} text")
-        return train_kneser_ney(sentences, order, vocab=scn.vocab, eos=False)
+        return train_kneser_ney(sentences, args.order, vocab=scn.vocab, eos=False)
 
-    predictor = NgramPredictor(ngram("predictor", scn.train_texts, "train"), floor=floor)
-    scorer = FntScorer(predictor, gamma=gamma)
-    need_lm = fusion.method in ("sf", "li", "lli", "cli")
-    need_clm = fusion.method == "clm" or fusion.second_method == "clm"
+    predictor = NgramPredictor(
+        ngram(args.predictor, scn.train_texts, "train"), floor=args.floor
+    )
+    scorer = FntScorer(predictor, gamma=args.gamma)
     external = None
-    if need_lm or fusion.second_method == "clm":
-        external = NgramPredictor(ngram("lm", scn.adapt_texts, "adapt"))
+    if use_lm:
+        external = NgramPredictor(ngram(args.lm, scn.adapt_texts, "adapt"))
     class_model = None
-    if need_clm:
-        clm_path = opts.get("clm")
-        if clm_path is not None:
-            class_model = load_class_model(clm_path, scn.vocab)
+    if use_clm:
+        if args.clm is not None:
+            class_model = load_class_model(args.clm, scn.vocab)
         else:
             class_model = train_tagged_clm(
-                scn.clm_texts, scn.class_entries, order, scn.vocab
+                scn.clm_texts, scn.class_entries, args.order, scn.vocab
             )
-
-    n_utts = opts.get("utts")
-    tests = scn.tests if n_utts is None else scn.tests[: int(n_utts)]
+    tests = scn.tests if args.utts is None else scn.tests[: args.utts]
     return scn, tests, scorer, external, class_model
 
 
 def cmd_train_ngram(args) -> int:
-    opts = _Opts(args)
-    vocab = Vocabulary.from_file(opts.require("vocab"))
-    path = opts.require("text")
+    vocab = Vocabulary.from_file(_require(args, "vocab"))
+    path = _require(args, "text")
     sentences = _read_sentences(
         Path(path).read_text(encoding="utf-8").splitlines(), vocab, path
     )
-    model = train_kneser_ney(
-        sentences,
-        int(opts.get("order", 3)),
-        vocab=vocab,
-        eos=bool(opts.get("with_eos", False)),
-    )
-    out = opts.require("out")
+    model = train_kneser_ney(sentences, args.order, vocab=vocab, eos=args.with_eos)
+    out = _require(args, "out")
     save_arpa(model, out)
     total = ngram_count(model)
     print(f"TRAIN-NGRAM order={model.order} sentences={len(sentences)} ngrams={total} out={out}")
@@ -187,16 +175,15 @@ def cmd_train_ngram(args) -> int:
 
 
 def cmd_build_clm(args) -> int:
-    opts = _Opts(args)
-    vocab = Vocabulary.from_file(opts.require("vocab"))
-    entries = parse_class_file(opts.require("classes"))
+    vocab = Vocabulary.from_file(_require(args, "vocab"))
+    entries = parse_class_file(_require(args, "classes"))
     tagged = [
         line.split()
-        for line in Path(opts.require("text")).read_text(encoding="utf-8").splitlines()
+        for line in Path(_require(args, "text")).read_text(encoding="utf-8").splitlines()
         if line.split()
     ]
-    model = train_tagged_clm(tagged, entries, int(opts.get("order", 3)), vocab)
-    out = opts.require("out")
+    model = train_tagged_clm(tagged, entries, args.order, vocab)
+    out = _require(args, "out")
     save_class_model(model, out)
     print(
         f"BUILD-CLM classes={len(entries)} sentences={len(tagged)}"
@@ -206,8 +193,7 @@ def cmd_build_clm(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    opts = _Opts(args, [f.name for f in fields(ScenarioSpec)])
-    cfg = {k: v for k, v in opts.config.items() if k != "out"}
+    cfg = _given(args, *SPEC_KEYS)
     if "templates" not in cfg or "classes" not in cfg:
         raise ValueError("synth needs a config file with templates and classes")
     cfg["templates"] = tuple(cfg["templates"])
@@ -215,11 +201,8 @@ def cmd_synth(args) -> int:
         tag: tuple((str(p), float(w)) for p, w in entries)
         for tag, entries in cfg["classes"].items()
     }
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    spec = ScenarioSpec(**cfg)
-    scn = synthesize_scenario(spec)
-    out = opts.require("out")
+    scn = synthesize_scenario(ScenarioSpec(**cfg))
+    out = _require(args, "out")
     write_scenario(scn, out)
     print(
         f"SYNTH vocab={len(scn.vocab)} train={len(scn.train_texts)}"
@@ -230,19 +213,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    opts = _Opts(args)
-    fusion = _fusion_config(opts)
-    config = _decoder_config(opts, fusion)
-    scn, tests, scorer, external, class_model = _scenario_setup(opts, fusion)
+    fusion = _fusion_config(args)
+    config = _decoder_config(args, fusion)
+    scn, tests, scorer, external, class_model = _scenario_setup(
+        args, fusion.uses_lm, fusion.uses_clm
+    )
     rows = []
     for utt in tests:
         results, _ = beam_search(utt.encoder, scorer, config, external, class_model)
         words = detokenize(scn.vocab.tokens_of(results[0].tokens))
         rows.append((utt.utt_id, " ".join(words), results[0].logscore))
-    out = opts.get("out")
     lines = [f"{uid}\t{text}\t{score:.6f}" for uid, text, score in rows]
-    if out is not None:
-        Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if args.out is not None:
+        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         for line in lines:
             print(line)
@@ -251,49 +234,36 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = _Opts(args)
-    fusion = _fusion_config(opts)
-    config = _decoder_config(opts, fusion)
-    scn, tests, scorer, external, class_model = _scenario_setup(opts, fusion)
+    fusion = _fusion_config(args)
+    config = _decoder_config(args, fusion)
+    scn, tests, scorer, external, class_model = _scenario_setup(
+        args, fusion.uses_lm, fusion.uses_clm
+    )
     name = fusion.method if fusion.second_method is None else f"{fusion.method}+clm"
     rep = evaluate(name, tests, scn.vocab, scorer, config, external, class_model)
-    if bool(opts.get("with_baseline", False)) and fusion.method != "none":
+    if args.with_baseline and fusion.method != "none":
         base = evaluate(
-            "none",
-            tests,
-            scn.vocab,
-            scorer,
-            _decoder_config(opts, FusionConfig()),
+            "none", tests, scn.vocab, scorer, _decoder_config(args, FusionConfig())
         )
         print(base.line())
         print(rep.line())
         print(f"WERR vs=none value={rep.werr_vs(base):.6f}")
     else:
         print(rep.line())
-    if bool(opts.get("verbose", False)):
+    if args.verbose:
         for uid, s, i, d, n in rep.per_utt:
             print(f"UTT id={uid} sub={s} ins={i} del={d} words={n}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    opts = _Opts(args)
-    # any dense method here; _scenario_setup only uses it to see what to load
-    scn, tests, scorer, external, _ = _scenario_setup(opts, FusionConfig("li", 0.1))
-    methods = tuple(str(opts.get("methods", "sf,li,lli,cli")).split(","))
-    grid = tuple(
-        float(a) for a in str(opts.get("grid", ",".join(map(str, ALPHA_GRID)))).split(",")
-    )
+    scn, tests, scorer, external, _ = _scenario_setup(args, use_lm=True)
     report = sweep(
         {"test": tests},
         scn.vocab,
         scorer,
         external_lm=external,
-        methods=methods,
-        grid=grid,
-        beam=int(opts.get("beam", 8)),
-        rank_r=int(opts.get("rank_r", 200)),
-        max_emit=int(opts.get("max_emit", 5)),
+        **_given(args, "methods", "grid", "beam", "rank_r", "max_emit"),
     )
     print(report.table())
     for line in report.lines():
@@ -302,31 +272,26 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    opts = _Opts(args)
-    sizes = [int(s) for s in str(opts.get("sizes", "10000,1000000")).split(",")]
-    r = int(opts.get("rank_r", 200))
-    n_queries = int(opts.get("queries", 2000))
-    seed = int(opts.get("seed", 0))
+    fusion = FusionConfig("cli", args.alpha, **_given(args, "rank_r"))
     models = {}
-    for size in sizes:
-        vocab, sentences = bench_corpus(size, seed=seed)
+    for size in args.sizes:
+        vocab, sentences = bench_corpus(size, seed=args.seed)
         t0 = time.perf_counter()
         models[f"n{size}"] = model = train_kneser_ney(sentences, 3, vocab=vocab, eos=False)
         build_s = time.perf_counter() - t0
         print(f"BENCH-BUILD label=n{size} ngrams={ngram_count(model)} build_s={build_s:.3f}")
-    points = bench_topr(models, r=r, n_queries=n_queries, seed=seed)
+    points = bench_topr(models, r=fusion.rank_r, n_queries=args.queries, seed=args.seed)
     for p in points:
         print(p.line())
     if len(points) >= 2:
         by_size = sorted(points, key=lambda p: p.n_ngrams)
         ratio = by_size[-1].mean_latency / by_size[0].mean_latency
         print(f"BENCH-RATIO large_over_small={ratio:.3f}")
-    if opts.get("scenario") is not None:
-        fusion = FusionConfig("cli", float(opts.get("alpha", 0.25)), r)
-        config = _decoder_config(opts, fusion)
-        scn, tests, scorer, external, _ = _scenario_setup(opts, fusion)
+    if args.scenario is not None:
+        config = _decoder_config(args, fusion)
+        scn, tests, scorer, external, _ = _scenario_setup(args, fusion.uses_lm)
         base = evaluate(
-            "none", tests, scn.vocab, scorer, _decoder_config(opts, FusionConfig())
+            "none", tests, scn.vocab, scorer, _decoder_config(args, FusionConfig())
         )
         fused = evaluate("cli", tests, scn.vocab, scorer, config, external)
         slow = fused.mean_decode_time / base.mean_decode_time - 1.0
@@ -338,30 +303,49 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _float_list(text: str) -> tuple:
+    return tuple(float(a) for a in text.split(","))
+
+
+def _int_list(text: str) -> list:
+    return [int(a) for a in text.split(",")]
+
+
+def _add_order_flag(p: argparse.ArgumentParser):
+    p.add_argument("--order", type=int, default=3, help="n-gram order (default %(default)s)")
+
+
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--scenario", help="scenario directory from `synth`")
     p.add_argument("--predictor", help="ARPA file for the predictor (default: train from scenario)")
     p.add_argument("--lm", help="ARPA file for the external LM (default: train from scenario)")
     p.add_argument("--clm", help="class-model directory (default: build from scenario)")
-    p.add_argument("--order", type=int, help="n-gram order for trained models (default 3)")
-    p.add_argument("--floor", type=float, help="predictor uniform floor (default 0.05)")
-    p.add_argument("--gamma", type=float, help="per-emission blank bonus (default 6.0)")
+    _add_order_flag(p)
+    p.add_argument("--floor", type=float, default=0.05, help="predictor uniform floor (default %(default)s)")
+    p.add_argument("--gamma", type=float, default=6.0, help="per-emission blank bonus (default %(default)s)")
     p.add_argument("--utts", type=int, help="only the first N test utterances")
+    p.add_argument(
+        "--rank-r", type=int, dest="rank_r",
+        help=f"interpolation rank (default {FusionConfig.rank_r})",
+    )
+    p.add_argument("--beam", type=int, help=f"beam width (default {DecoderConfig.beam})")
+    p.add_argument(
+        "--max-emit", type=int, dest="max_emit",
+        help=f"per-frame emission cap (default {DecoderConfig.max_emit})",
+    )
 
 
 def _add_fusion_flags(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=METHODS, help="fusion method (default none)")
-    p.add_argument("--alpha", type=float, help="fusion weight (default 0)")
-    p.add_argument("--alpha2", type=float, help="class-model weight; sets up three-way fusion")
-    p.add_argument("--rank-r", type=int, dest="rank_r", help="interpolation rank (default 200)")
+    p.add_argument("--method", choices=METHODS, help=f"fusion method (default {FusionConfig.method})")
+    p.add_argument("--alpha", type=float, help=f"fusion weight (default {FusionConfig.alpha:g})")
+    p.add_argument("--alpha2", type=float, help="class-model weight; sets up three-way fusion after li")
     p.add_argument("--rank-rprime", type=int, dest="rank_rprime", help="encoder rank gate")
-    p.add_argument("--beam", type=int, help="beam width (default 8)")
-    p.add_argument("--nbest", type=int, help="n-best size (default 1)")
+    p.add_argument("--nbest", type=int, help=f"n-best size (default {DecoderConfig.nbest})")
     p.add_argument("--exit-rule", choices=EXIT_RULES, dest="exit_rule")
-    p.add_argument("--max-emit", type=int, dest="max_emit", help="per-frame emission cap (default 5)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="fntfuse",
         description="Transducer decoding with external-LM fusion: data synthesis, model training, decoding, scoring, sweeps, benchmarks.",
@@ -372,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--text", help="one piece-tokenized sentence per line")
     p.add_argument("--vocab", help="one token per line")
-    p.add_argument("--order", type=int)
-    p.add_argument("--with-eos", action="store_const", const=True, dest="with_eos")
+    _add_order_flag(p)
+    p.add_argument("--with-eos", action="store_true", dest="with_eos")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_ngram)
 
@@ -382,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", help="tagged sentences, one per line")
     p.add_argument("--classes", help="class definition TSV")
     p.add_argument("--vocab")
-    p.add_argument("--order", type=int)
+    _add_order_flag(p)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_build_clm)
 
@@ -403,38 +387,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     _add_model_flags(p)
     _add_fusion_flags(p)
-    p.add_argument("--with-baseline", action="store_const", const=True, dest="with_baseline")
-    p.add_argument("--verbose", "-v", action="store_const", const=True)
+    p.add_argument("--with-baseline", action="store_true", dest="with_baseline")
+    p.add_argument("--verbose", "-v", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid-sweep fusion weights per method")
     p.add_argument("--config")
     _add_model_flags(p)
-    p.add_argument("--methods", help="comma-separated (default sf,li,lli,cli)")
-    p.add_argument("--grid", help="comma-separated weights")
-    p.add_argument("--rank-r", type=int, dest="rank_r")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--max-emit", type=int, dest="max_emit")
+    p.add_argument(
+        "--methods", type=lambda text: tuple(text.split(",")),
+        help=f"comma-separated (default {','.join(DENSE_METHODS)})",
+    )
+    p.add_argument(
+        "--grid", type=_float_list,
+        help=f"comma-separated weights (default {','.join(map(str, ALPHA_GRID))})",
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="rank-query latency across model sizes; optional decode slowdown")
     p.add_argument("--config")
     _add_model_flags(p)
-    p.add_argument("--sizes", help="comma-separated target n-gram counts")
-    p.add_argument("--rank-r", type=int, dest="rank_r")
-    p.add_argument("--queries", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beam", type=int)
-    p.add_argument("--max-emit", type=int, dest="max_emit")
-    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--sizes", type=_int_list, default="10000,1000000",
+        help="comma-separated target n-gram counts (default %(default)s)",
+    )
+    p.add_argument("--queries", type=int, default=2000)
+    p.add_argument("--alpha", type=float, default=0.25, help="cli decode weight (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            args = _layer_config(parser, subparsers[args.command], args, argv)
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

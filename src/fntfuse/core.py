@@ -77,13 +77,6 @@ class ScoreVector:
     def __len__(self) -> int:
         return self.values.size
 
-    def normalize(self) -> "ScoreVector":
-        return ScoreVector(log_softmax(self.values), True)
-
-    def mass(self) -> float:
-        """Total probability mass, exp(log_sum_exp(values))."""
-        return float(np.exp(log_sum_exp(self.values)))
-
 
 def softmax(values) -> ScoreVector:
     """log_softmax packaged as a normalized dense ScoreVector."""

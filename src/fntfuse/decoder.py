@@ -316,9 +316,8 @@ class _FrameScorer:
     ``log_softmax``, whose result is a fresh array: no posterior handed
     out aliases the buffer.
 
-    Fused rows are cached for the decode as well: the li/lli/cli row per
-    (predictor state, LM state), and the clm or three-way row, read-only,
-    per (predictor state, LM state, transitions bundle).
+    Fused rows are cached for the decode as well, read-only, in one dict
+    keyed by (predictor state, LM state, transitions bundle or None).
     """
 
     def __init__(self, scorer, config, external_lm, class_model):
@@ -327,13 +326,10 @@ class _FrameScorer:
         self.external = external_lm
         self.clm = class_model
         self.fusion = config.fusion
-        self.use_clm = (
-            self.fusion.method == "clm" or self.fusion.second_method == "clm"
-        )
+        self.use_clm = self.fusion.uses_clm
         self._gated: dict = {}
         self._gate_frame = self._word_gate = None
         self._rows: dict = {}
-        self._clm_rows: dict = {}
         self._buf = np.empty(0)
         self._dense_words = None
         self.n_enumerations = 0
@@ -361,45 +357,35 @@ class _FrameScorer:
             gated = self._gated[clm_state, t] = trans.gated(self._word_gate)
         return gated
 
-    def _fused_row(self, pred_state, lm_state, z_u):
-        """The li/lli/cli-fused predictor row, cached per state pair: a
-        hypothesis carried into the next frame is expanded again with
-        both states unchanged."""
-        key = (pred_state, lm_state)
-        row = self._rows.get(key)
-        if row is None:
-            fu = self.fusion
-            if fu.method == "li":
-                row = li_scores(z_u, self.external.full_dist(lm_state), fu.alpha)
-            elif fu.method == "lli":
-                row = mix_scores(z_u, self.external.full_dist(lm_state), fu.alpha)
-            elif fu.method == "cli":
-                sp = self.external.top_r(lm_state, fu.rank_r)
-                row = cli_scores(z_u, sp.word_ids, sp.logprobs, fu.alpha)
-            else:
-                raise ValueError(f"unhandled fusion method {fu.method!r}")
-            self._rows[key] = row
-        return row
+    def _fused_row(self, hyp: Hypothesis, z_u, trans):
+        """The fused predictor row: li/lli/cli when ``trans`` is None,
+        else the clm or three-way row aligned with ``trans``.
 
-    def _clm_row(self, hyp: Hypothesis, trans, z_u):
-        """The clm or three-way augmented row aligned with ``trans``.
-
-        Keyed by the bundle itself, which stands for the class state (and
-        the frame under an r' gate); the key holds it, so its identity is
-        not reused within the decode."""
+        A hypothesis carried into the next frame is expanded again with
+        its states unchanged, so rows are kept for the decode. A bundle
+        in the key stands for the class state (and the frame under an r'
+        gate); the key holds it, so its identity is not reused within
+        the decode."""
         key = (hyp.pred_state, hyp.lm_state, trans)
-        row = self._clm_rows.get(key)
+        row = self._rows.get(key)
         if row is None:
             fu = self.fusion
             if fu.method == "clm":
                 row = clm_predictor_interp(z_u, trans, fu.alpha, fu.rank_r)
-            else:
+            elif fu.second_method is not None:
                 row = three_way(
                     z_u, self.external.full_dist(hyp.lm_state), trans,
                     fu.alpha, fu.second_alpha, fu.rank_r,
                 )
+            elif fu.method == "li":
+                row = li_scores(z_u, self.external.full_dist(hyp.lm_state), fu.alpha)
+            elif fu.method == "lli":
+                row = mix_scores(z_u, self.external.full_dist(hyp.lm_state), fu.alpha)
+            else:  # cli
+                sp = self.external.top_r(hyp.lm_state, fu.rank_r)
+                row = cli_scores(z_u, sp.word_ids, sp.logprobs, fu.alpha)
             row.setflags(write=False)
-            self._clm_rows[key] = row
+            self._rows[key] = row
         return row
 
     def expand(self, hyp: Hypothesis, t: int, z_t_row, blank_logit):
@@ -414,7 +400,7 @@ class _FrameScorer:
                 row = _fill_joint(self._joint(z_u.size), z_t_row, z_u, b)
                 return trans.word, trans, np.empty(0), b - log_sum_exp(row)
             words = trans.word
-            aug = self._clm_row(hyp, trans, z_u)
+            aug = self._fused_row(hyp, z_u, trans)
             row = _fill_joint(self._joint(words.size), z_t_row[words], aug, b)
         else:
             trans, words = None, self._dense_words
@@ -429,7 +415,7 @@ class _FrameScorer:
                 row[:-1] = mix_scores(z_t_row + z_u, lm_row, fu.alpha)
                 row[-1] = b
             else:
-                fused = self._fused_row(hyp.pred_state, hyp.lm_state, z_u)
+                fused = self._fused_row(hyp, z_u, None)
                 _fill_joint(row, z_t_row, fused, b)
         posts = log_softmax(row)
         return words, trans, posts[:-1], float(posts[-1])
@@ -444,11 +430,10 @@ def beam_search(
 ):
     """Decode one utterance; returns (n-best DecodedHypothesis list, stats)."""
     fu = config.fusion
-    if fu.method in ("sf", "li", "lli", "cli") and external_lm is None:
+    use_lm = fu.uses_lm
+    if use_lm and external_lm is None:
         raise ValueError(f"fusion method {fu.method!r} needs an external LM")
-    if fu.second_method == "clm" and external_lm is None:
-        raise ValueError("three-way fusion needs an external LM")
-    if (fu.method == "clm" or fu.second_method == "clm") and class_model is None:
+    if fu.uses_clm and class_model is None:
         raise ValueError("class-model fusion needs a class model")
 
     t0 = time.perf_counter()
@@ -460,9 +445,6 @@ def beam_search(
         raise ValueError(
             f"predictor covers {probe.size} tokens, encoder {encoder.n_vocab}"
         )
-    use_lm = external_lm is not None and (
-        fu.method in ("sf", "li", "lli", "cli") or fu.second_method == "clm"
-    )
 
     prefix_ids: dict = {}  # (parent prefix id, token) -> prefix id; 0 is ()
     init = Hypothesis(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Vocabulary
 from .decoder import DecoderConfig, beam_search
-from .fusion import FusionConfig
+from .fusion import DENSE_METHODS, FusionConfig
 from .ngram import NgramModel, train_kneser_ney
 
 ALPHA_GRID = (0.01, 0.05, 0.1, 0.25, 0.5, 0.9)
@@ -112,20 +112,25 @@ def align(ref, hyp) -> list:
     return ops
 
 
-def wer_counts(ref, hyp) -> EditCounts:
-    """Per-pair edit counts; the reference must be non-empty."""
-    ref = list(ref)
-    if not ref:
-        raise ValueError("empty reference: word error rate is undefined")
+def _edit_counts(ops, n_ref: int) -> EditCounts:
+    """The sub/ins/del counts of an ``align`` result."""
     subs = ins = dels = 0
-    for op, _, _ in align(ref, hyp):
+    for op, _, _ in ops:
         if op == "sub":
             subs += 1
         elif op == "ins":
             ins += 1
         elif op == "del":
             dels += 1
-    return EditCounts(subs, ins, dels, len(ref))
+    return EditCounts(subs, ins, dels, n_ref)
+
+
+def wer_counts(ref, hyp) -> EditCounts:
+    """Per-pair edit counts; the reference must be non-empty."""
+    ref = list(ref)
+    if not ref:
+        raise ValueError("empty reference: word error rate is undefined")
+    return _edit_counts(align(ref, hyp), len(ref))
 
 
 @dataclass(frozen=True)
@@ -213,15 +218,11 @@ def evaluate(
         )
         hyp_words = detokenize(vocab.tokens_of(results[0].tokens))
         ops = align(utt.ref_words, hyp_words)
-        subs = sum(1 for op, _, _ in ops if op == "sub")
-        ins = sum(1 for op, _, _ in ops if op == "ins")
-        dels = sum(1 for op, _, _ in ops if op == "del")
         entity = set(utt.entity_word_indices)
         errors = sum(
             1 for op, ri, _ in ops if ri in entity and op != "match"
         )
-        counts = EditCounts(subs, ins, dels, len(utt.ref_words))
-        return counts, len(entity), errors, stats
+        return _edit_counts(ops, len(utt.ref_words)), len(entity), errors, stats
 
     scored = [one(utt) for utt in tests]
 
@@ -362,21 +363,19 @@ def sweep(
     scorer,
     *,
     external_lm,
-    methods=("sf", "li", "lli", "cli"),
+    methods=DENSE_METHODS,
     grid=ALPHA_GRID,
-    sf_grid=None,
-    beam: int = 8,
-    rank_r: int = 200,
-    max_emit: int = 5,
+    beam: int = DecoderConfig.beam,
+    rank_r: int = FusionConfig.rank_r,
+    max_emit: int = DecoderConfig.max_emit,
 ) -> SweepReport:
     """Decode every (method, weight, split) combination on the grid.
 
     ``splits`` maps split names to test-utterance lists. Shallow fusion
-    sweeps only the grid points up to 0.25 unless ``sf_grid`` overrides
-    that. Deterministic: fixed inputs give bit-identical reports.
+    sweeps only the grid points up to ``SF_ALPHA_MAX``. Deterministic:
+    fixed inputs give bit-identical reports.
     """
-    if sf_grid is None:
-        sf_grid = tuple(a for a in grid if a <= SF_ALPHA_MAX)
+    sf_grid = tuple(a for a in grid if a <= SF_ALPHA_MAX)
 
     def run(split, tests, method, alpha):
         fusion = (
@@ -384,9 +383,7 @@ def sweep(
             if method == "none"
             else FusionConfig(method, alpha, rank_r=rank_r)
         )
-        config = DecoderConfig(
-            beam=beam, nbest=1, fusion=fusion, max_emit=max_emit
-        )
+        config = DecoderConfig(beam=beam, fusion=fusion, max_emit=max_emit)
         label = f"{method}@{alpha:g}/{split}" if method != "none" else f"base/{split}"
         return evaluate(label, tests, vocab, scorer, config, external_lm=external_lm)
 
@@ -455,7 +452,7 @@ def build_bench_model(n_target: int, order: int = 3, seed: int = 0) -> NgramMode
     return train_kneser_ney(sentences, order, vocab=vocab, eos=False)
 
 
-def bench_topr(models: dict, r: int = 200, n_queries: int = 2000, seed: int = 0):
+def bench_topr(models: dict, r: int = FusionConfig.rank_r, n_queries: int = 2000, seed: int = 0):
     """Per-query rank-query latency for each labeled model.
 
     Histories are Zipf-shaped random contexts of length order-1, drawn

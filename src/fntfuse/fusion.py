@@ -39,8 +39,10 @@ class FusionConfig:
 
     ``method`` selects the operator; "clm" requires a class model at
     decode time, everything else a dense external LM. A second stage
-    (only "clm") turns a dense interpolation into the consecutive
-    three-way combination: dense LM first, class model second.
+    (only "clm") turns linear interpolation into the consecutive
+    three-way combination: li with the dense LM first, the class model
+    second. ``uses_lm`` and ``uses_clm`` say which models a decode
+    reads; every other module asks them.
     """
 
     method: str = "none"
@@ -58,13 +60,23 @@ class FusionConfig:
         if self.second_method is not None:
             if self.second_method != "clm":
                 raise ValueError("only a class model can be the second stage")
-            if self.method not in ("li", "lli", "cli"):
+            if self.method != "li":
                 raise ValueError(
-                    "three-way fusion needs a predictor-side first stage"
+                    f"three-way fusion takes li as its first stage, got {self.method!r}"
                 )
-        needs_rank = self.method in ("cli", "clm") or self.second_method == "clm"
+        needs_rank = self.method == "cli" or self.uses_clm
         if needs_rank and self.rank_r < 1:
             raise ValueError(f"rank_r must be >= 1, got {self.rank_r}")
+
+    @property
+    def uses_lm(self) -> bool:
+        """Whether a decode reads the dense external LM."""
+        return self.method in DENSE_METHODS or self.second_method == "clm"
+
+    @property
+    def uses_clm(self) -> bool:
+        """Whether a decode reads the class model."""
+        return self.method == "clm" or self.second_method == "clm"
 
 
 def _require_aligned(z: ScoreVector, logp: ScoreVector):

@@ -19,7 +19,7 @@ from fntfuse.classlm import (
     enumerate_transitions,
     train_tagged_clm,
 )
-from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_softmax
+from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_softmax, log_sum_exp
 from fntfuse.decoder import DecoderConfig, beam_search, joint_step
 from fntfuse.evalmetrics import (
     bench_topr,
@@ -263,7 +263,7 @@ def test_distributions_normalize(verdict):
         z = ScoreVector(log_softmax(rng.normal(size=n)), normalized=True)
         lp = ScoreVector(log_softmax(rng.normal(size=n)), normalized=True)
         out = linear_interp(z, lp, float(rng.uniform(0.0, 1.0)))
-        worst = max(worst, abs(out.mass() - 1.0))
+        worst = max(worst, abs(np.exp(log_sum_exp(out.values)) - 1.0))
     devs["li"] = worst
 
     # joint posterior over word channels plus blank
@@ -275,7 +275,7 @@ def test_distributions_normalize(verdict):
             ScoreVector(rng.normal(size=n)),
             float(rng.normal()),
         )
-        worst = max(worst, abs(out.mass() - 1.0))
+        worst = max(worst, abs(np.exp(log_sum_exp(out.values)) - 1.0))
     devs["joint"] = worst
 
     # class-model transition mass, rank gate off, 200 walked states
@@ -369,7 +369,7 @@ def test_fusion_operator_algebra(verdict):
             worst_gate = max(
                 worst_gate, float(np.max(np.abs(cli.values[off] - z.values[off])))
             )
-        worst_norm = max(worst_norm, abs(li.mass() - 1.0))
+        worst_norm = max(worst_norm, abs(np.exp(log_sum_exp(li.values)) - 1.0))
     ok = max(worst_id, worst_rep, worst_gate, worst_norm) <= 1e-9
     verdict(
         "fusion-algebra",

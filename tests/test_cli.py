@@ -9,10 +9,13 @@ and written files. A shared synthetic scenario (built through the
 import pytest
 import yaml
 
+from fntfuse import cli
 from fntfuse.arpa import load_arpa
 from fntfuse.classlm import load_class_model, write_class_file
 from fntfuse.cli import main
 from fntfuse.core import Vocabulary
+from fntfuse.decoder import DecoderConfig
+from fntfuse.fusion import DENSE_METHODS
 from fntfuse.simulate import read_scenario
 
 SCENARIO_CFG = {
@@ -288,6 +291,51 @@ def test_unknown_config_key_is_a_usage_error(command, scenario_dir, tmp_path, ca
     assert "unknown config key 'beem'" in capsys.readouterr().err
 
 
+def test_flag_over_config_over_library_default(scenario_dir, tmp_path, monkeypatch):
+    configs = []
+    decode = cli.beam_search
+
+    def spy(encoder, scorer, config, *models):
+        configs.append(config)
+        return decode(encoder, scorer, config, *models)
+
+    monkeypatch.setattr(cli, "beam_search", spy)
+    cfg = tmp_path / "c.yaml"
+    # a config string goes through the flag's type, as on the command line
+    write_yaml(cfg, {"scenario": scenario_dir, "utts": "1", "beam": "3", "max_emit": 2})
+    for argv in (
+        ["--config", str(cfg)],
+        ["--config", str(cfg), "--beam", "5"],
+        ["--scenario", scenario_dir, "--utts", "1"],
+    ):
+        assert main(["decode"] + argv) == 0
+    default = DecoderConfig()
+    assert configs[-1] == default
+    assert [(c.beam, c.max_emit) for c in configs] == [
+        (3, 2), (5, 2), (default.beam, default.max_emit)
+    ]
+
+
+@pytest.mark.parametrize("beam", ["abc", 2.5, True])
+def test_bad_config_value_is_a_usage_error(beam, scenario_dir, tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    write_yaml(cfg, {"scenario": scenario_dir, "utts": 1, "beam": beam})
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"argument --beam: invalid int value: '{beam}'" in capsys.readouterr().err
+
+
+def test_config_sets_a_switch(scenario_dir, tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    write_yaml(
+        cfg,
+        {"scenario": scenario_dir, "utts": 1, "method": "li", "alpha": 0.5, "with_baseline": True},
+    )
+    assert main(["eval", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("WERR vs=none")
+
+
 def test_synth_config_takes_spec_keys_and_out(tmp_path, capsys):
     cfg = tmp_path / "s.yaml"
     write_yaml(cfg, {**SCENARIO_CFG, "out": str(tmp_path / "scn")})
@@ -328,6 +376,23 @@ class TestEval:
         head, kv = parse_kv(lines[0])
         assert head == "EVAL" and kv["name"] == "none" and kv["utts"] == "4"
 
+    def test_default_beam_is_the_library_default(self, scenario_dir, capsys):
+        lines = []
+        for extra in ([], ["--beam", str(DecoderConfig.beam)]):
+            argv = ["eval", "--scenario", scenario_dir, "--method", "cli", "--alpha", "0.5"]
+            assert main(argv + extra) == 0
+            _, kv = parse_kv(capsys.readouterr().out.strip())
+            del kv["time_ms"]
+            lines.append(kv)
+        assert lines[0] == lines[1]
+
+    @pytest.mark.parametrize("first", ["cli", "lli"])
+    def test_three_way_takes_li_first(self, scenario_dir, capsys, first):
+        # these used to decode li+clm under the name cli+clm / lli+clm
+        argv = ["--method", first, "--alpha", "0.5", "--alpha2", "0.9"]
+        assert main(["eval", "--scenario", scenario_dir, "--utts", "1"] + argv) == 1
+        assert "first stage" in capsys.readouterr().err
+
     def test_three_way_name(self, scenario_dir, capsys):
         rc = main(
             [
@@ -367,6 +432,16 @@ class TestSweep:
         star = next(l for l in out.splitlines() if l.startswith("SWEEP-STAR"))
         _, kv = parse_kv(star)
         assert kv["method"] == "li" and kv["alpha"] in ("0", "0.5")
+
+    def test_no_flags_sweeps_every_dense_method(self, scenario_dir, capsys):
+        # the dense external LM is loaded without a fusion flag naming it
+        assert main(["sweep", "--scenario", scenario_dir, "--utts", "2"]) == 0
+        fixed = [
+            parse_kv(l)[1]["method"]
+            for l in capsys.readouterr().out.splitlines()
+            if l.startswith("SWEEP-FIXED")
+        ]
+        assert tuple(fixed) == DENSE_METHODS
 
 
 class TestBench:

@@ -109,11 +109,6 @@ class TestScoreVector:
         with pytest.raises(ValueError, match=r"\+inf"):
             ScoreVector([math.inf, NEG_INF])
 
-    def test_normalize(self):
-        sv = ScoreVector([0.0, 0.0]).normalize()
-        assert sv.normalized
-        assert sv.mass() == pytest.approx(1.0, abs=1e-12)
-
 
 class TestVocabulary:
     def test_bijection(self):

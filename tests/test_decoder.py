@@ -95,7 +95,7 @@ class TestJointStep:
         z = ScoreVector(np.full(v, -math.log(v)), normalized=True)
         out = joint_step(z, z, -2.0 * math.log(v))
         np.testing.assert_allclose(out.values, np.full(v + 1, -math.log(v + 1)))
-        assert out.mass() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(log_sum_exp(out.values)) == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_algebra(self):
         rng = np.random.default_rng(11)
@@ -898,7 +898,7 @@ class TestTransitionMemo:
             for t in clm._memo.values()
             for name in ("category", "word", "logprob", "tag")
         ]
-        rows = [row for fs in scorers for row in fs._clm_rows.values()]
+        rows = [row for fs in scorers for row in fs._rows.values()]
         assert arrays and rows
         for arr in arrays + rows:
             with pytest.raises(ValueError, match="read-only"):

@@ -14,7 +14,7 @@ from fntfuse.classlm import (
     enumerate_transitions,
     train_tagged_clm,
 )
-from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, softmax
+from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_sum_exp, softmax
 from fntfuse.fusion import (
     FusionConfig,
     clm_predictor_interp,
@@ -102,7 +102,7 @@ class TestLinearInterp:
             alpha = float(rng.uniform())
             out = linear_interp(z, p, alpha)
             assert out.normalized
-            assert out.mass() == pytest.approx(1.0, abs=1e-9)
+            assert np.exp(log_sum_exp(out.values)) == pytest.approx(1.0, abs=1e-9)
 
     def test_requires_normalized_inputs(self):
         z = softmax([0.0, 1.0])
@@ -159,7 +159,7 @@ class TestConditionalLinearInterp:
         out = conditional_linear_interp(z, sp, 0.5)
         want = [math.log(0.25), math.log(0.3), math.log(0.45), math.log(0.1)]
         np.testing.assert_allclose(out.values, want, atol=1e-12)
-        assert out.mass() == pytest.approx(1.1, abs=1e-12)
+        assert np.exp(log_sum_exp(out.values)) == pytest.approx(1.1, abs=1e-12)
         assert not out.normalized
 
     def test_gated_entries_match_linear_exactly(self):
@@ -231,8 +231,9 @@ class TestFusionConfig:
             FusionConfig("li", 1.5)
         with pytest.raises(ValueError, match="second"):
             FusionConfig("li", 0.1, second_method="sf")
-        with pytest.raises(ValueError, match="first stage"):
-            FusionConfig("sf", 0.1, second_method="clm")
+        for first in ("sf", "lli", "cli", "clm", "none"):
+            with pytest.raises(ValueError, match="first stage"):
+                FusionConfig(first, 0.1, second_method="clm")
         with pytest.raises(ValueError, match="rank_r"):
             FusionConfig("cli", 0.1, rank_r=0)
 
