@@ -12,13 +12,11 @@ shows what each fusion operator does to a single score row.
 import numpy as np
 
 from fntfuse import (
-    ScoreVector,
     Vocabulary,
-    conditional_linear_interp,
-    linear_interp,
+    cli_scores,
+    li_scores,
     log_softmax,
-    loglinear_interp,
-    shallow_fuse,
+    mix_scores,
     train_kneser_ney,
 )
 
@@ -56,56 +54,46 @@ for w in range(len(vocab)):
     )
 
 # ---------------------------------------------------------------------
-# Score rows. The predictor row stands in for z_u at this history; a
+# Score rows, as the decoder holds them: log-domain numpy arrays over
+# the vocabulary. The predictor row stands in for z_u at this history; a
 # fake encoder row z_t leans toward 'tea' and 'pie' acoustics equally,
 # so whatever the fused predictor prefers decides the argmax.
 # ---------------------------------------------------------------------
-z_u = ScoreVector(
-    np.array([source_lm.logprob(w, history) for w in range(len(vocab))]),
-    normalized=True,
-)
-p_ext = ScoreVector(
-    np.array([target_lm.logprob(w, history) for w in range(len(vocab))]),
-    normalized=True,
-)
-z_t = ScoreVector(np.array([-4.0, -4.0, -0.9, -0.9, -3.0]))
-joint = ScoreVector(log_softmax(z_t.values + z_u.values), normalized=True)
+z_u = np.array([source_lm.logprob(w, history) for w in range(len(vocab))])
+p_ext = np.array([target_lm.logprob(w, history) for w in range(len(vocab))])
+z_t = np.array([-4.0, -4.0, -0.9, -0.9, -3.0])
+joint = log_softmax(z_t + z_u)
 
-show = lambda label, vec: print(
+show = lambda label, row: print(
     f"{label:>24}: "
-    + "  ".join(
-        f"{vocab.token_of(w)}={np.exp(v):.3f}" for w, v in enumerate(vec.values)
-    )
+    + "  ".join(f"{vocab.token_of(w)}={np.exp(v):.3f}" for w, v in enumerate(row))
 )
 
 print()
 show("joint, no fusion", joint)
 
-# Shallow fusion rescales the JOINT row: alpha picks how much external
-# log-score is added on top of the full acoustic+predictor evidence.
+# Shallow fusion is mix_scores on the JOINT row: alpha picks how much
+# external log-score is added on top of the full acoustic+predictor
+# evidence.
 # Log-domain mixing is brutal around zeros: 'tea' (unseen by the target
 # LM) and 'pie' (zero under the source predictor) both stay at -inf,
 # so the mass has nowhere to go but the bland shared words.
-fused = shallow_fuse(joint, p_ext, 0.3)
-show("shallow fusion a=0.3", ScoreVector(log_softmax(fused.values), normalized=True))
+show("shallow fusion a=0.3", log_softmax(mix_scores(joint, p_ext, 0.3)))
 
-# Linear interpolation mixes PROBABILITIES at the predictor before the
-# joint softmax: the fused predictor is itself a proper distribution.
+# Linear interpolation (li_scores) mixes PROBABILITIES at the predictor
+# before the joint softmax: the fused predictor is itself a proper
+# distribution.
 for alpha in (0.0, 0.5, 0.9):
-    li = linear_interp(z_u, p_ext, alpha)
-    fused_joint = ScoreVector(log_softmax(z_t.values + li.values), normalized=True)
-    show(f"linear interp a={alpha}", fused_joint)
+    show(f"linear interp a={alpha}", log_softmax(z_t + li_scores(z_u, p_ext, alpha)))
 
-# Log-linear interpolation mixes LOG scores at the predictor instead;
-# overlap between the two models is rewarded more sharply.
-lli = loglinear_interp(z_u, p_ext, 0.5)
-fused_joint = ScoreVector(log_softmax(z_t.values + lli.values), normalized=True)
-show("log-linear a=0.5", fused_joint)
+# Log-linear interpolation is mix_scores again, on the PREDICTOR row
+# instead; overlap between the two models is rewarded more sharply.
+show("log-linear a=0.5", log_softmax(z_t + mix_scores(z_u, p_ext, 0.5)))
 
 # ---------------------------------------------------------------------
-# Conditional linear interpolation only touches words the external LM
-# actually ranks in its top-r for this history; everything else keeps
-# the raw predictor score. With r=2 only the LM's two best words move,
+# Conditional linear interpolation (cli_scores) only touches words the
+# external LM actually ranks in its top-r for this history; everything
+# else keeps the raw predictor score. With r=2 only the LM's two best words move,
 # which is what makes large-LM fusion affordable per frame.
 # ---------------------------------------------------------------------
 sparse = target_lm.top_r(history, 2)
@@ -113,9 +101,8 @@ print()
 print("target LM top-2 at this history:", [
     (vocab.token_of(w), round(float(np.exp(lp)), 4)) for w, lp in sparse.pairs()
 ])
-cli = conditional_linear_interp(z_u, sparse, 0.9)
-fused_joint = ScoreVector(log_softmax(z_t.values + cli.values), normalized=True)
-show("conditional a=0.9 r=2", fused_joint)
+cli = cli_scores(z_u, sparse.word_ids, sparse.logprobs, 0.9)
+show("conditional a=0.9 r=2", log_softmax(z_t + cli))
 
 print()
 print("argmax went tea -> pie under the probability-domain mixes;")

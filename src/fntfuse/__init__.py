@@ -3,15 +3,16 @@ predictor stream.
 
 The package splits into small, separately testable layers:
 
-- ``core``: vocabulary, log-space helpers, the ScoreVector container,
-  and the ExternalLm interface.
+- ``core``: vocabulary, log-space helpers, and the ExternalLm
+  interface.
 - ``ngram``: Kneser-Ney training and a sorted-array backoff trie with
   rank-r continuation queries and dense rows.
 - ``arpa``: text serialization of n-gram models.
 - ``classlm``: class-tagged n-gram models, per-class prefix trees, and
   the tagged-state transition system.
-- ``fusion``: shallow fusion plus linear, log-linear, conditional
-  linear, class-model, and consecutive three-way interpolation.
+- ``fusion``: the array operators the decoder runs: ``mix_scores``
+  (shallow fusion and log-linear), ``li_scores``, ``cli_scores``,
+  class-model and consecutive three-way interpolation.
 - ``decoder``: frame-synchronous beam search over encoder score files,
   with per-frame emission caps, hypothesis merging, and exit rules.
 - ``simulate``: a deterministic transducer simulator and scenario
@@ -33,14 +34,13 @@ from .classlm import (
     train_tagged_clm,
     write_class_file,
 )
-from .core import NEG_INF, ExternalLm, ScoreVector, Vocabulary, log_softmax, log_sum_exp
+from .core import NEG_INF, ExternalLm, Vocabulary, log_softmax, log_sum_exp
 from .decoder import (
     DecodedHypothesis,
     DecoderConfig,
     DecodeStats,
     beam_search,
     blank_fallback,
-    joint_step,
 )
 from .evalmetrics import (
     ALPHA_GRID,
@@ -57,11 +57,10 @@ from .evalmetrics import (
 )
 from .fusion import (
     FusionConfig,
+    cli_scores,
     clm_predictor_interp,
-    conditional_linear_interp,
-    linear_interp,
-    loglinear_interp,
-    shallow_fuse,
+    li_scores,
+    mix_scores,
     three_way,
 )
 from .ngram import (
@@ -104,7 +103,6 @@ __all__ = [
     "NgramPredictor",
     "Scenario",
     "ScenarioSpec",
-    "ScoreVector",
     "SparseLmQueryResult",
     "SweepReport",
     "Transitions",
@@ -115,25 +113,23 @@ __all__ = [
     "blank_fallback",
     "build_bench_model",
     "build_prefix_tree",
+    "cli_scores",
     "clm_predictor_interp",
-    "conditional_linear_interp",
     "detokenize",
     "enumerate_transitions",
     "evaluate",
-    "joint_step",
-    "linear_interp",
+    "li_scores",
     "load_arpa",
     "load_class_model",
     "load_scores",
     "log_softmax",
     "log_sum_exp",
-    "loglinear_interp",
+    "mix_scores",
     "parse_class_file",
     "read_scenario",
     "save_arpa",
     "save_class_model",
     "save_scores",
-    "shallow_fuse",
     "sweep",
     "synthesize_scenario",
     "three_way",

@@ -70,7 +70,9 @@ def _layer_config(parser, sub, args, argv) -> argparse.Namespace:
     """``argv`` parsed again with the config file's values as the
     subcommand ``sub``'s defaults. A scalar given for a flag that takes
     a value is passed as the string the command line would give, so the
-    flag's type parses it; a switch (default False) takes it as it is."""
+    flag's type parses it; a switch (default False) takes it as it is.
+    argparse checks ``choices`` on command-line values only, so they
+    are checked here."""
     config = _load_config(args.config)
     flags = set(vars(args)) - {"command", "func", "config"}
     known = flags.union(SPEC_KEYS) if args.command == "synth" else flags
@@ -78,10 +80,18 @@ def _layer_config(parser, sub, args, argv) -> argparse.Namespace:
     if unknown:
         sub.error(f"unknown config key {unknown[0]!r}")
     valued = {k for k in flags if sub.get_default(k) is not False}
-    sub.set_defaults(**{
+    config = {
         k: str(v) if k in valued and type(v) in (bool, int, float) else v
         for k, v in config.items()
-    })
+    }
+    for action in sub._actions:
+        value = config.get(action.dest)
+        if action.choices and value is not None and value not in action.choices:
+            sub.error(
+                f"argument {action.option_strings[0]}: invalid choice: {value!r}"
+                f" (choose from {', '.join(map(repr, action.choices))})"
+            )
+    sub.set_defaults(**config)
     return parser.parse_args(argv)
 
 

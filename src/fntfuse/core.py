@@ -1,16 +1,17 @@
-"""Shared numeric primitives, score containers, and vocabulary handling.
+"""Shared numeric primitives, vocabulary handling, and the external-LM
+interface.
 
-All scores in this package live in the natural-log domain as float64.
-Zero probability is represented by ``NEG_INF`` (an explicit IEEE -inf),
-never by tiny positive floats, and NaN or +inf anywhere is treated as a
-bug in the caller: every public operation validates its inputs and
-raises ``ValueError`` rather than letting it propagate silently.
+All scores in this package live in the natural-log domain as float64,
+as bare numpy arrays. Zero probability is represented by ``NEG_INF`` (an
+explicit IEEE -inf), never by tiny positive floats. NaN or +inf is a bug
+in the caller: ``log_sum_exp`` and ``log_softmax`` raise ``ValueError``
+on it, and so do the boundaries data enters by (score files, ARPA and
+class files, ``EncoderOutput``), so it never propagates silently.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,31 +57,6 @@ def log_softmax(values) -> np.ndarray:
     mass = arr - m
     np.exp(mass, out=mass)  # in place: one temporary, same values
     return arr - (m + float(np.log(mass.sum())))
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """A dense log-domain score vector over token ids ``0..len-1`` of
-    some agreed vocabulary. A sparse row (the words of a rank-r query)
-    is a ``SparseLmQueryResult`` instead.
-
-    ``normalized`` marks vectors whose exponentials sum to one.
-    Operations that break normalization must clear it.
-    """
-
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _checked(self.values)[0])
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def softmax(values) -> ScoreVector:
-    """log_softmax packaged as a normalized dense ScoreVector."""
-    return ScoreVector(log_softmax(values), normalized=True)
 
 
 class Vocabulary:
@@ -146,8 +122,11 @@ class ExternalLm(ABC):
 
     States are opaque, hashable, and immutable; ``advance`` never
     mutates its argument. ``full_dist`` returns a dense normalized
-    log-probability array over the decoder vocabulary, and ``top_r``
-    must agree with ``full_dist`` entrywise on the ids it returns.
+    log-probability array over the decoder vocabulary of V tokens
+    (``beam_search`` checks V against the encoder once per decode).
+    ``top_r`` returns distinct ids in ``[0, V)`` and must agree with
+    ``full_dist`` entrywise on them; the fusion operators index with
+    those ids unchecked.
     """
 
     @abstractmethod

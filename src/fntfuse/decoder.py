@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classlm import ClassModel, ClmState, encoder_rank_pass, enumerate_transitions
-from .core import NEG_INF, ExternalLm, ScoreVector, log_softmax, log_sum_exp
+from .core import NEG_INF, ExternalLm, log_softmax, log_sum_exp
 from .fusion import (
     FusionConfig,
     clm_predictor_interp,
@@ -201,29 +201,15 @@ def _unwind(steps: tuple) -> tuple:
     return tuple(reversed(out))
 
 
-def joint_step(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> ScoreVector:
-    """Final posterior: softmax over the word channels plus blank.
-
-    Word channels are the elementwise sum of encoder and predictor
-    scores; both inputs must have the same length.
-    """
-    if len(z_t) != len(z_u):
-        raise ValueError(f"support mismatch: {len(z_t)} vs {len(z_u)}")
-    row = _fill_joint(np.empty(len(z_u) + 1), z_t.values, z_u.values, z_blank)
-    return ScoreVector(log_softmax(row), normalized=True)
-
-
-def blank_fallback(z_t: ScoreVector, z_u: ScoreVector, z_blank: float) -> float:
+def blank_fallback(z_t_row: np.ndarray, z_u: np.ndarray, blank: float) -> float:
     """Blank log-posterior priced from the ORIGINAL joint scores.
 
     Used when a class model leaves a hypothesis with no word channel at
     all: blank is then the only move, and it costs what it would have
     cost before any interpolation.
     """
-    if len(z_t) != len(z_u):
-        raise ValueError(f"support mismatch: {len(z_t)} vs {len(z_u)}")
-    row = _fill_joint(np.empty(len(z_u) + 1), z_t.values, z_u.values, z_blank)
-    return float(z_blank) - log_sum_exp(row)
+    row = _fill_joint(np.empty(z_u.size + 1), z_t_row, z_u, blank)
+    return blank - log_sum_exp(row)
 
 
 def _fill_joint(row: np.ndarray, enc, pred, blank: float) -> np.ndarray:
@@ -396,9 +382,7 @@ class _FrameScorer:
         if self.use_clm:
             trans = self._transitions(hyp.clm_state, t, z_t_row)
             if not len(trans):
-                # blank fallback: priced from the original joint scores
-                row = _fill_joint(self._joint(z_u.size), z_t_row, z_u, b)
-                return trans.word, trans, np.empty(0), b - log_sum_exp(row)
+                return trans.word, trans, np.empty(0), blank_fallback(z_t_row, z_u, b)
             words = trans.word
             aug = self._fused_row(hyp, z_u, trans)
             row = _fill_joint(self._joint(words.size), z_t_row[words], aug, b)
@@ -440,11 +424,15 @@ def beam_search(
     stats = DecodeStats(n_frames=encoder.n_frames)
     frame_scorer = _FrameScorer(scorer, config, external_lm, class_model)
     predictor = scorer.predictor
-    probe = predictor.full_dist(predictor.initial_state())
-    if probe.size != encoder.n_vocab:
-        raise ValueError(
-            f"predictor covers {probe.size} tokens, encoder {encoder.n_vocab}"
-        )
+    # every row the decode fuses is indexed by the encoder's token ids
+    sizes = {"predictor": predictor.full_dist(predictor.initial_state()).size}
+    if use_lm:
+        sizes["external LM"] = external_lm.full_dist(external_lm.initial_state()).size
+    if fu.uses_clm:
+        sizes["class model"] = class_model.n_words
+    for name, size in sizes.items():
+        if size != encoder.n_vocab:
+            raise ValueError(f"{name} covers {size} tokens, encoder {encoder.n_vocab}")
 
     prefix_ids: dict = {}  # (parent prefix id, token) -> prefix id; 0 is ()
     init = Hypothesis(

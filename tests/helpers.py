@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
+from fntfuse import decoder
 from fntfuse.classlm import train_tagged_clm
 from fntfuse.core import Vocabulary
 
@@ -62,3 +65,28 @@ def random_history(rng, vocab_size, bos_id, max_len=4):
     if length and rng.random() < 0.3:
         h = [bos_id] + h[1:]
     return tuple(h)
+
+
+class RowScorer:
+    """A scorer whose predictor serves one fixed row ``z_u`` at every
+    state and whose blank score is the raw blank logit."""
+
+    def __init__(self, z_u):
+        self.z_u = np.asarray(z_u, dtype=np.float64)
+        self.predictor = self
+
+    def full_dist(self, state):
+        return self.z_u
+
+    def blank_score(self, logit, k):
+        return logit
+
+
+def decoder_joint(z_t, z_u, blank):
+    """(word posteriors, blank posterior) of one unfused expansion with
+    encoder row ``z_t``, predictor row ``z_u`` and blank logit ``blank``,
+    as ``decoder._FrameScorer.expand`` computes them in a decode."""
+    fs = decoder._FrameScorer(RowScorer(z_u), decoder.DecoderConfig(), None, None)
+    hyp = SimpleNamespace(pred_state=None, lm_state=None, clm_state=None, k=0)
+    _, _, posts, blank_post = fs.expand(hyp, 0, np.asarray(z_t, dtype=np.float64), blank)
+    return posts, blank_post

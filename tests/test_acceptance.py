@@ -19,8 +19,8 @@ from fntfuse.classlm import (
     enumerate_transitions,
     train_tagged_clm,
 )
-from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_softmax, log_sum_exp
-from fntfuse.decoder import DecoderConfig, beam_search, joint_step
+from fntfuse.core import NEG_INF, Vocabulary, log_softmax, log_sum_exp
+from fntfuse.decoder import DecoderConfig, beam_search
 from fntfuse.evalmetrics import (
     bench_topr,
     build_bench_model,
@@ -29,14 +29,8 @@ from fntfuse.evalmetrics import (
     ngram_count,
     sweep,
 )
-from fntfuse.fusion import (
-    FusionConfig,
-    conditional_linear_interp,
-    linear_interp,
-    loglinear_interp,
-    shallow_fuse,
-)
-from fntfuse.ngram import SparseLmQueryResult, train_kneser_ney
+from fntfuse.fusion import FusionConfig, cli_scores, li_scores, mix_scores
+from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import (
     EncoderOutput,
     FntScorer,
@@ -45,7 +39,7 @@ from fntfuse.simulate import (
     synthesize_scenario,
 )
 
-from helpers import random_corpus, random_history, toy_class_model
+from helpers import decoder_joint, random_corpus, random_history, toy_class_model
 from oracles import OracleKn, clm_prefix_masses, exhaustive_decode
 
 BEAM = 4
@@ -260,22 +254,20 @@ def test_distributions_normalize(verdict):
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 12))
-        z = ScoreVector(log_softmax(rng.normal(size=n)), normalized=True)
-        lp = ScoreVector(log_softmax(rng.normal(size=n)), normalized=True)
-        out = linear_interp(z, lp, float(rng.uniform(0.0, 1.0)))
-        worst = max(worst, abs(np.exp(log_sum_exp(out.values)) - 1.0))
+        z = log_softmax(rng.normal(size=n))
+        lp = log_softmax(rng.normal(size=n))
+        out = li_scores(z, lp, float(rng.uniform(0.0, 1.0)))
+        worst = max(worst, abs(np.exp(log_sum_exp(out)) - 1.0))
     devs["li"] = worst
 
-    # joint posterior over word channels plus blank
+    # the decoder's joint posterior over word channels plus blank
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 10))
-        out = joint_step(
-            ScoreVector(rng.normal(size=n)),
-            ScoreVector(rng.normal(size=n)),
-            float(rng.normal()),
+        posts, blank_post = decoder_joint(
+            rng.normal(size=n), rng.normal(size=n), float(rng.normal())
         )
-        worst = max(worst, abs(np.exp(log_sum_exp(out.values)) - 1.0))
+        worst = max(worst, abs(np.exp(log_sum_exp(np.append(posts, blank_post))) - 1.0))
     devs["joint"] = worst
 
     # class-model transition mass, rank gate off, 200 walked states
@@ -341,35 +333,27 @@ def test_fusion_operator_algebra(verdict):
     worst_id, worst_rep, worst_gate, worst_norm = 0.0, 0.0, 0.0, 0.0
     for _ in range(50):
         n = int(rng.integers(2, 12))
-        z = ScoreVector(log_softmax(rng.normal(size=n)), normalized=True)
-        lp = ScoreVector(log_softmax(rng.normal(size=n)), normalized=True)
+        z = log_softmax(rng.normal(size=n))
+        lp = log_softmax(rng.normal(size=n))
         ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-        sparse = SparseLmQueryResult(
-            ids.astype(np.int64), lp.values[ids], np.zeros(ids.size, dtype=np.int64)
-        )
         alpha = float(rng.uniform(0.05, 0.95))
 
+        # mix_scores is sf on the joint row and lli on the predictor row
         for zero in (
-            shallow_fuse(z, lp, 0.0),
-            linear_interp(z, lp, 0.0),
-            loglinear_interp(z, lp, 0.0),
-            conditional_linear_interp(z, sparse, 0.0),
+            mix_scores(z, lp, 0.0),
+            li_scores(z, lp, 0.0),
+            cli_scores(z, ids, lp[ids], 0.0),
         ):
-            worst_id = max(worst_id, float(np.max(np.abs(zero.values - z.values))))
-        for one in (shallow_fuse(z, lp, 1.0), loglinear_interp(z, lp, 1.0)):
-            worst_rep = max(worst_rep, float(np.max(np.abs(one.values - lp.values))))
+            worst_id = max(worst_id, float(np.max(np.abs(zero - z))))
+        worst_rep = max(worst_rep, float(np.max(np.abs(mix_scores(z, lp, 1.0) - lp))))
 
-        li = linear_interp(z, lp, alpha)
-        cli = conditional_linear_interp(z, sparse, alpha)
-        worst_gate = max(
-            worst_gate, float(np.max(np.abs(cli.values[ids] - li.values[ids])))
-        )
+        li = li_scores(z, lp, alpha)
+        cli = cli_scores(z, ids, lp[ids], alpha)
+        worst_gate = max(worst_gate, float(np.max(np.abs(cli[ids] - li[ids]))))
         off = np.setdiff1d(np.arange(n), ids)
         if off.size:
-            worst_gate = max(
-                worst_gate, float(np.max(np.abs(cli.values[off] - z.values[off])))
-            )
-        worst_norm = max(worst_norm, abs(np.exp(log_sum_exp(li.values)) - 1.0))
+            worst_gate = max(worst_gate, float(np.max(np.abs(cli[off] - z[off]))))
+        worst_norm = max(worst_norm, abs(np.exp(log_sum_exp(li)) - 1.0))
     ok = max(worst_id, worst_rep, worst_gate, worst_norm) <= 1e-9
     verdict(
         "fusion-algebra",

@@ -326,6 +326,19 @@ def test_bad_config_value_is_a_usage_error(beam, scenario_dir, tmp_path, capsys)
     assert f"argument --beam: invalid int value: '{beam}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,flag", [("method", "--method"), ("exit_rule", "--exit-rule")], ids=["method", "exit_rule"]
+)
+def test_config_value_outside_choices_is_a_usage_error(key, flag, scenario_dir, tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    write_yaml(cfg, {"scenario": scenario_dir, "utts": 1, key: "bogus"})
+    for argv in (["--config", str(cfg)], ["--scenario", scenario_dir, flag, "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval"] + argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_config_sets_a_switch(scenario_dir, tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     write_yaml(

@@ -9,18 +9,14 @@ import pytest
 
 from fntfuse import classlm, decoder, simulate
 from fntfuse.classlm import enumerate_transitions, train_tagged_clm
-from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_softmax, log_sum_exp
-from fntfuse.decoder import (
-    DecoderConfig,
-    beam_search,
-    blank_fallback,
-    joint_step,
-)
+from fntfuse.core import NEG_INF, Vocabulary, log_softmax, log_sum_exp
+from fntfuse.decoder import DecoderConfig, beam_search, blank_fallback
 from fntfuse.evalmetrics import evaluate
 from fntfuse.fusion import FusionConfig
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import EncoderOutput, FntScorer, NgramPredictor
 
+from helpers import decoder_joint
 from oracles import exhaustive_decode, full_expansion_beam_search
 
 SATURATE = 4096
@@ -89,67 +85,24 @@ def assert_matches_oracle(encoder, scorer, config, lm=None, clm=None, nbest=3):
     return results, totals
 
 
-class TestJointStep:
-    def test_uniform_case(self):
-        v = 4
-        z = ScoreVector(np.full(v, -math.log(v)), normalized=True)
-        out = joint_step(z, z, -2.0 * math.log(v))
-        np.testing.assert_allclose(out.values, np.full(v + 1, -math.log(v + 1)))
-        assert np.exp(log_sum_exp(out.values)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_shift_algebra(self):
-        rng = np.random.default_rng(11)
-        z_t = ScoreVector(rng.normal(size=5))
-        z_u = ScoreVector(rng.normal(size=5))
-        base = joint_step(z_t, z_u, -1.0)
-        shifted = joint_step(ScoreVector(z_t.values + 0.7), z_u, -1.0 + 0.7)
-        np.testing.assert_allclose(shifted.values, base.values, atol=1e-12)
-        unshifted_blank = joint_step(ScoreVector(z_t.values + 0.7), z_u, -1.0)
-        assert abs(unshifted_blank.values[-1] - base.values[-1]) > 1e-6
-
-    def test_three_word_numeric(self):
-        z_t = ScoreVector([math.log(0.5), math.log(0.3), math.log(0.2)])
-        z_u = ScoreVector([math.log(0.1), math.log(0.6), math.log(0.3)])
-        blank = math.log(0.25)
-        out = joint_step(z_t, z_u, blank)
-        raw = [0.5 * 0.1, 0.3 * 0.6, 0.2 * 0.3, 0.25]
-        want = np.log(np.array(raw) / sum(raw))
-        np.testing.assert_allclose(out.values, want, atol=1e-12)
-
-    def test_support_mismatch_faults(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            joint_step(ScoreVector([-1.0]), ScoreVector([-1.0, -2.0]), 0.0)
-
-    def test_equals_append_then_softmax(self):
-        rng = np.random.default_rng(54)
-        for n in (1, 7, 300):
-            z_t, z_u, b = rng.normal(size=n), rng.normal(size=n), float(rng.normal())
-            z_u[::5] = NEG_INF
-            want = log_softmax(np.append(z_t + z_u, b))
-            got = joint_step(ScoreVector(z_t), ScoreVector(z_u), b)
-            assert np.array_equal(got.values, want)
-
-
 class TestBlankFallback:
     def test_uniform(self):
         v = 5
         half = np.full(v, -math.log(v) / 2)
-        got = blank_fallback(ScoreVector(half), ScoreVector(half), -math.log(v))
+        got = blank_fallback(half, half, -math.log(v))
         assert got == pytest.approx(-math.log(v + 1), abs=1e-12)
 
     def test_strictly_below_one(self):
-        z = ScoreVector([-2.0, NEG_INF])
-        got = blank_fallback(z, ScoreVector([0.0, 0.0]), 1.0)
+        got = blank_fallback(np.array([-2.0, NEG_INF]), np.zeros(2), 1.0)
         assert got < 0.0
         assert got == pytest.approx(1.0 - math.log(math.exp(-2.0) + math.e), abs=1e-12)
 
     def test_zero_mass_words_make_blank_certain(self):
-        z = ScoreVector([NEG_INF, NEG_INF])
-        assert blank_fallback(z, ScoreVector([0.0, 0.0]), -3.0) == 0.0
+        assert blank_fallback(np.full(2, NEG_INF), np.zeros(2), -3.0) == 0.0
 
     def test_three_word_numeric(self):
-        z_t = ScoreVector([math.log(0.5), math.log(0.3), math.log(0.2)])
-        z_u = ScoreVector([math.log(0.2), math.log(0.2), math.log(0.6)])
+        z_t = np.array([math.log(0.5), math.log(0.3), math.log(0.2)])
+        z_u = np.array([math.log(0.2), math.log(0.2), math.log(0.6)])
         raw = [0.5 * 0.2, 0.3 * 0.2, 0.2 * 0.6, 0.4]
         want = math.log(0.4 / sum(raw))
         got = blank_fallback(z_t, z_u, math.log(0.4))
@@ -161,7 +114,7 @@ class TestBlankFallback:
             z_t, z_u, b = rng.normal(size=n), rng.normal(size=n), float(rng.normal())
             z_u[::5] = NEG_INF
             want = b - log_sum_exp(np.append(z_t + z_u, b))
-            assert blank_fallback(ScoreVector(z_t), ScoreVector(z_u), b) == want
+            assert blank_fallback(z_t, z_u, b) == want
 
 
 class TestBeamVsExhaustive:
@@ -404,11 +357,52 @@ class TestChildSelection:
         assert tied_cuts > 0  # the rows reach ties at the cut
 
 
+def _joint_cases():
+    """(z_t, z_u, blank) inputs of a bare joint: no fusion, the
+    predictor row as given."""
+    v = 4
+    cases = {
+        "joint-uniform": (np.full(v, -math.log(v)), np.full(v, -math.log(v)), -2.0 * math.log(v)),
+        "joint-three-word": (
+            np.array([math.log(0.5), math.log(0.3), math.log(0.2)]),
+            np.array([math.log(0.1), math.log(0.6), math.log(0.3)]),
+            math.log(0.25),
+        ),
+    }
+    rng = np.random.default_rng(11)
+    cases["joint-random-5"] = (rng.normal(size=5), rng.normal(size=5), -1.0)
+    rng = np.random.default_rng(54)
+    for n in (1, 7, 300):
+        z_t, z_u, b = rng.normal(size=n), rng.normal(size=n), float(rng.normal())
+        z_u[::5] = NEG_INF
+        cases[f"joint-dead-{n}"] = (z_t, z_u, b)
+    return cases
+
+
+JOINT_CASES = _joint_cases()
+
+
 class TestExpand:
     """``_FrameScorer.expand`` against the construction it replaced: the
     joint row with blank appended, normalized by one log-softmax. The
     fused rows are written out here as formulas, so a fault in the
-    fusion operators the decoder calls shows as a mismatch."""
+    fusion operators the decoder calls shows as a mismatch. The
+    ``joint-*`` cases feed the bare joint chosen rows and check it in
+    the probability domain too."""
+
+    @staticmethod
+    def check_bare_joint(z_t, z_u, b):
+        posts, blank_post = decoder_joint(z_t, z_u, b)
+        got = np.append(posts, blank_post)
+        assert np.array_equal(got, log_softmax(np.append(z_t + z_u, b)))
+        raw = np.exp(np.append(z_t + z_u, b))
+        np.testing.assert_allclose(np.exp(got), raw / raw.sum(), rtol=0, atol=1e-12)
+        # a common shift of the encoder row and blank cancels; the
+        # encoder row shifted alone moves blank, unless no word is live
+        shifted = np.append(*decoder_joint(z_t + 0.7, z_u, b + 0.7))
+        np.testing.assert_allclose(shifted, got, atol=1e-12)
+        moved = decoder_joint(z_t + 0.7, z_u, b)[1]
+        assert (abs(moved - blank_post) > 1e-6) == bool(np.isfinite(z_u).any())
 
     @staticmethod
     def reference(fusion, scorer, lm, clm, hyp, z_t, blank_logit):
@@ -447,8 +441,11 @@ class TestExpand:
         posts = log_softmax(np.append(joint, b))
         return words, posts[:-1], float(posts[-1])
 
-    @pytest.mark.parametrize("name", list(PRUNING_CASES))
+    @pytest.mark.parametrize("name", list(PRUNING_CASES) + list(JOINT_CASES))
     def test_matches_append_then_softmax(self, name):
+        if name in JOINT_CASES:
+            self.check_bare_joint(*JOINT_CASES[name])
+            return
         fusion = PRUNING_CASES[name]
         rng = np.random.default_rng(52)
         vocab, scorer, encoder = make_instance(rng, 6, 3)
@@ -517,8 +514,8 @@ class TestExpand:
         fs = decoder._FrameScorer(scorer, config, None, model)
         _, got, posts, blank_post = fs.expand(_Stub(pred, None, inside, 1), 0, z_t, -2.0)
         assert len(got) == 0 and posts.size == 0
-        z_u = ScoreVector(scorer.predictor.full_dist(pred))
-        assert blank_post == blank_fallback(ScoreVector(z_t), z_u, scorer.blank_score(-2.0, 1))
+        z_u = scorer.predictor.full_dist(pred)
+        assert blank_post == blank_fallback(z_t, z_u, scorer.blank_score(-2.0, 1))
 
 
 class TestBeamProperties:
@@ -936,3 +933,21 @@ class TestConfigValidation:
         encoder = make_encoder(rng, 1, 5)
         with pytest.raises(ValueError, match="covers"):
             beam_search(encoder, scorer, DecoderConfig())
+
+    @pytest.mark.parametrize("method", ["sf", "li", "lli", "cli", "three-way"])
+    def test_short_external_lm_faults(self, method):
+        rng = np.random.default_rng(27)
+        vocab, scorer, encoder = make_instance(rng, 8, 2)
+        short_lm = NgramPredictor(make_ngram(rng, make_vocab(5)))
+        config = DecoderConfig(fusion=PRUNING_CASES[method])
+        with pytest.raises(ValueError, match="external LM covers 5 tokens, encoder 8"):
+            beam_search(encoder, scorer, config, short_lm, make_clm(rng, vocab))
+
+    @pytest.mark.parametrize("method", ["clm", "three-way"])
+    def test_short_class_model_faults(self, method):
+        rng = np.random.default_rng(28)
+        vocab, scorer, encoder = make_instance(rng, 8, 2)
+        lm = NgramPredictor(make_ngram(rng, vocab))
+        config = DecoderConfig(fusion=PRUNING_CASES[method])
+        with pytest.raises(ValueError, match="class model covers 5 tokens, encoder 8"):
+            beam_search(encoder, scorer, config, lm, make_clm(rng, make_vocab(5)))

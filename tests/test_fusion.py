@@ -14,14 +14,13 @@ from fntfuse.classlm import (
     enumerate_transitions,
     train_tagged_clm,
 )
-from fntfuse.core import NEG_INF, ScoreVector, Vocabulary, log_sum_exp, softmax
+from fntfuse.core import NEG_INF, Vocabulary, log_softmax, log_sum_exp
 from fntfuse.fusion import (
     FusionConfig,
+    cli_scores,
     clm_predictor_interp,
-    conditional_linear_interp,
-    linear_interp,
-    loglinear_interp,
-    shallow_fuse,
+    li_scores,
+    mix_scores,
     three_way,
 )
 from fntfuse.ngram import SparseLmQueryResult
@@ -38,61 +37,60 @@ def sparse(pairs):
 
 
 def random_pair(rng, n):
-    z = softmax(rng.normal(size=n))
-    p = softmax(rng.normal(size=n))
+    z = log_softmax(rng.normal(size=n))
+    p = log_softmax(rng.normal(size=n))
     return z, p
 
 
+def cli(z, sp, alpha):
+    return cli_scores(z, sp.word_ids, sp.logprobs, alpha)
+
+
 class TestShallowFuse:
+    """sf: ``mix_scores`` on the joint row."""
+
     def test_alpha_zero_identity(self):
         rng = np.random.default_rng(0)
         z, p = random_pair(rng, 6)
-        out = shallow_fuse(z, p, 0.0)
-        np.testing.assert_array_equal(out.values, z.values)
-        assert not out.normalized
+        np.testing.assert_array_equal(mix_scores(z, p, 0.0), z)
 
     def test_alpha_one_replacement(self):
         rng = np.random.default_rng(1)
         z, p = random_pair(rng, 6)
-        np.testing.assert_array_equal(shallow_fuse(z, p, 1.0).values, p.values)
+        np.testing.assert_array_equal(mix_scores(z, p, 1.0), p)
 
     def test_quarter_mix_scalar(self):
-        z = ScoreVector([-2.0, -3.0])
-        p = ScoreVector([math.log(0.1), math.log(0.9)], normalized=True)
-        out = shallow_fuse(z, p, 0.25)
-        assert out.values[0] == pytest.approx(-2.0756462732485113, abs=1e-12)
-
-    def test_faults(self):
-        z = ScoreVector([-1.0, -2.0])
-        with pytest.raises(ValueError, match="mismatch"):
-            shallow_fuse(z, softmax([0.0, 0.0, 0.0]), 0.5)
-        with pytest.raises(ValueError, match="normalized"):
-            shallow_fuse(z, ScoreVector([-1.0, -2.0]), 0.5)
+        z = np.array([-2.0, -3.0])
+        p = np.array([math.log(0.1), math.log(0.9)])
+        out = mix_scores(z, p, 0.25)
+        assert out[0] == pytest.approx(-2.0756462732485113, abs=1e-12)
 
     def test_zero_lm_prob_with_alpha_zero_keeps_score(self):
-        z = ScoreVector([-1.0, -2.0])
-        p = ScoreVector([0.0, NEG_INF], normalized=True)
-        out = shallow_fuse(z, p, 0.0)
-        assert out.values[1] == -2.0  # no NaN from 0 * -inf
+        z = np.array([-1.0, -2.0])
+        p = np.array([0.0, NEG_INF])
+        out = mix_scores(z, p, 0.0)
+        assert out[1] == -2.0  # no NaN from 0 * -inf
 
 
 class TestLinearInterp:
+    """li: ``li_scores`` on the predictor row."""
+
     def test_alpha_zero_identity(self):
         rng = np.random.default_rng(2)
         z, p = random_pair(rng, 5)
-        np.testing.assert_array_equal(linear_interp(z, p, 0.0).values, z.values)
+        np.testing.assert_array_equal(li_scores(z, p, 0.0), z)
 
     def test_symmetric_mix(self):
-        z = softmax(np.log([0.8, 0.2]))
-        p = softmax(np.log([0.2, 0.8]))
-        out = linear_interp(z, p, 0.5)
-        np.testing.assert_allclose(np.exp(out.values), [0.5, 0.5], atol=1e-12)
+        z = log_softmax(np.log([0.8, 0.2]))
+        p = log_softmax(np.log([0.2, 0.8]))
+        out = li_scores(z, p, 0.5)
+        np.testing.assert_allclose(np.exp(out), [0.5, 0.5], atol=1e-12)
 
     def test_point_mass_mix(self):
-        z = ScoreVector([0.0, NEG_INF], normalized=True)
-        p = ScoreVector([NEG_INF, 0.0], normalized=True)
-        out = linear_interp(z, p, 0.25)
-        np.testing.assert_allclose(np.exp(out.values), [0.75, 0.25], atol=1e-12)
+        z = np.array([0.0, NEG_INF])
+        p = np.array([NEG_INF, 0.0])
+        out = li_scores(z, p, 0.25)
+        np.testing.assert_allclose(np.exp(out), [0.75, 0.25], atol=1e-12)
 
     def test_preserves_normalization(self):
         rng = np.random.default_rng(3)
@@ -100,67 +98,58 @@ class TestLinearInterp:
             n = int(rng.integers(2, 40))
             z, p = random_pair(rng, n)
             alpha = float(rng.uniform())
-            out = linear_interp(z, p, alpha)
-            assert out.normalized
-            assert np.exp(log_sum_exp(out.values)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_requires_normalized_inputs(self):
-        z = softmax([0.0, 1.0])
-        with pytest.raises(ValueError, match="normalized"):
-            linear_interp(z, ScoreVector([-1.0, -2.0]), 0.5)
-        with pytest.raises(ValueError, match="normalized"):
-            linear_interp(ScoreVector([-1.0, -2.0]), z, 0.5)
+            out = li_scores(z, p, alpha)
+            assert np.exp(log_sum_exp(out)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestLogLinearInterp:
+    """lli: ``mix_scores`` on the predictor row."""
+
     def test_alpha_zero_identity(self):
-        z = ScoreVector([-0.3, -4.0, -1.2])
-        p = softmax([1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(loglinear_interp(z, p, 0.0).values, z.values)
+        z = np.array([-0.3, -4.0, -1.2])
+        p = log_softmax([1.0, 0.0, 2.0])
+        np.testing.assert_array_equal(mix_scores(z, p, 0.0), z)
 
     def test_alpha_one_replacement(self):
-        z = ScoreVector([-0.3, -4.0, -1.2])
-        p = softmax([1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(loglinear_interp(z, p, 1.0).values, p.values)
+        z = np.array([-0.3, -4.0, -1.2])
+        p = log_softmax([1.0, 0.0, 2.0])
+        np.testing.assert_array_equal(mix_scores(z, p, 1.0), p)
 
     def test_fixed_point(self):
-        p = softmax([0.5, -0.5, 1.5])
+        p = log_softmax([0.5, -0.5, 1.5])
         for alpha in ALPHAS:
-            np.testing.assert_allclose(
-                loglinear_interp(p, p, alpha).values, p.values, atol=1e-12
-            )
+            np.testing.assert_allclose(mix_scores(p, p, alpha), p, atol=1e-12)
 
     def test_geometric_mean(self):
-        z = ScoreVector([math.log(0.04), -5.0])
-        p = ScoreVector([math.log(0.25), -0.1])
-        out = loglinear_interp(z, p, 0.5)
-        assert out.values[0] == pytest.approx(math.log(0.1), abs=1e-12)
+        z = np.array([math.log(0.04), -5.0])
+        p = np.array([math.log(0.25), -0.1])
+        out = mix_scores(z, p, 0.5)
+        assert out[0] == pytest.approx(math.log(0.1), abs=1e-12)
 
 
 class TestConditionalLinearInterp:
+    """cli: ``cli_scores`` with a rank-r query's ids and log-probs."""
+
     def test_empty_sparse_unchanged(self):
-        z = softmax([0.1, 0.2, 0.3])
-        out = conditional_linear_interp(z, sparse([]), 0.5)
-        np.testing.assert_array_equal(out.values, z.values)
-        assert not out.normalized
+        z = log_softmax([0.1, 0.2, 0.3])
+        out = cli(z, sparse([]), 0.5)
+        np.testing.assert_array_equal(out, z)
+        assert out is not z
 
     def test_saturated_gate_equals_linear(self):
         rng = np.random.default_rng(4)
         z, p = random_pair(rng, 8)
-        sp = sparse(list(zip(range(8), p.values.tolist())))
+        sp = sparse(list(zip(range(8), p.tolist())))
         for alpha in ALPHAS:
-            got = conditional_linear_interp(z, sp, alpha)
-            want = linear_interp(z, p, alpha)
-            np.testing.assert_array_equal(got.values, want.values)
+            np.testing.assert_array_equal(cli(z, sp, alpha), li_scores(z, p, alpha))
 
     def test_four_word_gate(self):
-        z = softmax(np.log([0.4, 0.3, 0.2, 0.1]))
+        z = log_softmax(np.log([0.4, 0.3, 0.2, 0.1]))
         sp = sparse([(0, math.log(0.1)), (2, math.log(0.7))])
-        out = conditional_linear_interp(z, sp, 0.5)
+        out = cli(z, sp, 0.5)
         want = [math.log(0.25), math.log(0.3), math.log(0.45), math.log(0.1)]
-        np.testing.assert_allclose(out.values, want, atol=1e-12)
-        assert np.exp(log_sum_exp(out.values)) == pytest.approx(1.1, abs=1e-12)
-        assert not out.normalized
+        np.testing.assert_allclose(out, want, atol=1e-12)
+        assert np.exp(log_sum_exp(out)) == pytest.approx(1.1, abs=1e-12)
 
     def test_gated_entries_match_linear_exactly(self):
         rng = np.random.default_rng(5)
@@ -169,20 +158,10 @@ class TestConditionalLinearInterp:
             z, p = random_pair(rng, n)
             k = int(rng.integers(1, n))
             ids = rng.choice(n, size=k, replace=False)
-            sp = sparse([(int(i), float(p.values[i])) for i in ids])
+            sp = sparse([(int(i), float(p[i])) for i in ids])
             alpha = float(rng.uniform())
-            got = conditional_linear_interp(z, sp, alpha)
-            full = linear_interp(z, p, alpha)
-            np.testing.assert_array_equal(got.values[ids], full.values[ids])
-
-    def test_faults(self):
-        z = softmax([0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="duplicate"):
-            conditional_linear_interp(z, sparse([(1, -1.0), (1, -2.0)]), 0.5)
-        with pytest.raises(ValueError, match="outside"):
-            conditional_linear_interp(z, sparse([(7, -1.0)]), 0.5)
-        with pytest.raises(ValueError, match="normalized"):
-            conditional_linear_interp(ScoreVector([-1.0, -2.0]), sparse([]), 0.5)
+            got = cli(z, sp, alpha)
+            np.testing.assert_array_equal(got[ids], li_scores(z, p, alpha)[ids])
 
 
 class TestOperatorProperties:
@@ -192,29 +171,24 @@ class TestOperatorProperties:
             n = int(rng.integers(2, 12))
             z, p = random_pair(rng, n)
             a1, a2 = sorted(rng.uniform(size=2).tolist())
-            bound = (a2 - a1) * float(np.max(np.abs(p.values - z.values)))
-            for op in (shallow_fuse, loglinear_interp):
-                delta = np.max(
-                    np.abs(op(z, p, a2).values - op(z, p, a1).values)
-                )
-                assert delta <= bound + 1e-12
+            bound = (a2 - a1) * float(np.max(np.abs(p - z)))
+            delta = np.max(np.abs(mix_scores(z, p, a2) - mix_scores(z, p, a1)))
+            assert delta <= bound + 1e-12
 
     def test_argmax_dominance(self):
         rng = np.random.default_rng(7)
         found = 0
         while found < 30:
             z, p = random_pair(rng, int(rng.integers(2, 12)))
-            best = int(np.argmax(z.values))
-            if int(np.argmax(p.values)) != best:
+            best = int(np.argmax(z))
+            if int(np.argmax(p)) != best:
                 continue
             found += 1
-            sp = sparse([(best, float(p.values[best]))])
+            sp = sparse([(best, float(p[best]))])
             for alpha in ALPHAS:
-                assert int(np.argmax(shallow_fuse(z, p, alpha).values)) == best
-                assert int(np.argmax(linear_interp(z, p, alpha).values)) == best
-                assert int(np.argmax(loglinear_interp(z, p, alpha).values)) == best
-                cli = conditional_linear_interp(z, sp, alpha)
-                assert int(np.argmax(cli.values)) == best
+                assert int(np.argmax(mix_scores(z, p, alpha))) == best
+                assert int(np.argmax(li_scores(z, p, alpha))) == best
+                assert int(np.argmax(cli(z, sp, alpha))) == best
 
 
 class TestFusionConfig:
@@ -250,7 +224,7 @@ class TestClmPredictorInterp:
     def setup_method(self):
         self.vocab, self.model = toy_class_model(order=3)
         rng = np.random.default_rng(8)
-        self.z_u = softmax(rng.normal(size=self.model.n_words))
+        self.z_u = log_softmax(rng.normal(size=self.model.n_words))
 
     def test_block_order_and_alignment(self):
         state = self.model.initial_state()
@@ -280,7 +254,7 @@ class TestClmPredictorInterp:
             if cat == CAT2:
                 want = math.log(
                     0.25 * math.exp(lp)
-                    + 0.75 * math.exp(self.z_u.values[w])
+                    + 0.75 * math.exp(self.z_u[w])
                 )
                 assert sc == pytest.approx(want, abs=1e-12)
 
@@ -300,11 +274,11 @@ class TestClmPredictorInterp:
             if w in gated_words:
                 want = math.log(
                     0.5 * math.exp(lp)
-                    + 0.5 * math.exp(self.z_u.values[w])
+                    + 0.5 * math.exp(self.z_u[w])
                 )
                 assert sc == pytest.approx(want, abs=1e-12)
             else:
-                assert sc == self.z_u.values[w]
+                assert sc == self.z_u[w]
 
     def test_zero_prob_cat1_words_never_gated(self):
         state = self.model.initial_state()
@@ -312,7 +286,7 @@ class TestClmPredictorInterp:
         dead = (trans.category == CAT1) & (trans.logprob == NEG_INF)
         assert dead.any()  # closed vocabulary leaves unseen words at zero
         scores = clm_predictor_interp(self.z_u, trans, 0.5, 10_000)
-        np.testing.assert_array_equal(scores[dead], self.z_u.values[trans.word[dead]])
+        np.testing.assert_array_equal(scores[dead], self.z_u[trans.word[dead]])
 
     def test_no_exit_drops_cat1_and_cat2(self):
         pieces = ["▁a", "▁b", "▁c"]
@@ -330,7 +304,7 @@ class TestClmPredictorInterp:
         trans = enumerate_transitions(model, inner)
         assert CAT1 not in trans.category and CAT2 not in trans.category
         rng = np.random.default_rng(9)
-        z_u = softmax(rng.normal(size=3))
+        z_u = log_softmax(rng.normal(size=3))
         scores = clm_predictor_interp(z_u, trans, 0.5, 200)
         assert trans.category.tolist() == [CAT3]
         assert scores[0] == 0.0  # single forced continuation
@@ -345,35 +319,21 @@ class TestClmPredictorInterp:
         assert len(hits) >= 2
         assert len({trans.successor(i).key() for i in hits}) == len(hits)
 
-    def test_unnormalized_z_faults(self):
-        trans = enumerate_transitions(self.model, self.model.initial_state())
-        with pytest.raises(ValueError, match="normalized"):
-            clm_predictor_interp(
-                ScoreVector(self.z_u.values), trans, 0.5, 200
-            )
-
-    def test_bare_row_matches_score_vector(self):
-        trans = enumerate_transitions(self.model, exit_state(self.model, self.vocab))
-        np.testing.assert_array_equal(
-            clm_predictor_interp(self.z_u.values, trans, 0.5, 2),
-            clm_predictor_interp(self.z_u, trans, 0.5, 2),
-        )
-
 
 class TestThreeWay:
     def setup_method(self):
         self.vocab, self.model = toy_class_model(order=3)
         rng = np.random.default_rng(10)
-        self.z_u = softmax(rng.normal(size=self.model.n_words))
-        self.dense = softmax(rng.normal(size=self.model.n_words))
+        self.z_u = log_softmax(rng.normal(size=self.model.n_words))
+        self.dense = log_softmax(rng.normal(size=self.model.n_words))
         self.trans = enumerate_transitions(self.model, self.model.initial_state())
 
     def test_second_alpha_zero_is_dense_only(self):
         scores = three_way(self.z_u, self.dense, self.trans, 0.3, 0.0, 200)
-        stage1 = linear_interp(self.z_u, self.dense, 0.3)
+        stage1 = li_scores(self.z_u, self.dense, 0.3)
         for cat, w, sc in zip(self.trans.category, self.trans.word, scores):
             if cat in (CAT1, CAT2):
-                assert sc == stage1.values[w]
+                assert sc == stage1[w]
 
     def test_first_alpha_zero_is_clm_only(self):
         scores = three_way(self.z_u, self.dense, self.trans, 0.0, 0.9, 200)
@@ -388,8 +348,8 @@ class TestThreeWay:
             [
                 math.log(
                     a2 * math.exp(lp)
-                    + a1 * math.exp(self.dense.values[w])
-                    + (1 - a1 - a2) * math.exp(self.z_u.values[w])
+                    + a1 * math.exp(self.dense[w])
+                    + (1 - a1 - a2) * math.exp(self.z_u[w])
                 )
                 if lp > NEG_INF
                 else NEG_INF
@@ -398,9 +358,3 @@ class TestThreeWay:
         )
         finite = np.isfinite(joint)
         assert np.max(np.abs(scores[:n1][finite] - joint[finite])) > 1e-6
-
-    def test_unnormalized_or_mismatched_inputs_fault(self):
-        with pytest.raises(ValueError, match="normalized"):
-            three_way(ScoreVector(self.z_u.values), self.dense, self.trans, 0.3, 0.4, 200)
-        with pytest.raises(ValueError, match="support mismatch"):
-            three_way(self.z_u, softmax(np.zeros(3)), self.trans, 0.3, 0.4, 200)
