@@ -44,14 +44,16 @@ last) is written into a buffer the scorer owns for the decode and
 normalized by one log-softmax. One selection over the children's
 scores (parent score plus posterior, -inf for a dead channel) returns
 the ``beam`` best finite channels in ascending order, ties to the lower
-channel index as ``heapq.nlargest`` keeps them, and the finite count.
-It costs a partition, one scan and a count of the dead channels; ties
-at the cut and fewer than ``beam`` finite channels take further passes
-only when they occur. Only those children are recorded in A, plus every
-child whose tokens and emission count match a pending child already in
-A; A is then cut back to the beam whenever A plus the unrecorded
-children exceeds it. This merge-aware cut leaves A and B, entries and
-dict order, exactly as recording every child would:
+channel index as ``heapq.nlargest`` keeps them. It costs a partition
+and one scan; ties at the cut and fewer than ``beam`` finite channels
+take further passes only when they occur. Only those children are
+recorded in A, plus every child whose tokens and emission count match
+a pending child already in A; A is then cut back to the beam whenever A
+plus the unrecorded finite children exceeds it. The dead channels are
+counted only when that sum depends on the count: when ``beam`` children
+were selected, so finite ones may be left out, and A holds at most
+``beam`` entries after recording. This merge-aware cut leaves A and B,
+entries and dict order, exactly as recording every child would:
 
 1. Siblings never share a merge key (tokens, emission count, class
    state). With one word, a CAT1 successor is outside any class, CAT2
@@ -60,7 +62,9 @@ dict order, exactly as recording every child would:
 2. So a child can only climb by merging into an A entry that already
    exists, which has the child's tokens and count: a pending child of
    an earlier-popped entry with ``best``'s prefix id and k. Those are
-   recorded.
+   recorded. They are looked for whenever ``beam`` children were
+   selected; when no finite channel is left out, any found is already
+   among them.
 3. Any other child outside the ``beam`` best is outranked by ``beam``
    distinct A entries (the best siblings or the entries they merged
    into), each strictly higher, or equal and ahead of it in dict order,
@@ -69,18 +73,37 @@ dict order, exactly as recording every child would:
    drops that child and keeps the same survivors either way. With no
    child left out, both ways hold the same dict and cut alike.
 
-Every beam cut (of A, and of B at the end of a frame) is
-``sorted(..., reverse=True)[:beam]``, which the ``heapq`` docs define as
-equal to ``heapq.nlargest``, and which is cheaper on a few entries.
-
 Without a class model no child can merge into A at all: its only
 possible parent has its tokens minus one and k minus one, and is popped
-at most once per frame, so the dense methods skip the merge check.
+at most once per frame. So the dense methods skip the merge check and
+record a child by plain assignment: its key is new, and channel i is
+word i.
+
+Pops and cuts read the rank order the search keeps instead of
+rescanning A and B:
+
+- Every beam cut (of A, and of B at the end of a frame) is
+  ``sorted(..., reverse=True)[:beam]``, which the ``heapq`` docs define
+  as equal to ``heapq.nlargest``, and which is cheaper on a few
+  entries. The sort is stable, so after a cut A's dict order is its
+  rank order, equal scores in their older dict order.
+- A pop takes the first entry of A with the top score, the one ``max``
+  returns. While A is in rank order, that is its head. A is in rank
+  order at frame start, since the carried set is B after its cut (a
+  ``require-cat1`` survivor appended to it scores no higher than the
+  rest), and after every cut of A; a pop keeps the order. Recording
+  children, or merging into A, without a cut leaves A out of order,
+  and pops scan A with ``max`` until the next cut.
+- B settles the frame when ``beam`` of its entries score at least the
+  top of A. B's scores are kept negated in an ascending list, updated
+  as each blank extension enters or merges into B, so the test reads
+  B's ``beam``-th best score instead of counting over B.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,10 +244,11 @@ def _fill_joint(row: np.ndarray, enc, pred, blank: float) -> np.ndarray:
 
 
 def _merge(pool: dict, key, entry):
-    """Put a Hypothesis or _Pending into ``pool``. On a key already held,
-    the higher-scoring entry (the held one on a tie) represents both,
-    with their summed score, in the held one's place. An entry belongs
-    to the one pool it is in, so it is updated in place."""
+    """Put a Hypothesis or _Pending into ``pool`` and return the entry
+    that holds ``key``. On a key already held, the higher-scoring entry
+    (the held one on a tie) represents both, with their summed score, in
+    the held one's place. An entry belongs to the one pool it is in, so
+    it is updated in place."""
     old = pool.get(key)
     if old is not None:
         total = float(np.logaddexp(old.logscore, entry.logscore))
@@ -233,6 +257,7 @@ def _merge(pool: dict, key, entry):
         entry.logscore = total
         entry.merged = True
     pool[key] = entry
+    return entry
 
 
 def _cat1_possible(hyp: Hypothesis, clm: ClassModel | None) -> bool:
@@ -241,28 +266,33 @@ def _cat1_possible(hyp: Hypothesis, clm: ClassModel | None) -> bool:
     return hyp.clm_state.class_tag is None or clm.exit_logmass(hyp.clm_state) > NEG_INF
 
 
-def _top_children(scores: np.ndarray, beam: int) -> tuple[np.ndarray, int]:
+def _top_children(scores: np.ndarray, beam: int) -> np.ndarray:
     """Ascending indices of the ``beam`` highest finite scores (all of
-    them if fewer are finite), and the number of finite scores.
+    them if fewer are finite).
 
     Ties at the cut go to the lower index, the order in which
-    ``heapq.nlargest`` keeps equal keys. The common case is a partition,
-    one ``>= cut`` scan and a count of the -inf entries; ties at the cut
-    and fewer than ``beam`` finite scores take further passes only when
-    they occur.
+    ``heapq.nlargest`` keeps equal keys. The common case is a partition
+    and one ``>= cut`` scan; ties at the cut and fewer than ``beam``
+    finite scores take further passes only when they occur.
     """
     n = scores.size
     if n > beam:
-        cut = np.partition(scores, n - beam)[n - beam]
+        part = scores.copy()  # the method skips np.partition's Python wrapper
+        part.partition(n - beam)
+        cut = part[n - beam]
         if cut > NEG_INF:
             keep = (scores >= cut).nonzero()[0]
             surplus = keep.size - beam
             if surplus:  # ties at the cut: drop the highest-index ones
                 ties = (scores[keep] == cut).nonzero()[0]
                 keep = np.delete(keep, ties[-surplus:])
-            return keep, n - np.count_nonzero(scores == NEG_INF)
-    keep = (scores > NEG_INF).nonzero()[0]
-    return keep, keep.size
+            return keep
+    return (scores > NEG_INF).nonzero()[0]
+
+
+def _n_finite(scores: np.ndarray) -> int:
+    """The number of finite entries of ``scores``."""
+    return scores.size - np.count_nonzero(scores == NEG_INF)
 
 
 def _merge_siblings(A: dict, best: Hypothesis, words: np.ndarray, scores: np.ndarray):
@@ -453,13 +483,18 @@ def beam_search(
                 0, h.steps, h.merged,
             )
         B = {}
+        b_scores: list = []  # B's scores, negated, ascending
         extra_used = 0
+        a_ranked = True  # A's scores never rise in dict order
 
         while A:
-            best_key = max(A, key=lambda key: A[key].logscore)
+            if a_ranked:
+                best_key = next(iter(A))
+            else:
+                best_key = max(A, key=lambda key: A[key].logscore)
             best = A[best_key]
-            settled = sum(1 for h in B.values() if h.logscore >= best.logscore)
-            if settled >= config.beam:
+            # beam entries of B score at least best's: B settles the frame
+            if len(b_scores) >= config.beam and b_scores[config.beam - 1] <= -best.logscore:
                 if config.exit_rule != "require-cat1" or any(
                     _cat1_possible(h, class_model)
                     for h in sorted(
@@ -498,29 +533,43 @@ def beam_search(
                 best.lm_state, best.clm_state, best.k,
                 (best.steps, (t, best.k, None, blank_post)), best.merged,
             )
-            _merge(B, (best.prefix, best.clm_state), took_blank)
+            b_key = (best.prefix, best.clm_state)
+            held = B.get(b_key)
+            if held is not None:  # its score rises: take the old one out
+                del b_scores[bisect_left(b_scores, -held.logscore)]
+            insort(b_scores, -_merge(B, b_key, took_blank).logscore)
 
-            unrecorded = 0
+            unrecorded = 0  # finite children left out, counted when the cut needs it
             if best.k < config.max_emit:
                 scores = best.logscore + posts
-                keep, n_finite = _top_children(scores, config.beam)
-                # the merge-aware cut, exact (module docstring)
-                if n_finite > keep.size:
-                    if transitions is not None:  # dense children never merge
-                        merging = _merge_siblings(A, best, words, scores)
-                        keep = np.union1d(keep, merging) if merging.size else keep
-                    unrecorded = n_finite - keep.size
-                stats.n_children += keep.size
+                keep = _top_children(scores, config.beam)
                 k = best.k + 1
-                for i, word, post in zip(keep.tolist(), words[keep].tolist(), posts[keep].tolist()):
-                    succ = transitions.successor(i) if transitions is not None else None
-                    _merge(
-                        A, (best.prefix, word, succ, k),
-                        _Pending(best.logscore + post, best, word, post, succ, best.merged),
-                    )
+                if transitions is None:
+                    for i, post in zip(keep.tolist(), posts[keep].tolist()):
+                        A[best.prefix, i, None, k] = _Pending(
+                            best.logscore + post, best, i, post, None, best.merged
+                        )
+                else:
+                    if keep.size == config.beam:  # finite channels may be left out
+                        merging = _merge_siblings(A, best, words, scores)
+                        if merging.size:
+                            keep = np.union1d(keep, merging)
+                    for i, word, post in zip(
+                        keep.tolist(), words[keep].tolist(), posts[keep].tolist()
+                    ):
+                        succ = transitions.successor(i)
+                        _merge(
+                            A, (best.prefix, word, succ, k),
+                            _Pending(best.logscore + post, best, word, post, succ, best.merged),
+                        )
+                if keep.size >= config.beam and len(A) <= config.beam:
+                    unrecorded = _n_finite(scores) - keep.size
+                stats.n_children += keep.size
+                a_ranked = a_ranked and not keep.size
             if len(A) + unrecorded > config.beam:
                 ranked = sorted(A.items(), key=lambda kv: kv[1].logscore, reverse=True)
                 A = dict(ranked[: config.beam])
+                a_ranked = True
 
         ranked = sorted(B.items(), key=lambda kv: kv[1].logscore, reverse=True)
         survivors = ranked[: config.beam]

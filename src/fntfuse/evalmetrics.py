@@ -15,6 +15,7 @@ aggregation.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,6 +151,7 @@ class EvalReport:
     total_frames: int
     total_width: int
     n_warnings: int = 0  # utterances whose decode set DecodeStats.warning
+    warning_kinds: tuple = ()  # sorted (DecodeStats.warning text, utterances) pairs
 
     @property
     def n_utts(self) -> int:
@@ -230,7 +232,8 @@ def evaluate(
     subs = ins = dels = n_words = 0
     entity_tokens = entity_errors = 0
     total_time = 0.0
-    total_exp = total_frames = total_width = n_warnings = 0
+    total_exp = total_frames = total_width = 0
+    warnings = Counter()
     for utt, (counts, n_entity, errors, stats) in zip(tests, scored):
         rows.append((utt.utt_id, *counts))
         subs += counts.subs
@@ -243,7 +246,8 @@ def evaluate(
         total_exp += stats.n_expansions
         total_frames += stats.n_frames
         total_width += stats.total_width
-        n_warnings += stats.warning is not None
+        if stats.warning is not None:
+            warnings[stats.warning] += 1
     return EvalReport(
         name,
         tuple(rows),
@@ -257,7 +261,8 @@ def evaluate(
         total_exp,
         total_frames,
         total_width,
-        n_warnings,
+        sum(warnings.values()),
+        tuple(sorted(warnings.items())),
     )
 
 

@@ -191,8 +191,12 @@ class NgramPredictor(ExternalLm):
         hit = self._top.get(key)
         if hit is None:
             dense = self.full_dist(key[0])
-            order = np.argsort(-dense, kind="stable")
-            take = order[dense[order] > NEG_INF][:r]  # zero-mass words never rank
+            take = (dense > NEG_INF).nonzero()[0]  # zero-mass words never rank
+            if take.size > r > 0:  # only ids at or above the r-th value can rank
+                vals = dense[take]
+                take = take[vals >= np.partition(vals, take.size - r)[take.size - r]]
+            # ties to the lower id, as ``take`` is ascending
+            take = take[np.argsort(-dense[take], kind="stable")][:r]
             hit = SparseLmQueryResult(
                 take.astype(np.int64), dense[take], np.zeros(take.size, dtype=np.int64)
             )

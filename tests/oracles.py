@@ -483,7 +483,10 @@ def full_expansion_beam_search(
     (tokens, logscore, steps, merged) tuples.
 
     When ``stats`` is a dict it receives ``edge_ties``, the number of
-    cuts of A that fell between two equal scores.
+    cuts of A that fell between two equal scores, ``pop_ties``, the
+    number of pops at which two or more entries of A held the top
+    score, and ``expansions``, the number of pops. They only count;
+    none changes a decision.
     """
     import heapq
     from types import SimpleNamespace
@@ -500,7 +503,7 @@ def full_expansion_beam_search(
     )
     frame_scorer = _FrameScorer(scorer, config, external_lm, class_model)
     predictor = scorer.predictor
-    edge_ties = 0
+    edge_ties = pop_ties = expansions = 0
 
     # hypothesis: [tokens, logscore, pred, lm, clm, k, steps, merged]
     def key(h):
@@ -553,6 +556,9 @@ def full_expansion_beam_search(
                 if extra >= 2 * config.beam:
                     break
                 extra += 1
+            if sum(1 for h in A.values() if h[1] == best[1]) > 1:
+                pop_ties += 1
+            expansions += 1
             del A[best_key]
             view = SimpleNamespace(
                 pred_state=best[2], lm_state=best[3], clm_state=best[4], k=best[5]
@@ -607,4 +613,6 @@ def full_expansion_beam_search(
     results.sort(key=lambda r: (-r[1], r[0]))
     if stats is not None:
         stats["edge_ties"] = edge_ties
+        stats["pop_ties"] = pop_ties
+        stats["expansions"] = expansions
     return results[: config.nbest]

@@ -9,7 +9,7 @@ import pytest
 
 from fntfuse import classlm, decoder, simulate
 from fntfuse.classlm import enumerate_transitions, train_tagged_clm
-from fntfuse.core import NEG_INF, Vocabulary, log_softmax, log_sum_exp
+from fntfuse.core import NEG_INF, ExternalLm, Vocabulary, log_softmax, log_sum_exp
 from fntfuse.decoder import DecoderConfig, beam_search, blank_fallback
 from fntfuse.evalmetrics import evaluate
 from fntfuse.fusion import FusionConfig
@@ -222,6 +222,26 @@ def make_tie_instance(rng, n_vocab, n_frames):
     return vocab, scorer, NgramPredictor(permutation_lm()), encoder
 
 
+class _UniformLm(ExternalLm):
+    """A predictor that gives every word the same log-probability."""
+
+    def __init__(self, n_words):
+        self.row = np.full(n_words, -math.log(n_words))
+        self.row.setflags(write=False)
+
+    def initial_state(self):
+        return ()
+
+    def advance(self, state, token_id):
+        return state + (token_id,)
+
+    def full_dist(self, state):
+        return self.row
+
+    def top_r(self, state, r):
+        raise NotImplementedError
+
+
 PRUNING_CASES = {
     "none": FusionConfig(),
     "sf": FusionConfig("sf", 0.25),
@@ -242,7 +262,7 @@ class TestPruningVsFullExpansion:
     def test_identical_to_full_expansion(self, name):
         fusion = PRUNING_CASES[name]
         rng = np.random.default_rng(30)
-        ties = 0
+        ties = pop_ties = 0
         for _ in range(5):
             vocab, scorer, lm, encoder = make_tie_instance(rng, 5, 4)
             clm = make_clm(rng, vocab)
@@ -251,16 +271,77 @@ class TestPruningVsFullExpansion:
                     config = DecoderConfig(
                         beam=beam, nbest=beam, fusion=fusion, exit_rule=rule, max_emit=2
                     )
-                    got, _ = beam_search(encoder, scorer, config, lm, clm)
+                    got, got_stats = beam_search(encoder, scorer, config, lm, clm)
                     stats = {}
                     want = full_expansion_beam_search(
                         encoder, scorer, config, lm, clm, stats
                     )
                     ties += stats["edge_ties"]
+                    pop_ties += stats["pop_ties"]
                     assert [
                         (r.tokens, r.logscore, r.steps, r.merged) for r in got
                     ] == want
+                    assert got_stats.n_expansions == stats["expansions"]
         assert ties > 0  # the cases reach ties at the beam edge
+        if not fusion.uses_clm:
+            assert pop_ties > 0  # and ties for the top of A at a pop
+
+    def test_identical_to_full_expansion_with_class_model_pop_ties(self):
+        # class-model children tie for the top of A and merge into it; a
+        # pop must still take the first top entry, the one max returns
+        rng = np.random.default_rng(31)
+        pop_ties = merged = 0
+        for _ in range(3):
+            vocab, scorer, lm, encoder = make_tie_instance(rng, 8, 6)
+            clm = make_clm(rng, vocab)
+            for beam in (1, 2, 3, 4):
+                for rule in ("standard", "require-cat1"):
+                    config = DecoderConfig(
+                        beam=beam, nbest=beam, fusion=FusionConfig("clm", 0.5, rank_r=1),
+                        exit_rule=rule, max_emit=2,
+                    )
+                    got, _ = beam_search(encoder, scorer, config, lm, clm)
+                    stats = {}
+                    want = full_expansion_beam_search(
+                        encoder, scorer, config, lm, clm, stats
+                    )
+                    pop_ties += stats["pop_ties"]
+                    merged += sum(r.merged for r in got)
+                    assert [
+                        (r.tokens, r.logscore, r.steps, r.merged) for r in got
+                    ] == want
+        assert pop_ties > 0 and merged > 0
+
+    @pytest.mark.parametrize("name", ["none", "li", "clm"])
+    def test_identical_to_full_expansion_when_a_leaves_rank_order(self, name):
+        # three words under a wider beam: children enter A without a cut,
+        # so pops must scan A for its first top entry until the next cut
+        fusion = PRUNING_CASES[name]
+        rng = np.random.default_rng(32)
+        for _ in range(4):
+            vocab, scorer, lm, encoder = make_tie_instance(rng, 3, 5)
+            clm = make_clm(rng, vocab)
+            for beam in (4, 6, 8):
+                config = DecoderConfig(beam=beam, nbest=beam, fusion=fusion, max_emit=2)
+                got, _ = beam_search(encoder, scorer, config, lm, clm)
+                want = full_expansion_beam_search(encoder, scorer, config, lm, clm)
+                assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 5])
+    def test_identical_to_full_expansion_when_every_score_ties(self, beam):
+        # every word and blank has one posterior at every step: each pop
+        # and each cut ties, and B's beam-th best ties with the top of A
+        n = 3
+        scorer = FntScorer(_UniformLm(n))
+        encoder = EncoderOutput(np.full((4, n), -math.log(n)), np.full(4, -2.0 * math.log(n)))
+        config = DecoderConfig(beam=beam, nbest=beam, max_emit=2)
+        got, got_stats = beam_search(encoder, scorer, config)
+        stats = {}
+        want = full_expansion_beam_search(encoder, scorer, config, stats=stats)
+        assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+        assert got_stats.n_expansions == stats["expansions"]
+        if beam > 1:  # at beam 1, A holds one entry at a pop
+            assert stats["pop_ties"] > 0
 
     @pytest.mark.parametrize("name", ["none", "cli", "clm", "three-way"])
     def test_identical_to_full_expansion_on_long_utterances(self, name):
@@ -347,10 +428,10 @@ class TestChildSelection:
                     scores[live] = rng.integers(0, 3, size=n_finite) * 0.5 - 7.0
                     finite = np.flatnonzero(scores > NEG_INF).tolist()
                     want = sorted(heapq.nlargest(beam, finite, key=lambda i: scores[i]))
-                    keep, count = decoder._top_children(scores, beam)
+                    keep = decoder._top_children(scores, beam)
                     assert keep.dtype.kind == "i"
                     assert keep.tolist() == want
-                    assert count == n_finite
+                    assert decoder._n_finite(scores) == n_finite
                     ranked = sorted(scores[finite], reverse=True)
                     if n_finite > beam and ranked[beam - 1] == ranked[beam]:
                         tied_cuts += 1
@@ -719,6 +800,8 @@ class TestExitRule:
             rep = evaluate(rule, utts, clm.base_vocab, scorer, config, class_model=clm)
             assert rep.n_warnings == warned
             assert rep.line().endswith(f" warnings={warned}")
+            kinds = (("require-cat1 budget exhausted", warned),) if warned else ()
+            assert rep.warning_kinds == kinds
 
 
 class TestGatedDeadEnd:

@@ -322,6 +322,28 @@ class TestNgramPredictor:
                     outside = np.setdiff1d(np.arange(pred.n_words), res.word_ids)
                     assert np.max(dense[outside]) <= res.logprobs[-1] + 1e-12
 
+    @pytest.mark.parametrize("n_words", [120, 301, 1100, 4000])
+    def test_top_r_is_the_full_argsort(self, n_words, monkeypatch):
+        # the partition must pick the ids a stable argsort of the whole
+        # row picks, in its order: ties to the lower id, -inf never ranks
+        pred, _ = self.make(0.0)
+        rng = np.random.default_rng(n_words)
+        rows = {}
+        for i in range(12):
+            row = rng.integers(0, 6, size=n_words) * -0.5  # six levels: heavy ties
+            row[rng.random(n_words) < 0.05] = NEG_INF
+            if i == 0:
+                row[5:] = NEG_INF  # fewer finite words than most r
+            rows[(i,)] = row
+        monkeypatch.setattr(pred, "full_dist", rows.__getitem__)
+        for state, row in rows.items():
+            order = np.argsort(-row, kind="stable")
+            for r in (1, 5, 200, n_words):
+                want = order[row[order] > NEG_INF][:r]
+                res = pred.top_r(state, r)
+                assert res.word_ids.tobytes() == want.astype(np.int64).tobytes()
+                assert res.logprobs.tobytes() == row[want].tobytes()
+
     def test_top_r_result_is_shared_and_read_only(self):
         pred, _ = self.make(0.05)
         state = pred.initial_state()
