@@ -314,11 +314,11 @@ def enumerate_transitions(
     exit_lp = model.exit_logmass(state)
     if exit_lp > NEG_INF:
         chain = model.ngram.suffix_chain(model.exit_history(state))
+        dense = model.ngram.dense_row(chain)
         # CAT1 ranges over word-pieces only: drop the tags, bos and eos
-        dense = model.ngram.dense_row(chain)[: model.n_words]
-        blocks.append((CAT1, np.arange(model.n_words), exit_lp + dense, -1))
+        blocks.append((CAT1, np.arange(model.n_words), exit_lp + dense[: model.n_words], -1))
         for tag in model.tag_ids:
-            p_tag = model.ngram.logprob_chain(tag, chain)
+            p_tag = float(dense[tag])  # the same value as ngram.logprob(tag, history)
             if p_tag > NEG_INF:
                 root = model.trees[tag].root
                 blocks.append(

@@ -132,7 +132,7 @@ def _fusion_config(args) -> FusionConfig:
 
 
 def _decoder_config(args, fusion: FusionConfig) -> DecoderConfig:
-    given = _given(args, "beam", "nbest", "rank_rprime", "exit_rule", "max_emit")
+    given = _given(args, "beam", "rank_rprime", "exit_rule", "max_emit")
     return DecoderConfig(fusion=fusion, **given)
 
 
@@ -282,7 +282,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    fusion = FusionConfig("cli", args.alpha, **_given(args, "rank_r"))
+    for flag, value in (("--rank-r", args.rank_r), ("--queries", args.queries)):
+        if value < 1:  # checked before the models are built
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     models = {}
     for size in args.sizes:
         vocab, sentences = bench_corpus(size, seed=args.seed)
@@ -290,26 +292,13 @@ def cmd_bench(args) -> int:
         models[f"n{size}"] = model = train_kneser_ney(sentences, 3, vocab=vocab, eos=False)
         build_s = time.perf_counter() - t0
         print(f"BENCH-BUILD label=n{size} ngrams={ngram_count(model)} build_s={build_s:.3f}")
-    points = bench_topr(models, r=fusion.rank_r, n_queries=args.queries, seed=args.seed)
+    points = bench_topr(models, r=args.rank_r, n_queries=args.queries, seed=args.seed)
     for p in points:
         print(p.line())
     if len(points) >= 2:
         by_size = sorted(points, key=lambda p: p.n_ngrams)
         ratio = by_size[-1].mean_latency / by_size[0].mean_latency
         print(f"BENCH-RATIO large_over_small={ratio:.3f}")
-    if args.scenario is not None:
-        config = _decoder_config(args, fusion)
-        scn, tests, scorer, external, _ = _scenario_setup(args, fusion.uses_lm)
-        base = evaluate(
-            "none", tests, scn.vocab, scorer, _decoder_config(args, FusionConfig())
-        )
-        fused = evaluate("cli", tests, scn.vocab, scorer, config, external)
-        slow = fused.mean_decode_time / base.mean_decode_time - 1.0
-        print(
-            f"BENCH-DECODE base_ms={1000 * base.mean_decode_time:.3f}"
-            f" cli_ms={1000 * fused.mean_decode_time:.3f}"
-            f" slowdown={slow:.3f}"
-        )
     return 0
 
 
@@ -329,7 +318,6 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--scenario", help="scenario directory from `synth`")
     p.add_argument("--predictor", help="ARPA file for the predictor (default: train from scenario)")
     p.add_argument("--lm", help="ARPA file for the external LM (default: train from scenario)")
-    p.add_argument("--clm", help="class-model directory (default: build from scenario)")
     _add_order_flag(p)
     p.add_argument("--floor", type=float, default=0.05, help="predictor uniform floor (default %(default)s)")
     p.add_argument("--gamma", type=float, default=6.0, help="per-emission blank bonus (default %(default)s)")
@@ -349,8 +337,8 @@ def _add_fusion_flags(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=METHODS, help=f"fusion method (default {FusionConfig.method})")
     p.add_argument("--alpha", type=float, help=f"fusion weight (default {FusionConfig.alpha:g})")
     p.add_argument("--alpha2", type=float, help="class-model weight; sets up three-way fusion after li")
+    p.add_argument("--clm", help="class-model directory (default: build from scenario)")
     p.add_argument("--rank-rprime", type=int, dest="rank_rprime", help="encoder rank gate")
-    p.add_argument("--nbest", type=int, help=f"n-best size (default {DecoderConfig.nbest})")
     p.add_argument("--exit-rule", choices=EXIT_RULES, dest="exit_rule")
 
 
@@ -414,15 +402,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="rank-query latency across model sizes; optional decode slowdown")
+    p = sub.add_parser("bench", help="rank-query latency and build time across model sizes")
     p.add_argument("--config")
-    _add_model_flags(p)
+    p.add_argument(
+        "--rank-r", type=int, dest="rank_r", default=FusionConfig.rank_r,
+        help="entries per rank query (default %(default)s)",
+    )
     p.add_argument(
         "--sizes", type=_int_list, default="10000,1000000",
         help="comma-separated target n-gram counts (default %(default)s)",
     )
     p.add_argument("--queries", type=int, default=2000)
-    p.add_argument("--alpha", type=float, default=0.25, help="cli decode weight (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

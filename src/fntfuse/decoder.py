@@ -24,20 +24,21 @@ Bookkeeping is O(1) per child, whatever the utterance length:
   sequence. A ``Hypothesis`` carries its prefix id and a back-pointer
   ``steps`` = (parent's steps, this step). Step tuples, and the tokens
   they record, are unwound only for the final set's hypotheses.
-- The merge key is (prefix id, class state), plus k in A. The predictor
-  and LM states are left out, and that is exact: each is the initial
-  state advanced token by token, a function of the token sequence, so
-  two hypotheses with one prefix id hold equal states. The key merges
-  exactly the pairs a key of (tokens, predictor state, LM state, class
-  state) would.
+- A carried hypothesis is keyed by (prefix id, class state). A blank
+  extension enters B with k = 0 (its step records the k it was taken
+  at), so B after its frame-end cut is the next frame's A as it is. The
+  predictor and LM states are left out of keys, and that is exact:
+  each is the initial state advanced token by token, a function of the
+  token sequence, so two hypotheses with one prefix id hold equal
+  states. The key merges exactly the pairs a key of (tokens, predictor
+  state, LM state, class state) would.
 - A child enters A pending: its score, parent, word, posterior, class
   successor (None when dense) and merged flag. Only when it is popped
   does it advance the predictor and LM states and intern its prefix;
   most children never are. Its key is (parent prefix id, word,
-  successor, k), the same identity, since parent id and word name the
-  child's tokens. A pending key never meets a carried one: a pending
-  child has k >= 1, and the only built entries of A are the carried
-  ones at k = 0, since a popped child leaves A for good.
+  successor, k), the same identity plus k, since parent id and word
+  name the child's tokens. Pending keys are 4-tuples and carried keys
+  2-tuples, so the two never meet. A popped child leaves A for good.
 
 An expansion is one array pass. The joint row (word channels, blank
 last) is written into a buffer the scorer owns for the decode and
@@ -104,7 +105,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -153,6 +154,8 @@ class DecodeStats:
     ``n_popped_children`` the pending children popped and so built into
     hypotheses, and ``n_enumerations`` the class states this decode had
     to enumerate because the class model's memo did not hold them.
+    Stats add field by field, so a sum counts over several decodes; a
+    sum carries no ``warning``.
     """
 
     n_frames: int = 0
@@ -172,6 +175,12 @@ class DecodeStats:
     @property
     def expansions_per_frame(self) -> float:
         return self.n_expansions / max(self.n_frames, 1)
+
+    def __add__(self, other: "DecodeStats") -> "DecodeStats":
+        return DecodeStats(**{k: getattr(self, k) + getattr(other, k) for k in _COUNTERS})
+
+
+_COUNTERS = tuple(f.name for f in fields(DecodeStats) if f.name != "warning")
 
 
 @dataclass(frozen=True)
@@ -476,13 +485,7 @@ def beam_search(
     for t in range(encoder.n_frames):
         z_t_row = encoder.scores[t]
         blank_logit = float(encoder.blank_logits[t])
-        A: dict = {}
-        for h in B.values():
-            A[h.prefix, h.clm_state, 0] = Hypothesis(
-                h.prefix, h.logscore, h.pred_state, h.lm_state, h.clm_state,
-                0, h.steps, h.merged,
-            )
-        B = {}
+        A, B = B, {}
         b_scores: list = []  # B's scores, negated, ascending
         extra_used = 0
         a_ranked = True  # A's scores never rise in dict order
@@ -530,7 +533,7 @@ def beam_search(
 
             took_blank = Hypothesis(
                 best.prefix, best.logscore + blank_post, best.pred_state,
-                best.lm_state, best.clm_state, best.k,
+                best.lm_state, best.clm_state, 0,
                 (best.steps, (t, best.k, None, blank_post)), best.merged,
             )
             b_key = (best.prefix, best.clm_state)

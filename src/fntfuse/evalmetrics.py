@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Vocabulary
-from .decoder import DecoderConfig, beam_search
+from .decoder import DecodeStats, DecoderConfig, beam_search
 from .fusion import DENSE_METHODS, FusionConfig
 from .ngram import NgramModel, train_kneser_ney
 
@@ -146,16 +146,17 @@ class EvalReport:
     n_words: int
     entity_tokens: int
     entity_errors: int
-    total_decode_time: float
-    total_expansions: int
-    total_frames: int
-    total_width: int
-    n_warnings: int = 0  # utterances whose decode set DecodeStats.warning
+    stats: DecodeStats  # the sum of the utterances' DecodeStats
     warning_kinds: tuple = ()  # sorted (DecodeStats.warning text, utterances) pairs
 
     @property
     def n_utts(self) -> int:
         return len(self.per_utt)
+
+    @property
+    def n_warnings(self) -> int:
+        """Utterances whose decode set ``DecodeStats.warning``."""
+        return sum(n for _, n in self.warning_kinds)
 
     @property
     def wer(self) -> float:
@@ -169,15 +170,11 @@ class EvalReport:
 
     @property
     def mean_decode_time(self) -> float:
-        return self.total_decode_time / max(self.n_utts, 1)
-
-    @property
-    def mean_width(self) -> float:
-        return self.total_width / max(self.total_expansions, 1)
+        return self.stats.wall_time / max(self.n_utts, 1)
 
     @property
     def expansions_per_frame(self) -> float:
-        return self.total_expansions / max(self.total_frames, 1)
+        return self.stats.expansions_per_frame
 
     def werr_vs(self, baseline: "EvalReport") -> float:
         """Relative error-rate reduction against ``baseline``."""
@@ -191,7 +188,7 @@ class EvalReport:
             f" sub={self.subs} ins={self.ins} del={self.dels}"
             f" wer={self.wer:.6f} entity_rate={self.entity_error_rate:.6f}"
             f" time_ms={1000.0 * self.mean_decode_time:.3f}"
-            f" width={self.mean_width:.3f}"
+            f" width={self.stats.mean_width:.3f}"
             f" expf={self.expansions_per_frame:.3f}"
             f" warnings={self.n_warnings}"
         )
@@ -213,56 +210,28 @@ def evaluate(
     alignment. Entity errors count reference entity words whose
     alignment op is anything but a match.
     """
-
-    def one(utt):
+    rows = []
+    subs = ins = dels = n_words = entity_tokens = entity_errors = 0
+    total = DecodeStats()
+    warnings = Counter()
+    for utt in tests:
         results, stats = beam_search(
             utt.encoder, scorer, config, external_lm, class_model
         )
         hyp_words = detokenize(vocab.tokens_of(results[0].tokens))
         ops = align(utt.ref_words, hyp_words)
+        s, i, d, n = _edit_counts(ops, len(utt.ref_words))
+        rows.append((utt.utt_id, s, i, d, n))
+        subs, ins, dels, n_words = subs + s, ins + i, dels + d, n_words + n
         entity = set(utt.entity_word_indices)
-        errors = sum(
-            1 for op, ri, _ in ops if ri in entity and op != "match"
-        )
-        return _edit_counts(ops, len(utt.ref_words)), len(entity), errors, stats
-
-    scored = [one(utt) for utt in tests]
-
-    rows = []
-    subs = ins = dels = n_words = 0
-    entity_tokens = entity_errors = 0
-    total_time = 0.0
-    total_exp = total_frames = total_width = 0
-    warnings = Counter()
-    for utt, (counts, n_entity, errors, stats) in zip(tests, scored):
-        rows.append((utt.utt_id, *counts))
-        subs += counts.subs
-        ins += counts.ins
-        dels += counts.dels
-        n_words += counts.n_ref
-        entity_tokens += n_entity
-        entity_errors += errors
-        total_time += stats.wall_time
-        total_exp += stats.n_expansions
-        total_frames += stats.n_frames
-        total_width += stats.total_width
+        entity_tokens += len(entity)
+        entity_errors += sum(1 for op, ri, _ in ops if ri in entity and op != "match")
+        total += stats
         if stats.warning is not None:
             warnings[stats.warning] += 1
     return EvalReport(
-        name,
-        tuple(rows),
-        subs,
-        ins,
-        dels,
-        n_words,
-        entity_tokens,
-        entity_errors,
-        total_time,
-        total_exp,
-        total_frames,
-        total_width,
-        sum(warnings.values()),
-        tuple(sorted(warnings.items())),
+        name, tuple(rows), subs, ins, dels, n_words, entity_tokens, entity_errors,
+        total, tuple(sorted(warnings.items())),
     )
 
 

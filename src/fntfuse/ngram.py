@@ -206,16 +206,13 @@ class NgramModel:
     # -- queries -----------------------------------------------------------
 
     def logprob(self, word_id: int, history=()) -> float:
-        """log P(word | history) under full backoff recursion."""
-        return self.logprob_chain(word_id, self.suffix_chain(history))
-
-    def logprob_chain(self, word_id: int, chain) -> float:
-        """The longest context's finite arc for ``word_id``; a -inf arc
-        is skipped and the shorter context decides, as in ``top_r_chain``
+        """log P(word | history) under full backoff recursion: the
+        longest context's finite arc for ``word_id``; a -inf arc is
+        skipped and the shorter context decides, as in ``top_r_chain``
         and ``dense_row``."""
         if not 0 <= word_id < len(self.vocab) + 2:
             raise ValueError(f"word id out of range: {word_id}")
-        for node, acc in chain:
+        for node, acc in self.suffix_chain(history):
             arc = self._find_arc(node, word_id)
             if arc >= 0:
                 p = self._probs[node[0] + 1][arc]

@@ -2,6 +2,7 @@
 advancement, and path-mass equivalence against the automaton oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,45 @@ class TestEnumerateTransitions:
         assert trans.successor(in_s1[0]).key() != trans.successor(in_s2[0]).key()
         assert trans.successor(in_s2[0]).class_tag is not None
         assert trans.successor(in_s2[0]).class_tag == trans.tag[in_s2[0]]
+
+    def test_cat2_masses_equal_the_tag_logprob(self, tmp_path):
+        vocab, model = toy_class_model()
+        save_class_model(model, tmp_path / "clm")
+        arpa = tmp_path / "clm" / "ngram.arpa"
+        # zero the longest-context arc of ⟨NAME⟩ after "<s> ▁dial", so
+        # the bigram "▁dial ⟨NAME⟩" decides its mass there
+        text, n = re.subn(
+            r"^[^\t]+\t(<s> ▁dial ⟨NAME⟩)$", r"-99\t\1",
+            arpa.read_text(encoding="utf-8"), flags=re.M,
+        )
+        assert n == 1
+        arpa.write_text(text, encoding="utf-8")
+        clm = load_class_model(tmp_path / "clm", vocab)
+        bos, dial = clm.ngram.bos_id, vocab.id_of("▁dial")
+        name = clm.vocab.id_of("⟨NAME⟩")
+        trigrams = {g: p for g, p, _ in clm.ngram.iter_ngrams(3)}
+        assert trigrams[bos, dial, name] == NEG_INF
+        assert clm.ngram.logprob(name, (bos, dial)) > NEG_INF
+
+        rng = np.random.default_rng(9)
+        states = [ClmState((bos, dial), None, None), clm.initial_state()]
+        while len(states) < 40:
+            trans = enumerate_transitions(clm, states[-1])
+            live = np.flatnonzero(trans.logprob > NEG_INF)
+            states.append(trans.successor(int(rng.choice(live))))
+        for state in states:
+            trans = enumerate_transitions(clm, state)
+            exit_lp = clm.exit_logmass(state)
+            for tag in clm.tag_ids:
+                got = indices(trans, CAT2, tag=tag)
+                p_tag = clm.ngram.logprob(tag, clm.exit_history(state))
+                if exit_lp == NEG_INF or p_tag == NEG_INF:
+                    assert got == []
+                    continue
+                root = clm.trees[tag].root
+                assert trans.word[got].tolist() == root.child_words.tolist()
+                want = exit_lp + p_tag + root.child_logprobs
+                assert trans.logprob[got].tolist() == want.tolist()
 
 
 class TestAdvance:

@@ -2,10 +2,13 @@
 against the exhaustive alignment oracle, report aggregation, grid
 sweeps, and the rank-query benchmark."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from fntfuse.decoder import DecoderConfig
+from fntfuse.classlm import train_tagged_clm
+from fntfuse.decoder import DecodeStats, DecoderConfig, beam_search
 from fntfuse.evalmetrics import (
     ALPHA_GRID,
     EditCounts,
@@ -170,10 +173,9 @@ class TestEvalReport:
             n_words=10,
             entity_tokens=4,
             entity_errors=1,
-            total_decode_time=0.25,
-            total_expansions=50,
-            total_frames=20,
-            total_width=600,
+            stats=DecodeStats(
+                n_frames=20, n_expansions=50, total_width=600, wall_time=0.25
+            ),
         )
         base.update(overrides)
         return EvalReport(**base)
@@ -184,7 +186,7 @@ class TestEvalReport:
         assert rep.entity_error_rate == pytest.approx(0.25)
         assert rep.n_utts == 2
         assert rep.mean_decode_time == pytest.approx(0.125)
-        assert rep.mean_width == pytest.approx(12.0)
+        assert rep.stats.mean_width == pytest.approx(12.0)
         assert rep.expansions_per_frame == pytest.approx(2.5)
 
     def test_no_entities_rate_is_zero(self):
@@ -207,8 +209,13 @@ class TestEvalReport:
         assert int(fields["utts"]) == 2
         assert float(fields["wer"]) == pytest.approx(0.3)
         assert float(fields["entity_rate"]) == pytest.approx(0.25)
+        assert float(fields["time_ms"]) == pytest.approx(125.0)
+        assert float(fields["width"]) == pytest.approx(12.0)
+        assert float(fields["expf"]) == pytest.approx(2.5)
         assert int(fields["warnings"]) == 0
-        assert self.make(n_warnings=3).line().endswith(" warnings=3")
+        warned = self.make(warning_kinds=(("a", 1), ("b", 2)))
+        assert warned.n_warnings == 3
+        assert warned.line().endswith(" warnings=3")
 
 
 class TestEvaluate:
@@ -223,7 +230,7 @@ class TestEvaluate:
         assert rep.wer == 0.0
         assert rep.entity_errors == 0
         assert rep.n_utts == len(scn.tests)
-        assert rep.total_decode_time > 0.0
+        assert rep.stats.wall_time > 0.0
 
     def test_baseline_misses_unseen_entities_and_fusion_recovers(self):
         scn, scorer, external = scenario_setup()
@@ -254,6 +261,32 @@ class TestEvaluate:
         assert rep.dels == sum(r[3] for r in rep.per_utt)
         assert rep.n_words == sum(r[4] for r in rep.per_utt)
         assert [r[0] for r in rep.per_utt] == [u.utt_id for u in scn.tests]
+
+    def test_counters_sum_the_per_utterance_stats(self):
+        scn, scorer, _ = scenario_setup(tau=1.5, n_test=12)
+        # enumerations count class-memo misses, so each side gets a fresh model
+        build = lambda: train_tagged_clm(scn.clm_texts, scn.class_entries, 3, scn.vocab)
+        config = DecoderConfig(
+            beam=1,
+            fusion=FusionConfig("clm", 0.9, rank_r=2),
+            rank_rprime=3,
+            exit_rule="require-cat1",
+        )
+        rep = evaluate("clm", scn.tests, scn.vocab, scorer, config, class_model=build())
+        clm = build()
+        each = [
+            beam_search(u.encoder, scorer, config, class_model=clm)[1] for u in scn.tests
+        ]
+        for name in (
+            "n_frames", "n_expansions", "n_extra_expansions", "total_width",
+            "n_children", "n_popped_children", "n_enumerations",
+        ):
+            assert getattr(rep.stats, name) == sum(getattr(s, name) for s in each), name
+        assert rep.stats.n_enumerations > 0
+        warned = [s.warning for s in each if s.warning is not None]
+        assert warned, "no decode exhausted its require-cat1 budget"
+        assert rep.warning_kinds == tuple(sorted(Counter(warned).items()))
+        assert rep.n_warnings == len(warned)
 
 
 class TestSweep:
