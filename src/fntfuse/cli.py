@@ -143,6 +143,8 @@ def _scenario_setup(args, use_lm: bool, use_clm: bool = False):
     Models default to being trained from the scenario's own text files;
     explicit ARPA / class-model paths override.
     """
+    if args.utts is not None and args.utts < 1:  # checked before anything is read
+        raise ValueError(f"--utts must be >= 1, got {args.utts}")
     scn = read_scenario(_require(args, "scenario"))
 
     def ngram(path, texts, what: str):

@@ -140,10 +140,6 @@ class EvalReport:
 
     name: str
     per_utt: tuple  # (utt_id, subs, ins, dels, n_ref) rows in input order
-    subs: int
-    ins: int
-    dels: int
-    n_words: int
     entity_tokens: int
     entity_errors: int
     stats: DecodeStats  # the sum of the utterances' DecodeStats
@@ -159,8 +155,13 @@ class EvalReport:
         return sum(n for _, n in self.warning_kinds)
 
     @property
+    def edits(self) -> EditCounts:
+        """The ``per_utt`` rows' edit counts, pooled."""
+        return EditCounts(*(sum(row[k] for row in self.per_utt) for k in range(1, 5)))
+
+    @property
     def wer(self) -> float:
-        return (self.subs + self.ins + self.dels) / self.n_words
+        return self.edits.wer
 
     @property
     def entity_error_rate(self) -> float:
@@ -183,10 +184,11 @@ class EvalReport:
         return (baseline.wer - self.wer) / baseline.wer
 
     def line(self) -> str:
+        edits = self.edits
         return (
-            f"EVAL name={self.name} utts={self.n_utts} words={self.n_words}"
-            f" sub={self.subs} ins={self.ins} del={self.dels}"
-            f" wer={self.wer:.6f} entity_rate={self.entity_error_rate:.6f}"
+            f"EVAL name={self.name} utts={self.n_utts} words={edits.n_ref}"
+            f" sub={edits.subs} ins={edits.ins} del={edits.dels}"
+            f" wer={edits.wer:.6f} entity_rate={self.entity_error_rate:.6f}"
             f" time_ms={1000.0 * self.mean_decode_time:.3f}"
             f" width={self.stats.mean_width:.3f}"
             f" expf={self.expansions_per_frame:.3f}"
@@ -211,7 +213,7 @@ def evaluate(
     alignment op is anything but a match.
     """
     rows = []
-    subs = ins = dels = n_words = entity_tokens = entity_errors = 0
+    entity_tokens = entity_errors = 0
     total = DecodeStats()
     warnings = Counter()
     for utt in tests:
@@ -220,9 +222,7 @@ def evaluate(
         )
         hyp_words = detokenize(vocab.tokens_of(results[0].tokens))
         ops = align(utt.ref_words, hyp_words)
-        s, i, d, n = _edit_counts(ops, len(utt.ref_words))
-        rows.append((utt.utt_id, s, i, d, n))
-        subs, ins, dels, n_words = subs + s, ins + i, dels + d, n_words + n
+        rows.append((utt.utt_id, *_edit_counts(ops, len(utt.ref_words))))
         entity = set(utt.entity_word_indices)
         entity_tokens += len(entity)
         entity_errors += sum(1 for op, ri, _ in ops if ri in entity and op != "match")
@@ -230,9 +230,15 @@ def evaluate(
         if stats.warning is not None:
             warnings[stats.warning] += 1
     return EvalReport(
-        name, tuple(rows), subs, ins, dels, n_words, entity_tokens, entity_errors,
-        total, tuple(sorted(warnings.items())),
+        name, tuple(rows), entity_tokens, entity_errors, total,
+        tuple(sorted(warnings.items())),
     )
+
+
+def _pooled_wer(reports) -> float:
+    """WER of the reports' utterances together."""
+    edits = [r.edits for r in reports]
+    return sum(e.subs + e.ins + e.dels for e in edits) / sum(e.n_ref for e in edits)
 
 
 @dataclass(frozen=True)
@@ -270,17 +276,10 @@ class SweepReport:
         """(weight, WERR) of the best single weight, aggregating splits
         by utterance-count weighting (pooled edit counts)."""
         cells = self._method_cells(method)
-        base_err = sum(
-            b.subs + b.ins + b.dels for b in self.baselines.values()
-        )
-        base_words = sum(b.n_words for b in self.baselines.values())
-        base_wer = base_err / base_words
+        base_wer = _pooled_wer(self.baselines.values())
         best = None
         for alpha in sorted({c.alpha for c in cells}):
-            grp = [c.report for c in cells if c.alpha == alpha]
-            wer = sum(r.subs + r.ins + r.dels for r in grp) / sum(
-                r.n_words for r in grp
-            )
+            wer = _pooled_wer(c.report for c in cells if c.alpha == alpha)
             werr = (base_wer - wer) / base_wer
             if best is None or werr > best[1] + 1e-15:
                 best = (alpha, werr)

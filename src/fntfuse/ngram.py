@@ -5,9 +5,11 @@ contiguous block of child arcs sorted by descending log-probability
 (ties by ascending word-id), plus a word-sorted secondary index for
 point lookups. That layout makes rank-r continuation queries a cheap
 array scan with iterative fallback to shorter contexts, independent of
-total model size. Dense rows scatter each node's finite arcs shortest
-context first, so a word's longest finite arc decides, as in rank-r
-queries and point lookups.
+total model size. A context's first word is found by a direct word-id
+index into the unigram arcs, the rest by binary search. Dense rows
+start from the unigram row, scattered once per model, and scatter each
+longer node's finite arcs shortest context first, so a word's longest
+finite arc decides, as in rank-r queries and point lookups.
 
 Training (array passes after the sort-based estimation of KenLM's
 ``lmplz``) and the ARPA loader hand ``NgramModel`` the same input: per
@@ -143,6 +145,13 @@ class NgramModel:
             arc_of_rank[layout] = np.arange(n)
         self._child_lo[order] = np.zeros(n, dtype=np.int64)
         self._child_hi[order] = np.zeros(n, dtype=np.int64)
+        # the empty context's row and arc per word, for every query to share
+        unigrams = np.full(n_symbols, -1, dtype=np.int64)
+        unigrams[self._words[1]] = np.arange(self._words[1].size)
+        self._unigram_arc = unigrams.tolist()
+        finite = self._probs[1] > NEG_INF
+        self._root_row = np.full(n_symbols, NEG_INF)
+        self._root_row[self._words[1][finite]] = self._probs[1][finite]
 
     # -- structure access ------------------------------------------------
 
@@ -164,13 +173,18 @@ class NgramModel:
         return float(self._bows[node[0]][node[1]])
 
     def _find_arc(self, node, word_id: int) -> int:
-        """Absolute arc index of ``word_id`` under ``node``, or -1."""
+        """Absolute arc index of ``word_id`` under ``node``, or -1. Under
+        the root it is looked up by word id, not searched; an id outside
+        [0, V+2) matches nothing."""
+        if node == ROOT:
+            arcs = self._unigram_arc
+            return arcs[word_id] if 0 <= word_id < len(arcs) else -1
         level = node[0] + 1
         lo, hi = self.node_span(node)
         if lo == hi:
             return -1
         ws = self._wsorted[level]
-        pos = lo + int(np.searchsorted(ws[lo:hi], word_id))
+        pos = lo + int(ws[lo:hi].searchsorted(word_id))
         if pos < hi and ws[pos] == word_id:
             return int(self._worder[level][pos])
         return -1
@@ -190,7 +204,9 @@ class NgramModel:
 
         Each element is (node, accumulated backoff weight of all longer
         matched suffixes). Both logprob and top_r consume this chain in
-        order, which is what makes their values bit-identical.
+        order, which is what makes their values bit-identical. Every
+        later node's context is a suffix of the first's, so the first
+        node alone determines the chain.
         """
         h = tuple(history)[max(0, len(history) - (self.order - 1)):]
         chain = []
@@ -264,13 +280,18 @@ class NgramModel:
         )
 
     def dense_row(self, chain) -> np.ndarray:
-        """All ``len(vocab) + 2`` log-probabilities over ``chain``: one
-        scatter per node, shortest context first, so a longer context
-        overwrites a shorter one and -inf arcs never write. Bit-identical
-        to scattering ``top_r_chain(chain, len(vocab) + 2)``, where the
-        longest context claims a word first and -inf arcs are skipped."""
-        row = np.full(len(self.vocab) + 2, NEG_INF)
-        for node, acc in reversed(chain):
+        """All ``len(vocab) + 2`` log-probabilities over ``chain``, a
+        ``suffix_chain`` (it ends at the root): the model's unigram row,
+        scattered once at construction, plus the root's backoff weight,
+        then one scatter per longer node, shortest context first, so a
+        longer context overwrites a shorter one and -inf arcs never
+        write. Bit-identical to scattering ``top_r_chain(chain,
+        len(vocab) + 2)``, where the longest context claims a word first
+        and -inf arcs are skipped: IEEE addition commutes, and -inf plus
+        a weight stays -inf."""
+        *longer, (_, acc) = chain
+        row = self._root_row + acc
+        for node, acc in reversed(longer):
             lo, hi = self.node_span(node)
             probs = self._probs[node[0] + 1][lo:hi]
             finite = probs > NEG_INF

@@ -26,10 +26,11 @@ from .ngram import NgramModel, SparseLmQueryResult
 SCORES_MAGIC = "FNTSCORES v2"
 SCORES_DTYPE = np.dtype("<f8")
 
-# Bounds of an NgramPredictor's two per-state caches, each emptied whole
-# when full: dense rows up to ROW_CACHE_VALUES floats in all (16 MB), and
-# up to TOP_CACHE_ENTRIES top-r results (~20 MB at ~610 bytes an entry
-# at r = 4). A decodebench pass holds at most ~590 rows and ~530 results.
+# Bounds of an NgramPredictor's caches, each emptied whole when full:
+# dense rows for up to ROW_CACHE_VALUES // V states (16 MB of floats at
+# most, less where states share a suffix chain's row), and up to
+# TOP_CACHE_ENTRIES top-r results (~20 MB at ~610 bytes an entry at
+# r = 4). A decodebench pass holds at most ~590 states and ~530 results.
 ROW_CACHE_VALUES = 1 << 21
 TOP_CACHE_ENTRIES = 1 << 15
 
@@ -143,10 +144,15 @@ class NgramPredictor(ExternalLm):
     unlike the raw trie query, which enumerates longest-context arcs
     first.
 
-    Rows and top-r results are cached per state across decodes, at most
-    ``ROW_CACHE_VALUES // n_words`` rows (but one) and
-    ``TOP_CACHE_ENTRIES`` results; a full cache is emptied whole before
-    the next entry goes in.
+    A row depends on the state only through its suffix chain (the
+    model's matched contexts: the longest one and its own matched
+    suffixes), so states with one chain share one row, built and
+    floor-mixed once. Rows are cached per state and per chain (keyed by
+    its longest context's trie node) across decodes, for at most
+    ``ROW_CACHE_VALUES // n_words`` states
+    (but one); top-r results per (state, r), at most
+    ``TOP_CACHE_ENTRIES``. A full cache is emptied whole before the next
+    entry goes in, and the two row maps are emptied together.
     """
 
     def __init__(self, model: NgramModel, floor: float = 0.0):
@@ -155,7 +161,8 @@ class NgramPredictor(ExternalLm):
         self.model = model
         self.floor = floor
         self.n_words = len(model.vocab)
-        self._dense: dict[tuple, np.ndarray] = {}
+        self._dense: dict[tuple, np.ndarray] = {}  # by state
+        self._chain_rows: dict[tuple, np.ndarray] = {}  # by suffix chain's head
         self._top: dict[tuple, SparseLmQueryResult] = {}
 
     def initial_state(self):
@@ -166,19 +173,27 @@ class NgramPredictor(ExternalLm):
         return (tuple(state) + (int(token_id),))[-keep:] if keep else ()
 
     def full_dist(self, state) -> np.ndarray:
-        """Cached per state; the shared row is read-only."""
+        """Cached per state, one dict lookup when warm; a cold state
+        finds its suffix chain and takes the chain's row, built on the
+        chain's first state. The shared row is read-only."""
         key = tuple(state)
         cached = self._dense.get(key)
         if cached is None:
-            cached = self.model.dense_row(self.model.suffix_chain(key))[: self.n_words]
-            if self.floor > 0.0:
-                cached = np.logaddexp(
-                    math.log1p(-self.floor) + cached,
-                    math.log(self.floor / self.n_words),
-                )
-            cached.flags.writeable = False
             if len(self._dense) >= ROW_CACHE_VALUES // self.n_words:
                 self._dense.clear()
+                self._chain_rows.clear()
+            chain = self.model.suffix_chain(key)
+            head = chain[0][0]  # the rest of the chain are its suffixes
+            cached = self._chain_rows.get(head)
+            if cached is None:
+                cached = self.model.dense_row(chain)[: self.n_words]
+                if self.floor > 0.0:
+                    cached = np.logaddexp(
+                        math.log1p(-self.floor) + cached,
+                        math.log(self.floor / self.n_words),
+                    )
+                cached.flags.writeable = False
+                self._chain_rows[head] = cached
             self._dense[key] = cached
         return cached
 
@@ -192,9 +207,13 @@ class NgramPredictor(ExternalLm):
         if hit is None:
             dense = self.full_dist(key[0])
             take = (dense > NEG_INF).nonzero()[0]  # zero-mass words never rank
-            if take.size > r > 0:  # only ids at or above the r-th value can rank
+            if take.size > r > 0:
+                # ids above the r-th value rank, then ids at it fill up in
+                # id order; a sort beats a partition on rows of few levels
                 vals = dense[take]
-                take = take[vals >= np.partition(vals, take.size - r)[take.size - r]]
+                cut = np.sort(vals)[take.size - r]
+                above = take[vals > cut]
+                take = np.concatenate((above, take[vals == cut][: r - above.size]))
             # ties to the lower id, as ``take`` is ascending
             take = take[np.argsort(-dense[take], kind="stable")][:r]
             hit = SparseLmQueryResult(

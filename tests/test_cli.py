@@ -502,6 +502,21 @@ class TestSweep:
         assert tuple(fixed) == DENSE_METHODS
 
 
+@pytest.mark.parametrize("command", ["decode", "eval", "sweep"])
+def test_utts_below_one_fails_before_reading(command, scenario_dir, monkeypatch, capsys):
+    # eval --utts -1 used to score all but the last utterance, and
+    # --utts 0 ended in a ZeroDivisionError traceback
+    def unread(path):
+        raise AssertionError("the scenario was read")
+
+    monkeypatch.setattr(cli, "read_scenario", unread)
+    for value in ("0", "-1"):
+        assert main([command, "--scenario", scenario_dir, "--utts", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --utts must be >= 1, got {value}" in captured.err
+
+
 class TestBench:
     def test_latency_points(self, capsys):
         rc = main(["bench", "--sizes", "800,2000", "--queries", "40", "--rank-r", "20"])

@@ -167,10 +167,6 @@ class TestEvalReport:
         base = dict(
             name="t",
             per_utt=(("u0", 1, 0, 1, 5), ("u1", 0, 1, 0, 5)),
-            subs=1,
-            ins=1,
-            dels=1,
-            n_words=10,
             entity_tokens=4,
             entity_errors=1,
             stats=DecodeStats(
@@ -182,6 +178,7 @@ class TestEvalReport:
 
     def test_ratios(self):
         rep = self.make()
+        assert rep.edits == EditCounts(1, 1, 1, 10)
         assert rep.wer == pytest.approx(0.3)
         assert rep.entity_error_rate == pytest.approx(0.25)
         assert rep.n_utts == 2
@@ -194,10 +191,10 @@ class TestEvalReport:
         assert rep.entity_error_rate == 0.0
 
     def test_werr(self):
-        base = self.make(subs=4, ins=0, dels=0)  # wer 0.4
-        adapted = self.make(subs=1, ins=0, dels=0)  # wer 0.1
+        base = self.make(per_utt=(("u0", 4, 0, 0, 5), ("u1", 0, 0, 0, 5)))  # wer 0.4
+        adapted = self.make(per_utt=(("u0", 0, 0, 0, 5), ("u1", 1, 0, 0, 5)))  # wer 0.1
         assert adapted.werr_vs(base) == pytest.approx(0.75)
-        perfect = self.make(subs=0, ins=0, dels=0)
+        perfect = self.make(per_utt=(("u0", 0, 0, 0, 5), ("u1", 0, 0, 0, 5)))
         with pytest.raises(ValueError, match="zero error rate"):
             base.werr_vs(perfect)
 
@@ -256,10 +253,9 @@ class TestEvaluate:
         rep = evaluate(
             "base", scn.tests, scn.vocab, scorer, DecoderConfig(beam=4, nbest=1)
         )
-        assert rep.subs == sum(r[1] for r in rep.per_utt)
-        assert rep.ins == sum(r[2] for r in rep.per_utt)
-        assert rep.dels == sum(r[3] for r in rep.per_utt)
-        assert rep.n_words == sum(r[4] for r in rep.per_utt)
+        assert rep.edits == tuple(sum(r[k] for r in rep.per_utt) for k in range(1, 5))
+        assert rep.edits.n_ref == sum(len(u.ref_words) for u in scn.tests)
+        assert rep.edits.subs + rep.edits.ins + rep.edits.dels > 0
         assert [r[0] for r in rep.per_utt] == [u.utt_id for u in scn.tests]
 
     def test_counters_sum_the_per_utterance_stats(self):

@@ -244,9 +244,26 @@ class TestDenseRow:
                 chain = model.suffix_chain(
                     random_history(rng, len(vocab), model.bos_id)
                 )
-                assert np.array_equal(
-                    model.dense_row(chain), scattered_top_r(model, chain)
-                )
+                assert model.dense_row(chain).tobytes() == scattered_top_r(model, chain).tobytes()
+
+    @pytest.mark.parametrize("eos", [True, False])
+    def test_out_of_range_ids_match_nothing(self, eos):
+        # a negative id must not wrap around to a sentinel's arc
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            vocab, sentences = random_corpus(rng)
+            model = train_kneser_ney(sentences, 3, vocab=vocab, eos=eos)
+            n_symbols = len(vocab) + 2
+            bad_ids = [*range(-n_symbols, 0), n_symbols, n_symbols + 1, 10**9]
+            for _ in range(30):
+                h = list(random_history(rng, len(vocab), model.bos_id, max_len=2))
+                if not h:
+                    continue
+                at = int(rng.integers(len(h)))
+                h[at] = bad_ids[int(rng.integers(len(bad_ids)))]
+                chain = model.suffix_chain(tuple(h))
+                assert chain == model.suffix_chain(tuple(h[at + 1 :]))
+                assert model.dense_row(chain).tobytes() == scattered_top_r(model, chain).tobytes()
 
     def test_zero_probability_arc_falls_through_to_shorter_context(self, tmp_path):
         vocab = Vocabulary(["a", "b", "c"])
@@ -279,7 +296,7 @@ class TestDenseRow:
         for h in histories:
             chain = model.suffix_chain(h)
             row = model.dense_row(chain)
-            assert np.array_equal(row, scattered_top_r(model, chain))
+            assert row.tobytes() == scattered_top_r(model, chain).tobytes()
             for w in symbols:
                 assert model.logprob(w, h) == row[w]
         # the -inf arc for c after a is skipped: bow(a) times P(c) shows through

@@ -324,8 +324,8 @@ class TestNgramPredictor:
 
     @pytest.mark.parametrize("n_words", [120, 301, 1100, 4000])
     def test_top_r_is_the_full_argsort(self, n_words, monkeypatch):
-        # the partition must pick the ids a stable argsort of the whole
-        # row picks, in its order: ties to the lower id, -inf never ranks
+        # the cut must pick the ids a stable argsort of the whole row
+        # picks, in its order: ties to the lower id, -inf never ranks
         pred, _ = self.make(0.0)
         rng = np.random.default_rng(n_words)
         rows = {}
@@ -335,6 +335,12 @@ class TestNgramPredictor:
             if i == 0:
                 row[5:] = NEG_INF  # fewer finite words than most r
             rows[(i,)] = row
+        for floor in (0.0, 0.05):  # KN rows: unseen words share backoff values
+            kn, _ = self.make(floor, n_words=n_words, seed=n_words)
+            for state in self.random_states(kn, rng, 6):
+                row = np.array(kn.full_dist(state))
+                assert np.unique(row).size < n_words / 2
+                rows[(len(rows),)] = row
         monkeypatch.setattr(pred, "full_dist", rows.__getitem__)
         for state, row in rows.items():
             order = np.argsort(-row, kind="stable")
@@ -400,6 +406,39 @@ class TestNgramPredictor:
         rows, tops = zip(*held)
         assert max(rows) == 5 and max(tops) == 7
         assert min(rows[1:]) == min(tops[1:]) == 1  # both were emptied
+
+    @pytest.mark.parametrize("floor", [0.0, 0.05])
+    def test_states_with_one_suffix_chain_share_one_row(self, floor):
+        pred, _ = self.make(floor)
+        rng = np.random.default_rng(13)
+        states = self.random_states(pred, rng, 300)
+        groups = {}
+        for state in states:
+            nodes = tuple(node for node, _ in pred.model.suffix_chain(state))
+            groups.setdefault(nodes, []).append(state)
+        assert len(groups) > 1
+        assert any(len(set(g)) > 1 for g in groups.values())
+        rows = {state: pred.full_dist(state) for state in states}
+        for group in groups.values():
+            row = rows[group[0]]
+            assert not row.flags.writeable
+            for state in group:
+                assert rows[state] is row
+                # the row a predictor builds from this state alone
+                own = NgramPredictor(pred.model, floor=floor).full_dist(state)
+                assert row.tobytes() == own.tobytes()
+        assert len({id(rows[g[0]]) for g in groups.values()}) == len(groups)
+
+    def test_chain_rows_are_emptied_with_the_state_rows(self, monkeypatch):
+        monkeypatch.setattr(simulate, "ROW_CACHE_VALUES", 5 * 8)
+        pred, _ = self.make(0.05)
+        rng = np.random.default_rng(14)
+        sizes = []
+        for state in self.random_states(pred, rng, 100):
+            pred.full_dist(state)
+            sizes.append((len(pred._dense), len(pred._chain_rows)))
+            assert 1 <= sizes[-1][1] <= sizes[-1][0] <= 5
+        assert (1, 1) in sizes[1:]  # both were emptied
 
     @pytest.mark.parametrize("floor", [0.0, 0.1])
     def test_shared_dense_row_is_read_only(self, floor):
