@@ -460,5 +460,9 @@ def load_class_model(dirpath, base_vocab: Vocabulary) -> ClassModel:
 
     entries = parse_class_file(os.path.join(dirpath, "classes.tsv"))
     clm_vocab = base_vocab.extended(sorted(entries))
-    ngram = load_arpa(os.path.join(dirpath, "ngram.arpa"), clm_vocab)
+    path = os.path.join(dirpath, "ngram.arpa")
+    try:
+        ngram = load_arpa(path, clm_vocab)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return ClassModel(ngram, _class_trees(entries, clm_vocab, base_vocab), base_vocab, entries)

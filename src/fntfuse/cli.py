@@ -149,7 +149,10 @@ def _scenario_setup(args, use_lm: bool, use_clm: bool = False):
 
     def ngram(path, texts, what: str):
         if path is not None:
-            return load_arpa(path, scn.vocab)
+            try:
+                return load_arpa(path, scn.vocab)
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
         sentences = _read_sentences(texts, scn.vocab, f"scenario {what} text")
         return train_kneser_ney(sentences, args.order, vocab=scn.vocab, eos=False)
 

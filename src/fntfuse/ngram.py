@@ -298,16 +298,23 @@ class NgramModel:
             row[self._words[node[0] + 1][lo:hi][finite]] = acc + probs[finite]
         return row
 
-    def iter_ngrams(self, k: int):
-        """Yield (gram tuple, logprob, logbow-or-None) at order k, trie order."""
+    def level_columns(self, k: int):
+        """The order-k grams in trie order: an (n, k) array of their
+        token ids, their log-probabilities and backoff weights, and
+        whether each has a backoff weight (is some (k+1)-gram's context)."""
         arcs, columns = np.arange(self.level_size(k)), []
         for level in range(k, 0, -1):
             columns.append(self._words[level][arcs])
             arcs = self._parents[level][arcs]
-        grams = np.column_stack(columns[::-1]).tolist()
-        has_bow = (self._child_hi[k] > self._child_lo[k]).tolist()
-        probs, bows = self._probs[k].tolist(), self._bows[k].tolist()
-        for gram, prob, bow, has in zip(grams, probs, bows, has_bow):
+        grams = np.column_stack(columns[::-1])
+        has_bow = self._child_hi[k] > self._child_lo[k]
+        return grams, self._probs[k], self._bows[k], has_bow
+
+    def iter_ngrams(self, k: int):
+        """Yield (gram tuple, logprob, logbow-or-None) at order k, trie order."""
+        grams, probs, bows, has_bow = self.level_columns(k)
+        rows = zip(grams.tolist(), probs.tolist(), bows.tolist(), has_bow.tolist())
+        for gram, prob, bow, has in rows:
             yield tuple(gram), prob, bow if has else None
 
 

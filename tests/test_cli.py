@@ -472,6 +472,23 @@ class TestEval:
         assert set(kv) == {"id", "sub", "ins", "del", "words"}
 
 
+@pytest.mark.parametrize("flag, method", [("--predictor", "none"), ("--lm", "li"), ("--clm", "clm")])
+def test_arpa_fault_names_its_file(flag, method, scenario_dir, tmp_path, capsys):
+    # the fault used to print as "error: line 5: ..." without the file
+    path = tmp_path / "ngram.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\t▁zzz\n\n\\end\\\n", encoding="utf-8"
+    )
+    (tmp_path / "classes.tsv").write_bytes((Path(scenario_dir) / "classes.tsv").read_bytes())
+    given = tmp_path if flag == "--clm" else path
+    argv = ["eval", "--scenario", scenario_dir, "--utts", "1", "--method", method, flag, str(given)]
+    if method != "none":
+        argv += ["--alpha", "0.5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 5: token not in vocabulary: '▁zzz'\n"
+
+
 class TestSweep:
     def test_report_lines(self, scenario_dir, capsys):
         rc = main(

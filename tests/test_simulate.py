@@ -88,6 +88,21 @@ class TestEncoderOutput:
         with pytest.raises(ValueError, match=r"frame 1: blank logit is \+inf"):
             EncoderOutput(np.array([good, good]), np.array([0.0, np.inf]))
 
+    def test_nan_outranks_earlier_faults(self):
+        # the fused first check fails on all three frames; the ordered
+        # diagnostics still name the NaN first, then +inf, then the mass
+        good = log_softmax(np.zeros(3))
+        scores = np.array([good - 0.5, good, good, good])
+        scores[2, 1] = np.nan
+        blanks = np.array([0.0, np.inf, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^frame 2: NaN in encoder output$"):
+            EncoderOutput(scores, blanks)
+        with pytest.raises(ValueError, match=r"^frame 1: blank logit is \+inf$"):
+            EncoderOutput(scores[[0, 1, 3]], blanks[[0, 1, 3]])
+        scores[2, 1] = np.inf  # an infinite score is a mass fault
+        with pytest.raises(ValueError, match="^frame 0 not normalized"):
+            EncoderOutput(scores[[0, 2]], blanks[[0, 2]])
+
     def test_properties(self):
         enc = small_encoder(np.random.default_rng(0), n_frames=5, n_vocab=7)
         assert enc.n_frames == 5
