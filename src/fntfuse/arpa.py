@@ -5,7 +5,7 @@ log. Zero probability is written as -99; on load, any value <= -99 is
 taken as the zero sentinel and becomes -inf, so save->load round-trips
 are exact. Sentence sentinels appear in files under their conventional
 spellings ``<s>`` and ``</s>``, so no vocabulary token may be spelled
-that way, and a token written to a file may not hold whitespace.
+that way (``Vocabulary`` refuses a token holding whitespace).
 
 Both directions work a section at a time in array passes, after
 KenLM's bulk ARPA reader: a save formats a level's columns, each
@@ -58,16 +58,10 @@ def save_arpa(model: NgramModel, path) -> None:
     """Write ``model`` as ARPA text, each level formatted from its
     columns and the file written once.
 
-    A vocabulary token that could not be read back (one holding
-    whitespace, or one spelled as a sentinel) is a ``ValueError``,
-    raised before the file is created.
+    A vocabulary token that could not be read back (one spelled as a
+    sentinel) is a ``ValueError``, raised before the file is created.
     """
     _check_sentinels(model.vocab)
-    for tok in model.vocab:
-        if len(tok.split()) != 1:
-            raise ValueError(
-                f"vocabulary token {tok!r} holds whitespace, which splits ARPA fields"
-            )
     spelling = np.array([*model.vocab, SOS_TOKEN, EOS_TOKEN], dtype=object)
     spaced = spelling + " "
     parts = ["\\data\\\n"]

@@ -406,33 +406,37 @@ def _class_trees(entries_by_tag, clm_vocab: Vocabulary, base_vocab: Vocabulary) 
 
 
 def parse_class_file(path) -> dict[str, list[tuple[tuple[str, ...], float]]]:
-    """TSV: class tag, space-separated entry pieces, optional weight."""
+    """TSV: class tag, space-separated entry pieces, optional weight. A
+    fault names the file and the line."""
     entries: dict[str, list[tuple[tuple[str, ...], float]]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise ValueError(f"line {lineno}: expected 2 or 3 TSV fields")
-            tag, entry = fields[0], tuple(fields[1].split())
-            if not is_class_tag(tag):
-                raise ValueError(f"line {lineno}: bad class tag {tag!r}")
-            if not entry:
-                raise ValueError(f"line {lineno}: empty entry")
-            weight = 1.0
-            if len(fields) == 3:
-                try:
-                    weight = float(fields[2])
-                except ValueError:
-                    weight = math.nan
-                if not 0.0 < weight < math.inf:
-                    raise ValueError(
-                        f"line {lineno}: weight must be a finite positive number, "
-                        f"got {fields[2]!r}"
-                    )
-            entries.setdefault(tag, []).append((entry, weight))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                fields = line.split("\t")
+                if len(fields) not in (2, 3):
+                    raise ValueError(f"line {lineno}: expected 2 or 3 TSV fields")
+                tag, entry = fields[0], tuple(fields[1].split())
+                if not is_class_tag(tag):
+                    raise ValueError(f"line {lineno}: bad class tag {tag!r}")
+                if not entry:
+                    raise ValueError(f"line {lineno}: empty entry")
+                weight = 1.0
+                if len(fields) == 3:
+                    try:
+                        weight = float(fields[2])
+                    except ValueError:
+                        weight = math.nan
+                    if not 0.0 < weight < math.inf:
+                        raise ValueError(
+                            f"line {lineno}: weight must be a finite positive number, "
+                            f"got {fields[2]!r}"
+                        )
+                entries.setdefault(tag, []).append((entry, weight))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if not entries:
         raise ValueError(f"no class entries in {path}")
     return entries

@@ -66,7 +66,7 @@ class Vocabulary:
         self._tokens = tuple(tokens)
         self._index = {}
         for i, tok in enumerate(self._tokens):
-            if not tok or tok != tok.strip():
+            if tok.split() != [tok]:  # readers split text on whitespace
                 raise ValueError(f"bad vocabulary token at line {i + 1}: {tok!r}")
             if tok in self._index:
                 raise ValueError(f"duplicate vocabulary token: {tok!r}")

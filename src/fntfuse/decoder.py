@@ -342,7 +342,8 @@ class _FrameScorer:
     out aliases the buffer.
 
     Fused rows are cached for the decode as well, read-only, in one dict
-    keyed by (predictor state, LM state, transitions bundle or None).
+    keyed by (predictor state, LM state, transitions bundle or None):
+    histories with one longest matched context share n-gram states.
     """
 
     def __init__(self, scorer, config, external_lm, class_model):
@@ -386,11 +387,12 @@ class _FrameScorer:
         """The fused predictor row: li/lli/cli when ``trans`` is None,
         else the clm or three-way row aligned with ``trans``.
 
-        A hypothesis carried into the next frame is expanded again with
-        its states unchanged, so rows are kept for the decode. A bundle
-        in the key stands for the class state (and the frame under an r'
-        gate); the key holds it, so its identity is not reused within
-        the decode."""
+        Rows are kept for the decode: a hypothesis carried into the next
+        frame is expanded again with its states unchanged, and
+        hypotheses whose histories share a longest matched context share
+        its states. A bundle in the key stands for the class state (and
+        the frame under an r' gate); the key holds it, so its identity is
+        not reused within the decode."""
         key = (hyp.pred_state, hyp.lm_state, trans)
         row = self._rows.get(key)
         if row is None:

@@ -189,7 +189,7 @@ class NgramModel:
             return int(self._worder[level][pos])
         return -1
 
-    def _node_of(self, context: tuple) -> tuple | None:
+    def node_of(self, context: tuple) -> tuple | None:
         """Trie handle for an exact context path, or None if absent."""
         node = ROOT
         for tok in context:
@@ -212,7 +212,7 @@ class NgramModel:
         chain = []
         acc = 0.0
         for m in range(len(h), -1, -1):
-            node = self._node_of(h[len(h) - m:])
+            node = self.node_of(h[len(h) - m:])
             if node is None:
                 continue
             chain.append((node, acc))

@@ -29,9 +29,9 @@ SCORES_DTYPE = np.dtype("<f8")
 
 # Bounds of an NgramPredictor's caches, each emptied whole when full:
 # dense rows for up to ROW_CACHE_VALUES // V states (16 MB of floats at
-# most, less where states share a suffix chain's row), and up to
-# TOP_CACHE_ENTRIES top-r results (~20 MB at ~610 bytes an entry at
-# r = 4). A decodebench pass holds at most ~590 states and ~530 results.
+# most), and up to TOP_CACHE_ENTRIES top-r results (~20 MB at ~610 bytes
+# an entry at r = 4) and as many successors. A decodebench pass holds at
+# most ~450 states, ~450 results and ~610 successors.
 ROW_CACHE_VALUES = 1 << 21
 TOP_CACHE_ENTRIES = 1 << 15
 
@@ -138,7 +138,11 @@ def load_scores(path, expect_vocab: int | None = None) -> EncoderOutput:
 class NgramPredictor(ExternalLm):
     """Dense external-LM adapter over a backoff n-gram model.
 
-    States are the last ``order - 1`` token ids (start-padded). With
+    A state is the history's longest matched context: the longest suffix
+    of its last ``order - 1`` token ids (start-padded) that is a trie
+    node, as in KenLM's state minimization. A row, a rank list and the
+    next state depend on a history only through it, so histories with
+    one longest match share one state and every cache keyed by it. With
     ``floor`` > 0 the distribution is mixed with uniform mass so every
     token keeps nonzero probability, the way a neural predictor's
     log-softmax would. Rank queries are true top-r of the dense view
@@ -146,15 +150,9 @@ class NgramPredictor(ExternalLm):
     unlike the raw trie query, which enumerates longest-context arcs
     first.
 
-    A row depends on the state only through its suffix chain (the
-    model's matched contexts: the longest one and its own matched
-    suffixes), so states with one chain share one row, built and
-    floor-mixed once. Rows are cached per state and per chain (keyed by
-    its longest context's trie node) across decodes, for at most
-    ``ROW_CACHE_VALUES // n_words`` states
-    (but one); top-r results per (state, r), at most
-    ``TOP_CACHE_ENTRIES``. A full cache is emptied whole before the next
-    entry goes in, and the two row maps are emptied together.
+    Rows per state, top-r results per (state, r) and successors per
+    (state, token) are cached across decodes, bounded as the module's
+    ``ROW_CACHE_VALUES`` comment says.
     """
 
     def __init__(self, model: NgramModel, floor: float = 0.0):
@@ -163,51 +161,52 @@ class NgramPredictor(ExternalLm):
         self.model = model
         self.floor = floor
         self.n_words = len(model.vocab)
-        self._dense: dict[tuple, np.ndarray] = {}  # by state
-        self._chain_rows: dict[tuple, np.ndarray] = {}  # by suffix chain's head
+        self._dense: dict[tuple, np.ndarray] = {}
         self._top: dict[tuple, SparseLmQueryResult] = {}
+        self._next: dict[tuple, tuple] = {}
 
     def initial_state(self):
-        return (self.model.bos_id,)
+        return self.advance((), self.model.bos_id)
 
     def advance(self, state, token_id: int):
-        keep = self.model.order - 1
-        return (tuple(state) + (int(token_id),))[-keep:] if keep else ()
+        """The longest suffix of ``state`` + ``token_id``, at most ``order -
+        1`` tokens, that is a trie node. Exact: if s'w is a node, so is s',
+        a matched suffix of the history and so a suffix of ``state``."""
+        key = (state, token_id)
+        nxt = self._next.get(key)
+        if nxt is None:
+            nxt = (*state, int(token_id))[max(0, len(state) + 2 - self.model.order) :]
+            while self.model.node_of(nxt) is None:  # () is the root
+                nxt = nxt[1:]
+            if len(self._next) >= TOP_CACHE_ENTRIES:
+                self._next.clear()
+            self._next[key] = nxt
+        return nxt
 
     def full_dist(self, state) -> np.ndarray:
-        """Cached per state, one dict lookup when warm; a cold state
-        finds its suffix chain and takes the chain's row, built on the
-        chain's first state. The shared row is read-only."""
-        key = tuple(state)
-        cached = self._dense.get(key)
-        if cached is None:
+        """Cached per state, one dict lookup when warm; read-only."""
+        row = self._dense.get(state)
+        if row is None:
             if len(self._dense) >= ROW_CACHE_VALUES // self.n_words:
                 self._dense.clear()
-                self._chain_rows.clear()
-            chain = self.model.suffix_chain(key)
-            head = chain[0][0]  # the rest of the chain are its suffixes
-            cached = self._chain_rows.get(head)
-            if cached is None:
-                cached = self.model.dense_row(chain)[: self.n_words]
-                if self.floor > 0.0:
-                    cached = np.logaddexp(
-                        math.log1p(-self.floor) + cached,
-                        math.log(self.floor / self.n_words),
-                    )
-                cached.flags.writeable = False
-                self._chain_rows[head] = cached
-            self._dense[key] = cached
-        return cached
+            row = self.model.dense_row(self.model.suffix_chain(state))[: self.n_words]
+            if self.floor > 0.0:
+                row = np.logaddexp(
+                    math.log1p(-self.floor) + row, math.log(self.floor / self.n_words)
+                )
+            row.flags.writeable = False
+            self._dense[state] = row
+        return row
 
     def top_r(self, state, r: int) -> SparseLmQueryResult:
         """Cached per (state, r); the shared result's arrays are read-only.
         Unlike a trie query (see ``SparseLmQueryResult``), ``logprobs``
         are the floor-mixed ``full_dist`` values, not the model's
         ``logprob``, and ``origins`` are all 0."""
-        key = (tuple(state), r)
+        key = (state, r)
         hit = self._top.get(key)
         if hit is None:
-            dense = self.full_dist(key[0])
+            dense = self.full_dist(state)
             take = (dense > NEG_INF).nonzero()[0]  # zero-mass words never rank
             if take.size > r > 0:
                 # ids above the r-th value rank, then ids at it fill up in

@@ -276,7 +276,7 @@ class TestFuzzedFiles:
 
 
 class TestVocabularyRefused:
-    @pytest.mark.parametrize("token", ["a b", "a\tb", "x\xa0y", "<s>", "</s>"])
+    @pytest.mark.parametrize("token", ["<s>", "</s>"])
     def test_save_refuses_a_token_it_cannot_write(self, token, tmp_path):
         # such a model used to save, then fail to load (or load shadowed)
         vocab = Vocabulary(["a", token])

@@ -7,6 +7,7 @@ and written files. A shared synthetic scenario (built through the
 """
 
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -487,6 +488,27 @@ def test_arpa_fault_names_its_file(flag, method, scenario_dir, tmp_path, capsys)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: line 5: token not in vocabulary: '▁zzz'\n"
+
+
+@pytest.mark.parametrize("route", ["--classes", "--clm", "--scenario"])
+def test_class_file_fault_names_its_file(route, scenario_dir, tmp_path, capsys):
+    # the fault used to print as "error: line 1: ..." without the file
+    scn = tmp_path / "scn"
+    shutil.copytree(scenario_dir, scn)
+    path = scn / "classes.tsv"
+    path.write_text("⟨NAME⟩\n", encoding="utf-8")
+    if route == "--classes":
+        argv = [
+            "build-clm", "--text", str(scn / "clm.txt"), "--classes", str(path),
+            "--vocab", str(scn / "vocab.txt"), "--out", str(tmp_path / "clm"),
+        ]
+    else:
+        given = scenario_dir if route == "--clm" else str(scn)
+        argv = ["eval", "--scenario", given, "--utts", "1", "--method", "clm", "--alpha", "0.5"]
+        if route == "--clm":
+            argv += ["--clm", str(scn)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 1: expected 2 or 3 TSV fields\n"
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Numeric primitives: stability, normalization, and vocabulary plumbing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,12 @@ class TestVocabulary:
     def test_duplicate_faults(self):
         with pytest.raises(ValueError):
             Vocabulary(["a", "b", "a"])
+
+    @pytest.mark.parametrize("token", ["", " a", "a ", "a b", "a\tb", "x\xa0y"])
+    def test_token_holding_whitespace_faults(self, token):
+        # every reader splits on whitespace: such a token could never be read
+        with pytest.raises(ValueError, match=re.escape(f"token at line 2: {token!r}")):
+            Vocabulary(["z", token])
 
     def test_file_round_trip(self, tmp_path):
         vocab = Vocabulary(["▁call", "▁jo", "hn", "▁on"])

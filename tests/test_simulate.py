@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fntfuse import simulate
-from fntfuse.core import NEG_INF, log_softmax
+from fntfuse.arpa import load_arpa
+from fntfuse.core import NEG_INF, Vocabulary, log_softmax
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import (
     EncoderOutput,
@@ -25,6 +26,31 @@ from fntfuse.simulate import (
 )
 
 from helpers import random_corpus
+
+
+NOT_SUFFIX_CLOSED = """\\data\\
+ngram 1=6
+ngram 2=3
+ngram 3=1
+
+\\1-grams:
+-99\t<s>\t-0.3
+-0.6\ta\t-0.2
+-0.6\tb\t-0.25
+-0.7\tc
+-0.8\td
+-0.9\t</s>
+
+\\2-grams:
+-0.3\t<s> a\t-0.1
+-0.2\ta b\t-0.15
+-0.4\tb d
+
+\\3-grams:
+-0.1\ta b c
+
+\\end\\
+"""
 
 
 def small_encoder(rng, n_frames=3, n_vocab=4):
@@ -290,13 +316,18 @@ class TestNgramPredictor:
         model = train_kneser_ney(corpus, order, vocab=vocab, eos=False)
         return NgramPredictor(model, floor=floor), vocab
 
+    def walk(self, pred, rng, n, tokens=()):
+        """(history, state) from the start and after each of ``tokens``,
+        then of n random tokens; a history is every token, start first."""
+        history, state = (pred.model.bos_id,), pred.initial_state()
+        out = [(history, state)]
+        for tok in [*tokens, *(int(rng.integers(pred.n_words)) for _ in range(n))]:
+            history, state = history + (tok,), pred.advance(state, tok)
+            out.append((history, state))
+        return out
+
     def random_states(self, pred, rng, n):
-        states = [pred.initial_state()]
-        state = pred.initial_state()
-        for _ in range(n):
-            state = pred.advance(state, int(rng.integers(pred.n_words)))
-            states.append(state)
-        return states
+        return [state for _, state in self.walk(pred, rng, n)]
 
     def test_floor_validation(self):
         pred, _ = self.make(0.0)
@@ -376,14 +407,17 @@ class TestNgramPredictor:
                 arr[0] = 0
 
     def test_advance_truncates_history(self):
+        # a state is the longest suffix of the last order - 1 tokens that
+        # is a trie node: the head of their suffix chain
         pred, _ = self.make(0.0, order=3)
-        s0 = pred.initial_state()
-        s1 = pred.advance(s0, 4)
-        s2 = pred.advance(s1, 2)
-        s3 = pred.advance(s2, 6)
-        assert s1 == (s0[0], 4)
-        assert s2 == (4, 2)
-        assert s3 == (2, 6)
+        rng = np.random.default_rng(12)
+        shorter = 0
+        for history, state in self.walk(pred, rng, 200):
+            last = history[-2:]
+            head = pred.model.suffix_chain(last)[0][0]
+            assert state == last[len(last) - head[0] :]
+            shorter += len(state) < len(last)
+        assert shorter  # some histories match fewer than order - 1 tokens
 
     def test_unigram_state_is_empty(self):
         pred, _ = self.make(0.0, order=1)
@@ -400,60 +434,80 @@ class TestNgramPredictor:
     @pytest.mark.parametrize("floor", [0.0, 0.05])
     def test_row_caches_hold_the_cap_and_refill_identically(self, floor, monkeypatch):
         pred, _ = self.make(floor)
-        rng = np.random.default_rng(10)
-        states = self.random_states(pred, rng, 300)
+        walk = self.walk(pred, np.random.default_rng(10), 300)
         first = {}
-        for state in states:  # uncapped: each state's row and top-3 once
+        for _, state in walk:  # uncapped: each state's row and top-3 once
             first.setdefault(state, (pred.full_dist(state), pred.top_r(state, 3)))
         monkeypatch.setattr(simulate, "ROW_CACHE_VALUES", 5 * pred.n_words)
         monkeypatch.setattr(simulate, "TOP_CACHE_ENTRIES", 7)
         capped, _ = self.make(floor)
         held = []
         for _ in range(2):
-            for state in states:
+            state = capped.initial_state()
+            for history, want_state in walk:
+                if len(history) > 1:
+                    state = capped.advance(state, history[-1])
+                assert state == want_state
                 row, top = capped.full_dist(state), capped.top_r(state, 3)
                 want_row, want_top = first[state]
                 assert row.tobytes() == want_row.tobytes()
                 assert top.word_ids.tolist() == want_top.word_ids.tolist()
                 assert top.logprobs.tobytes() == want_top.logprobs.tobytes()
-                held.append((len(capped._dense), len(capped._top)))
+                held.append((len(capped._dense), len(capped._top), len(capped._next)))
         assert len(first) > 7  # more states than either cache holds
-        rows, tops = zip(*held)
-        assert max(rows) == 5 and max(tops) == 7
-        assert min(rows[1:]) == min(tops[1:]) == 1  # both were emptied
+        rows, tops, nexts = zip(*held)
+        assert max(rows) == 5 and max(tops) == max(nexts) == 7
+        assert min(rows[1:]) == min(tops[1:]) == min(nexts[1:]) == 1  # all were emptied
 
     @pytest.mark.parametrize("floor", [0.0, 0.05])
     def test_states_with_one_suffix_chain_share_one_row(self, floor):
         pred, _ = self.make(floor)
         rng = np.random.default_rng(13)
-        states = self.random_states(pred, rng, 300)
-        groups = {}
-        for state in states:
-            nodes = tuple(node for node, _ in pred.model.suffix_chain(state))
-            groups.setdefault(nodes, []).append(state)
+        groups = {}  # chain head -> {last order - 1 tokens: state}
+        for history, state in self.walk(pred, rng, 300):
+            head = pred.model.suffix_chain(history)[0][0]
+            groups.setdefault(head, {})[history[-2:]] = state
         assert len(groups) > 1
-        assert any(len(set(g)) > 1 for g in groups.values())
-        rows = {state: pred.full_dist(state) for state in states}
+        assert any(len(g) > 1 for g in groups.values())
+        rows = set()
         for group in groups.values():
-            row = rows[group[0]]
+            (state,) = set(group.values())  # one head, one state
+            row = pred.full_dist(state)
             assert not row.flags.writeable
-            for state in group:
-                assert rows[state] is row
-                # the row a predictor builds from this state alone
-                own = NgramPredictor(pred.model, floor=floor).full_dist(state)
+            rows.add(id(row))
+            for last in group:
+                # the row a predictor builds from these tokens alone
+                own = NgramPredictor(pred.model, floor=floor).full_dist(last)
                 assert row.tobytes() == own.tobytes()
-        assert len({id(rows[g[0]]) for g in groups.values()}) == len(groups)
+        assert len(rows) == len(groups)
 
-    def test_chain_rows_are_emptied_with_the_state_rows(self, monkeypatch):
-        monkeypatch.setattr(simulate, "ROW_CACHE_VALUES", 5 * 8)
-        pred, _ = self.make(0.05)
-        rng = np.random.default_rng(14)
-        sizes = []
-        for state in self.random_states(pred, rng, 100):
-            pred.full_dist(state)
-            sizes.append((len(pred._dense), len(pred._chain_rows)))
-            assert 1 <= sizes[-1][1] <= sizes[-1][0] <= 5
-        assert (1, 1) in sizes[1:]  # both were emptied
+    @pytest.mark.parametrize("floor", [0.0, 0.05])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, "arpa"])
+    def test_rows_and_ranks_match_the_whole_history(self, order, floor, tmp_path):
+        # reference: the row of every token so far, floor-mixed, and its
+        # stable argsort cut; the state may keep fewer tokens, not change it
+        tokens = ()
+        if order == "arpa":  # a b c is a trigram, b c no bigram: not suffix-closed
+            path = tmp_path / "m.arpa"
+            path.write_text(NOT_SUFFIX_CLOSED, encoding="utf-8")
+            pred = NgramPredictor(load_arpa(path, Vocabulary(["a", "b", "c", "d"])), floor)
+            tokens = (0, 1, 2, 0, 1, 3)
+            assert pred.advance(pred.advance(pred.initial_state(), 0), 1) == (0, 1)
+            assert pred.advance((0, 1), 2) == (2,)
+        else:
+            pred, _ = self.make(floor, order=order)
+        model, n = pred.model, pred.n_words
+        for history, state in self.walk(pred, np.random.default_rng(15), 150, tokens):
+            row = model.dense_row(model.suffix_chain(history))[:n]
+            if floor:
+                row = np.logaddexp(math.log1p(-floor) + row, math.log(floor / n))
+            assert pred.full_dist(state).tobytes() == row.tobytes()
+            ranked = np.argsort(-row, kind="stable")
+            for r in (1, 3, n):
+                want = ranked[row[ranked] > NEG_INF][:r]
+                got = pred.top_r(state, r)
+                assert got.word_ids.tobytes() == want.astype(np.int64).tobytes()
+                assert got.logprobs.tobytes() == row[want].tobytes()
 
     @pytest.mark.parametrize("floor", [0.0, 0.1])
     def test_shared_dense_row_is_read_only(self, floor):
