@@ -28,15 +28,28 @@ entries = [
     ((wid("ann"), wid("arbor")), 1.0),
     ((wid("lee"),), 2.0),
 ]
-tree = build_prefix_tree(entries)
+
+
+def number_nodes(root):
+    """Number a tree's nodes depth first, children by word id, root 0.
+    A node is compared by identity and carries no number of its own."""
+    ids, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        ids[node] = len(ids)
+        stack.extend(node.children[w] for w in reversed(node.child_words.tolist()))
+    return ids
+
+
+root = build_prefix_tree(entries)  # a tree is its root node
 print("prefix tree over {ann:3, ann arbor:1, lee:2}")
-for node in tree.iter_nodes():
+for node, number in number_nodes(root).items():
     kids = {
         vocab.token_of(w): round(math.exp(lp), 3)
-        for w, lp in sorted(node.child_logprob.items())
+        for w, lp in zip(node.child_words.tolist(), node.child_logprobs.tolist())
     }
     stop = 0.0 if node.exit_logprob == -math.inf else math.exp(node.exit_logprob)
-    print(f"  node {node.uid}: children={kids} exit={stop:.3f}")
+    print(f"  node {number}: children={kids} exit={stop:.3f}")
 
 # Weight ratios, read off the flat list: from the root, 'ann' carries
 # 4 of 6 units and 'lee' 2 of 6; under 'ann', 3 of 4 units stop.
@@ -64,6 +77,7 @@ by_tag = {
 model = train_tagged_clm(tagged, by_tag, 2, vocab)
 print()
 print(f"model: {model.n_words} words, tags {model.tag_ids}, order 2 tagged n-gram")
+node_ids = number_nodes(model.trees[model.tag_ids[0]])  # the one class, as above
 
 
 CATS = {CAT1: "CAT1", CAT2: "CAT2", CAT3: "CAT3"}
@@ -80,7 +94,7 @@ def show_transitions(state, label):
             f"  {CATS[int(trans.category[i])]} {vocab.token_of(int(trans.word[i])):>6}"
             f"  p={math.exp(trans.logprob[i]):.4f}"
             f"  -> tag={succ.class_tag} node="
-            f"{-1 if succ.node is None else succ.node.uid}"
+            f"{-1 if succ.node is None else node_ids[succ.node]}"
         )
     return trans
 

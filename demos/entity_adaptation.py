@@ -90,7 +90,7 @@ runs = (
     ("linear + class model", FusionConfig("li", 0.5, 200, "clm", 0.9), external, clm),
 )
 
-config = lambda fusion: DecoderConfig(beam=4, nbest=1, fusion=fusion)
+config = lambda fusion: DecoderConfig(beam=4, fusion=fusion)
 base = None
 print()
 print(f"{'configuration':>22} {'wer':>7} {'werr':>7} {'entity err':>11}")

@@ -2,8 +2,11 @@
 per-class prefix trees with cumulative posteriors.
 
 A decode-time state is (h, c, p): bounded tagged history, active class,
-and position inside that class's prefix tree. Three transition kinds
-move between states:
+and position inside that class's prefix tree. A class is its tree's
+root node, and a node keeps one table, its children's words and
+log-probabilities as arrays. Nodes compare by identity, so within one
+model a state is its own key. Three transition kinds move between
+states:
 
 - CAT1: leave the active class (consuming its exit mass), emit a word
   from the n-gram part; the class tag, not its member words, enters h.
@@ -19,9 +22,9 @@ masses sum to one at every state.
 ``enumerate_transitions`` returns the transitions leaving a state as one
 bundle of arrays (``Transitions``), not one object per transition: the
 CAT1 block is the exit mass plus the dense tagged-n-gram row over
-word-pieces, CAT2/CAT3 blocks come from arrays stored on the prefix-tree
-nodes, and a successor state is built only for a transition a caller
-takes, and kept on the bundle once built. A ``ClassModel`` memoizes
+word-pieces, CAT2/CAT3 blocks are the tree nodes' tables, and a
+successor state is built only for a transition a caller takes, and
+kept on the bundle once built. A ``ClassModel`` memoizes
 one bundle per class state for its lifetime (``cached_transitions``),
 bounded by ``TRANSITION_MEMO_CAP`` transitions in all.
 """
@@ -36,7 +39,7 @@ import numpy as np
 
 from .arpa import load_arpa, save_arpa
 from .core import NEG_INF, Vocabulary
-from .ngram import NgramModel, train_kneser_ney
+from .ngram import NgramModel, top_ids, train_kneser_ney
 
 CAT1, CAT2, CAT3 = 1, 2, 3
 
@@ -53,38 +56,19 @@ def is_class_tag(token: str) -> bool:
 
 
 class PrefixNode:
-    """One prefix-tree position; compared by identity.
+    """One prefix-tree position; compared by identity. Once the tree is
+    built, ``child_words`` (ascending) and ``child_logprobs`` are its
+    children's log-probabilities, as read-only arrays."""
 
-    ``child_words`` (ascending) and ``child_logprobs`` hold
-    ``child_logprob`` as read-only arrays once the tree is built.
-    """
+    __slots__ = ("children", "exit_logprob", "child_words", "child_logprobs")
 
-    __slots__ = (
-        "uid", "children", "child_logprob", "exit_logprob", "child_words", "child_logprobs"
-    )
-
-    def __init__(self, uid: int):
-        self.uid = uid
+    def __init__(self):
         self.children: dict[int, PrefixNode] = {}
-        self.child_logprob: dict[int, float] = {}
         self.exit_logprob: float = NEG_INF
 
 
-class PrefixTree:
-    def __init__(self, root: PrefixNode, n_nodes: int):
-        self.root = root
-        self.n_nodes = n_nodes
-
-    def iter_nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
-
-
-def build_prefix_tree(entries) -> PrefixTree:
-    """Tree over (word-id sequence, weight) entries.
+def build_prefix_tree(entries) -> PrefixNode:
+    """The root of a tree over (word-id sequence, weight) entries.
 
     Node probabilities are weight ratios: a child's probability is the
     weight passing through it over the weight through its parent, and
@@ -94,11 +78,9 @@ def build_prefix_tree(entries) -> PrefixTree:
     entries = list(entries)
     if not entries:
         raise ValueError("class has no entries")
-    through: dict[int, float] = {}
-    ending: dict[int, float] = {}
-    root = PrefixNode(0)
-    through[0] = 0.0
-    uid = 1
+    root = PrefixNode()
+    through: dict[PrefixNode, float] = {root: 0.0}  # every node, once built
+    ending: dict[PrefixNode, float] = {}
     for seq, weight in entries:
         seq = tuple(seq)
         if not seq:
@@ -106,50 +88,38 @@ def build_prefix_tree(entries) -> PrefixTree:
         if not 0.0 < weight < math.inf:
             raise ValueError(f"class entry weight must be finite and positive, got {weight}")
         node = root
-        through[root.uid] += weight
+        through[root] += weight
         for w in seq:
             child = node.children.get(w)
             if child is None:
-                child = node.children[w] = PrefixNode(uid)
-                through[uid] = 0.0
-                uid += 1
-            through[child.uid] += weight
+                child = node.children[w] = PrefixNode()
+                through[child] = 0.0
+            through[child] += weight
             node = child
-        ending[node.uid] = ending.get(node.uid, 0.0) + weight
-    if through[root.uid] == math.inf:
+        ending[node] = ending.get(node, 0.0) + weight
+    if through[root] == math.inf:
         raise ValueError("class entry weights sum past the float64 range")
 
-    tree = PrefixTree(root, uid)
-    for node in tree.iter_nodes():
-        total = through[node.uid]
-        for w, child in node.children.items():
-            node.child_logprob[w] = math.log(through[child.uid] / total)
-        end = ending.get(node.uid, 0.0)
+    for node, total in through.items():
+        words = sorted(node.children)
+        logprobs = [math.log(through[node.children[w]] / total) for w in words]
+        end = ending.get(node, 0.0)
         if end > 0.0:
             node.exit_logprob = math.log(end / total)
-        words = sorted(node.child_logprob)
         node.child_words = np.array(words, dtype=np.int64)
-        node.child_logprobs = np.array([node.child_logprob[w] for w in words], dtype=np.float64)
+        node.child_logprobs = np.array(logprobs, dtype=np.float64)
         node.child_words.setflags(write=False)
         node.child_logprobs.setflags(write=False)
-    return tree
+    return root
 
 
 class ClmState(NamedTuple):
+    """A decode-time class state; it is its own merge and memo key
+    (tree nodes compare by identity)."""
+
     history: tuple
     class_tag: Optional[int]
     node: Optional[PrefixNode]
-
-    def key(self):
-        """Hashable merge identity, tree nodes keyed by uid. Within one
-        model the state itself is an equal identity (nodes compare by
-        identity) and costs no tuple; ``key()`` also compares states
-        across equal models."""
-        return (
-            self.history,
-            self.class_tag,
-            -1 if self.node is None else self.node.uid,
-        )
 
 
 class ClassModel:
@@ -161,14 +131,15 @@ class ClassModel:
     after another may share it. It is not locked: one decode at a time.
     It holds at most ``TRANSITION_MEMO_CAP`` transitions and is emptied
     whole when the next bundle would pass that. The decoder keys it by
-    the ``ClmState`` itself; a ``key()`` tuple names the same state but
-    is a different key.
+    the ``ClmState``.
+
+    ``trees`` maps each class's tag id to the root of its prefix tree.
     """
 
     def __init__(
         self,
         ngram: NgramModel,
-        trees: dict[int, PrefixTree],
+        trees: dict[int, PrefixNode],
         base_vocab: Vocabulary,
         entries=None,
     ):
@@ -244,7 +215,8 @@ class Transitions:
     S1‖S2‖S3 order: ``category`` (int8), ``word`` (int64), ``logprob``,
     and ``tag`` (int32), the class a CAT2 transition enters (-1
     elsewhere). ``cat2`` and ``cat3`` slice out those blocks; CAT1 is
-    everything before them.
+    everything before them, and its transition i emits word i (CAT1 is
+    never gated), so a CAT1 rank cut is ``top_ids`` of its scores.
     """
 
     __slots__ = (
@@ -284,18 +256,13 @@ class Transitions:
 
     def cat1_gate(self, rank_r: int) -> np.ndarray:
         """Ascending indices of the ``rank_r`` most probable CAT1
-        transitions, computed once per ``rank_r``.
-
-        Ranking matches the trie enumeration key (descending
-        probability, ascending word id); zero-probability words are
-        never gated.
+        transitions, computed once per ``rank_r``: the n-gram rows'
+        ``top_ids`` cut (descending probability, ties to the lower word
+        id); zero-probability words are never gated.
         """
         gate = self._gates.get(rank_r)
-        if gate is None:
-            n1 = self.cat2.start
-            lp = self.logprob[:n1]
-            top = np.lexsort((self.word[:n1], -lp))[:rank_r]
-            gate = self._gates[rank_r] = np.sort(top[lp[top] > NEG_INF])
+        if gate is None:  # CAT1 transition i emits word i
+            gate = self._gates[rank_r] = top_ids(self.logprob[: self.cat2.start], rank_r)
         return gate
 
 
@@ -320,7 +287,7 @@ def enumerate_transitions(
         for tag in model.tag_ids:
             p_tag = float(dense[tag])  # the same value as ngram.logprob(tag, history)
             if p_tag > NEG_INF:
-                root = model.trees[tag].root
+                root = model.trees[tag]
                 blocks.append(
                     (CAT2, root.child_words, (exit_lp + p_tag) + root.child_logprobs, tag)
                 )
@@ -350,7 +317,7 @@ def advance(
     if category == CAT2:
         if tag not in model.trees:
             raise ValueError(f"CAT2 into unknown class id {tag}")
-        node = model.trees[tag].root.children.get(word)
+        node = model.trees[tag].children.get(word)
         if node is None:
             raise ValueError(f"CAT2 word {word} does not start class id {tag}")
         return ClmState(model.exit_history(state), tag, node)

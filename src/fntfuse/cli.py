@@ -145,24 +145,24 @@ def _scenario_setup(args, use_lm: bool, use_clm: bool = False):
     """
     if args.utts is not None and args.utts < 1:  # checked before anything is read
         raise ValueError(f"--utts must be >= 1, got {args.utts}")
+    if not 0.0 <= args.floor < 1.0:  # a --predictor file's faults name the file
+        raise ValueError(f"--floor must be in [0, 1), got {args.floor}")
     scn = read_scenario(_require(args, "scenario"))
 
-    def ngram(path, texts, what: str):
+    def lm(path, texts, what: str, floor: float = 0.0):
         if path is not None:
             try:
-                return load_arpa(path, scn.vocab)
+                return NgramPredictor(load_arpa(path, scn.vocab), floor)
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from None
         sentences = _read_sentences(texts, scn.vocab, f"scenario {what} text")
-        return train_kneser_ney(sentences, args.order, vocab=scn.vocab, eos=False)
+        model = train_kneser_ney(sentences, args.order, vocab=scn.vocab, eos=False)
+        return NgramPredictor(model, floor)
 
-    predictor = NgramPredictor(
-        ngram(args.predictor, scn.train_texts, "train"), floor=args.floor
-    )
-    scorer = FntScorer(predictor, gamma=args.gamma)
+    scorer = FntScorer(lm(args.predictor, scn.train_texts, "train", args.floor), gamma=args.gamma)
     external = None
     if use_lm:
-        external = NgramPredictor(ngram(args.lm, scn.adapt_texts, "adapt"))
+        external = lm(args.lm, scn.adapt_texts, "adapt")
     class_model = None
     if use_clm:
         if args.clm is not None:
@@ -360,7 +360,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--text", help="one piece-tokenized sentence per line")
     p.add_argument("--vocab", help="one token per line")
     _add_order_flag(p)
-    p.add_argument("--with-eos", action="store_true", dest="with_eos")
+    p.add_argument(
+        "--with-eos", action="store_true", dest="with_eos",
+        help="model </s>; such a model cannot be a --predictor or --lm",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_ngram)
 

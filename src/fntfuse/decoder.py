@@ -126,7 +126,6 @@ EXIT_RULES = ("standard", "require-cat1")
 @dataclass(frozen=True)
 class DecoderConfig:
     beam: int = 8
-    nbest: int = 1
     fusion: FusionConfig = field(default_factory=FusionConfig)
     rank_rprime: int | None = None
     exit_rule: str = "standard"
@@ -135,8 +134,6 @@ class DecoderConfig:
     def __post_init__(self):
         if self.beam < 1:
             raise ValueError(f"beam must be >= 1, got {self.beam}")
-        if not 1 <= self.nbest <= self.beam:
-            raise ValueError(f"nbest must be in [1, beam], got {self.nbest}")
         if self.exit_rule not in EXIT_RULES:
             raise ValueError(f"unknown exit rule: {self.exit_rule!r}")
         if self.max_emit < 1:
@@ -453,7 +450,9 @@ def beam_search(
     external_lm: ExternalLm | None = None,
     class_model: ClassModel | None = None,
 ):
-    """Decode one utterance; returns (n-best DecodedHypothesis list, stats)."""
+    """Decode one utterance; returns (n-best, stats): one
+    ``DecodedHypothesis`` per token sequence of the final beam, best
+    first (score descending, then tokens). Callers slice it."""
     fu = config.fusion
     use_lm = fu.uses_lm
     if use_lm and external_lm is None:
@@ -609,4 +608,4 @@ def beam_search(
     results.sort(key=lambda r: (-r.logscore, r.tokens))
     stats.n_enumerations = frame_scorer.n_enumerations
     stats.wall_time = time.perf_counter() - t0
-    return results[: config.nbest], stats
+    return results, stats

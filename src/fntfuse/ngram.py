@@ -2,14 +2,16 @@
 
 The model is stored as a trie of sorted arrays: each context node owns a
 contiguous block of child arcs sorted by descending log-probability
-(ties by ascending word-id), plus a word-sorted secondary index for
-point lookups. That layout makes rank-r continuation queries a cheap
-array scan with iterative fallback to shorter contexts, independent of
-total model size. A context's first word is found by a direct word-id
-index into the unigram arcs, the rest by binary search. Dense rows
-start from the unigram row, scattered once per model, and scatter each
-longer node's finite arcs shortest context first, so a word's longest
-finite arc decides, as in rank-r queries and point lookups.
+(ties by ascending word-id), found through one offsets array per level,
+plus a word-sorted secondary index for context lookups. That layout
+makes rank-r continuation queries a cheap array scan with iterative
+fallback to shorter contexts, independent of total model size. A
+context's first word is found by a direct word-id index into the
+unigram arcs, the rest by binary search. Dense rows start from the
+unigram row, scattered once per model, and scatter each longer node's
+finite arcs shortest context first, so a word's longest finite arc
+decides, as in rank-r queries. A point score is its word's entry of the
+dense row, and ``top_ids`` is the one top-r cut of a dense row.
 
 Training (array passes after the sort-based estimation of KenLM's
 ``lmplz``) and the ARPA loader hand ``NgramModel`` the same input: per
@@ -114,8 +116,7 @@ class NgramModel:
         self._words = [None] * (order + 1)      # arc word ids, prob-sorted
         self._probs = [None] * (order + 1)
         self._bows = [None] * (order + 1)
-        self._child_lo = [None] * (order + 1)   # arc -> child span at next level
-        self._child_hi = [None] * (order + 1)
+        self._children = [None] * (order + 1)   # node i's child arcs: [off[i], off[i+1])
         self._parents = [None] * (order + 1)    # arc -> parent arc index
         self._wsorted = [None] * (order + 1)    # arc words, word-sorted per node
         self._worder = [None] * (order + 1)     # absolute arc index for _wsorted
@@ -134,17 +135,14 @@ class NgramModel:
             self._probs[k] = logprobs[k - 1][layout]
             self._bows[k] = bows[k - 1][layout]
             self._parents[k] = parents
-            if k > 1:  # the parents' child spans; [0, 0) for a leaf
-                size = np.bincount(parents, minlength=self._words[k - 1].size)
-                hi = np.cumsum(size)
-                self._child_lo[k - 1] = np.where(size > 0, hi - size, 0)
-                self._child_hi[k - 1] = np.where(size > 0, hi, 0)
+            if k > 1:  # parents sort first, so each node's children are contiguous
+                nodes = np.arange(self._words[k - 1].size + 1)
+                self._children[k - 1] = np.searchsorted(parents, nodes)
             self._worder[k] = np.lexsort((words, parents))
             self._wsorted[k] = words[self._worder[k]]
             arc_of_rank = np.empty(n, dtype=np.int64)
             arc_of_rank[layout] = np.arange(n)
-        self._child_lo[order] = np.zeros(n, dtype=np.int64)
-        self._child_hi[order] = np.zeros(n, dtype=np.int64)
+        self._children[order] = np.zeros(n + 1, dtype=np.int64)
         # the empty context's row and arc per word, for every query to share
         unigrams = np.full(n_symbols, -1, dtype=np.int64)
         unigrams[self._words[1]] = np.arange(self._words[1].size)
@@ -160,12 +158,11 @@ class NgramModel:
 
     def node_span(self, node) -> tuple[int, int]:
         """Child arc range [lo, hi) at level node[0]+1."""
-        level, idx = node
         if node == ROOT:
             return 0, self._words[1].size
-        if level >= self.order:
-            return 0, 0
-        return int(self._child_lo[level][idx]), int(self._child_hi[level][idx])
+        level, idx = node
+        off = self._children[level]
+        return int(off[idx]), int(off[idx + 1])
 
     def node_bow(self, node) -> float:
         if node == ROOT:
@@ -203,10 +200,10 @@ class NgramModel:
         """Matched suffix nodes of ``history``, longest first.
 
         Each element is (node, accumulated backoff weight of all longer
-        matched suffixes). Both logprob and top_r consume this chain in
-        order, which is what makes their values bit-identical. Every
-        later node's context is a suffix of the first's, so the first
-        node alone determines the chain.
+        matched suffixes). ``dense_row`` (and so ``logprob``) and
+        ``top_r_chain`` consume this chain, which is what makes their
+        values bit-identical. Every later node's context is a suffix of
+        the first's, so the first node alone determines the chain.
         """
         h = tuple(history)[max(0, len(history) - (self.order - 1)):]
         chain = []
@@ -222,19 +219,11 @@ class NgramModel:
     # -- queries -----------------------------------------------------------
 
     def logprob(self, word_id: int, history=()) -> float:
-        """log P(word | history) under full backoff recursion: the
-        longest context's finite arc for ``word_id``; a -inf arc is
-        skipped and the shorter context decides, as in ``top_r_chain``
-        and ``dense_row``."""
+        """log P(word | history) under full backoff recursion: the entry
+        of the history's ``dense_row``."""
         if not 0 <= word_id < len(self.vocab) + 2:
             raise ValueError(f"word id out of range: {word_id}")
-        for node, acc in self.suffix_chain(history):
-            arc = self._find_arc(node, word_id)
-            if arc >= 0:
-                p = self._probs[node[0] + 1][arc]
-                if p > NEG_INF:
-                    return acc + float(p)
-        return NEG_INF
+        return float(self.dense_row(self.suffix_chain(history))[word_id])
 
     def top_r(self, history, r: int) -> SparseLmQueryResult:
         """Up to r continuations of ``history`` by fallback enumeration.
@@ -249,6 +238,9 @@ class NgramModel:
         return self.top_r_chain(self.suffix_chain(history), r)
 
     def top_r_chain(self, chain, r: int) -> SparseLmQueryResult:
+        """``top_r`` over ``chain``, a ``suffix_chain``: each node's
+        finite arcs in stored order, longest context first, a word
+        emitted once, until r are emitted."""
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
         seen = set()
@@ -288,7 +280,7 @@ class NgramModel:
         write. Bit-identical to scattering ``top_r_chain(chain,
         len(vocab) + 2)``, where the longest context claims a word first
         and -inf arcs are skipped: IEEE addition commutes, and -inf plus
-        a weight stays -inf."""
+        a weight stays -inf. ``logprob`` reads one entry of it."""
         *longer, (_, acc) = chain
         row = self._root_row + acc
         for node, acc in reversed(longer):
@@ -307,7 +299,7 @@ class NgramModel:
             columns.append(self._words[level][arcs])
             arcs = self._parents[level][arcs]
         grams = np.column_stack(columns[::-1])
-        has_bow = self._child_hi[k] > self._child_lo[k]
+        has_bow = np.diff(self._children[k]) > 0
         return grams, self._probs[k], self._bows[k], has_bow
 
     def iter_ngrams(self, k: int):
@@ -316,6 +308,25 @@ class NgramModel:
         rows = zip(grams.tolist(), probs.tolist(), bows.tolist(), has_bow.tolist())
         for gram, prob, bow, has in rows:
             yield tuple(gram), prob, bow if has else None
+
+
+def top_ids(row: np.ndarray, r: int) -> np.ndarray:
+    """Ascending ids of the ``r`` highest finite entries of ``row`` (all
+    of them if fewer are finite), ties at the cut to the lower id.
+
+    n-gram rows hold few distinct values, and on them a sort to the r-th
+    value beats a partition."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    take = (row > NEG_INF).nonzero()[0]  # zero-mass words never rank
+    if take.size > r:
+        vals = row[take]
+        cut = np.sort(vals)[take.size - r]
+        keep = vals > cut
+        ties = (vals == cut).nonzero()[0]  # the lowest ids at the cut fill up to r
+        keep[ties[: r - np.count_nonzero(keep)]] = True
+        take = take[keep]
+    return take
 
 
 def train_kneser_ney(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .classlm import write_class_file, parse_class_file
 from .core import NEG_INF, ExternalLm, Vocabulary, log_softmax
-from .ngram import NgramModel, SparseLmQueryResult
+from .ngram import NgramModel, SparseLmQueryResult, top_ids
 
 SCORES_MAGIC = "FNTSCORES v2"
 SCORES_DTYPE = np.dtype("<f8")
@@ -158,6 +158,14 @@ class NgramPredictor(ExternalLm):
     def __init__(self, model: NgramModel, floor: float = 0.0):
         if not 0.0 <= floor < 1.0:
             raise ValueError(f"floor must be in [0, 1), got {floor}")
+        # rows sum to 1 over the vocabulary only if </s> has no mass
+        for k in range(1, model.order + 1):
+            grams, probs, _, _ = model.level_columns(k)
+            if ((grams[:, -1] == model.eos_id) & (probs > NEG_INF)).any():
+                raise ValueError(
+                    "</s> has nonzero probability, so rows do not sum to 1 over the "
+                    "vocabulary; train the LM without </s>"
+                )
         self.model = model
         self.floor = floor
         self.n_words = len(model.vocab)
@@ -207,16 +215,8 @@ class NgramPredictor(ExternalLm):
         hit = self._top.get(key)
         if hit is None:
             dense = self.full_dist(state)
-            take = (dense > NEG_INF).nonzero()[0]  # zero-mass words never rank
-            if take.size > r > 0:
-                # ids above the r-th value rank, then ids at it fill up in
-                # id order; a sort beats a partition on rows of few levels
-                vals = dense[take]
-                cut = np.sort(vals)[take.size - r]
-                above = take[vals > cut]
-                take = np.concatenate((above, take[vals == cut][: r - above.size]))
-            # ties to the lower id, as ``take`` is ascending
-            take = take[np.argsort(-dense[take], kind="stable")][:r]
+            take = top_ids(dense, r)
+            take = take[np.argsort(-dense[take], kind="stable")]  # ties to the lower id
             hit = SparseLmQueryResult(
                 take.astype(np.int64), dense[take], np.zeros(take.size, dtype=np.int64)
             )

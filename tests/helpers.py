@@ -38,6 +38,21 @@ def toy_class_model(order=3):
     return vocab, train_tagged_clm(corpus, entries, order, vocab)
 
 
+def child_table(node) -> dict:
+    """A prefix-tree node's children as {word: log-probability}, read
+    from its arrays."""
+    return dict(zip(node.child_words.tolist(), node.child_logprobs.tolist()))
+
+
+def tree_nodes(root):
+    """Every node of the prefix tree under ``root``, depth first."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children.values())
+
+
 def random_corpus(rng, n_types=None, n_sentences=None, zipf=1.3):
     """A toy id-tokenized corpus plus its vocabulary.
 

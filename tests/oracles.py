@@ -19,6 +19,8 @@ from fntfuse.arpa import _LN10, _ZERO_LOG10, EOS_TOKEN, SOS_TOKEN, ArpaParseErro
 from fntfuse.core import NEG_INF, Vocabulary
 from fntfuse.ngram import NgramModel, gram_ids
 
+from helpers import child_table
+
 
 class OracleKn:
     """Interpolated modified Kneser-Ney, computed directly from counts.
@@ -163,10 +165,8 @@ def clm_prefix_masses(model, max_len):
         for (words, h, tag, node), mass in frontier.items():
             succs = []
             if tag is not None:
-                for w, child in node.children.items():
-                    succs.append(
-                        (w, math.exp(node.child_logprob[w]), (h, tag, child))
-                    )
+                for w, lp in child_table(node).items():
+                    succs.append((w, math.exp(lp), (h, tag, node.children[w])))
                 exit_p = math.exp(node.exit_logprob)
                 h_exit = trunc(h + (tag,))
             else:
@@ -183,14 +183,10 @@ def clm_prefix_masses(model, max_len):
                     p_tag = math.exp(ngram.logprob(tg, h_exit))
                     if p_tag == 0.0:
                         continue
-                    root = model.trees[tg].root
-                    for w, child in root.children.items():
+                    root = model.trees[tg]
+                    for w, lp in child_table(root).items():
                         succs.append(
-                            (
-                                w,
-                                exit_p * p_tag * math.exp(root.child_logprob[w]),
-                                (h_exit, tg, child),
-                            )
+                            (w, exit_p * p_tag * math.exp(lp), (h_exit, tg, root.children[w]))
                         )
             for w, p, succ in succs:
                 nxt[(words + (w,),) + succ] += mass * p
@@ -364,13 +360,7 @@ def exhaustive_decode(
         return channels, [r - denom for r in raw], b - denom
 
     def cached_row(t, k, pred_state, lm_state, clm_state):
-        key = (
-            t,
-            k,
-            pred_state,
-            lm_state,
-            clm_state.key() if clm_state is not None else None,
-        )
+        key = (t, k, pred_state, lm_state, clm_state)
         hit = row_cache.get(key)
         if hit is None:
             hit = channel_scores(t, k, pred_state, lm_state, clm_state)
@@ -379,13 +369,10 @@ def exhaustive_decode(
 
     # Layered sweep merging paths that agree on (tokens, class-walker
     # position): predictor and LM states are functions of the token
-    # prefix, and cached_row keys class behavior on clm_state.key(),
+    # prefix, and cached_row keys class behavior on the class state,
     # so merged paths share every future posterior. Merging collapses
     # the alignment multiplicity that makes a per-path walk blow up.
-    def skey(clm_state):
-        return clm_state.key() if clm_state is not None else None
-
-    start = ((), None if not use_clm else skey(class_model.initial_state()))
+    start = ((), class_model.initial_state() if use_clm else None)
     states = {
         start: (
             scorer.predictor.initial_state(),
@@ -419,7 +406,7 @@ def exhaustive_decode(
                 for (w, succ), post in zip(channels, posts):
                     if post == float("-inf"):
                         continue
-                    child = (tokens + (w,), skey(succ))
+                    child = (tokens + (w,), succ)
                     if child not in states:
                         states[child] = (
                             scorer.predictor.advance(pred_state, w),
@@ -488,7 +475,8 @@ def full_expansion_beam_search(
     Channel posteriors come
     from the decoder's own ``_FrameScorer``, so only the search
     bookkeeping is re-implemented. Returns the n-best as
-    (tokens, logscore, steps, merged) tuples.
+    (tokens, logscore, steps, merged) tuples, best first, one per token
+    sequence of the final beam, as ``beam_search`` does.
 
     When ``stats`` is a dict it receives ``edge_ties``, the number of
     cuts of A that fell between two equal scores, ``pop_ties``, the
@@ -515,7 +503,7 @@ def full_expansion_beam_search(
 
     # hypothesis: [tokens, logscore, pred, lm, clm, k, steps, merged]
     def key(h):
-        return (h[0], h[2], h[3], h[4].key() if h[4] is not None else None)
+        return (h[0], h[2], h[3], h[4])
 
     def merge(pool, k, h):
         old = pool.get(k)
@@ -623,7 +611,7 @@ def full_expansion_beam_search(
         stats["edge_ties"] = edge_ties
         stats["pop_ties"] = pop_ties
         stats["expansions"] = expansions
-    return results[: config.nbest]
+    return results
 
 
 def load_arpa_per_line(path, vocab: Vocabulary) -> NgramModel:

@@ -39,7 +39,9 @@ from fntfuse.simulate import (
     synthesize_scenario,
 )
 
-from helpers import decoder_joint, random_corpus, random_history, toy_class_model
+from helpers import (
+    decoder_joint, random_corpus, random_history, toy_class_model, tree_nodes,
+)
 from oracles import OracleKn, clm_prefix_masses, exhaustive_decode
 
 BEAM = 4
@@ -242,8 +244,8 @@ def test_distributions_normalize(verdict):
             )
             for _ in range(int(rng.integers(2, 9)))
         ]
-        for node in build_prefix_tree(entries).iter_nodes():
-            mass = sum(math.exp(lp) for lp in node.child_logprob.values())
+        for node in tree_nodes(build_prefix_tree(entries)):
+            mass = sum(math.exp(lp) for lp in node.child_logprobs.tolist())
             if node.exit_logprob > NEG_INF:
                 mass += math.exp(node.exit_logprob)
             worst = max(worst, abs(mass - 1.0))
@@ -422,15 +424,12 @@ def test_beam_matches_exhaustive_oracle(verdict):
             (FusionConfig("cli", 0.5, 2), external, None),
             (FusionConfig("clm", 0.5, 3), None, clm),
         ):
-            config = DecoderConfig(beam=2, nbest=1, fusion=fusion, max_emit=max_emit)
+            config = DecoderConfig(beam=2, fusion=fusion, max_emit=max_emit)
             stats: dict = {}
             totals = exhaustive_decode(encoder, scorer, config, lm, cm, stats=stats)
             # beam == reachable-state count: saturated, nothing pruned
             config = DecoderConfig(
-                beam=stats["beam_needed"] + 8,
-                nbest=1,
-                fusion=fusion,
-                max_emit=max_emit,
+                beam=stats["beam_needed"] + 8, fusion=fusion, max_emit=max_emit
             )
             widest = max(widest, config.beam)
             results, _ = beam_search(encoder, scorer, config, lm, cm)
@@ -454,7 +453,7 @@ def test_class_model_path_mass(verdict):
         _, model = toy_class_model(order=order)
         want = clm_prefix_masses(model, 4)
 
-        frontier = {((), model.initial_state().key()): (model.initial_state(), 1.0)}
+        frontier = {((), model.initial_state()): (model.initial_state(), 1.0)}
         got: dict = {}
         for _ in range(4):
             nxt: dict = {}
@@ -464,7 +463,7 @@ def test_class_model_path_mass(verdict):
                     if trans.logprob[i] == NEG_INF:
                         continue
                     succ = trans.successor(i)
-                    key = (words + (int(trans.word[i]),), succ.key())
+                    key = (words + (int(trans.word[i]),), succ)
                     prev = nxt.get(key)
                     add = mass * math.exp(trans.logprob[i])
                     nxt[key] = (succ, add if prev is None else prev[1] + add)

@@ -1,14 +1,18 @@
-"""The names the decode benchmark's tracer wraps must exist.
+"""The decode benchmark must run against the package as it stands.
 
 ``decodebench/workloads.py`` patches module functions and model
-methods by name; a renamed one would fail only a traced benchmark run.
-The module is imported as it stands, without writing bytecode next to
-it.
+methods by name, and its workloads build, write and read models through
+the package's API; a renamed name or a changed signature would fail
+only a benchmark run. The names are checked, and each workload is set
+up and warmed up on a tiny scenario. The module is imported as it
+stands, without writing bytecode next to it.
 """
 
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import FntScorer, NgramPredictor
@@ -49,3 +53,33 @@ def test_instrumented_methods_exist(monkeypatch):
     assert {"full_dist", "top_r", "advance"} <= names
     for obj, name, label in wrapped:
         assert callable(getattr(obj, name, None)), f"{label}: {type(obj).__name__}.{name}"
+
+
+def tiny_shape(workloads):
+    return workloads.Shape(
+        target_v=40, entity_share=0.3, slot_rate=0.7, coverage=0.7,
+        n_train=40, n_adapt=40, n_test=4,
+    )
+
+
+@pytest.mark.parametrize("name", ["dense-1k", "entity-clm"])
+def test_direct_workload_sets_up_and_decodes(monkeypatch, name):
+    # an API change the harness trips on shows here, not only as a failed run
+    workloads = load_workloads(monkeypatch)
+    workload = workloads.DirectWorkload(
+        name, tiny_shape(workloads), workloads.WORKLOADS[name].configs, pass_utts=2
+    )
+    models, scn = workload.setup(workload.make_inputs(1, None))
+    assert len(scn.tests) == 4
+    workload.warm_up(models, scn)
+
+
+def test_sweep_workload_reads_back_what_it_wrote(monkeypatch, tmp_path):
+    workloads = load_workloads(monkeypatch)
+    workload = workloads.SweepWorkload("sweep-disk", tiny_shape(workloads), dev_utts=2)
+    inputs = workload.make_inputs(1, tmp_path)
+    models, scn = workload.setup(inputs)
+    result = workloads.RunResult(workload.pass_decodes)
+    workload.check_setup(inputs, models, scn, result)
+    assert result.attempted["parses"] > 0
+    assert not result.failed, result.problems

@@ -12,6 +12,7 @@ from fntfuse.classlm import (
     CAT2,
     CAT3,
     ClmState,
+    Transitions,
     advance,
     build_prefix_tree,
     encoder_rank_pass,
@@ -24,25 +25,23 @@ from fntfuse.classlm import (
 )
 from fntfuse.core import NEG_INF, Vocabulary
 
-from helpers import PIECES, toy_class_model
+from helpers import PIECES, child_table, toy_class_model, tree_nodes
 from oracles import clm_prefix_masses, prefix_weight_ratios
 
 
 class TestBuildPrefixTree:
     def test_uniform_split_no_exit(self):
-        tree = build_prefix_tree([((1, 2), 1.0), ((1, 3), 1.0)])
-        root = tree.root
-        assert math.exp(root.child_logprob[1]) == pytest.approx(1.0)
+        root = build_prefix_tree([((1, 2), 1.0), ((1, 3), 1.0)])
+        assert math.exp(child_table(root)[1]) == pytest.approx(1.0)
         assert root.exit_logprob == NEG_INF
         node = root.children[1]
-        assert math.exp(node.child_logprob[2]) == pytest.approx(0.5)
-        assert math.exp(node.child_logprob[3]) == pytest.approx(0.5)
+        assert math.exp(child_table(node)[2]) == pytest.approx(0.5)
+        assert math.exp(child_table(node)[3]) == pytest.approx(0.5)
         assert node.exit_logprob == NEG_INF
 
     def test_half_mass_exits(self):
-        tree = build_prefix_tree([((5, 6), 1.0), ((5,), 1.0)])
-        node = tree.root.children[5]
-        assert math.exp(node.child_logprob[6]) == pytest.approx(0.5)
+        node = build_prefix_tree([((5, 6), 1.0), ((5,), 1.0)]).children[5]
+        assert math.exp(child_table(node)[6]) == pytest.approx(0.5)
         assert math.exp(node.exit_logprob) == pytest.approx(0.5)
 
     def test_weighted_entries_match_counting_oracle(self):
@@ -53,7 +52,7 @@ class TestBuildPrefixTree:
             ((5,), 1.5),
             ((1, 2, 6), 0.5),
         ]
-        tree = build_prefix_tree(entries)
+        root = build_prefix_tree(entries)
         want = prefix_weight_ratios(entries)
 
         def walk(node, prefix):
@@ -62,12 +61,12 @@ class TestBuildPrefixTree:
             assert got_exit == pytest.approx(exit_p, abs=1e-12)
             assert set(node.children) == set(children)
             for w, child in node.children.items():
-                assert math.exp(node.child_logprob[w]) == pytest.approx(
+                assert math.exp(child_table(node)[w]) == pytest.approx(
                     children[w], abs=1e-12
                 )
                 walk(child, prefix + (w,))
 
-        walk(tree.root, ())
+        walk(root, ())
 
     def test_every_node_normalizes(self):
         rng = np.random.default_rng(21)
@@ -75,9 +74,8 @@ class TestBuildPrefixTree:
         while len(seqs) < 60:
             seqs.add(tuple(rng.integers(0, 9, size=rng.integers(1, 4)).tolist()))
         entries = [(s, float(rng.uniform(0.5, 3.0))) for s in seqs]
-        tree = build_prefix_tree(entries)
-        for node in tree.iter_nodes():
-            mass = sum(math.exp(p) for p in node.child_logprob.values())
+        for node in tree_nodes(build_prefix_tree(entries)):
+            mass = sum(math.exp(p) for p in node.child_logprobs.tolist())
             if node.exit_logprob > NEG_INF:
                 mass += math.exp(node.exit_logprob)
             assert mass == pytest.approx(1.0, abs=1e-9)
@@ -85,8 +83,8 @@ class TestBuildPrefixTree:
     def test_duplicates_sum_weights(self):
         t1 = build_prefix_tree([((1, 2), 1.0), ((1, 2), 1.0), ((1,), 2.0)])
         t2 = build_prefix_tree([((1, 2), 2.0), ((1,), 2.0)])
-        n1, n2 = t1.root.children[1], t2.root.children[1]
-        assert n1.child_logprob[2] == n2.child_logprob[2]
+        n1, n2 = t1.children[1], t2.children[1]
+        assert child_table(n1)[2] == child_table(n2)[2]
         assert n1.exit_logprob == n2.exit_logprob
 
     def test_bad_entries_fault(self):
@@ -108,8 +106,8 @@ class TestBuildPrefixTree:
             build_prefix_tree([((1,), 1e308), ((2,), 1e308)])
 
     def test_root_never_exits(self):
-        tree = build_prefix_tree([((1,), 1.0), ((2, 3), 4.0)])
-        assert tree.root.exit_logprob == NEG_INF
+        root = build_prefix_tree([((1,), 1.0), ((2, 3), 4.0)])
+        assert root.exit_logprob == NEG_INF
 
 
 class TestTrainTaggedClm:
@@ -181,9 +179,8 @@ class TestTrainTaggedClm:
             corpus.append(sent)
         model = train_tagged_clm(corpus, entries, 3, vocab)
         for tag_id in model.tag_ids:
-            tree = model.trees[tag_id]
-            for node in tree.iter_nodes():
-                mass = sum(math.exp(p) for p in node.child_logprob.values())
+            for node in tree_nodes(model.trees[tag_id]):
+                mass = sum(math.exp(p) for p in node.child_logprobs.tolist())
                 if node.exit_logprob > NEG_INF:
                     mass += math.exp(node.exit_logprob)
                 assert mass == pytest.approx(1.0, abs=1e-9)
@@ -218,7 +215,7 @@ class TestEnumerateTransitions:
             model.vocab.id_of("⟨NAME⟩"),
             vocab.id_of("▁on"),
         )
-        node = model.trees[model.vocab.id_of("⟨TYPE⟩")].root.children[
+        node = model.trees[model.vocab.id_of("⟨TYPE⟩")].children[
             vocab.id_of("▁his")
         ]
         return ClmState(model.truncate(h), model.vocab.id_of("⟨TYPE⟩"), node)
@@ -230,7 +227,7 @@ class TestEnumerateTransitions:
         words3 = {int(trans.word[i]): trans.logprob[i] for i in indices(trans, CAT3)}
         mobile = vocab.id_of("▁mobile")
         assert mobile in words3 and vocab.id_of("▁home") in words3
-        assert words3[mobile] == state.node.child_logprob[mobile]
+        assert words3[mobile] == child_table(state.node)[mobile]
         # "▁his" alone is a complete entry, so exit mass is positive
         # and CAT1 covers the whole word space
         assert len(indices(trans, CAT1)) == model.n_words
@@ -277,7 +274,7 @@ class TestEnumerateTransitions:
             trans = enumerate_transitions(model, state, scores, rprime)
             s23 = indices(trans, CAT2) + indices(trans, CAT3)
             cur = {
-                (int(trans.category[i]), int(trans.word[i]), trans.successor(i).key())
+                (int(trans.category[i]), int(trans.word[i]), trans.successor(i))
                 for i in s23
             }
             assert prev <= cur
@@ -295,7 +292,7 @@ class TestEnumerateTransitions:
         in_s1 = indices(trans, CAT1, john)
         in_s2 = indices(trans, CAT2, john)
         assert in_s1 and in_s2
-        assert trans.successor(in_s1[0]).key() != trans.successor(in_s2[0]).key()
+        assert trans.successor(in_s1[0]) != trans.successor(in_s2[0])
         assert trans.successor(in_s2[0]).class_tag is not None
         assert trans.successor(in_s2[0]).class_tag == trans.tag[in_s2[0]]
 
@@ -333,10 +330,53 @@ class TestEnumerateTransitions:
                 if exit_lp == NEG_INF or p_tag == NEG_INF:
                     assert got == []
                     continue
-                root = clm.trees[tag].root
+                root = clm.trees[tag]
                 assert trans.word[got].tolist() == root.child_words.tolist()
                 want = exit_lp + p_tag + root.child_logprobs
                 assert trans.logprob[got].tolist() == want.tolist()
+
+
+class TestCat1Gate:
+    """``cat1_gate`` against the stable argsort of the CAT1 block: its
+    ``r`` most probable finite entries, ties to the lower word, returned
+    in ascending order."""
+
+    @staticmethod
+    def check(trans):
+        lp = trans.logprob[: trans.cat2.start]
+        ranked = np.argsort(-lp, kind="stable")
+        ranked = ranked[lp[ranked] > NEG_INF]
+        n1 = lp.size
+        for r in sorted({1, 3, max(n1 - 1, 1), max(n1, 1), n1 + 5}):
+            assert trans.cat1_gate(r).tolist() == sorted(ranked[:r].tolist())
+
+    def test_class_states_of_a_trained_model(self):
+        _, model = toy_class_model(order=3)
+        seen, frontier = set(), [model.initial_state()]
+        while frontier and len(seen) < 80:
+            state = frontier.pop(0)
+            if state in seen:
+                continue
+            seen.add(state)
+            trans = enumerate_transitions(model, state)
+            self.check(trans)
+            live = np.flatnonzero(trans.logprob > NEG_INF).tolist()
+            frontier.extend(trans.successor(i) for i in live)
+        assert len(seen) == 80
+        assert any(s.class_tag is not None for s in seen)
+
+    def test_rows_with_ties_and_zero_mass(self):
+        _, model = toy_class_model()
+        n1 = model.n_words
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            lp = rng.choice([NEG_INF, -3.0, -2.0, -1.5], size=n1)
+            self.check(
+                Transitions(
+                    model, model.initial_state(), np.full(n1, CAT1, np.int8),
+                    np.arange(n1), lp, np.full(n1, -1, np.int32),
+                )
+            )
 
 
 class TestAdvance:
@@ -348,7 +388,7 @@ class TestAdvance:
         succ = trans.successor(i)
         assert succ.class_tag == model.vocab.id_of("⟨NAME⟩")
         assert succ.history == state.history  # tag not yet in history
-        assert succ.node is model.trees[succ.class_tag].root.children[int(trans.word[i])]
+        assert succ.node is model.trees[succ.class_tag].children[int(trans.word[i])]
 
     def test_exit_appends_tag_then_word(self):
         vocab, model = toy_class_model(order=5)
@@ -372,7 +412,7 @@ class TestAdvance:
         john = vocab.id_of("▁john")
         via_word = trans.successor(indices(trans, CAT1, john)[0])
         via_class = trans.successor(indices(trans, CAT2, john)[0])
-        assert via_word.key() != via_class.key()
+        assert via_word != via_class
 
     def test_mismatched_transition_faults(self):
         vocab, model = toy_class_model()
@@ -384,12 +424,12 @@ class TestAdvance:
         # a CAT3 transition replayed at a node it does not leave faults
         name, kind = model.vocab.id_of("⟨NAME⟩"), model.vocab.id_of("⟨TYPE⟩")
         at_his = ClmState(
-            state.history, kind, model.trees[kind].root.children[vocab.id_of("▁his")]
+            state.history, kind, model.trees[kind].children[vocab.id_of("▁his")]
         )
-        at_john = ClmState(state.history, name, model.trees[name].root.children[john])
+        at_john = ClmState(state.history, name, model.trees[name].children[john])
         trans = enumerate_transitions(model, at_his)
         i3 = indices(trans, CAT3)[0]
-        assert trans.successor(i3).node.uid > 0
+        assert trans.successor(i3).node is not model.trees[kind]
         with pytest.raises(ValueError, match="not under the current node"):
             advance(model, at_john, CAT3, int(trans.word[i3]))
         with pytest.raises(ValueError, match="does not start"):
@@ -405,7 +445,7 @@ class TestPathMassEquivalence:
         _, model = toy_class_model(order=2)
         want = clm_prefix_masses(model, 4)
 
-        frontier = {((), model.initial_state().key()): (model.initial_state(), 1.0)}
+        frontier = {((), model.initial_state()): (model.initial_state(), 1.0)}
         got: dict = {}
         for _ in range(4):
             nxt: dict = {}
@@ -415,7 +455,7 @@ class TestPathMassEquivalence:
                     if trans.logprob[i] == NEG_INF:
                         continue
                     succ = trans.successor(i)
-                    key = (words + (int(trans.word[i]),), succ.key())
+                    key = (words + (int(trans.word[i]),), succ)
                     old = nxt.get(key)
                     add = mass * math.exp(trans.logprob[i])
                     nxt[key] = (succ, add if old is None else old[1] + add)

@@ -490,6 +490,24 @@ def test_arpa_fault_names_its_file(flag, method, scenario_dir, tmp_path, capsys)
     assert err == f"error: {path}: line 5: token not in vocabulary: '▁zzz'\n"
 
 
+@pytest.mark.parametrize("flag, method", [("--predictor", "none"), ("--lm", "li")])
+def test_model_with_eos_mass_names_its_file(flag, method, scenario_dir, tmp_path, capsys):
+    # its rows used to sum below 1 over the vocabulary, and the joint
+    # softmax handed the missing mass to blank
+    path = tmp_path / "eos.arpa"
+    scn = Path(scenario_dir)
+    train = ["train-ngram", "--text", str(scn / "train.txt"), "--vocab", str(scn / "vocab.txt")]
+    assert main(train + ["--with-eos", "--out", str(path)]) == 0
+    argv = ["eval", "--scenario", scenario_dir, "--utts", "1", "--method", method, flag, str(path)]
+    if method != "none":
+        argv += ["--alpha", "0.5"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: </s> has nonzero probability")
+    assert "train the LM without </s>" in err
+
+
 @pytest.mark.parametrize("route", ["--classes", "--clm", "--scenario"])
 def test_class_file_fault_names_its_file(route, scenario_dir, tmp_path, capsys):
     # the fault used to print as "error: line 1: ..." without the file
@@ -554,6 +572,15 @@ def test_utts_below_one_fails_before_reading(command, scenario_dir, monkeypatch,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --utts must be >= 1, got {value}" in captured.err
+
+
+def test_floor_out_of_range_fails_before_reading(scenario_dir, monkeypatch, capsys):
+    # checked before anything is read; a fault in building the predictor
+    # from a --predictor file names the file, this one names the flag
+    monkeypatch.setattr(cli, "read_scenario", lambda path: pytest.fail("scenario read"))
+    argv = ["eval", "--scenario", scenario_dir, "--predictor", "p.arpa", "--floor", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --floor must be in [0, 1), got 1.0\n"
 
 
 class TestBench:

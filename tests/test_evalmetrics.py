@@ -222,7 +222,7 @@ class TestEvaluate:
         singles = {"⟨NAME⟩": (("ada lin", 1.0),), "⟨TYPE⟩": (("mobile", 1.0),)}
         scn, scorer, _ = scenario_setup(classes=singles)
         rep = evaluate(
-            "base", scn.tests, scn.vocab, scorer, DecoderConfig(beam=4, nbest=1)
+            "base", scn.tests, scn.vocab, scorer, DecoderConfig(beam=4)
         )
         assert rep.wer == 0.0
         assert rep.entity_errors == 0
@@ -232,7 +232,7 @@ class TestEvaluate:
     def test_baseline_misses_unseen_entities_and_fusion_recovers(self):
         scn, scorer, external = scenario_setup()
         base = evaluate(
-            "base", scn.tests, scn.vocab, scorer, DecoderConfig(beam=4, nbest=1)
+            "base", scn.tests, scn.vocab, scorer, DecoderConfig(beam=4)
         )
         assert base.wer > 0.0
         assert base.entity_error_rate == 1.0
@@ -241,7 +241,7 @@ class TestEvaluate:
             scn.tests,
             scn.vocab,
             scorer,
-            DecoderConfig(beam=4, nbest=1, fusion=FusionConfig("li", 0.5)),
+            DecoderConfig(beam=4, fusion=FusionConfig("li", 0.5)),
             external_lm=external,
         )
         assert fused.wer == 0.0
@@ -251,7 +251,7 @@ class TestEvaluate:
     def test_aggregation_matches_per_utt_rows(self):
         scn, scorer, _ = scenario_setup(tau=1.5)
         rep = evaluate(
-            "base", scn.tests, scn.vocab, scorer, DecoderConfig(beam=4, nbest=1)
+            "base", scn.tests, scn.vocab, scorer, DecoderConfig(beam=4)
         )
         assert rep.edits == tuple(sum(r[k] for r in rep.per_utt) for k in range(1, 5))
         assert rep.edits.n_ref == sum(len(u.ref_words) for u in scn.tests)

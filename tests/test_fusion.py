@@ -216,7 +216,7 @@ def exit_state(model, vocab):
     # inside ⟨TYPE⟩ at "▁his": children plus exit mass, so all three
     # category blocks are populated
     h = (model.ngram.bos_id, vocab.id_of("▁call"))
-    node = model.trees[model.vocab.id_of("⟨TYPE⟩")].root.children[vocab.id_of("▁his")]
+    node = model.trees[model.vocab.id_of("⟨TYPE⟩")].children[vocab.id_of("▁his")]
     return ClmState(model.truncate(h), model.vocab.id_of("⟨TYPE⟩"), node)
 
 
@@ -299,7 +299,7 @@ class TestClmPredictorInterp:
         )
         tag = model.vocab.id_of("⟨X⟩")
         inner = ClmState(
-            (vocab.id_of("▁c"),), tag, model.trees[tag].root.children[vocab.id_of("▁a")]
+            (vocab.id_of("▁c"),), tag, model.trees[tag].children[vocab.id_of("▁a")]
         )
         trans = enumerate_transitions(model, inner)
         assert CAT1 not in trans.category and CAT2 not in trans.category
@@ -317,7 +317,7 @@ class TestClmPredictorInterp:
         john = self.vocab.id_of("▁john")
         hits = np.flatnonzero(trans.word == john).tolist()
         assert len(hits) >= 2
-        assert len({trans.successor(i).key() for i in hits}) == len(hits)
+        assert len({trans.successor(i) for i in hits}) == len(hits)
 
 
 class TestThreeWay:

@@ -112,8 +112,7 @@ class TestTrieLayout:
             words = model._words[k]
             starts = {0, probs.size}
             if k > 1:
-                starts.update(int(x) for x in model._child_lo[k - 1])
-                starts.update(int(x) for x in model._child_hi[k - 1])
+                starts.update(int(x) for x in model._children[k - 1])
             bounds = sorted(b for b in starts if 0 <= b <= probs.size)
             for lo, hi in zip(bounds, bounds[1:]):
                 for i in range(lo + 1, hi):
@@ -305,8 +304,7 @@ class TestDenseRow:
 
 
 TRIE_ARRAYS = (
-    "_words", "_probs", "_bows", "_child_lo", "_child_hi",
-    "_parents", "_wsorted", "_worder",
+    "_words", "_probs", "_bows", "_children", "_parents", "_wsorted", "_worder",
 )
 
 
@@ -358,86 +356,86 @@ def log_fingerprint():
 TRIE_DIGESTS = {
     "5bfd3ecd74a8a1b4": {
         "kn-o1-eos1": (
-            "bc3bee06c7d9", "71e1d4c2322a", "be3a4e4d77f8", "c4f81764c463",
-            "c4f81764c463", "6911fa3f636e", "e68f1823164a", "fd54ab5120ec",
+            "bc3bee06c7d9", "71e1d4c2322a", "be3a4e4d77f8", "bb22f4f0d8d1",
+            "6911fa3f636e", "e68f1823164a", "fd54ab5120ec",
         ),
         "kn-o1-eos0": (
-            "ce11d9efee94", "cc52ec2d05ed", "ddeb6af5e57f", "e08710e7ea33",
-            "e08710e7ea33", "292755b84100", "87c02b36ac43", "d95339693236",
+            "ce11d9efee94", "cc52ec2d05ed", "ddeb6af5e57f", "81389aa53cdd",
+            "292755b84100", "87c02b36ac43", "d95339693236",
         ),
         "kn-o2-eos1": (
-            "a224d555772d", "6744d7c24627", "46179479a837", "e2e75883a916",
-            "29327409cc22", "301d7821bcb2", "1bfa32ec9c8f", "fbf1d537131b",
+            "a224d555772d", "6744d7c24627", "46179479a837", "054ef9f27c3c",
+            "301d7821bcb2", "1bfa32ec9c8f", "fbf1d537131b",
         ),
         "kn-o2-eos0": (
-            "ba42da403852", "2ae62b1ff729", "834ec1be8700", "4be3684f9d3c",
-            "bf32fea977c2", "7a01a01bc3c7", "8415158102c4", "3180912253f4",
+            "ba42da403852", "2ae62b1ff729", "834ec1be8700", "32f39f0bc74b",
+            "7a01a01bc3c7", "8415158102c4", "3180912253f4",
         ),
         "kn-o3-eos1": (
-            "ef8f1470bd35", "a3f5cb5f9388", "cc6caaa19e51", "a470a507dcbe",
-            "84dff3b73dfa", "23b75301dd9c", "7c0dacc0d5da", "fec5a4b3def9",
+            "ef8f1470bd35", "a3f5cb5f9388", "cc6caaa19e51", "93369d5f6e7f",
+            "23b75301dd9c", "7c0dacc0d5da", "fec5a4b3def9",
         ),
         "kn-o3-eos0": (
-            "8a9e51dede12", "006fa7529f7e", "b9a5c1189626", "016fd40e2a37",
-            "33c7ebc7986b", "e45249e8f801", "89a018fb3c21", "3011897ac6ad",
+            "8a9e51dede12", "006fa7529f7e", "b9a5c1189626", "41cbc0f6a66b",
+            "e45249e8f801", "89a018fb3c21", "3011897ac6ad",
         ),
         "kn-o4-eos1": (
-            "30b73f447eeb", "df3b958fecce", "65dae2ea70fe", "a5aac0cfd13b",
-            "9c630f886769", "1a8117efda0f", "0fb670936d28", "5b8010ffd860",
+            "30b73f447eeb", "df3b958fecce", "65dae2ea70fe", "332c0204bc32",
+            "1a8117efda0f", "0fb670936d28", "5b8010ffd860",
         ),
         "kn-o4-eos0": (
-            "54d735a3cc1f", "90e8c96da3be", "e7c39381b7fa", "fa4819a3a3fc",
-            "7e9d118797de", "e5a76cef2d64", "ab0fa2c8fefa", "91fabb21abd7",
+            "54d735a3cc1f", "90e8c96da3be", "e7c39381b7fa", "b3e6bd201f49",
+            "e5a76cef2d64", "ab0fa2c8fefa", "91fabb21abd7",
         ),
         "clm-o3": (
-            "1197462d7287", "4927124ce26c", "18698476dc29", "9eae8478278c",
-            "e19da6f2af1f", "65dbd5fdfeac", "0d720810ebeb", "ad302553840b",
+            "1197462d7287", "4927124ce26c", "18698476dc29", "5fbdf2df4992",
+            "65dbd5fdfeac", "0d720810ebeb", "ad302553840b",
         ),
         "arpa-o3": (
-            "ce5ef5a65f0a", "9c05dc3346f6", "460bf566a7c7", "0f6b59e16a27",
-            "b73f07314467", "88012fcd0032", "cd67f304f263", "afbb6615c5a2",
+            "ce5ef5a65f0a", "9c05dc3346f6", "460bf566a7c7", "ee5a26949548",
+            "88012fcd0032", "cd67f304f263", "afbb6615c5a2",
         ),
     },
     "f8afdcc45ce514e7": {
         "kn-o1-eos1": (
-            "bc3bee06c7d9", "71e1d4c2322a", "be3a4e4d77f8", "c4f81764c463",
-            "c4f81764c463", "6911fa3f636e", "e68f1823164a", "fd54ab5120ec",
+            "bc3bee06c7d9", "71e1d4c2322a", "be3a4e4d77f8", "bb22f4f0d8d1",
+            "6911fa3f636e", "e68f1823164a", "fd54ab5120ec",
         ),
         "kn-o1-eos0": (
-            "ce11d9efee94", "cc52ec2d05ed", "ddeb6af5e57f", "e08710e7ea33",
-            "e08710e7ea33", "292755b84100", "87c02b36ac43", "d95339693236",
+            "ce11d9efee94", "cc52ec2d05ed", "ddeb6af5e57f", "81389aa53cdd",
+            "292755b84100", "87c02b36ac43", "d95339693236",
         ),
         "kn-o2-eos1": (
-            "a224d555772d", "6744d7c24627", "46179479a837", "e2e75883a916",
-            "29327409cc22", "301d7821bcb2", "1bfa32ec9c8f", "fbf1d537131b",
+            "a224d555772d", "6744d7c24627", "46179479a837", "054ef9f27c3c",
+            "301d7821bcb2", "1bfa32ec9c8f", "fbf1d537131b",
         ),
         "kn-o2-eos0": (
-            "ba42da403852", "2ae62b1ff729", "3ccf370e4d15", "4be3684f9d3c",
-            "bf32fea977c2", "7a01a01bc3c7", "8415158102c4", "3180912253f4",
+            "ba42da403852", "2ae62b1ff729", "3ccf370e4d15", "32f39f0bc74b",
+            "7a01a01bc3c7", "8415158102c4", "3180912253f4",
         ),
         "kn-o3-eos1": (
-            "ef8f1470bd35", "a3f5cb5f9388", "6e115e13a156", "a470a507dcbe",
-            "84dff3b73dfa", "23b75301dd9c", "7c0dacc0d5da", "fec5a4b3def9",
+            "ef8f1470bd35", "a3f5cb5f9388", "6e115e13a156", "93369d5f6e7f",
+            "23b75301dd9c", "7c0dacc0d5da", "fec5a4b3def9",
         ),
         "kn-o3-eos0": (
-            "8a9e51dede12", "db48877360d2", "b9a5c1189626", "016fd40e2a37",
-            "33c7ebc7986b", "e45249e8f801", "89a018fb3c21", "3011897ac6ad",
+            "8a9e51dede12", "db48877360d2", "b9a5c1189626", "41cbc0f6a66b",
+            "e45249e8f801", "89a018fb3c21", "3011897ac6ad",
         ),
         "kn-o4-eos1": (
-            "30b73f447eeb", "340f878aecaa", "f47b9e0968b2", "a5aac0cfd13b",
-            "9c630f886769", "1a8117efda0f", "0fb670936d28", "5b8010ffd860",
+            "30b73f447eeb", "340f878aecaa", "f47b9e0968b2", "332c0204bc32",
+            "1a8117efda0f", "0fb670936d28", "5b8010ffd860",
         ),
         "kn-o4-eos0": (
-            "54d735a3cc1f", "d0948ffa9f88", "e7c39381b7fa", "fa4819a3a3fc",
-            "7e9d118797de", "e5a76cef2d64", "ab0fa2c8fefa", "91fabb21abd7",
+            "54d735a3cc1f", "d0948ffa9f88", "e7c39381b7fa", "b3e6bd201f49",
+            "e5a76cef2d64", "ab0fa2c8fefa", "91fabb21abd7",
         ),
         "clm-o3": (
-            "1197462d7287", "4927124ce26c", "18698476dc29", "9eae8478278c",
-            "e19da6f2af1f", "65dbd5fdfeac", "0d720810ebeb", "ad302553840b",
+            "1197462d7287", "4927124ce26c", "18698476dc29", "5fbdf2df4992",
+            "65dbd5fdfeac", "0d720810ebeb", "ad302553840b",
         ),
         "arpa-o3": (
-            "ce5ef5a65f0a", "9c05dc3346f6", "460bf566a7c7", "0f6b59e16a27",
-            "b73f07314467", "88012fcd0032", "cd67f304f263", "afbb6615c5a2",
+            "ce5ef5a65f0a", "9c05dc3346f6", "460bf566a7c7", "ee5a26949548",
+            "88012fcd0032", "cd67f304f263", "afbb6615c5a2",
         ),
     },
 }

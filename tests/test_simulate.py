@@ -39,7 +39,7 @@ ngram 3=1
 -0.6\tb\t-0.25
 -0.7\tc
 -0.8\td
--0.9\t</s>
+-99\t</s>
 
 \\2-grams:
 -0.3\t<s> a\t-0.1
@@ -48,6 +48,23 @@ ngram 3=1
 
 \\3-grams:
 -0.1\ta b c
+
+\\end\\
+"""
+
+# </s> carries no mass alone, only after "a"
+EOS_AFTER_A = """\\data\\
+ngram 1=4
+ngram 2=1
+
+\\1-grams:
+-99\t<s>\t0
+-0.3\ta\t-0.2
+-0.3\tb
+-99\t</s>
+
+\\2-grams:
+-0.5\ta </s>
 
 \\end\\
 """
@@ -335,6 +352,25 @@ class TestNgramPredictor:
             NgramPredictor(pred.model, floor=1.0)
         with pytest.raises(ValueError, match="floor"):
             NgramPredictor(pred.model, floor=-0.1)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_model_with_eos_mass_faults(self, order):
+        # its rows would sum below 1 over the vocabulary (~0.8 at the start
+        # of an order-3 model), and fusion would hand the rest to blank
+        rng = np.random.default_rng(6)
+        vocab, corpus = random_corpus(rng, n_types=8, n_sentences=40)
+        model = train_kneser_ney(corpus, order, vocab=vocab, eos=True)
+        with pytest.raises(ValueError, match="train the LM without </s>"):
+            NgramPredictor(model)
+
+    def test_eos_mass_in_a_longer_context_faults(self, tmp_path):
+        path = tmp_path / "m.arpa"
+        path.write_text(EOS_AFTER_A, encoding="utf-8")
+        model = load_arpa(path, Vocabulary(["a", "b"]))
+        assert model.logprob(model.eos_id, ()) == NEG_INF
+        assert model.logprob(model.eos_id, (0,)) > NEG_INF
+        with pytest.raises(ValueError, match="</s> has nonzero probability"):
+            NgramPredictor(model)
 
     @pytest.mark.parametrize("floor", [0.0, 0.05, 0.3])
     def test_full_dist_normalized(self, floor):
