@@ -3,8 +3,8 @@ predictor stream.
 
 The package splits into small, separately testable layers:
 
-- ``core``: vocabulary, log-space helpers, and the ExternalLm
-  interface.
+- ``core``: vocabulary, log-space helpers, the top-r cut, and the
+  ExternalLm interface.
 - ``ngram``: Kneser-Ney training and a sorted-array backoff trie with
   rank-r continuation queries and dense rows.
 - ``arpa``: text serialization of n-gram models.

@@ -38,8 +38,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arpa import load_arpa, save_arpa
-from .core import NEG_INF, Vocabulary
-from .ngram import NgramModel, top_ids, train_kneser_ney
+from .core import NEG_INF, Vocabulary, top_ids
+from .ngram import NgramModel, train_kneser_ney
 
 CAT1, CAT2, CAT3 = 1, 2, 3
 
@@ -256,9 +256,9 @@ class Transitions:
 
     def cat1_gate(self, rank_r: int) -> np.ndarray:
         """Ascending indices of the ``rank_r`` most probable CAT1
-        transitions, computed once per ``rank_r``: the n-gram rows'
-        ``top_ids`` cut (descending probability, ties to the lower word
-        id); zero-probability words are never gated.
+        transitions, computed once per ``rank_r``: the ``top_ids`` cut
+        (descending probability, ties to the lower word id);
+        zero-probability words are never gated.
         """
         gate = self._gates.get(rank_r)
         if gate is None:  # CAT1 transition i emits word i

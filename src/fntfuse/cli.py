@@ -37,6 +37,7 @@ from .evalmetrics import (
     ALPHA_GRID,
     bench_corpus,
     bench_topr,
+    check_sweep_grid,
     detokenize,
     evaluate,
     ngram_count,
@@ -68,9 +69,10 @@ def _load_config(path):
 
 def _layer_config(parser, sub, args, argv) -> argparse.Namespace:
     """``argv`` parsed again with the config file's values as the
-    subcommand ``sub``'s defaults. A scalar given for a flag that takes
-    a value is passed as the string the command line would give, so the
-    flag's type parses it; a switch (default False) takes it as it is.
+    subcommand ``sub``'s defaults. A scalar or a list given for a flag
+    that takes a value is passed as the string the command line would
+    give (a list joined by commas), so the flag's type parses it; a
+    switch (default False) takes it as it is.
     argparse checks ``choices`` on command-line values only, so they
     are checked here."""
     config = _load_config(args.config)
@@ -81,7 +83,8 @@ def _layer_config(parser, sub, args, argv) -> argparse.Namespace:
         sub.error(f"unknown config key {unknown[0]!r}")
     valued = {k for k in flags if sub.get_default(k) is not False}
     config = {
-        k: str(v) if k in valued and type(v) in (bool, int, float) else v
+        k: (",".join(map(str, v)) if type(v) is list else str(v))
+        if k in valued and type(v) in (bool, int, float, list) else v
         for k, v in config.items()
     }
     for action in sub._actions:
@@ -272,6 +275,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_sweep_grid(**_given(args, "methods", "grid"))  # before anything is read
     scn, tests, scorer, external, _ = _scenario_setup(args, use_lm=True)
     report = sweep(
         {"test": tests},

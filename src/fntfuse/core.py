@@ -12,12 +12,8 @@ class files, ``EncoderOutput``), so it never propagates silently.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .ngram import SparseLmQueryResult
 
 NEG_INF = float("-inf")
 
@@ -57,6 +53,33 @@ def log_softmax(values) -> np.ndarray:
     mass = arr - m
     np.exp(mass, out=mass)  # in place: one temporary, same values
     return arr - (m + float(np.log(mass.sum())))
+
+
+def top_ids(row: np.ndarray, r: int) -> np.ndarray:
+    """Ascending ids of the ``r`` highest finite entries of ``row`` (all
+    of them if fewer are finite), ties at the cut to the lower id, the
+    order in which ``heapq.nlargest`` keeps equal keys.
+
+    The one top-r cut: beam children, ``ExternalLm.top_r`` and the class
+    model's CAT1 gate. A partition of a copy of the row and one ``>=
+    cut`` scan; ties at the cut and fewer than ``r`` finite entries take
+    further passes only when they occur."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    n = row.size
+    if n > r:
+        part = row.copy()  # the method skips np.partition's Python wrapper
+        part.partition(n - r)
+        cut = part[n - r]
+        if cut > NEG_INF:
+            keep = (row >= cut).nonzero()[0]
+            surplus = keep.size - r
+            if surplus:  # ties at the cut: drop the highest-id ones
+                mask = np.ones(keep.size, dtype=bool)
+                mask[(row[keep] == cut).nonzero()[0][-surplus:]] = False
+                keep = keep[mask]
+            return keep
+    return (row > NEG_INF).nonzero()[0]  # zero-mass entries never rank
 
 
 class Vocabulary:
@@ -124,9 +147,8 @@ class ExternalLm(ABC):
     mutates its argument. ``full_dist`` returns a dense normalized
     log-probability array over the decoder vocabulary of V tokens
     (``beam_search`` checks V against the encoder once per decode).
-    ``top_r`` returns distinct ids in ``[0, V)`` and must agree with
-    ``full_dist`` entrywise on them; the fusion operators index with
-    those ids unchecked.
+    ``top_r`` is ``top_ids`` of that row; the decoder reads the values
+    at those ids from ``full_dist``.
     """
 
     @abstractmethod
@@ -141,8 +163,6 @@ class ExternalLm(ABC):
     def full_dist(self, state) -> np.ndarray:
         ...
 
-    @abstractmethod
-    def top_r(self, state, r: int) -> SparseLmQueryResult:
-        """The r highest-probability tokens: ``word_ids`` and their
-        ``logprobs``, most probable first."""
-        ...
+    def top_r(self, state, r: int) -> np.ndarray:
+        """The ids of the r most probable tokens, ascending."""
+        return top_ids(self.full_dist(state), r)

@@ -42,12 +42,10 @@ Bookkeeping is O(1) per child, whatever the utterance length:
 
 An expansion is one array pass. The joint row (word channels, blank
 last) is written into a buffer the scorer owns for the decode and
-normalized by one log-softmax. One selection over the children's
-scores (parent score plus posterior, -inf for a dead channel) returns
+normalized by one log-softmax. ``core.top_ids`` of the children's
+scores (parent score plus posterior, -inf for a dead channel) selects
 the ``beam`` best finite channels in ascending order, ties to the lower
-channel index as ``heapq.nlargest`` keeps them. It costs a partition
-and one scan; ties at the cut and fewer than ``beam`` finite channels
-take further passes only when they occur. Only those children are
+channel index as ``heapq.nlargest`` keeps them. Only those children are
 recorded in A, plus every child whose tokens and emission count match
 a pending child already in A; A is then cut back to the beam whenever A
 plus the unrecorded finite children exceeds it. The dead channels are
@@ -110,7 +108,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classlm import ClassModel, ClmState, encoder_rank_pass, enumerate_transitions
-from .core import NEG_INF, ExternalLm, log_softmax, log_sum_exp
+from .core import NEG_INF, ExternalLm, log_softmax, log_sum_exp, top_ids
 from .fusion import (
     FusionConfig,
     clm_predictor_interp,
@@ -272,30 +270,6 @@ def _cat1_possible(hyp: Hypothesis, clm: ClassModel | None) -> bool:
     return hyp.clm_state.class_tag is None or clm.exit_logmass(hyp.clm_state) > NEG_INF
 
 
-def _top_children(scores: np.ndarray, beam: int) -> np.ndarray:
-    """Ascending indices of the ``beam`` highest finite scores (all of
-    them if fewer are finite).
-
-    Ties at the cut go to the lower index, the order in which
-    ``heapq.nlargest`` keeps equal keys. The common case is a partition
-    and one ``>= cut`` scan; ties at the cut and fewer than ``beam``
-    finite scores take further passes only when they occur.
-    """
-    n = scores.size
-    if n > beam:
-        part = scores.copy()  # the method skips np.partition's Python wrapper
-        part.partition(n - beam)
-        cut = part[n - beam]
-        if cut > NEG_INF:
-            keep = (scores >= cut).nonzero()[0]
-            surplus = keep.size - beam
-            if surplus:  # ties at the cut: drop the highest-index ones
-                ties = (scores[keep] == cut).nonzero()[0]
-                keep = np.delete(keep, ties[-surplus:])
-            return keep
-    return (scores > NEG_INF).nonzero()[0]
-
-
 def _n_finite(scores: np.ndarray) -> int:
     """The number of finite entries of ``scores``."""
     return scores.size - np.count_nonzero(scores == NEG_INF)
@@ -406,8 +380,8 @@ class _FrameScorer:
             elif fu.method == "lli":
                 row = mix_scores(z_u, self.external.full_dist(hyp.lm_state), fu.alpha)
             else:  # cli
-                sp = self.external.top_r(hyp.lm_state, fu.rank_r)
-                row = cli_scores(z_u, sp.word_ids, sp.logprobs, fu.alpha)
+                ids = self.external.top_r(hyp.lm_state, fu.rank_r)
+                row = cli_scores(z_u, ids, self.external.full_dist(hyp.lm_state)[ids], fu.alpha)
             row.setflags(write=False)
             self._rows[key] = row
         return row
@@ -546,7 +520,7 @@ def beam_search(
             unrecorded = 0  # finite children left out, counted when the cut needs it
             if best.k < config.max_emit:
                 scores = best.logscore + posts
-                keep = _top_children(scores, config.beam)
+                keep = top_ids(scores, config.beam)
                 k = best.k + 1
                 if transitions is None:
                     for i, post in zip(keep.tolist(), posts[keep].tolist()):

@@ -330,6 +330,19 @@ class SweepReport:
         return "\n".join(rows)
 
 
+def check_sweep_grid(methods=DENSE_METHODS, grid=ALPHA_GRID) -> None:
+    """Raise ValueError unless every method is a dense one and every
+    weight is in [0, 1]."""
+    for method in methods:
+        if method not in DENSE_METHODS:
+            raise ValueError(
+                f"sweep method must be one of {','.join(DENSE_METHODS)}, got {method!r}"
+            )
+    for alpha in grid:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"sweep weight must be in [0, 1], got {alpha}")
+
+
 def sweep(
     splits: dict,
     vocab: Vocabulary,
@@ -346,8 +359,10 @@ def sweep(
 
     ``splits`` maps split names to test-utterance lists. Shallow fusion
     sweeps only the grid points up to ``SF_ALPHA_MAX``. Deterministic:
-    fixed inputs give bit-identical reports.
+    fixed inputs give bit-identical reports. ``check_sweep_grid`` runs
+    before the first decode.
     """
+    check_sweep_grid(methods, grid)
     sf_grid = tuple(a for a in grid if a <= SF_ALPHA_MAX)
 
     def run(split, tests, method, alpha):

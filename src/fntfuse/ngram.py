@@ -11,7 +11,7 @@ unigram arcs, the rest by binary search. Dense rows start from the
 unigram row, scattered once per model, and scatter each longer node's
 finite arcs shortest context first, so a word's longest finite arc
 decides, as in rank-r queries. A point score is its word's entry of the
-dense row, and ``top_ids`` is the one top-r cut of a dense row.
+dense row, and a global top-r is ``core.top_ids`` of it.
 
 Training (array passes after the sort-based estimation of KenLM's
 ``lmplz``) and the ARPA loader hand ``NgramModel`` the same input: per
@@ -164,6 +164,12 @@ class NgramModel:
         off = self._children[level]
         return int(off[idx]), int(off[idx + 1])
 
+    def predicts(self, word_id: int) -> bool:
+        """Whether some context, at any order, gives ``word_id`` finite
+        probability: one scan of each level's arc words."""
+        levels = zip(self._words[1:], self._probs[1:])
+        return any((probs[words == word_id] > NEG_INF).any() for words, probs in levels)
+
     def node_bow(self, node) -> float:
         if node == ROOT:
             return 0.0
@@ -308,25 +314,6 @@ class NgramModel:
         rows = zip(grams.tolist(), probs.tolist(), bows.tolist(), has_bow.tolist())
         for gram, prob, bow, has in rows:
             yield tuple(gram), prob, bow if has else None
-
-
-def top_ids(row: np.ndarray, r: int) -> np.ndarray:
-    """Ascending ids of the ``r`` highest finite entries of ``row`` (all
-    of them if fewer are finite), ties at the cut to the lower id.
-
-    n-gram rows hold few distinct values, and on them a sort to the r-th
-    value beats a partition."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    take = (row > NEG_INF).nonzero()[0]  # zero-mass words never rank
-    if take.size > r:
-        vals = row[take]
-        cut = np.sort(vals)[take.size - r]
-        keep = vals > cut
-        ties = (vals == cut).nonzero()[0]  # the lowest ids at the cut fill up to r
-        keep[ties[: r - np.count_nonzero(keep)]] = True
-        take = take[keep]
-    return take
 
 
 def train_kneser_ney(

@@ -21,17 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from .classlm import write_class_file, parse_class_file
-from .core import NEG_INF, ExternalLm, Vocabulary, log_softmax
-from .ngram import NgramModel, SparseLmQueryResult, top_ids
+from .core import ExternalLm, Vocabulary, log_softmax
+from .ngram import NgramModel
 
 SCORES_MAGIC = "FNTSCORES v2"
 SCORES_DTYPE = np.dtype("<f8")
 
 # Bounds of an NgramPredictor's caches, each emptied whole when full:
 # dense rows for up to ROW_CACHE_VALUES // V states (16 MB of floats at
-# most), and up to TOP_CACHE_ENTRIES top-r results (~20 MB at ~610 bytes
-# an entry at r = 4) and as many successors. A decodebench pass holds at
-# most ~450 states, ~450 results and ~610 successors.
+# most), and up to TOP_CACHE_ENTRIES top-r id arrays (~12 MB at ~360
+# bytes an entry at r = 4) and as many successors. A decodebench pass
+# holds at most ~450 states, ~450 id arrays and ~610 successors.
 ROW_CACHE_VALUES = 1 << 21
 TOP_CACHE_ENTRIES = 1 << 15
 
@@ -145,12 +145,11 @@ class NgramPredictor(ExternalLm):
     one longest match share one state and every cache keyed by it. With
     ``floor`` > 0 the distribution is mixed with uniform mass so every
     token keeps nonzero probability, the way a neural predictor's
-    log-softmax would. Rank queries are true top-r of the dense view
-    (probability-descending, ties by ascending id) regardless of floor,
-    unlike the raw trie query, which enumerates longest-context arcs
-    first.
+    log-softmax would. A rank query is ``top_ids`` of the dense row
+    (ties to the lower id) regardless of floor, unlike the raw trie
+    query, which enumerates longest-context arcs first.
 
-    Rows per state, top-r results per (state, r) and successors per
+    Rows per state, top-r ids per (state, r) and successors per
     (state, token) are cached across decodes, bounded as the module's
     ``ROW_CACHE_VALUES`` comment says.
     """
@@ -158,19 +157,16 @@ class NgramPredictor(ExternalLm):
     def __init__(self, model: NgramModel, floor: float = 0.0):
         if not 0.0 <= floor < 1.0:
             raise ValueError(f"floor must be in [0, 1), got {floor}")
-        # rows sum to 1 over the vocabulary only if </s> has no mass
-        for k in range(1, model.order + 1):
-            grams, probs, _, _ = model.level_columns(k)
-            if ((grams[:, -1] == model.eos_id) & (probs > NEG_INF)).any():
-                raise ValueError(
-                    "</s> has nonzero probability, so rows do not sum to 1 over the "
-                    "vocabulary; train the LM without </s>"
-                )
+        if model.predicts(model.eos_id):  # rows would not sum to 1 over the vocabulary
+            raise ValueError(
+                "</s> has nonzero probability, so rows do not sum to 1 over the "
+                "vocabulary; train the LM without </s>"
+            )
         self.model = model
         self.floor = floor
         self.n_words = len(model.vocab)
         self._dense: dict[tuple, np.ndarray] = {}
-        self._top: dict[tuple, SparseLmQueryResult] = {}
+        self._top: dict[tuple, np.ndarray] = {}
         self._next: dict[tuple, tuple] = {}
 
     def initial_state(self):
@@ -206,22 +202,13 @@ class NgramPredictor(ExternalLm):
             self._dense[state] = row
         return row
 
-    def top_r(self, state, r: int) -> SparseLmQueryResult:
-        """Cached per (state, r); the shared result's arrays are read-only.
-        Unlike a trie query (see ``SparseLmQueryResult``), ``logprobs``
-        are the floor-mixed ``full_dist`` values, not the model's
-        ``logprob``, and ``origins`` are all 0."""
+    def top_r(self, state, r: int) -> np.ndarray:
+        """Cached per (state, r); the shared id array is read-only."""
         key = (state, r)
         hit = self._top.get(key)
         if hit is None:
-            dense = self.full_dist(state)
-            take = top_ids(dense, r)
-            take = take[np.argsort(-dense[take], kind="stable")]  # ties to the lower id
-            hit = SparseLmQueryResult(
-                take.astype(np.int64), dense[take], np.zeros(take.size, dtype=np.int64)
-            )
-            for arr in (hit.word_ids, hit.logprobs, hit.origins):
-                arr.flags.writeable = False
+            hit = super().top_r(state, r)
+            hit.flags.writeable = False
             if len(self._top) >= TOP_CACHE_ENTRIES:
                 self._top.clear()
             self._top[key] = hit
@@ -502,18 +489,26 @@ def read_scenario(directory) -> Scenario:
                 f"refs.tsv line {lineno}: expected 4 tab-separated fields, got {len(fields)}"
             )
         utt_id, words, idx, ref_pieces = fields
+        words = tuple(words.split())
+        if not words:
+            raise ValueError(f"refs.tsv line {lineno}: no reference words")
         try:
             entities = tuple(int(i) for i in idx.split(",") if i)
         except ValueError:
             raise ValueError(
                 f"refs.tsv line {lineno}: entity word indices must be integers, got {idx!r}"
             ) from None
+        for i in entities:
+            if not 0 <= i < len(words):
+                raise ValueError(
+                    f"refs.tsv line {lineno}: entity word index {i} outside [0, {len(words)})"
+                )
         name = f"scores/{utt_id}.fnt"
         try:
             enc = load_scores(os.path.join(d, name), expect_vocab=len(vocab))
         except ValueError as e:
             raise ValueError(f"{name}: {e}") from None
         tests.append(
-            TestUtterance(utt_id, tuple(words.split()), tuple(ref_pieces.split()), entities, enc)
+            TestUtterance(utt_id, words, tuple(ref_pieces.split()), entities, enc)
         )
     return Scenario(vocab, train, adapt, clm, classes, tests)

@@ -336,8 +336,8 @@ def exhaustive_decode(
 
         raw = []
         if fusion.method == "cli":
-            sp = external_lm.top_r(lm_state, fusion.rank_r)
-            probs = dict(zip(sp.word_ids.tolist(), sp.logprobs.tolist()))
+            ids = external_lm.top_r(lm_state, fusion.rank_r)
+            probs = dict(zip(ids.tolist(), lm_row[ids].tolist()))
         for w in range(n_vocab):
             zt, zu = float(z_t[w]), float(z_u[w])
             if fusion.method == "none":

@@ -574,6 +574,63 @@ def test_utts_below_one_fails_before_reading(command, scenario_dir, monkeypatch,
         assert f"error: --utts must be >= 1, got {value}" in captured.err
 
 
+BAD_SWEEP_LISTS = {
+    "unknown-method": ("methods", ["li", "bogus"], "sweep method must be one of sf,li,lli,cli, got 'bogus'"),
+    "class-model": ("methods", ["clm"], "sweep method must be one of sf,li,lli,cli, got 'clm'"),
+    "weight-above-one": ("grid", [0.5, 1.5], "sweep weight must be in [0, 1], got 1.5"),
+    "negative-weight": ("grid", [-0.1], "sweep weight must be in [0, 1], got -0.1"),
+}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("case", list(BAD_SWEEP_LISTS))
+def test_bad_sweep_list_fails_before_reading(case, route, scenario_dir, tmp_path, monkeypatch, capsys):
+    # a bad method or weight used to fail only after the models were
+    # trained, or after the baseline decoded
+    key, values, message = BAD_SWEEP_LISTS[case]
+    monkeypatch.setattr(cli, "read_scenario", lambda path: pytest.fail("scenario read"))
+    argv = ["sweep", "--scenario", scenario_dir]
+    if route == "flag":
+        argv += [f"--{key}", ",".join(map(str, values))]
+    else:  # a YAML list, not the flag's comma-separated string
+        write_yaml(tmp_path / "c.yaml", {key: values})
+        argv += ["--config", str(tmp_path / "c.yaml")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_unparsable_sweep_weight_is_a_usage_error(route, scenario_dir, tmp_path, monkeypatch, capsys):
+    # a YAML list goes through the flag's type, as the flag's string does
+    monkeypatch.setattr(cli, "read_scenario", lambda path: pytest.fail("scenario read"))
+    argv = ["sweep", "--scenario", scenario_dir]
+    if route == "flag":
+        argv += ["--grid", "0.5,x"]
+    else:
+        write_yaml(tmp_path / "c.yaml", {"grid": [0.5, "x"]})
+        argv += ["--config", str(tmp_path / "c.yaml")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --grid: invalid _float_list value: '0.5,x'" in capsys.readouterr().err
+
+
+def test_config_lists_sweep_like_flags(scenario_dir, tmp_path, capsys):
+    argv = ["sweep", "--scenario", scenario_dir, "--beam", "4", "--utts", "1"]
+
+    def sweep_lines():  # the SWEEP lines carry no timings
+        return [l for l in capsys.readouterr().out.splitlines() if l.startswith("SWEEP")]
+
+    assert main(argv + ["--methods", "li,cli", "--grid", "0.5"]) == 0
+    flags = sweep_lines()
+    assert len(flags) == 2 * 3  # per method: one cell, a STAR and a FIXED line
+    write_yaml(tmp_path / "c.yaml", {"methods": ["li", "cli"], "grid": [0.5]})
+    assert main(argv + ["--config", str(tmp_path / "c.yaml")]) == 0
+    assert sweep_lines() == flags
+
+
 def test_floor_out_of_range_fails_before_reading(scenario_dir, monkeypatch, capsys):
     # checked before anything is read; a fault in building the predictor
     # from a --predictor file names the file, this one names the flag

@@ -9,7 +9,7 @@ import pytest
 
 from fntfuse import classlm, decoder, simulate
 from fntfuse.classlm import enumerate_transitions, train_tagged_clm
-from fntfuse.core import NEG_INF, ExternalLm, Vocabulary, log_softmax, log_sum_exp
+from fntfuse.core import NEG_INF, ExternalLm, Vocabulary, log_softmax, log_sum_exp, top_ids
 from fntfuse.decoder import DecoderConfig, beam_search, blank_fallback
 from fntfuse.evalmetrics import evaluate
 from fntfuse.fusion import FusionConfig
@@ -408,7 +408,7 @@ class TestPruningVsFullExpansion:
 
 
 class TestChildSelection:
-    """``_top_children`` against ``heapq.nlargest`` over the finite
+    """``top_ids`` against ``heapq.nlargest`` over the finite
     indices, exactly, on rows with ties at the cut and -inf entries
     scattered through them."""
 
@@ -425,7 +425,7 @@ class TestChildSelection:
                     scores[live] = rng.integers(0, 3, size=n_finite) * 0.5 - 7.0
                     finite = np.flatnonzero(scores > NEG_INF).tolist()
                     want = sorted(heapq.nlargest(beam, finite, key=lambda i: scores[i]))
-                    keep = decoder._top_children(scores, beam)
+                    keep = top_ids(scores, beam)
                     assert keep.dtype.kind == "i"
                     assert keep.tolist() == want
                     assert decoder._n_finite(scores) == n_finite
@@ -512,9 +512,9 @@ class TestExpand:
             elif method == "lli":
                 joint = z_t + (a * lm_row + (1.0 - a) * z_u)
             else:
-                sparse = lm.top_r(hyp.lm_state, fusion.rank_r)
+                ids = lm.top_r(hyp.lm_state, fusion.rank_r)
                 row = z_u.copy()
-                row[sparse.word_ids] = li(z_u[sparse.word_ids], sparse.logprobs, a)
+                row[ids] = li(z_u[ids], lm_row[ids], a)
                 joint = z_t + row
         posts = log_softmax(np.append(joint, b))
         return words, posts[:-1], float(posts[-1])

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from fntfuse import evalmetrics
 from fntfuse.classlm import train_tagged_clm
 from fntfuse.decoder import DecodeStats, DecoderConfig, beam_search
 from fntfuse.evalmetrics import (
@@ -315,6 +316,14 @@ class TestSweep:
         assert werr_star == pytest.approx(1.0)
         # single split: the best fixed weight coincides
         assert report.alpha_fixed("li") == (a_star, pytest.approx(werr_star))
+
+    @pytest.mark.parametrize(
+        "methods,grid", [(("li", "clm"), (0.5,)), (("none",), (0.5,)), (("li",), (0.0, 1.01))]
+    )
+    def test_bad_methods_or_weights_fault_before_decoding(self, methods, grid, monkeypatch):
+        monkeypatch.setattr(evalmetrics, "evaluate", lambda *a, **k: pytest.fail("decoded"))
+        with pytest.raises(ValueError, match="^sweep (method|weight) must be"):
+            self.run_sweep(methods=methods, grid=grid)
 
     def test_unknown_method_faults(self):
         report = self.run_sweep()

@@ -392,22 +392,21 @@ class TestNgramPredictor:
         for state in self.random_states(pred, rng, 25):
             dense = pred.full_dist(state)
             for r in (1, 3, pred.n_words):
-                res = pred.top_r(state, r)
-                assert len(res.word_ids) <= r
-                np.testing.assert_array_equal(res.logprobs, dense[res.word_ids])
-                assert np.all(np.diff(res.logprobs) <= 0)
+                ids = pred.top_r(state, r)
+                assert len(ids) <= r
+                assert np.all(np.diff(ids) > 0)  # distinct, ascending
                 finite = int(np.sum(dense > NEG_INF))
                 want = min(r, finite) if floor == 0.0 else min(r, pred.n_words)
-                assert len(res.word_ids) == want
+                assert len(ids) == want
                 # nothing outside the returned set may beat what is inside
-                if len(res.word_ids) < pred.n_words:
-                    outside = np.setdiff1d(np.arange(pred.n_words), res.word_ids)
-                    assert np.max(dense[outside]) <= res.logprobs[-1] + 1e-12
+                if len(ids) < pred.n_words:
+                    outside = np.setdiff1d(np.arange(pred.n_words), ids)
+                    assert np.max(dense[outside]) <= np.min(dense[ids]) + 1e-12
 
     @pytest.mark.parametrize("n_words", [120, 301, 1100, 4000])
     def test_top_r_is_the_full_argsort(self, n_words, monkeypatch):
         # the cut must pick the ids a stable argsort of the whole row
-        # picks, in its order: ties to the lower id, -inf never ranks
+        # picks, ascending: ties to the lower id, -inf never ranks
         pred, _ = self.make(0.0)
         rng = np.random.default_rng(n_words)
         rows = {}
@@ -427,20 +426,19 @@ class TestNgramPredictor:
         for state, row in rows.items():
             order = np.argsort(-row, kind="stable")
             for r in (1, 5, 200, n_words):
-                want = order[row[order] > NEG_INF][:r]
-                res = pred.top_r(state, r)
-                assert res.word_ids.tobytes() == want.astype(np.int64).tobytes()
-                assert res.logprobs.tobytes() == row[want].tobytes()
+                want = np.sort(order[row[order] > NEG_INF][:r])
+                ids = pred.top_r(state, r)
+                assert ids.tobytes() == want.astype(np.int64).tobytes()
+                assert pred.full_dist(state)[ids].tobytes() == row[want].tobytes()
 
     def test_top_r_result_is_shared_and_read_only(self):
         pred, _ = self.make(0.05)
         state = pred.initial_state()
-        res = pred.top_r(state, 3)
-        assert pred.top_r(state, 3) is res
-        assert pred.top_r(state, 2) is not res
-        for arr in (res.word_ids, res.logprobs, res.origins):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
+        ids = pred.top_r(state, 3)
+        assert pred.top_r(state, 3) is ids
+        assert pred.top_r(state, 2) is not ids
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0] = 0
 
     def test_advance_truncates_history(self):
         # a state is the longest suffix of the last order - 1 tokens that
@@ -487,8 +485,7 @@ class TestNgramPredictor:
                 row, top = capped.full_dist(state), capped.top_r(state, 3)
                 want_row, want_top = first[state]
                 assert row.tobytes() == want_row.tobytes()
-                assert top.word_ids.tolist() == want_top.word_ids.tolist()
-                assert top.logprobs.tobytes() == want_top.logprobs.tobytes()
+                assert top.tolist() == want_top.tolist()
                 held.append((len(capped._dense), len(capped._top), len(capped._next)))
         assert len(first) > 7  # more states than either cache holds
         rows, tops, nexts = zip(*held)
@@ -540,10 +537,10 @@ class TestNgramPredictor:
             assert pred.full_dist(state).tobytes() == row.tobytes()
             ranked = np.argsort(-row, kind="stable")
             for r in (1, 3, n):
-                want = ranked[row[ranked] > NEG_INF][:r]
+                want = np.sort(ranked[row[ranked] > NEG_INF][:r])
                 got = pred.top_r(state, r)
-                assert got.word_ids.tobytes() == want.astype(np.int64).tobytes()
-                assert got.logprobs.tobytes() == row[want].tobytes()
+                assert got.tobytes() == want.astype(np.int64).tobytes()
+                assert pred.full_dist(state)[got].tobytes() == row[want].tobytes()
 
     @pytest.mark.parametrize("floor", [0.0, 0.1])
     def test_shared_dense_row_is_read_only(self, floor):
@@ -783,6 +780,35 @@ class TestScenarioIO:
         refs.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(
             ValueError, match="refs.tsv line 2: expected 4 tab-separated fields, got 3"
+        ):
+            read_scenario(tmp_path / "scn")
+
+    @staticmethod
+    def write_refs_field(directory, lineno, column, value):
+        refs = directory / "refs.tsv"
+        lines = refs.read_text(encoding="utf-8").splitlines()
+        fields = lines[lineno - 1].split("\t")
+        fields[column] = value
+        lines[lineno - 1] = "\t".join(fields)
+        refs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_refs_row_without_words_names_line(self, tmp_path):
+        scn = synthesize_scenario(small_spec(n_test=3))
+        write_scenario(scn, tmp_path / "scn")
+        self.write_refs_field(tmp_path / "scn", 2, 1, " ")
+        with pytest.raises(ValueError, match="refs.tsv line 2: no reference words"):
+            read_scenario(tmp_path / "scn")
+
+    @pytest.mark.parametrize("index", ["-1", "n"])
+    def test_refs_entity_index_out_of_range_names_line(self, index, tmp_path):
+        scn = synthesize_scenario(small_spec(n_test=3))
+        write_scenario(scn, tmp_path / "scn")
+        n = len(scn.tests[2].ref_words)
+        index = str(n) if index == "n" else index
+        self.write_refs_field(tmp_path / "scn", 3, 2, f"0,{index}")
+        with pytest.raises(
+            ValueError,
+            match=rf"refs.tsv line 3: entity word index {index} outside \[0, {n}\)",
         ):
             read_scenario(tmp_path / "scn")
 
