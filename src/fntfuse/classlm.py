@@ -26,7 +26,8 @@ word-pieces, CAT2/CAT3 blocks are the tree nodes' tables, and a
 successor state is built only for a transition a caller takes, and
 kept on the bundle once built. A ``ClassModel`` memoizes
 one bundle per class state for its lifetime (``cached_transitions``),
-bounded by ``TRANSITION_MEMO_CAP`` transitions in all.
+bounded by ``TRANSITION_MEMO_CAP`` transitions in all. An r'-gated bundle
+is a view of the memoized one, which builds and keeps its successors.
 """
 
 from __future__ import annotations
@@ -217,42 +218,55 @@ class Transitions:
     elsewhere). ``cat2`` and ``cat3`` slice out those blocks; CAT1 is
     everything before them, and its transition i emits word i (CAT1 is
     never gated), so a CAT1 rank cut is ``top_ids`` of its scores.
+
+    A ``gated`` bundle is a view: ``parent`` is the bundle it gates (None
+    on a full bundle) and ``index`` the ascending positions it keeps
+    there; the parent's CAT1 gates and successors serve it.
     """
 
     __slots__ = (
         "model", "state", "category", "word", "logprob", "tag", "cat2", "cat3",
-        "_gates", "_successors",
+        "parent", "index", "_gates", "_successors", "_exit_history",
     )
 
-    def __init__(self, model, state, category, word, logprob, tag, gates=None):
+    def __init__(self, model, state, category, word, logprob, tag, parent=None, index=None):
         self.model, self.state = model, state
         self.category, self.word, self.logprob, self.tag = category, word, logprob, tag
         for arr in (category, word, logprob, tag):
             arr.setflags(write=False)
         n1, n12 = np.searchsorted(category, (CAT2, CAT3)).tolist()
         self.cat2, self.cat3 = slice(n1, n12), slice(n12, word.size)
-        self._gates: dict = {} if gates is None else gates
-        self._successors: dict = {}
+        self.parent, self.index = parent, index
+        self._gates: dict = {} if parent is None else parent._gates
+        self._successors: dict | None = {} if parent is None else None
+        self._exit_history = model.exit_history(state) if n1 and parent is None else None
 
     def __len__(self) -> int:
         return self.word.size
 
     def successor(self, i: int) -> ClmState:
-        """The state reached by transition ``i``, built once."""
+        """The state reached by transition ``i``, built once on the full
+        bundle; CAT1 transition i reaches the exit history plus word i."""
+        if self.parent is not None:
+            return self.parent.successor(int(self.index[i]))
         succ = self._successors.get(i)
         if succ is None:
-            cat, word, tag = int(self.category[i]), int(self.word[i]), int(self.tag[i])
-            succ = self._successors[i] = advance(self.model, self.state, cat, word, tag)
+            if 0 <= i < self.cat2.start:
+                succ = ClmState(self.model.truncate(self._exit_history + (int(i),)), None, None)
+            else:
+                cat, word, tag = int(self.category[i]), int(self.word[i]), int(self.tag[i])
+                succ = advance(self.model, self.state, cat, word, tag)
+            self._successors[i] = succ
         return succ
 
     def gated(self, word_gate: np.ndarray) -> "Transitions":
-        """These transitions without the CAT2/CAT3 ones whose word is
-        False in ``word_gate``. CAT1 is never gated, so the CAT1 rank
-        gates are shared."""
+        """A view of these transitions without the CAT2/CAT3 ones whose
+        word is False in ``word_gate``."""
         keep = word_gate[self.word]
         keep[: self.cat2.start] = True
+        index = keep.nonzero()[0]
         arrays = (self.category, self.word, self.logprob, self.tag)
-        return Transitions(self.model, self.state, *(a[keep] for a in arrays), self._gates)
+        return Transitions(self.model, self.state, *(a[index] for a in arrays), self, index)
 
     def cat1_gate(self, rank_r: int) -> np.ndarray:
         """Ascending indices of the ``rank_r`` most probable CAT1

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import yaml
@@ -260,9 +260,8 @@ def cmd_eval(args) -> int:
     name = fusion.method if fusion.second_method is None else f"{fusion.method}+clm"
     rep = evaluate(name, tests, scn.vocab, scorer, config, external, class_model)
     if args.with_baseline and fusion.method != "none":
-        base = evaluate(
-            "none", tests, scn.vocab, scorer, _decoder_config(args, FusionConfig())
-        )
+        base_config = replace(config, fusion=FusionConfig(), rank_rprime=None)
+        base = evaluate("none", tests, scn.vocab, scorer, base_config)
         print(base.line())
         print(rep.line())
         print(f"WERR vs=none value={rep.werr_vs(base):.6f}")

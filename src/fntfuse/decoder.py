@@ -138,6 +138,8 @@ class DecoderConfig:
             raise ValueError(f"max_emit must be >= 1, got {self.max_emit}")
         if self.rank_rprime is not None and self.rank_rprime < 1:
             raise ValueError(f"rank_rprime must be >= 1, got {self.rank_rprime}")
+        if self.rank_rprime is not None and not self.fusion.uses_clm:
+            raise ValueError(f"rank_rprime needs class-model fusion, not {self.fusion.method!r}")
 
 
 @dataclass
@@ -304,8 +306,9 @@ class _FrameScorer:
     this frame, later frames and later decodes revisit the same states.
     A miss enumerates the state and fills the memo. Only an r'
     encoder-rank gate makes transitions depend on the frame; the gate is
-    ranked once per frame, and the gated transitions are cached for the
-    decode by (state, frame).
+    ranked once per frame, and the gated view of the memoized bundle is
+    cached for the decode by (state, frame). Successors and fused rows
+    belong to the memoized bundle; a view reads them through its index.
 
     The joint row is written into one buffer the scorer owns for the
     decode, grown to the widest row seen, and normalized by one
@@ -361,9 +364,12 @@ class _FrameScorer:
         Rows are kept for the decode: a hypothesis carried into the next
         frame is expanded again with its states unchanged, and
         hypotheses whose histories share a longest matched context share
-        its states. A bundle in the key stands for the class state (and
-        the frame under an r' gate); the key holds it, so its identity is
-        not reused within the decode."""
+        its states. A bundle in the key stands for the class state; the
+        key holds it, so its identity is not reused within the decode. An
+        r'-gated view's row is its parent's row at its index, bit for bit:
+        the fusions work entry by entry, and the view shares CAT1 gates."""
+        if trans is not None and trans.parent is not None:
+            return self._fused_row(hyp, z_u, trans.parent)[trans.index]
         key = (hyp.pred_state, hyp.lm_state, trans)
         row = self._rows.get(key)
         if row is None:

@@ -140,14 +140,15 @@ class NgramPredictor(ExternalLm):
 
     A state is the history's longest matched context: the longest suffix
     of its last ``order - 1`` token ids (start-padded) that is a trie
-    node, as in KenLM's state minimization. A row, a rank list and the
-    next state depend on a history only through it, so histories with
-    one longest match share one state and every cache keyed by it. With
-    ``floor`` > 0 the distribution is mixed with uniform mass so every
-    token keeps nonzero probability, the way a neural predictor's
-    log-softmax would. A rank query is ``top_ids`` of the dense row
-    (ties to the lower id) regardless of floor, unlike the raw trie
-    query, which enumerates longest-context arcs first.
+    node with children or a nonzero backoff weight, as in KenLM's state
+    minimization. A row, a rank list and the next state depend on a
+    history only through it, so histories with one such context share
+    one state and every cache keyed by it. With ``floor`` > 0 the
+    distribution is mixed with uniform mass so every token keeps nonzero
+    probability, the way a neural predictor's log-softmax would. A rank
+    query is ``top_ids`` of the dense row (ties to the lower id)
+    regardless of floor, unlike the raw trie query, which enumerates
+    longest-context arcs first.
 
     Rows per state, top-r ids per (state, r) and successors per
     (state, token) are cached across decodes, bounded as the module's
@@ -174,13 +175,19 @@ class NgramPredictor(ExternalLm):
 
     def advance(self, state, token_id: int):
         """The longest suffix of ``state`` + ``token_id``, at most ``order -
-        1`` tokens, that is a trie node. Exact: if s'w is a node, so is s',
-        a matched suffix of the history and so a suffix of ``state``."""
+        1`` tokens, that is a trie node with children or a nonzero backoff
+        weight. Exact: if s'w is a node, s' is one with a child, a suffix
+        of ``state``; a childless zero-weight node adds nothing to a row."""
         key = (state, token_id)
         nxt = self._next.get(key)
         if nxt is None:
             nxt = (*state, int(token_id))[max(0, len(state) + 2 - self.model.order) :]
-            while self.model.node_of(nxt) is None:  # () is the root
+            while nxt:  # () is the root
+                node = self.model.node_of(nxt)
+                if node is not None:
+                    lo, hi = self.model.node_span(node)
+                    if hi > lo or self.model.node_bow(node) != 0.0:
+                        break
                 nxt = nxt[1:]
             if len(self._next) >= TOP_CACHE_ENTRIES:
                 self._next.clear()

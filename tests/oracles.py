@@ -5,7 +5,9 @@ probabilities are recomputed from first principles (count dictionaries,
 explicit recursions, full enumerations), so agreement with the library
 is evidence of correctness rather than a tautology. The exception is
 ``load_arpa_per_line``, a line-at-a-time reference for the bulk ARPA
-loader, which hands the trie builder the same arrays it does.
+loader, which hands the trie builder the same arrays it does, and
+``mask_gated``, a copied r'-gated class-model bundle for the view that
+the library builds.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from fntfuse.arpa import _LN10, _ZERO_LOG10, EOS_TOKEN, SOS_TOKEN, ArpaParseError
+from fntfuse.classlm import Transitions
 from fntfuse.core import NEG_INF, Vocabulary
 from fntfuse.ngram import NgramModel, gram_ids
 
@@ -194,6 +197,16 @@ def clm_prefix_masses(model, max_len):
         for key, mass in frontier.items():
             masses[key[0]] += mass
     return dict(masses)
+
+
+def mask_gated(trans, word_gate) -> Transitions:
+    """The r'-gated bundle built as a copy: ``trans`` without the
+    CAT2/CAT3 transitions whose word is False in ``word_gate``, masked
+    into a bundle of its own, with its own successors and CAT1 gates."""
+    keep = word_gate[trans.word]
+    keep[: trans.cat2.start] = True
+    arrays = (trans.category, trans.word, trans.logprob, trans.tag)
+    return Transitions(trans.model, trans.state, *(a[keep] for a in arrays))
 
 
 def wer_alignments(ref, hyp):

@@ -405,6 +405,28 @@ class TestAdvance:
         )
         assert after.class_tag is None and after.node is None
 
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_cat1_successors_match_advance(self, order):
+        # a bundle builds a CAT1 successor from its exit history
+        _, model = toy_class_model(order=order)
+        seen, frontier = set(), [model.initial_state()]
+        inside = outside = 0
+        while frontier and len(seen) < 60:
+            state = frontier.pop(0)
+            if state in seen:
+                continue
+            seen.add(state)
+            trans = enumerate_transitions(model, state)
+            for i in range(trans.cat2.start):
+                assert trans.successor(i) == advance(model, state, CAT1, i)
+            if len(trans):  # a negative index counts from the end
+                assert trans.successor(-1) == trans.successor(len(trans) - 1)
+            inside += state.class_tag is not None and trans.cat2.start > 0
+            outside += state.class_tag is None
+            live = np.flatnonzero(trans.logprob > NEG_INF).tolist()
+            frontier.extend(trans.successor(i) for i in live)
+        assert inside and outside
+
     def test_same_prefix_two_distinct_states(self):
         vocab, model = toy_class_model()
         state = model.initial_state()

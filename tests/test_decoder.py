@@ -12,12 +12,12 @@ from fntfuse.classlm import enumerate_transitions, train_tagged_clm
 from fntfuse.core import NEG_INF, ExternalLm, Vocabulary, log_softmax, log_sum_exp, top_ids
 from fntfuse.decoder import DecoderConfig, beam_search, blank_fallback
 from fntfuse.evalmetrics import evaluate
-from fntfuse.fusion import FusionConfig
+from fntfuse.fusion import FusionConfig, clm_predictor_interp, three_way
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import EncoderOutput, FntScorer, NgramPredictor
 
 from helpers import decoder_joint
-from oracles import exhaustive_decode, full_expansion_beam_search
+from oracles import exhaustive_decode, full_expansion_beam_search, mask_gated
 
 SATURATE = 4096
 
@@ -842,6 +842,87 @@ class TestGatedTransitions:
         assert dropped > 0  # the r' gate removes CAT2/CAT3 transitions
 
 
+class TestGatedViews:
+    """An r'-gated bundle is a view of the memoized bundle: it must hold
+    the arrays of the mask-built copy, the memoized bundle's successors,
+    and the fused rows the copy gives, byte for byte."""
+
+    V = 6  # make_clm's classes hold words 0-2 only
+
+    def rows(self, rng):
+        # every other frame ranks words 3-5 first, so a gate of r' <= 3
+        # drops every CAT2/CAT3 transition there
+        rows = []
+        for t in range(6):
+            logits = rng.normal(size=self.V) * 1.5
+            if t % 2:
+                logits[3:] += 10.0
+            rows.append(log_softmax(logits))
+        return rows
+
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_views_match_mask_built_bundles(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab, scorer, _ = make_instance(rng, self.V, 1)
+        lm = NgramPredictor(make_ngram(rng, vocab))
+        clm = make_clm(rng, vocab)
+        rows = self.rows(rng)
+        states = {clm.initial_state()}
+        for _ in range(2):
+            for state in list(states):
+                trans = enumerate_transitions(clm, state)
+                states.update(trans.successor(i) for i in range(len(trans)))
+        predictor = scorer.predictor
+        contexts = [  # (predictor state, LM state) pairs
+            (predictor.advance(predictor.initial_state(), w), lm.advance(lm.initial_state(), w))
+            for w in range(3)
+        ]
+        emptied = 0
+        for rprime in (1, 2, 3, self.V):
+            for fusion in (
+                FusionConfig("clm", 0.5, rank_r=2),
+                FusionConfig("li", 0.3, rank_r=2, second_method="clm", second_alpha=0.6),
+            ):
+                config = DecoderConfig(fusion=fusion, rank_rprime=rprime)
+                fs = decoder._FrameScorer(scorer, config, lm, clm)
+                for t, row in enumerate(rows):
+                    gate = classlm.encoder_rank_pass(row, rprime)
+                    for state in states:
+                        view = fs._transitions(state, t, row)
+                        parent = clm.cached_transitions(state)
+                        assert view.parent is parent and parent.parent is None
+                        want = mask_gated(parent, gate)
+                        for name in ("category", "word", "logprob", "tag"):
+                            got_arr, want_arr = getattr(view, name), getattr(want, name)
+                            assert got_arr.dtype == want_arr.dtype
+                            assert got_arr.tobytes() == want_arr.tobytes()
+                        assert (np.diff(view.index) > 0).all()
+                        assert view.cat2.start == parent.cat2.start  # the CAT1 prefix
+                        emptied += view.cat2.start == len(view) < len(parent)
+                        for i in range(len(view)):
+                            succ = view.successor(i)
+                            assert succ is parent.successor(int(view.index[i]))
+                            cat, word, tag = (
+                                int(want.category[i]), int(want.word[i]), int(want.tag[i])
+                            )
+                            assert succ == classlm.advance(clm, state, cat, word, tag)
+                        for pred_state, lm_state in contexts:
+                            hyp = decoder.Hypothesis(
+                                0, 0.0, pred_state, lm_state, state, 0, (), False
+                            )
+                            z_u = predictor.full_dist(pred_state)
+                            got = fs._fused_row(hyp, z_u, view)
+                            if fusion.second_method is None:
+                                ref = clm_predictor_interp(z_u, want, 0.5, 2)
+                            else:
+                                ref = three_way(z_u, lm.full_dist(lm_state), want, 0.3, 0.6, 2)
+                            assert got.tobytes() == ref.tobytes()
+                # rows are cached once, under the memoized bundle
+                assert fs._rows and all(key[2].parent is None for key in fs._rows)
+        assert emptied  # some gates left nothing but CAT1
+        assert any(s.class_tag is not None for s in states)
+
+
 MEMO_CASES = {
     "clm": DecoderConfig(beam=3, fusion=FusionConfig("clm", 0.5, rank_r=2)),
     "clm-gated": DecoderConfig(
@@ -976,6 +1057,14 @@ class TestConfigValidation:
             DecoderConfig(exit_rule="loose")
         with pytest.raises(ValueError, match="max_emit"):
             DecoderConfig(max_emit=0)
+
+    def test_rank_rprime_needs_a_class_model(self):
+        for fusion in [FusionConfig()] + [PRUNING_CASES[m] for m in ("sf", "li", "lli", "cli")]:
+            with pytest.raises(ValueError, match="rank_rprime needs class-model fusion"):
+                DecoderConfig(fusion=fusion, rank_rprime=2)
+            DecoderConfig(fusion=fusion, exit_rule="require-cat1")  # stays allowed
+        for method in ("clm", "three-way"):
+            DecoderConfig(fusion=PRUNING_CASES[method], rank_rprime=2)
 
     def test_missing_models_fault(self):
         rng = np.random.default_rng(25)

@@ -442,16 +442,28 @@ class TestNgramPredictor:
 
     def test_advance_truncates_history(self):
         # a state is the longest suffix of the last order - 1 tokens that
-        # is a trie node: the head of their suffix chain
+        # is a trie node with children or a nonzero backoff weight: the
+        # first such node of their suffix chain, else the root
         pred, _ = self.make(0.0, order=3)
+        model = pred.model
         rng = np.random.default_rng(12)
-        shorter = 0
+
+        def kept(node):
+            lo, hi = model.node_span(node)
+            return hi > lo or model.node_bow(node) != 0.0
+
+        shorter = dropped = 0
         for history, state in self.walk(pred, rng, 200):
             last = history[-2:]
-            head = pred.model.suffix_chain(last)[0][0]
-            assert state == last[len(last) - head[0] :]
+            chain = [node for node, _ in model.suffix_chain(last)]
+            length = next((node[0] for node in chain[:-1] if kept(node)), 0)
+            assert state == last[len(last) - length :]
+            row = model.dense_row(model.suffix_chain(last))
+            assert pred.full_dist(state).tobytes() == row[: pred.n_words].tobytes()
             shorter += len(state) < len(last)
+            dropped += length < chain[0][0]
         assert shorter  # some histories match fewer than order - 1 tokens
+        assert dropped  # some longest matches are childless with a zero weight
 
     def test_unigram_state_is_empty(self):
         pred, _ = self.make(0.0, order=1)
@@ -502,17 +514,18 @@ class TestNgramPredictor:
             groups.setdefault(head, {})[history[-2:]] = state
         assert len(groups) > 1
         assert any(len(g) > 1 for g in groups.values())
-        rows = set()
+        rows = {}  # state -> its row's id
         for group in groups.values():
             (state,) = set(group.values())  # one head, one state
             row = pred.full_dist(state)
             assert not row.flags.writeable
-            rows.add(id(row))
+            rows[state] = id(row)
             for last in group:
                 # the row a predictor builds from these tokens alone
                 own = NgramPredictor(pred.model, floor=floor).full_dist(last)
                 assert row.tobytes() == own.tobytes()
-        assert len(rows) == len(groups)
+        assert len(set(rows.values())) == len(rows)  # one row per state
+        assert len(rows) < len(groups)  # childless zero-weight heads share their suffix's
 
     @pytest.mark.parametrize("floor", [0.0, 0.05])
     @pytest.mark.parametrize("order", [1, 2, 3, 4, "arpa"])
@@ -526,7 +539,7 @@ class TestNgramPredictor:
             pred = NgramPredictor(load_arpa(path, Vocabulary(["a", "b", "c", "d"])), floor)
             tokens = (0, 1, 2, 0, 1, 3)
             assert pred.advance(pred.advance(pred.initial_state(), 0), 1) == (0, 1)
-            assert pred.advance((0, 1), 2) == (2,)
+            assert pred.advance((0, 1), 2) == ()  # c: no children, no backoff weight
         else:
             pred, _ = self.make(floor, order=order)
         model, n = pred.model, pred.n_words
