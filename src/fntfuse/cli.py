@@ -260,7 +260,9 @@ def cmd_eval(args) -> int:
     name = fusion.method if fusion.second_method is None else f"{fusion.method}+clm"
     rep = evaluate(name, tests, scn.vocab, scorer, config, external, class_model)
     if args.with_baseline and fusion.method != "none":
-        base_config = replace(config, fusion=FusionConfig(), rank_rprime=None)
+        base_config = replace(
+            config, fusion=FusionConfig(), rank_rprime=None, exit_rule="standard"
+        )
         base = evaluate("none", tests, scn.vocab, scorer, base_config)
         print(base.line())
         print(rep.line())

@@ -23,7 +23,8 @@ def _checked(values) -> tuple[np.ndarray, float]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D score vector, got shape {arr.shape}")
-    m = float(arr.max()) if arr.size else NEG_INF
+    # the ufunc reductions ndarray.max and .sum call, without their wrappers
+    m = float(np.maximum.reduce(arr)) if arr.size else NEG_INF
     # one comparison catches both: NaN compares False, as does +inf
     if not m < np.inf:
         raise ValueError("NaN or +inf in score vector")
@@ -52,7 +53,7 @@ def log_softmax(values) -> np.ndarray:
         raise ValueError("cannot normalize a zero-mass score vector")
     mass = arr - m
     np.exp(mass, out=mass)  # in place: one temporary, same values
-    return arr - (m + float(np.log(mass.sum())))
+    return arr - (m + float(np.log(np.add.reduce(mass))))
 
 
 def top_ids(row: np.ndarray, r: int) -> np.ndarray:

@@ -16,6 +16,8 @@ can still take blank, priced from the original uninterpolated scores.
 The "require-cat1" exit rule keeps expanding (within a bounded extra
 budget) until the frame-final set contains some state that can leave
 its class, so the beam is not spent entirely inside entity prefixes.
+Without a class model every hypothesis can leave its class, so the rule
+needs class-model fusion and ``DecoderConfig`` refuses it otherwise.
 
 Bookkeeping is O(1) per child, whatever the utterance length:
 
@@ -24,21 +26,24 @@ Bookkeeping is O(1) per child, whatever the utterance length:
   sequence. A ``Hypothesis`` carries its prefix id and a back-pointer
   ``steps`` = (parent's steps, this step). Step tuples, and the tokens
   they record, are unwound only for the final set's hypotheses.
-- A carried hypothesis is keyed by (prefix id, class state). A blank
-  extension enters B with k = 0 (its step records the k it was taken
-  at), so B after its frame-end cut is the next frame's A as it is. The
-  predictor and LM states are left out of keys, and that is exact:
-  each is the initial state advanced token by token, a function of the
-  token sequence, so two hypotheses with one prefix id hold equal
-  states. The key merges exactly the pairs a key of (tokens, predictor
-  state, LM state, class state) would.
-- A child enters A pending: its score, parent, word, posterior, class
-  successor (None when dense) and merged flag. Only when it is popped
-  does it advance the predictor and LM states and intern its prefix;
-  most children never are. Its key is (parent prefix id, word,
-  successor, k), the same identity plus k, since parent id and word
-  name the child's tokens. Pending keys are 4-tuples and carried keys
-  2-tuples, so the two never meet. A popped child leaves A for good.
+- The frame-final set B is a dict keyed by (prefix id, class state),
+  the key blank extensions merge on. A blank extension enters B with
+  k = 0 (its step records the k it was taken at), so B's values after
+  its frame-end cut, a list in rank order, are the next frame's
+  expansion set A as they are. The predictor and LM states are left
+  out of keys, and that is exact: each is the initial state advanced
+  token by token, a function of the token sequence, so two hypotheses
+  with one prefix id hold equal states. The key merges exactly the
+  pairs a key of (tokens, predictor state, LM state, class state)
+  would.
+- A is a list with no keys. A child enters it pending: its score,
+  parent, word, posterior, class successor (None when dense) and merged
+  flag. Only when it is popped does it advance the predictor and LM
+  states and intern its prefix; most children never are. Its identity
+  is (parent prefix id, word, successor, k), since parent id and word
+  name its tokens. Carried entries have k = 0 and children k >= 1, so a
+  child can share its identity only with another pending child. A
+  popped child leaves A for good.
 
 An expansion is one array pass. The joint row (word channels, blank
 last) is written into a buffer the scorer owns for the decode and
@@ -46,57 +51,62 @@ normalized by one log-softmax. ``core.top_ids`` of the children's
 scores (parent score plus posterior, -inf for a dead channel) selects
 the ``beam`` best finite channels in ascending order, ties to the lower
 channel index as ``heapq.nlargest`` keeps them. Only those children are
-recorded in A, plus every child whose tokens and emission count match
-a pending child already in A; A is then cut back to the beam whenever A
-plus the unrecorded finite children exceeds it. The dead channels are
-counted only when that sum depends on the count: when ``beam`` children
-were selected, so finite ones may be left out, and A holds at most
-``beam`` entries after recording. This merge-aware cut leaves A and B,
-entries and dict order, exactly as recording every child would:
+recorded in A, plus, with a class model, every child whose identity
+matches a pending child already in A.
+
+Pops and cuts read two things of A: which entries it holds, and the
+relative order of entries with equal scores. The reference records
+every finite child into a dict (insertion order; a merge keeps the
+older place) and cuts it by a stable sort whenever it exceeds the beam;
+a pop takes the first entry with the top score, the one ``max``
+returns. A holds the same entries as that reference, and entries with
+equal scores keep its relative order, so every pop takes the same entry
+and every stable cut keeps the same survivors:
 
 1. Siblings never share a merge key (tokens, emission count, class
    state). With one word, a CAT1 successor is outside any class, CAT2
    and CAT3 successors differ in class tag or tree node (CAT2 at depth
    one, CAT3 deeper), and CAT2 successors differ by tag.
-2. So a child can only climb by merging into an A entry that already
-   exists, which has the child's tokens and count: a pending child of
-   an earlier-popped entry with ``best``'s prefix id and k. Those are
-   recorded. They are looked for whenever ``beam`` children were
-   selected; when no finite channel is left out, any found is already
-   among them.
-3. Any other child outside the ``beam`` best is outranked by ``beam``
+2. Without a class model no child can merge into A at all: its only
+   possible parent has its tokens minus one and k minus one, and is
+   popped at most once per frame. So the dense methods keep A ranked
+   at all times. The selected children, ordered by score descending
+   and then channel ascending, are merged stably into A, A's entries
+   first on equal scores, and the merge stops at ``beam``; a
+   ``_Pending`` is built only for a child that makes the cut. That is
+   the reference's cut: its children enter after A's entries in channel
+   order, and a finite child outside the ``beam`` best is outranked by
+   ``beam`` selected siblings, each strictly higher, or equal and on a
+   lower channel. Where the reference skipped the cut, it held the same
+   <= ``beam`` entries unranked, and its ``max`` took the first top
+   entry in insertion order: the merged list's head.
+3. With a class model a child can only climb by merging into an A entry
+   that already exists: a pending child of an earlier-popped entry with
+   ``best``'s prefix id and k. The child finds it by (word, successor)
+   and updates it where it stands; a new child is appended, in channel
+   order, so A lists its entries in the reference's dict order. Merging
+   channels are looked for whenever ``beam`` children were selected;
+   when no finite channel is left out, any found is already among them.
+   Any other child outside the ``beam`` best is outranked by ``beam``
    distinct A entries (the best siblings or the entries they merged
-   into), each strictly higher, or equal and ahead of it in dict order,
-   since children enter in channel order and a merge keeps the older
-   place. A then exceeds the beam, and the stable ``nlargest`` cut
-   drops that child and keeps the same survivors either way. With no
-   child left out, both ways hold the same dict and cut alike.
+   into), each strictly higher, or equal and ahead of it. A is cut by
+   ``sorted(A, reverse=True)[:beam]`` whenever A plus the unrecorded
+   finite children exceeds the beam, so that child falls to the cut
+   either way. The dead channels are counted only when that sum depends
+   on the count: when ``beam`` children were selected, so finite ones
+   may be left out, and A holds at most ``beam`` entries after
+   recording. A is in rank order at frame start (a ``require-cat1``
+   survivor appended to B's cut scores no higher than the rest) and
+   after a cut, and a pop keeps the order, so a pop takes A's head.
+   Recording children without a cut leaves A out of order, and pops
+   scan A with ``max`` until the next cut.
 
-Without a class model no child can merge into A at all: its only
-possible parent has its tokens minus one and k minus one, and is popped
-at most once per frame. So the dense methods skip the merge check and
-record a child by plain assignment: its key is new, and channel i is
-word i.
-
-Pops and cuts read the rank order the search keeps instead of
-rescanning A and B:
-
-- Every beam cut (of A, and of B at the end of a frame) is
-  ``sorted(..., reverse=True)[:beam]``, which the ``heapq`` docs define
-  as equal to ``heapq.nlargest``, and which is cheaper on a few
-  entries. The sort is stable, so after a cut A's dict order is its
-  rank order, equal scores in their older dict order.
-- A pop takes the first entry of A with the top score, the one ``max``
-  returns. While A is in rank order, that is its head. A is in rank
-  order at frame start, since the carried set is B after its cut (a
-  ``require-cat1`` survivor appended to it scores no higher than the
-  rest), and after every cut of A; a pop keeps the order. Recording
-  children, or merging into A, without a cut leaves A out of order,
-  and pops scan A with ``max`` until the next cut.
-- B settles the frame when ``beam`` of its entries score at least the
-  top of A. B's scores are kept negated in an ascending list, updated
-  as each blank extension enters or merges into B, so the test reads
-  B's ``beam``-th best score instead of counting over B.
+Every cut is ``sorted(..., reverse=True)[:beam]``, which the ``heapq``
+docs define as equal to ``heapq.nlargest``, and which is cheaper on a
+few entries. B settles the frame when ``beam`` of its entries score at
+least the top of A. B's scores are kept negated in an ascending list,
+updated as each blank extension enters or merges into B, so the test
+reads B's ``beam``-th best score instead of counting over B.
 """
 
 from __future__ import annotations
@@ -104,6 +114,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -140,6 +151,8 @@ class DecoderConfig:
             raise ValueError(f"rank_rprime must be >= 1, got {self.rank_rprime}")
         if self.rank_rprime is not None and not self.fusion.uses_clm:
             raise ValueError(f"rank_rprime needs class-model fusion, not {self.fusion.method!r}")
+        if self.exit_rule == "require-cat1" and not self.fusion.uses_clm:
+            raise ValueError(f"require-cat1 needs class-model fusion, not {self.fusion.method!r}")
 
 
 @dataclass
@@ -147,10 +160,12 @@ class DecodeStats:
     """Per-utterance instrumentation for width and exit-rule accounting.
 
     ``total_width`` counts the channels scored over all expansions,
-    ``n_children`` the children recorded in A (pending) from them,
-    ``n_popped_children`` the pending children popped and so built into
-    hypotheses, and ``n_enumerations`` the class states this decode had
-    to enumerate because the class model's memo did not hold them.
+    ``n_children`` the children selected from them (the ``beam`` best
+    finite ones per expansion, plus any that merge into a pending child
+    in A), whether or not the cut of A keeps them, ``n_popped_children``
+    the pending children popped and so built into hypotheses, and
+    ``n_enumerations`` the class states this decode had to enumerate
+    because the class model's memo did not hold them.
     Stats add field by field, so a sum counts over several decodes; a
     sum carries no ``warning``.
     """
@@ -249,26 +264,20 @@ def _fill_joint(row: np.ndarray, enc, pred, blank: float) -> np.ndarray:
     return row
 
 
-def _merge(pool: dict, key, entry):
-    """Put a Hypothesis or _Pending into ``pool`` and return the entry
-    that holds ``key``. On a key already held, the higher-scoring entry
-    (the held one on a tie) represents both, with their summed score, in
-    the held one's place. An entry belongs to the one pool it is in, so
-    it is updated in place."""
-    old = pool.get(key)
-    if old is not None:
-        total = float(np.logaddexp(old.logscore, entry.logscore))
-        if old.logscore >= entry.logscore:
-            entry = old
-        entry.logscore = total
-        entry.merged = True
-    pool[key] = entry
+def _merge(held, entry):
+    """The entry that represents ``held`` and ``entry``, two entries of
+    one merge key: the higher-scoring one (``held`` on a tie), updated in
+    place to their summed score. The caller puts it where ``held`` was."""
+    total = float(np.logaddexp(held.logscore, entry.logscore))
+    if held.logscore >= entry.logscore:
+        entry = held
+    entry.logscore = total
+    entry.merged = True
     return entry
 
 
-def _cat1_possible(hyp: Hypothesis, clm: ClassModel | None) -> bool:
-    if clm is None or hyp.clm_state is None:
-        return True
+def _cat1_possible(hyp: Hypothesis, clm: ClassModel) -> bool:
+    # only require-cat1 asks, and it decodes with a class model
     return hyp.clm_state.class_tag is None or clm.exit_logmass(hyp.clm_state) > NEG_INF
 
 
@@ -277,20 +286,26 @@ def _n_finite(scores: np.ndarray) -> int:
     return scores.size - np.count_nonzero(scores == NEG_INF)
 
 
-def _merge_siblings(A: dict, best: Hypothesis, words: np.ndarray, scores: np.ndarray):
-    """The finite channels of ``scores`` whose child would have the
-    token sequence and emission count of an entry already in A (a
-    pending child of ``best``'s prefix and k): the only children of
-    ``best`` that can merge into A."""
-    targets = [
-        e.word
-        for e in A.values()
+def _merge_targets(A: list, best: Hypothesis) -> dict:
+    """(word, successor) -> position in A of each pending child of
+    ``best``'s prefix and k: the entries a child of ``best`` can merge
+    into, since they have its tokens and emission count."""
+    return {
+        (e.word, e.successor): j
+        for j, e in enumerate(A)
         if type(e) is _Pending and e.parent.prefix == best.prefix and e.parent.k == best.k
-    ]
-    if not targets:
-        return np.empty(0, dtype=np.intp)
-    hits = np.isin(words, targets).nonzero()[0]
+    }
+
+
+def _merge_siblings(targets: dict, words: np.ndarray, scores: np.ndarray):
+    """The finite channels of ``scores`` whose word is the word of a
+    merge target: the only children that can merge into A."""
+    hits = np.isin(words, [word for word, _ in targets]).nonzero()[0]
     return hits[scores[hits] > NEG_INF]
+
+
+def _score(entry) -> float:
+    return entry.logscore
 
 
 class _FrameScorer:
@@ -461,37 +476,33 @@ def beam_search(
         class_model.initial_state() if frame_scorer.use_clm else None,
         0, (), False,
     )
-    B = {(0, init.clm_state): init}
+    beam = config.beam
+    A = [init]  # the carried set: the previous frame's B after its cut
 
     for t in range(encoder.n_frames):
         z_t_row = encoder.scores[t]
         blank_logit = float(encoder.blank_logits[t])
-        A, B = B, {}
+        B: dict = {}  # (prefix id, class state) -> blank extension
         b_scores: list = []  # B's scores, negated, ascending
         extra_used = 0
-        a_ranked = True  # A's scores never rise in dict order
+        a_ranked = True  # A's scores never rise along the list
 
         while A:
-            if a_ranked:
-                best_key = next(iter(A))
-            else:
-                best_key = max(A, key=lambda key: A[key].logscore)
-            best = A[best_key]
+            top = 0 if a_ranked else max(range(len(A)), key=lambda j: A[j].logscore)
+            best = A[top]
             # beam entries of B score at least best's: B settles the frame
-            if len(b_scores) >= config.beam and b_scores[config.beam - 1] <= -best.logscore:
+            if len(b_scores) >= beam and b_scores[beam - 1] <= -best.logscore:
                 if config.exit_rule != "require-cat1" or any(
                     _cat1_possible(h, class_model)
-                    for h in sorted(
-                        B.values(), key=lambda h: h.logscore, reverse=True
-                    )[: config.beam]
+                    for h in sorted(B.values(), key=_score, reverse=True)[:beam]
                 ):
                     break
-                if extra_used >= 2 * config.beam:
+                if extra_used >= 2 * beam:
                     stats.warning = "require-cat1 budget exhausted"
                     break
                 extra_used += 1
                 stats.n_extra_expansions += 1
-            del A[best_key]
+            del A[top]
             if type(best) is _Pending:  # built now that it is popped
                 parent, word = best.parent, best.word
                 best = Hypothesis(
@@ -521,62 +532,69 @@ def beam_search(
             held = B.get(b_key)
             if held is not None:  # its score rises: take the old one out
                 del b_scores[bisect_left(b_scores, -held.logscore)]
-            insort(b_scores, -_merge(B, b_key, took_blank).logscore)
+                took_blank = B[b_key] = _merge(held, took_blank)
+            else:
+                B[b_key] = took_blank
+            insort(b_scores, -took_blank.logscore)
 
-            unrecorded = 0  # finite children left out, counted when the cut needs it
-            if best.k < config.max_emit:
-                scores = best.logscore + posts
-                keep = top_ids(scores, config.beam)
-                k = best.k + 1
-                if transitions is None:
-                    for i, post in zip(keep.tolist(), posts[keep].tolist()):
-                        A[best.prefix, i, None, k] = _Pending(
-                            best.logscore + post, best, i, post, None, best.merged
-                        )
-                else:
-                    if keep.size == config.beam:  # finite channels may be left out
-                        merging = _merge_siblings(A, best, words, scores)
-                        if merging.size:
-                            keep = np.union1d(keep, merging)
-                    for i, word, post in zip(
-                        keep.tolist(), words[keep].tolist(), posts[keep].tolist()
-                    ):
-                        succ = transitions.successor(i)
-                        _merge(
-                            A, (best.prefix, word, succ, k),
-                            _Pending(best.logscore + post, best, word, post, succ, best.merged),
-                        )
-                if keep.size >= config.beam and len(A) <= config.beam:
-                    unrecorded = _n_finite(scores) - keep.size
+            if best.k >= config.max_emit:
+                continue
+            scores = best.logscore + posts
+            keep = top_ids(scores, beam)
+            if transitions is None:
                 stats.n_children += keep.size
-                a_ranked = a_ranked and not keep.size
-            if len(A) + unrecorded > config.beam:
-                ranked = sorted(A.items(), key=lambda kv: kv[1].logscore, reverse=True)
-                A = dict(ranked[: config.beam])
+                # score descending, channel ascending, merged after A's
+                # entries of equal score and cut at the beam
+                ranked, i = [], 0
+                for score, word, post in sorted(
+                    zip(scores[keep].tolist(), keep.tolist(), posts[keep].tolist()),
+                    key=itemgetter(0), reverse=True,
+                ):
+                    while i < len(A) and A[i].logscore >= score and len(ranked) < beam:
+                        ranked.append(A[i])
+                        i += 1
+                    if len(ranked) == beam:
+                        break
+                    ranked.append(_Pending(score, best, word, post, None, best.merged))
+                A = ranked + A[i : i + beam - len(ranked)]
+                continue
+            targets = _merge_targets(A, best)
+            if targets and keep.size == beam:  # finite channels may be left out
+                merging = _merge_siblings(targets, words, scores)
+                if merging.size:
+                    keep = np.union1d(keep, merging)
+            stats.n_children += keep.size
+            for i, word, post in zip(keep.tolist(), words[keep].tolist(), posts[keep].tolist()):
+                succ = transitions.successor(i)
+                child = _Pending(best.logscore + post, best, word, post, succ, best.merged)
+                j = targets.get((word, succ))
+                if j is None:
+                    A.append(child)
+                else:
+                    A[j] = _merge(A[j], child)
+            unrecorded = 0  # finite children left out, counted when the cut needs it
+            if keep.size >= beam and len(A) <= beam:
+                unrecorded = _n_finite(scores) - keep.size
+            a_ranked = a_ranked and not keep.size
+            if len(A) + unrecorded > beam:
+                A = sorted(A, key=_score, reverse=True)[:beam]
                 a_ranked = True
 
-        ranked = sorted(B.items(), key=lambda kv: kv[1].logscore, reverse=True)
-        survivors = ranked[: config.beam]
+        A = sorted(B.values(), key=_score, reverse=True)[:beam]
         if (
             config.exit_rule == "require-cat1"
-            and class_model is not None
-            and not any(_cat1_possible(h, class_model) for _, h in survivors)
+            and not any(_cat1_possible(h, class_model) for h in A)
         ):
-            capable = [
-                kv for kv in B.items() if _cat1_possible(kv[1], class_model)
-            ]
+            capable = [h for h in B.values() if _cat1_possible(h, class_model)]
             if capable:
-                survivors.append(
-                    max(capable, key=lambda kv: kv[1].logscore)
-                )
-        B = dict(survivors)
+                A.append(max(capable, key=_score))
 
     by_prefix: dict = {}
-    for h in B.values():
+    for h in A:
         by_prefix.setdefault(h.prefix, []).append(h)
     results = []
     for group in by_prefix.values():
-        steps = _unwind(max(group, key=lambda h: h.logscore).steps)
+        steps = _unwind(max(group, key=_score).steps)
         results.append(
             DecodedHypothesis(
                 tuple(step[2] for step in steps if step[2] is not None),

@@ -434,19 +434,24 @@ class TestEval:
         assert main(argv + ["--alpha", "0.5", "--rank-rprime", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rank_rprime" in err
-        # require-cat1 needs no class model: a dense decode runs it as standard
-        assert main(argv + ["--alpha", "0.5", "--exit-rule", "require-cat1"]) == 0
+        # so was require-cat1: without a class state every hypothesis can exit
+        assert main(argv + ["--alpha", "0.5", "--exit-rule", "require-cat1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "require-cat1 needs class-model fusion" in err
 
     def test_baseline_drops_rank_rprime(self, scenario_dir, capsys):
         argv = ["eval", "--scenario", scenario_dir, "--utts", "3"]
-        clm = ["--method", "clm", "--alpha", "0.9", "--rank-rprime", "2", "--with-baseline"]
+        clm = [
+            "--method", "clm", "--alpha", "0.9", "--rank-rprime", "2",
+            "--exit-rule", "require-cat1", "--with-baseline",
+        ]
         assert main(argv + clm) == 0
         base, fused, _ = capsys.readouterr().out.strip().splitlines()
         assert main(argv) == 0
         plain = capsys.readouterr().out.strip()
         assert base.startswith("EVAL ") and plain.startswith("EVAL ")
         drop = lambda line: {k: v for k, v in parse_kv(line)[1].items() if k != "time_ms"}
-        assert drop(base) == drop(plain)  # the none decode has no r' gate
+        assert drop(base) == drop(plain)  # the none decode has no r' gate or CAT1 rule
         assert parse_kv(fused)[1]["name"] == "clm"
 
     def test_single_line_without_baseline(self, scenario_dir, capsys):

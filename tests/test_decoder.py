@@ -258,13 +258,15 @@ class TestPruningVsFullExpansion:
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
     def test_identical_to_full_expansion(self, name):
         fusion = PRUNING_CASES[name]
+        # require-cat1 is refused without a class model
+        rules = ("standard", "require-cat1") if fusion.uses_clm else ("standard",)
         rng = np.random.default_rng(30)
         ties = pop_ties = 0
         for _ in range(5):
             vocab, scorer, lm, encoder = make_tie_instance(rng, 5, 4)
             clm = make_clm(rng, vocab)
             for beam in (1, 2, 3, 4):
-                for rule in ("standard", "require-cat1"):
+                for rule in rules:
                     config = DecoderConfig(
                         beam=beam, fusion=fusion, exit_rule=rule, max_emit=2
                     )
@@ -323,6 +325,28 @@ class TestPruningVsFullExpansion:
                 got, _ = beam_search(encoder, scorer, config, lm, clm)
                 want = full_expansion_beam_search(encoder, scorer, config, lm, clm)
                 assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+
+    @pytest.mark.parametrize("name", list(PRUNING_CASES))
+    def test_identical_to_full_expansion_on_wider_beams(self, name):
+        # eight words, six frames and three emissions per frame: a
+        # merge of ranked children cut at beams 2-6 meets ties at the
+        # edge and at the top of A
+        fusion = PRUNING_CASES[name]
+        rng = np.random.default_rng(33)
+        ties = pop_ties = 0
+        for _ in range(2):
+            vocab, scorer, lm, encoder = make_tie_instance(rng, 8, 6)
+            clm = make_clm(rng, vocab)
+            for beam in range(2, 7):
+                config = DecoderConfig(beam=beam, fusion=fusion, max_emit=3)
+                got, got_stats = beam_search(encoder, scorer, config, lm, clm)
+                stats = {}
+                want = full_expansion_beam_search(encoder, scorer, config, lm, clm, stats)
+                ties += stats["edge_ties"]
+                pop_ties += stats["pop_ties"]
+                assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+                assert got_stats.n_expansions == stats["expansions"]
+        assert ties > 0 and pop_ties > 0
 
     @pytest.mark.parametrize("beam", [1, 2, 3, 5])
     def test_identical_to_full_expansion_when_every_score_ties(self, beam):
@@ -405,6 +429,36 @@ class TestPruningVsFullExpansion:
         assert sum(merging) > 0  # some children are built only to merge
         assert 0 < stats.n_children < stats.total_width
         assert stats.n_children <= config.beam * stats.n_expansions + sum(merging)
+
+
+# (n_expansions, n_children, n_popped_children, n_extra_expansions,
+# total_width) of one seeded decode per method: how A is kept may not
+# change which entries are popped, selected or built
+GOLDEN_COUNTERS = {
+    "none": (34, 96, 18, 0, 272),
+    "sf": (37, 102, 22, 0, 296),
+    "li": (35, 99, 19, 0, 280),
+    "lli": (35, 99, 19, 0, 280),
+    "cli": (35, 96, 20, 0, 280),
+    "clm": (37, 99, 21, 0, 374),
+    "three-way": (37, 99, 21, 0, 375),
+}
+
+
+@pytest.mark.parametrize("name", list(PRUNING_CASES))
+def test_golden_counters(name):
+    rng = np.random.default_rng(64)
+    vocab, scorer, lm, encoder = make_tie_instance(rng, 8, 6)
+    clm = make_clm(rng, vocab)
+    fusion = PRUNING_CASES[name]
+    rule = "require-cat1" if fusion.uses_clm else "standard"
+    config = DecoderConfig(beam=3, fusion=fusion, max_emit=2, exit_rule=rule)
+    _, stats = beam_search(encoder, scorer, config, lm, clm)
+    got = (
+        stats.n_expansions, stats.n_children, stats.n_popped_children,
+        stats.n_extra_expansions, stats.total_width,
+    )
+    assert got == GOLDEN_COUNTERS[name]
 
 
 class TestChildSelection:
@@ -1062,9 +1116,11 @@ class TestConfigValidation:
         for fusion in [FusionConfig()] + [PRUNING_CASES[m] for m in ("sf", "li", "lli", "cli")]:
             with pytest.raises(ValueError, match="rank_rprime needs class-model fusion"):
                 DecoderConfig(fusion=fusion, rank_rprime=2)
-            DecoderConfig(fusion=fusion, exit_rule="require-cat1")  # stays allowed
+            # without a class state every hypothesis can leave its class
+            with pytest.raises(ValueError, match="require-cat1 needs class-model fusion"):
+                DecoderConfig(fusion=fusion, exit_rule="require-cat1")
         for method in ("clm", "three-way"):
-            DecoderConfig(fusion=PRUNING_CASES[method], rank_rprime=2)
+            DecoderConfig(fusion=PRUNING_CASES[method], rank_rprime=2, exit_rule="require-cat1")
 
     def test_missing_models_fault(self):
         rng = np.random.default_rng(25)
