@@ -25,9 +25,14 @@ CAT1 block is the exit mass plus the dense tagged-n-gram row over
 word-pieces, CAT2/CAT3 blocks are the tree nodes' tables, and a
 successor state is built only for a transition a caller takes, and
 kept on the bundle once built. A ``ClassModel`` memoizes
-one bundle per class state for its lifetime (``cached_transitions``),
-bounded by ``TRANSITION_MEMO_CAP`` transitions in all. An r'-gated bundle
-is a view of the memoized one, which builds and keeps its successors.
+one bundle per class state for its lifetime (``cached_transitions``).
+A memoized bundle also keeps the fused predictor rows the decoder
+builds for it (``cache_row``), keyed by the predictor and LM objects,
+their states and the fusion weights, so later decodes read them. The
+memo is bounded by ``TRANSITION_MEMO_CAP`` array entries in all,
+transitions and row values alike, and a clear frees rows with their
+bundles. An r'-gated bundle is a view of the memoized one, which
+builds and keeps its successors and rows.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ from .ngram import NgramModel, train_kneser_ney
 
 CAT1, CAT2, CAT3 = 1, 2, 3
 
-# Transitions a ClassModel's memo may hold over all its bundles: at 21
-# bytes of arrays each, ~22 MB when full. Decoding 120 utterances of a
-# V~120 entity-rich scenario touches ~64k.
+# Array entries a ClassModel's memo may hold over all its bundles: a
+# transition is 21 bytes of arrays and a fused-row value 8, so ~22 MB
+# when full. Decoding 120 utterances of a V~120 entity-rich scenario
+# touches ~64k transitions.
 TRANSITION_MEMO_CAP = 1 << 20
 
 _TAG_RE = re.compile(r"^⟨[A-Z]+⟩$")
@@ -129,10 +135,12 @@ class ClassModel:
 
     The memo maps a class state to the bundle enumerated for it, which
     is a pure function of the model and the state, so decodes run one
-    after another may share it. It is not locked: one decode at a time.
-    It holds at most ``TRANSITION_MEMO_CAP`` transitions and is emptied
-    whole when the next bundle would pass that. The decoder keys it by
-    the ``ClmState``.
+    after another may share it, and with it the fused rows kept on each
+    bundle. It is not locked: one decode at a time. It holds at most
+    ``TRANSITION_MEMO_CAP`` entries, the bundles' transitions plus
+    their rows' values (``n_memo_entries``), and is emptied whole,
+    rows included, when the next bundle or row would pass that. The
+    decoder keys it by the ``ClmState``.
 
     ``trees`` maps each class's tag id to the root of its prefix tree.
     """
@@ -152,7 +160,7 @@ class ClassModel:
         self.tag_ids = sorted(trees)
         self.entries = entries  # tag -> [(piece strings, weight)], for persistence
         self._memo: dict = {}
-        self.n_memo_transitions = 0
+        self.n_memo_entries = 0
         for tag_id in range(self.n_words, len(self.vocab)):
             token = self.vocab.token_of(tag_id)
             if not is_class_tag(token):
@@ -192,11 +200,31 @@ class ClassModel:
         n = len(trans)
         if key in self._memo or n > TRANSITION_MEMO_CAP:
             return
-        if self.n_memo_transitions + n > TRANSITION_MEMO_CAP:
-            self._memo.clear()
-            self.n_memo_transitions = 0
+        if self.n_memo_entries + n > TRANSITION_MEMO_CAP:
+            self._clear_memo()
         self._memo[key] = trans
-        self.n_memo_transitions += n
+        self.n_memo_entries += n
+
+    def cache_row(self, trans: "Transitions", key, row: np.ndarray) -> None:
+        """Keep the read-only fused ``row`` on the full bundle ``trans``
+        under ``key`` while the memo holds ``trans``; its values count
+        toward the cap, and a row that would pass it clears the memo
+        instead of being kept."""
+        if self._memo.get(trans.state) is not trans:
+            return
+        if self.n_memo_entries + row.size > TRANSITION_MEMO_CAP:
+            self._clear_memo()
+            return
+        trans.rows[key] = row
+        self.n_memo_entries += row.size
+
+    def _clear_memo(self) -> None:
+        # a decode may still hold a bundle it took from the memo: its
+        # rows go now, and it keeps no new ones
+        for trans in self._memo.values():
+            trans.rows.clear()
+        self._memo.clear()
+        self.n_memo_entries = 0
 
 
 def encoder_rank_pass(encoder_scores, rprime: int) -> np.ndarray:
@@ -219,27 +247,44 @@ class Transitions:
     everything before them, and its transition i emits word i (CAT1 is
     never gated), so a CAT1 rank cut is ``top_ids`` of its scores.
 
+    A full bundle keeps ``rows``, fused predictor rows aligned with it:
+    the decoder builds them, and ``ClassModel.cache_row`` keeps them
+    while the memo holds the bundle.
+
     A ``gated`` bundle is a view: ``parent`` is the bundle it gates (None
     on a full bundle) and ``index`` the ascending positions it keeps
-    there; the parent's CAT1 gates and successors serve it.
+    there. A view holds its gathered ``word`` ids and its block bounds;
+    its ``category``, ``logprob`` and ``tag`` are gathered from the
+    parent when first read. The parent's CAT1 gates, successors and
+    rows serve it.
     """
 
     __slots__ = (
         "model", "state", "category", "word", "logprob", "tag", "cat2", "cat3",
-        "parent", "index", "_gates", "_successors", "_exit_history",
+        "parent", "index", "rows", "_gates", "_successors", "_exit_history",
     )
 
-    def __init__(self, model, state, category, word, logprob, tag, parent=None, index=None):
+    def __init__(self, model, state, category, word, logprob, tag):
         self.model, self.state = model, state
         self.category, self.word, self.logprob, self.tag = category, word, logprob, tag
         for arr in (category, word, logprob, tag):
             arr.setflags(write=False)
         n1, n12 = np.searchsorted(category, (CAT2, CAT3)).tolist()
         self.cat2, self.cat3 = slice(n1, n12), slice(n12, word.size)
-        self.parent, self.index = parent, index
-        self._gates: dict = {} if parent is None else parent._gates
-        self._successors: dict | None = {} if parent is None else None
-        self._exit_history = model.exit_history(state) if n1 and parent is None else None
+        self.parent = self.index = None
+        self.rows: dict = {}
+        self._gates: dict = {}
+        self._successors: dict = {}
+        self._exit_history = model.exit_history(state) if n1 else None
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: a view's arrays not yet read
+        if name not in ("category", "logprob", "tag"):
+            raise AttributeError(name)
+        arr = getattr(self.parent, name)[self.index]
+        arr.setflags(write=False)
+        setattr(self, name, arr)
+        return arr
 
     def __len__(self) -> int:
         return self.word.size
@@ -262,11 +307,17 @@ class Transitions:
     def gated(self, word_gate: np.ndarray) -> "Transitions":
         """A view of these transitions without the CAT2/CAT3 ones whose
         word is False in ``word_gate``."""
+        n1 = self.cat2.start
         keep = word_gate[self.word]
-        keep[: self.cat2.start] = True
-        index = keep.nonzero()[0]
-        arrays = (self.category, self.word, self.logprob, self.tag)
-        return Transitions(self.model, self.state, *(a[index] for a in arrays), self, index)
+        keep[:n1] = True
+        view = Transitions.__new__(Transitions)
+        view.model, view.state, view.parent = self.model, self.state, self
+        view.index = keep.nonzero()[0]
+        view.word = self.word[view.index]
+        view.word.setflags(write=False)
+        n12 = n1 + int(np.count_nonzero(keep[self.cat2]))
+        view.cat2, view.cat3 = slice(n1, n12), slice(n12, view.index.size)
+        return view
 
     def cat1_gate(self, rank_r: int) -> np.ndarray:
         """Ascending indices of the ``rank_r`` most probable CAT1
@@ -274,6 +325,8 @@ class Transitions:
         (descending probability, ties to the lower word id);
         zero-probability words are never gated.
         """
+        if self.parent is not None:  # a view shares its parent's CAT1 block
+            return self.parent.cat1_gate(rank_r)
         gate = self._gates.get(rank_r)
         if gate is None:  # CAT1 transition i emits word i
             gate = self._gates[rank_r] = top_ids(self.logprob[: self.cat2.start], rank_r)

@@ -89,17 +89,24 @@ and every stable cut keeps the same survivors:
    when no finite channel is left out, any found is already among them.
    Any other child outside the ``beam`` best is outranked by ``beam``
    distinct A entries (the best siblings or the entries they merged
-   into), each strictly higher, or equal and ahead of it. A is cut by
-   ``sorted(A, reverse=True)[:beam]`` whenever A plus the unrecorded
-   finite children exceeds the beam, so that child falls to the cut
-   either way. The dead channels are counted only when that sum depends
-   on the count: when ``beam`` children were selected, so finite ones
-   may be left out, and A holds at most ``beam`` entries after
-   recording. A is in rank order at frame start (a ``require-cat1``
-   survivor appended to B's cut scores no higher than the rest) and
-   after a cut, and a pop keeps the order, so a pop takes A's head.
-   Recording children without a cut leaves A out of order, and pops
-   scan A with ``max`` until the next cut.
+   into), each strictly higher, or equal and ahead of it, so the
+   reference's cut drops it. A is cut by ``sorted(A, reverse=True)[:beam]``
+   whenever it exceeds the beam. The reference also cuts when only
+   unrecorded children push it past the beam. A then holds just the
+   ``beam`` distinct entries the selected children entered or updated,
+   and that cut only re-ranks them; skipping it is exact. Each of those
+   entries is a pending child of a parent with ``best``'s prefix id and
+   k. A later child merges only into pending children of a parent with
+   its own parent's prefix id and k, and every entry popped later this
+   frame has a k above ``best``'s. So the scores of those entries are
+   final, a stable sort keeps the equal ones in list order, and every
+   later entry follows all of them in both lists. A and the reference's
+   dict thus agree on the order of every two equal scores, which is all
+   a pop or a cut reads of the order. A is in rank order at frame start
+   (a ``require-cat1`` survivor appended to B's cut scores no higher
+   than the rest) and after a cut, and a pop keeps the order, so a pop
+   takes A's head. Recording children without a cut leaves A out of
+   order, and pops scan A with ``max`` until the next cut.
 
 Every cut is ``sorted(..., reverse=True)[:beam]``, which the ``heapq``
 docs define as equal to ``heapq.nlargest``, and which is cheaper on a
@@ -163,9 +170,11 @@ class DecodeStats:
     ``n_children`` the children selected from them (the ``beam`` best
     finite ones per expansion, plus any that merge into a pending child
     in A), whether or not the cut of A keeps them, ``n_popped_children``
-    the pending children popped and so built into hypotheses, and
+    the pending children popped and so built into hypotheses,
     ``n_enumerations`` the class states this decode had to enumerate
-    because the class model's memo did not hold them.
+    because the class model's memo did not hold them, and
+    ``n_fused_rows`` the fused predictor rows it built because neither
+    its own row cache nor the memoized bundle's rows held them.
     Stats add field by field, so a sum counts over several decodes; a
     sum carries no ``warning``.
     """
@@ -177,6 +186,7 @@ class DecodeStats:
     n_children: int = 0
     n_popped_children: int = 0
     n_enumerations: int = 0
+    n_fused_rows: int = 0
     wall_time: float = 0.0
     warning: str | None = None
 
@@ -281,11 +291,6 @@ def _cat1_possible(hyp: Hypothesis, clm: ClassModel) -> bool:
     return hyp.clm_state.class_tag is None or clm.exit_logmass(hyp.clm_state) > NEG_INF
 
 
-def _n_finite(scores: np.ndarray) -> int:
-    """The number of finite entries of ``scores``."""
-    return scores.size - np.count_nonzero(scores == NEG_INF)
-
-
 def _merge_targets(A: list, best: Hypothesis) -> dict:
     """(word, successor) -> position in A of each pending child of
     ``best``'s prefix and k: the entries a child of ``best`` can merge
@@ -330,9 +335,13 @@ class _FrameScorer:
     ``log_softmax``, whose result is a fresh array: no posterior handed
     out aliases the buffer.
 
-    Fused rows are cached for the decode as well, read-only, in one dict
-    keyed by (predictor state, LM state, transitions bundle or None):
-    histories with one longest matched context share n-gram states.
+    Fused rows are read-only and built once per key. A clm or three-way
+    row lives on the memoized bundle it is aligned with, across
+    decodes, keyed by the predictor and LM objects, their states, and
+    the fusion method and weights; the class model frees it with the
+    bundle. A dense method's row lives for the decode, in one dict keyed
+    by (predictor state, LM state). Either way, histories with one
+    longest matched context share n-gram states, and so rows.
     """
 
     def __init__(self, scorer, config, external_lm, class_model):
@@ -340,14 +349,20 @@ class _FrameScorer:
         self.config = config
         self.external = external_lm
         self.clm = class_model
-        self.fusion = config.fusion
-        self.use_clm = self.fusion.uses_clm
+        self.fusion = fu = config.fusion
+        self.use_clm = fu.uses_clm
+        # what a bundle row depends on besides the two states; equal
+        # states of two models are not the same row
+        self._row_fields = (
+            scorer.predictor, external_lm if fu.uses_lm else None,
+            fu.method, fu.alpha, fu.second_alpha, fu.rank_r,
+        )
         self._gated: dict = {}
         self._gate_frame = self._word_gate = None
         self._rows: dict = {}
         self._buf = np.empty(0)
         self._dense_words = None
-        self.n_enumerations = 0
+        self.n_enumerations = self.n_fused_rows = 0
 
     def _joint(self, n: int) -> np.ndarray:
         """The first n + 1 floats of the decode's joint buffer."""
@@ -376,17 +391,19 @@ class _FrameScorer:
         """The fused predictor row: li/lli/cli when ``trans`` is None,
         else the clm or three-way row aligned with ``trans``.
 
-        Rows are kept for the decode: a hypothesis carried into the next
-        frame is expanded again with its states unchanged, and
-        hypotheses whose histories share a longest matched context share
-        its states. A bundle in the key stands for the class state; the
-        key holds it, so its identity is not reused within the decode. An
-        r'-gated view's row is its parent's row at its index, bit for bit:
-        the fusions work entry by entry, and the view shares CAT1 gates."""
-        if trans is not None and trans.parent is not None:
+        A hypothesis carried into the next frame is expanded again with
+        its states unchanged, and later decodes revisit the same class
+        and n-gram states, so rows are kept (see the class docstring).
+        An r'-gated view's row is its parent's row at its index, bit for
+        bit: the fusions work entry by entry, and the view shares CAT1
+        gates."""
+        if trans is None:
+            rows, key = self._rows, (hyp.pred_state, hyp.lm_state)
+        elif trans.parent is not None:
             return self._fused_row(hyp, z_u, trans.parent)[trans.index]
-        key = (hyp.pred_state, hyp.lm_state, trans)
-        row = self._rows.get(key)
+        else:
+            rows, key = trans.rows, (self._row_fields, hyp.pred_state, hyp.lm_state)
+        row = rows.get(key)
         if row is None:
             fu = self.fusion
             if fu.method == "clm":
@@ -404,7 +421,11 @@ class _FrameScorer:
                 ids = self.external.top_r(hyp.lm_state, fu.rank_r)
                 row = cli_scores(z_u, ids, self.external.full_dist(hyp.lm_state)[ids], fu.alpha)
             row.setflags(write=False)
-            self._rows[key] = row
+            self.n_fused_rows += 1
+            if trans is None:
+                rows[key] = row
+            else:
+                self.clm.cache_row(trans, key, row)
         return row
 
     def expand(self, hyp: Hypothesis, t: int, z_t_row, blank_logit):
@@ -572,11 +593,8 @@ def beam_search(
                     A.append(child)
                 else:
                     A[j] = _merge(A[j], child)
-            unrecorded = 0  # finite children left out, counted when the cut needs it
-            if keep.size >= beam and len(A) <= beam:
-                unrecorded = _n_finite(scores) - keep.size
             a_ranked = a_ranked and not keep.size
-            if len(A) + unrecorded > beam:
+            if len(A) > beam:
                 A = sorted(A, key=_score, reverse=True)[:beam]
                 a_ranked = True
 
@@ -594,16 +612,21 @@ def beam_search(
         by_prefix.setdefault(h.prefix, []).append(h)
     results = []
     for group in by_prefix.values():
-        steps = _unwind(max(group, key=_score).steps)
+        if len(group) == 1:  # log_sum_exp([x]) == x
+            (best,) = group
+            logscore, merged = best.logscore, best.merged
+        else:
+            best = max(group, key=_score)
+            logscore, merged = float(log_sum_exp([h.logscore for h in group])), True
+        steps = _unwind(best.steps)
         results.append(
             DecodedHypothesis(
                 tuple(step[2] for step in steps if step[2] is not None),
-                float(log_sum_exp([h.logscore for h in group])),
-                steps,
-                len(group) > 1 or any(h.merged for h in group),
+                logscore, steps, merged,
             )
         )
     results.sort(key=lambda r: (-r.logscore, r.tokens))
     stats.n_enumerations = frame_scorer.n_enumerations
+    stats.n_fused_rows = frame_scorer.n_fused_rows
     stats.wall_time = time.perf_counter() - t0
     return results, stats

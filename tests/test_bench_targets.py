@@ -10,12 +10,18 @@ stands, without writing bytecode next to it.
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fntfuse import decoder
+from fntfuse.core import log_softmax
+from fntfuse.decoder import DecoderConfig
+from fntfuse.fusion import FusionConfig
 from fntfuse.ngram import train_kneser_ney
-from fntfuse.simulate import FntScorer, NgramPredictor
+from fntfuse.simulate import EncoderOutput, FntScorer, NgramPredictor
 
 from helpers import toy_class_model
 
@@ -33,6 +39,48 @@ def test_module_patches_resolve_to_callables(monkeypatch):
     assert workloads.MODULE_PATCHES
     for module, name, label in workloads.MODULE_PATCHES:
         assert callable(getattr(module, name, None)), f"{label}: {module.__name__}.{name}"
+
+
+@pytest.mark.parametrize(
+    "fusion, label",
+    [
+        (FusionConfig("clm", 0.5, rank_r=2), "fusion.clm_predictor_interp"),
+        (FusionConfig("li", 0.3, rank_r=2, second_method="clm", second_alpha=0.5),
+         "fusion.three_way"),
+    ],
+)
+def test_traced_decoder_names_see_every_class_row_build(monkeypatch, fusion, label):
+    # the tracer wraps names on the package's modules; a class-model row
+    # built without going through fntfuse.decoder would read 0 calls
+    workloads = load_workloads(monkeypatch)
+    calls = Counter()
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, patch_label in workloads.MODULE_PATCHES:
+        assert module.__name__.startswith("fntfuse."), patch_label
+        if module is decoder:
+            monkeypatch.setattr(module, name, counted(getattr(module, name), patch_label))
+    vocab, clm = toy_class_model()
+    ngram = train_kneser_ney([[0, 1, 4], [8, 1], [0, 5, 6]], 2, vocab=vocab, eos=False)
+    rng = np.random.default_rng(5)
+    encoder = EncoderOutput(
+        np.array([log_softmax(rng.normal(size=len(vocab)) * 2.0) for _ in range(6)]),
+        np.full(6, -1.0),
+    )
+    config = DecoderConfig(beam=3, fusion=fusion, rank_rprime=4)
+    scorer, lm = FntScorer(NgramPredictor(ngram)), NgramPredictor(ngram)
+    for _ in range(2):  # the second decode reads the rows the first kept
+        _, stats = decoder.beam_search(encoder, scorer, config, lm, clm)
+        calls["rows"] += stats.n_fused_rows
+        calls["enumerations"] += stats.n_enumerations
+    assert calls[label] == calls["rows"] > 0
+    assert calls["classlm.enumerate_transitions"] == calls["enumerations"] > 0
+    assert calls["decoder.beam_search"] == 2
 
 
 def test_instrumented_methods_exist(monkeypatch):

@@ -258,32 +258,39 @@ class TestPruningVsFullExpansion:
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
     def test_identical_to_full_expansion(self, name):
         fusion = PRUNING_CASES[name]
-        # require-cat1 is refused without a class model
+        # require-cat1 and the r' gate are refused without a class model
         rules = ("standard", "require-cat1") if fusion.uses_clm else ("standard",)
+        rprimes = (None, 1, 2, 3) if fusion.uses_clm else (None,)
         rng = np.random.default_rng(30)
         ties = pop_ties = 0
+        width = dict.fromkeys(rprimes, 0)
         for _ in range(5):
             vocab, scorer, lm, encoder = make_tie_instance(rng, 5, 4)
             clm = make_clm(rng, vocab)
             for beam in (1, 2, 3, 4):
                 for rule in rules:
-                    config = DecoderConfig(
-                        beam=beam, fusion=fusion, exit_rule=rule, max_emit=2
-                    )
-                    got, got_stats = beam_search(encoder, scorer, config, lm, clm)
-                    stats = {}
-                    want = full_expansion_beam_search(
-                        encoder, scorer, config, lm, clm, stats
-                    )
-                    ties += stats["edge_ties"]
-                    pop_ties += stats["pop_ties"]
-                    assert [
-                        (r.tokens, r.logscore, r.steps, r.merged) for r in got
-                    ] == want
-                    assert got_stats.n_expansions == stats["expansions"]
+                    for rprime in rprimes:
+                        config = DecoderConfig(
+                            beam=beam, fusion=fusion, exit_rule=rule, max_emit=2,
+                            rank_rprime=rprime,
+                        )
+                        got, got_stats = beam_search(encoder, scorer, config, lm, clm)
+                        stats = {}
+                        want = full_expansion_beam_search(
+                            encoder, scorer, config, lm, clm, stats
+                        )
+                        ties += stats["edge_ties"]
+                        pop_ties += stats["pop_ties"]
+                        width[rprime] += got_stats.total_width
+                        assert [
+                            (r.tokens, r.logscore, r.steps, r.merged) for r in got
+                        ] == want
+                        assert got_stats.n_expansions == stats["expansions"]
         assert ties > 0  # the cases reach ties at the beam edge
         if not fusion.uses_clm:
             assert pop_ties > 0  # and ties for the top of A at a pop
+        else:
+            assert width[1] < width[None]  # gated views drop transitions
 
     def test_identical_to_full_expansion_with_class_model_pop_ties(self):
         # class-model children tie for the top of A and merge into it; a
@@ -482,7 +489,6 @@ class TestChildSelection:
                     keep = top_ids(scores, beam)
                     assert keep.dtype.kind == "i"
                     assert keep.tolist() == want
-                    assert decoder._n_finite(scores) == n_finite
                     ranked = sorted(scores[finite], reverse=True)
                     if n_finite > beam and ranked[beam - 1] == ranked[beam]:
                         tied_cuts += 1
@@ -950,6 +956,8 @@ class TestGatedViews:
                             got_arr, want_arr = getattr(view, name), getattr(want, name)
                             assert got_arr.dtype == want_arr.dtype
                             assert got_arr.tobytes() == want_arr.tobytes()
+                            assert not got_arr.flags.writeable
+                        assert (view.cat2, view.cat3) == (want.cat2, want.cat3)
                         assert (np.diff(view.index) > 0).all()
                         assert view.cat2.start == parent.cat2.start  # the CAT1 prefix
                         emptied += view.cat2.start == len(view) < len(parent)
@@ -971,10 +979,20 @@ class TestGatedViews:
                             else:
                                 ref = three_way(z_u, lm.full_dist(lm_state), want, 0.3, 0.6, 2)
                             assert got.tobytes() == ref.tobytes()
-                # rows are cached once, under the memoized bundle
-                assert fs._rows and all(key[2].parent is None for key in fs._rows)
+                # rows are kept once, on the memoized bundles, under the
+                # configuration's fields
+                assert not fs._rows
+                for state in states:
+                    keys = clm.cached_transitions(state).rows
+                    assert fs._row_fields in {key[0] for key in keys}
         assert emptied  # some gates left nothing but CAT1
         assert any(s.class_tag is not None for s in states)
+
+
+def memo_entries(trans) -> int:
+    """What a memoized bundle counts toward the memo cap: its
+    transitions plus the values of its kept rows."""
+    return len(trans) + sum(row.size for row in trans.rows.values())
 
 
 MEMO_CASES = {
@@ -1010,14 +1028,26 @@ class TestTransitionMemo:
         return [(r.tokens, r.logscore, r.steps, r.merged) for r in results], stats
 
     def test_shared_model_matches_fresh_model(self):
+        # a second predictor and a second LM whose states are equal
+        # tuples but whose rows differ, and a second clm weight, all
+        # interleaved on one class model: no decode reads another's rows
         vocab, scorer, lm, encoders = self.instance()
+        rng = np.random.default_rng(44)
+        other_scorer = FntScorer(NgramPredictor(make_ngram(rng, vocab), floor=0.05))
+        other_lm = NgramPredictor(make_ngram(rng, vocab))
+        for a, b in ((scorer.predictor, other_scorer.predictor), (lm, other_lm)):
+            state = a.initial_state()
+            assert state == b.initial_state()
+            assert not np.array_equal(a.full_dist(state), b.full_dist(state))
+        clm_alt = DecoderConfig(beam=3, fusion=FusionConfig("clm", 0.9, rank_r=2))
         shared = self.fresh_clm(vocab)
         for encoder in encoders:
-            for config in MEMO_CASES.values():
-                got, _ = self.decode(encoder, scorer, config, lm, shared)
-                want, _ = self.decode(encoder, scorer, config, lm, self.fresh_clm(vocab))
-                assert got == want
-        assert shared.n_memo_transitions > 0
+            for config in [*MEMO_CASES.values(), clm_alt]:
+                for sc, ext in ((scorer, lm), (other_scorer, lm), (scorer, other_lm)):
+                    got, _ = self.decode(encoder, sc, config, ext, shared)
+                    want, _ = self.decode(encoder, sc, config, ext, self.fresh_clm(vocab))
+                    assert got == want
+        assert shared.n_memo_entries > 0
 
     def test_repeat_decode_enumerates_nothing(self):
         vocab, scorer, lm, encoders = self.instance()
@@ -1026,10 +1056,11 @@ class TestTransitionMemo:
             for encoder in encoders:
                 first, _ = self.decode(encoder, scorer, config, lm, clm)
                 again, repeat = self.decode(encoder, scorer, config, lm, clm)
-                assert again == first
-                assert repeat.n_enumerations == 0, name
-        _, stats = self.decode(encoders[0], scorer, MEMO_CASES["clm"], lm, self.fresh_clm(vocab))
-        assert stats.n_enumerations > 0
+                fresh, cold = self.decode(encoder, scorer, config, lm, self.fresh_clm(vocab))
+                assert again == first == fresh
+                # the second decode reads the bundles and rows the first kept
+                assert repeat.n_enumerations == repeat.n_fused_rows == 0, name
+                assert cold.n_enumerations > 0 and cold.n_fused_rows > 0, name
 
     @pytest.mark.parametrize("cap", [5, 40])
     def test_tiny_cap_changes_nothing(self, cap, monkeypatch):
@@ -1046,7 +1077,7 @@ class TestTransitionMemo:
 
         def recorded(key, trans):
             cache(key, trans)
-            held.append(clm.n_memo_transitions)
+            held.append(clm.n_memo_entries)
 
         monkeypatch.setattr(clm, "cache_transitions", recorded)
         got = [
@@ -1056,7 +1087,37 @@ class TestTransitionMemo:
         ]
         assert got == want
         assert held and max(held) <= cap
-        assert sum(len(t) for t in clm._memo.values()) == clm.n_memo_transitions
+        assert sum(memo_entries(t) for t in clm._memo.values()) == clm.n_memo_entries
+
+    def test_memo_clear_drops_rows(self, monkeypatch):
+        cap = 120
+        monkeypatch.setattr(classlm, "TRANSITION_MEMO_CAP", cap)
+        vocab, scorer, lm, encoders = self.instance()
+        clm = self.fresh_clm(vocab)
+        kept = clm.cache_row
+        row_clears = []
+
+        def checked(trans, key, row):
+            held = list(clm._memo.values())
+            before = clm.n_memo_entries
+            kept(trans, key, row)
+            if clm.n_memo_entries < before:  # the row cleared the memo
+                row_clears.append(len(held))
+                assert not clm._memo and not any(t.rows for t in held)
+                assert not trans.rows
+            assert sum(memo_entries(t) for t in clm._memo.values()) == clm.n_memo_entries
+            assert clm.n_memo_entries <= cap
+
+        monkeypatch.setattr(clm, "cache_row", checked)
+        for encoder in encoders:
+            for config in MEMO_CASES.values():
+                self.decode(encoder, scorer, config, lm, clm)
+        assert row_clears and max(row_clears) > 1
+        # a bundle the memo does not hold keeps no row
+        loose = enumerate_transitions(clm, clm.initial_state())
+        before = clm.n_memo_entries
+        kept(loose, "key", np.zeros(len(loose)))
+        assert not loose.rows and clm.n_memo_entries == before
 
     @pytest.mark.parametrize("rprime", [None, 2])
     def test_successors_are_built_once_and_match_enumeration(self, rprime):
@@ -1089,15 +1150,18 @@ class TestTransitionMemo:
                 scorers.append(self)
 
         monkeypatch.setattr(decoder, "_FrameScorer", Recording)
-        for config in MEMO_CASES.values():
+        dense = DecoderConfig(beam=3, fusion=FusionConfig("cli", 0.25, rank_r=2))
+        for config in [*MEMO_CASES.values(), dense]:
             beam_search(encoders[0], scorer, config, lm, clm)
         arrays = [
             getattr(t, name)
             for t in clm._memo.values()
             for name in ("category", "word", "logprob", "tag")
         ]
-        rows = [row for fs in scorers for row in fs._rows.values()]
-        assert arrays and rows
+        bundle_rows = [row for t in clm._memo.values() for row in t.rows.values()]
+        dense_rows = [row for fs in scorers for row in fs._rows.values()]
+        assert arrays and bundle_rows and dense_rows
+        rows = bundle_rows + dense_rows
         for arr in arrays + rows:
             with pytest.raises(ValueError, match="read-only"):
                 arr[:1] = 0
