@@ -26,13 +26,19 @@ word-pieces, CAT2/CAT3 blocks are the tree nodes' tables, and a
 successor state is built only for a transition a caller takes, and
 kept on the bundle once built. A ``ClassModel`` memoizes
 one bundle per class state for its lifetime (``cached_transitions``).
-A memoized bundle also keeps the fused predictor rows the decoder
-builds for it (``cache_row``), keyed by the predictor and LM objects,
-their states and the fusion weights, so later decodes read them. The
-memo is bounded by ``TRANSITION_MEMO_CAP`` array entries in all,
-transitions and row values alike, and a clear frees rows with their
-bundles. An r'-gated bundle is a view of the memoized one, which
-builds and keeps its successors and rows.
+
+The arrays depend on a state only through its ``core_key``: the
+minimal context of its exit history (KenLM's state minimization, as
+``NgramModel.minimal_context`` computes it) and its tree node. So a
+bundle is a state's view of a core, which holds the arrays, the CAT1
+gates and the fused predictor rows the decoder builds for it
+(``cache_row``), keyed by the predictor and LM objects, their states
+and the fusion weights. States with one key share one core; each keeps
+its own exit history and successors. The memo counts each core once
+toward ``TRANSITION_MEMO_CAP`` array entries in all, transitions and
+row values alike, and a clear frees the cores' rows with their bundles.
+An r'-gated bundle is a view of the memoized one, whose successors and
+core serve it.
 """
 
 from __future__ import annotations
@@ -136,11 +142,14 @@ class ClassModel:
     The memo maps a class state to the bundle enumerated for it, which
     is a pure function of the model and the state, so decodes run one
     after another may share it, and with it the fused rows kept on each
-    bundle. It is not locked: one decode at a time. It holds at most
-    ``TRANSITION_MEMO_CAP`` entries, the bundles' transitions plus
-    their rows' values (``n_memo_entries``), and is emptied whole,
-    rows included, when the next bundle or row would pass that. The
-    decoder keys it by the ``ClmState``.
+    core. It also maps each core key to the core it holds, and
+    ``enumerate_transitions`` builds a state's bundle on that core. It
+    is not locked: one decode at a time. It holds at most
+    ``TRANSITION_MEMO_CAP`` entries, each held core's transitions plus
+    its rows' values, counted once however many bundles share the core
+    (``n_memo_entries``), and is emptied whole, rows included, when the
+    next core or row would pass that. The decoder keys it by the
+    ``ClmState``.
 
     ``trees`` maps each class's tag id to the root of its prefix tree.
     """
@@ -159,7 +168,8 @@ class ClassModel:
         self.n_words = len(base_vocab)
         self.tag_ids = sorted(trees)
         self.entries = entries  # tag -> [(piece strings, weight)], for persistence
-        self._memo: dict = {}
+        self._memo: dict = {}  # class state -> bundle
+        self._cores: dict = {}  # core key -> held core
         self.n_memo_entries = 0
         for tag_id in range(self.n_words, len(self.vocab)):
             token = self.vocab.token_of(tag_id)
@@ -190,27 +200,46 @@ class ClassModel:
     def exit_logmass(self, state: ClmState) -> float:
         return 0.0 if state.class_tag is None else state.node.exit_logprob
 
+    def core_key(self, state: ClmState) -> tuple:
+        """What the transition arrays of ``state`` depend on: the
+        ``minimal_context`` of its exit history (None without exit mass)
+        and its tree node (None outside a class). States with one key
+        have bit-identical arrays, CAT1 gates and fused rows."""
+        if self.exit_logmass(state) == NEG_INF:
+            return None, state.node
+        return self.ngram.minimal_context(self.exit_history(state)), state.node
+
     def cached_transitions(self, key) -> "Transitions | None":
         """The memoized bundle of the class state with this key, if any."""
         return self._memo.get(key)
 
-    def cache_transitions(self, key, trans: "Transitions") -> None:
-        """Memoize ``trans`` under ``key``; a bundle larger than the cap
-        is not kept."""
-        n = len(trans)
-        if key in self._memo or n > TRANSITION_MEMO_CAP:
-            return
-        if self.n_memo_entries + n > TRANSITION_MEMO_CAP:
-            self._clear_memo()
+    def cache_transitions(self, key, trans: "Transitions") -> bool:
+        """Memoize ``trans`` under ``key``. Its core counts toward the
+        cap once, when the first bundle on it is memoized, and a core
+        larger than the cap is not kept. Returns whether the memo held
+        the core already, that is, whether ``trans`` is a shared bundle."""
+        if key in self._memo:
+            return False
+        core = trans.core
+        shared = core.held
+        if not shared:
+            n = len(trans)
+            if n > TRANSITION_MEMO_CAP:
+                return False
+            if self.n_memo_entries + n > TRANSITION_MEMO_CAP:
+                self._clear_memo()
+            core.held = True
+            self._cores[core.key] = core  # a None key is never looked up
+            self.n_memo_entries += n
         self._memo[key] = trans
-        self.n_memo_entries += n
+        return shared
 
     def cache_row(self, trans: "Transitions", key, row: np.ndarray) -> None:
-        """Keep the read-only fused ``row`` on the full bundle ``trans``
-        under ``key`` while the memo holds ``trans``; its values count
-        toward the cap, and a row that would pass it clears the memo
-        instead of being kept."""
-        if self._memo.get(trans.state) is not trans:
+        """Keep the read-only fused ``row`` on the core of the full
+        bundle ``trans`` under ``key`` while the memo holds that core;
+        its values count toward the cap, and a row that would pass it
+        clears the memo instead of being kept."""
+        if not trans.core.held:
             return
         if self.n_memo_entries + row.size > TRANSITION_MEMO_CAP:
             self._clear_memo()
@@ -220,10 +249,12 @@ class ClassModel:
 
     def _clear_memo(self) -> None:
         # a decode may still hold a bundle it took from the memo: its
-        # rows go now, and it keeps no new ones
+        # core's rows go now, and it keeps no new ones
         for trans in self._memo.values():
+            trans.core.held = False
             trans.rows.clear()
         self._memo.clear()
+        self._cores.clear()
         self.n_memo_entries = 0
 
 
@@ -239,6 +270,28 @@ def encoder_rank_pass(encoder_scores, rprime: int) -> np.ndarray:
     return ranks < rprime
 
 
+class _Core:
+    """What every bundle of one ``ClassModel.core_key`` shares: the
+    read-only arrays, their block bounds, the CAT1 gates and the fused
+    rows. ``key`` is None on a core built from given arrays, which is
+    never shared; ``held`` is True while the model's memo counts it."""
+
+    __slots__ = (
+        "key", "category", "word", "logprob", "tag", "cat2", "cat3", "gates", "rows", "held",
+    )
+
+    def __init__(self, key, category, word, logprob, tag):
+        self.key = key
+        self.category, self.word, self.logprob, self.tag = category, word, logprob, tag
+        for arr in (category, word, logprob, tag):
+            arr.setflags(write=False)
+        n1, n12 = np.searchsorted(category, (CAT2, CAT3)).tolist()
+        self.cat2, self.cat3 = slice(n1, n12), slice(n12, word.size)
+        self.gates: dict = {}
+        self.rows: dict = {}
+        self.held = False
+
+
 class Transitions:
     """All transitions leaving ``state``, as aligned read-only arrays in
     S1‖S2‖S3 order: ``category`` (int8), ``word`` (int64), ``logprob``,
@@ -247,9 +300,12 @@ class Transitions:
     everything before them, and its transition i emits word i (CAT1 is
     never gated), so a CAT1 rank cut is ``top_ids`` of its scores.
 
-    A full bundle keeps ``rows``, fused predictor rows aligned with it:
-    the decoder builds them, and ``ClassModel.cache_row`` keeps them
-    while the memo holds the bundle.
+    A full bundle is its state's view of a core (``_Core``): the arrays,
+    the CAT1 gates and ``rows``, the fused predictor rows aligned with
+    them, are the core's, shared by every bundle on it. The decoder
+    builds rows, and ``ClassModel.cache_row`` keeps them while the memo
+    holds the core. The successors, and the exit history CAT1 and CAT2
+    successors start from, are the bundle's own.
 
     A ``gated`` bundle is a view: ``parent`` is the bundle it gates (None
     on a full bundle) and ``index`` the ascending positions it keeps
@@ -260,22 +316,29 @@ class Transitions:
     """
 
     __slots__ = (
-        "model", "state", "category", "word", "logprob", "tag", "cat2", "cat3",
-        "parent", "index", "rows", "_gates", "_successors", "_exit_history",
+        "model", "state", "core", "category", "word", "logprob", "tag", "cat2", "cat3",
+        "parent", "index", "rows", "_successors", "_exit_history",
     )
 
     def __init__(self, model, state, category, word, logprob, tag):
-        self.model, self.state = model, state
-        self.category, self.word, self.logprob, self.tag = category, word, logprob, tag
-        for arr in (category, word, logprob, tag):
-            arr.setflags(write=False)
-        n1, n12 = np.searchsorted(category, (CAT2, CAT3)).tolist()
-        self.cat2, self.cat3 = slice(n1, n12), slice(n12, word.size)
+        """A bundle on a core of its own, built from the given arrays."""
+        self._bind(model, state, _Core(None, category, word, logprob, tag))
+
+    @classmethod
+    def on_core(cls, model, state, core: _Core) -> "Transitions":
+        trans = cls.__new__(cls)
+        trans._bind(model, state, core)
+        return trans
+
+    def _bind(self, model, state, core):
+        self.model, self.state, self.core = model, state, core
+        self.category, self.word, self.logprob, self.tag = (
+            core.category, core.word, core.logprob, core.tag,
+        )
+        self.cat2, self.cat3, self.rows = core.cat2, core.cat3, core.rows
         self.parent = self.index = None
-        self.rows: dict = {}
-        self._gates: dict = {}
         self._successors: dict = {}
-        self._exit_history = model.exit_history(state) if n1 else None
+        self._exit_history = model.exit_history(state) if core.cat2.start else None
 
     def __getattr__(self, name):
         # only an unset slot gets here: a view's arrays not yet read
@@ -321,55 +384,54 @@ class Transitions:
 
     def cat1_gate(self, rank_r: int) -> np.ndarray:
         """Ascending indices of the ``rank_r`` most probable CAT1
-        transitions, computed once per ``rank_r``: the ``top_ids`` cut
-        (descending probability, ties to the lower word id);
-        zero-probability words are never gated.
+        transitions, computed once per ``rank_r`` on the core: the
+        ``top_ids`` cut (descending probability, ties to the lower word
+        id); zero-probability words are never gated.
         """
         if self.parent is not None:  # a view shares its parent's CAT1 block
             return self.parent.cat1_gate(rank_r)
-        gate = self._gates.get(rank_r)
+        gates = self.core.gates
+        gate = gates.get(rank_r)
         if gate is None:  # CAT1 transition i emits word i
-            gate = self._gates[rank_r] = top_ids(self.logprob[: self.cat2.start], rank_r)
+            gate = gates[rank_r] = top_ids(self.logprob[: self.cat2.start], rank_r)
         return gate
 
 
-def enumerate_transitions(
-    model: ClassModel, state: ClmState, encoder_scores=None, rprime: int | None = None
-) -> Transitions:
-    """All transitions leaving ``state``.
+def enumerate_transitions(model: ClassModel, state: ClmState) -> Transitions:
+    """All transitions leaving ``state``, on the core the model's memo
+    holds for its ``core_key`` if there is one, else on a new core.
 
-    CAT2/CAT3 words are dropped when their encoder rank is >= rprime
-    (CAT1 is never gated). Pass encoder_scores=None to disable gating.
     Repetitions of the same word across blocks are preserved; each
     leads to its own successor. An empty result is legal and signals
     blank fallback to the caller.
     """
-    blocks = []
-    exit_lp = model.exit_logmass(state)
-    if exit_lp > NEG_INF:
-        chain = model.ngram.suffix_chain(model.exit_history(state))
-        dense = model.ngram.dense_row(chain)
-        # CAT1 ranges over word-pieces only: drop the tags, bos and eos
-        blocks.append((CAT1, np.arange(model.n_words), exit_lp + dense[: model.n_words], -1))
-        for tag in model.tag_ids:
-            p_tag = float(dense[tag])  # the same value as ngram.logprob(tag, history)
-            if p_tag > NEG_INF:
-                root = model.trees[tag]
-                blocks.append(
-                    (CAT2, root.child_words, (exit_lp + p_tag) + root.child_logprobs, tag)
-                )
-    if state.class_tag is not None:
-        blocks.append((CAT3, state.node.child_words, state.node.child_logprobs, -1))
+    key = model.core_key(state)
+    core = model._cores.get(key)
+    if core is None:
+        context, node = key
+        blocks = []
+        if context is not None:
+            exit_lp = model.exit_logmass(state)
+            dense = model.ngram.dense_row(model.ngram.suffix_chain(context))
+            # CAT1 ranges over word-pieces only: drop the tags, bos and eos
+            blocks.append((CAT1, np.arange(model.n_words), exit_lp + dense[: model.n_words], -1))
+            for tag in model.tag_ids:
+                p_tag = float(dense[tag])  # the same value as ngram.logprob(tag, history)
+                if p_tag > NEG_INF:
+                    root = model.trees[tag]
+                    blocks.append(
+                        (CAT2, root.child_words, (exit_lp + p_tag) + root.child_logprobs, tag)
+                    )
+        if node is not None:
+            blocks.append((CAT3, node.child_words, node.child_logprobs, -1))
 
-    cats, words, logprobs, tags = zip(*blocks)
-    sizes = [w.size for w in words]
-    trans = Transitions(
-        model, state, np.repeat(np.array(cats, np.int8), sizes), np.concatenate(words),
-        np.concatenate(logprobs), np.repeat(np.array(tags, np.int32), sizes),
-    )
-    if encoder_scores is None or rprime is None or rprime >= model.n_words:
-        return trans
-    return trans.gated(encoder_rank_pass(encoder_scores, rprime))
+        cats, words, logprobs, tags = zip(*blocks)
+        sizes = [w.size for w in words]
+        core = _Core(
+            key, np.repeat(np.array(cats, np.int8), sizes), np.concatenate(words),
+            np.concatenate(logprobs), np.repeat(np.array(tags, np.int32), sizes),
+        )
+    return Transitions.on_core(model, state, core)
 
 
 def advance(

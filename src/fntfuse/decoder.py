@@ -37,13 +37,15 @@ Bookkeeping is O(1) per child, whatever the utterance length:
   pairs a key of (tokens, predictor state, LM state, class state)
   would.
 - A is a list with no keys. A child enters it pending: its score,
-  parent, word, posterior, class successor (None when dense) and merged
-  flag. Only when it is popped does it advance the predictor and LM
-  states and intern its prefix; most children never are. Its identity
-  is (parent prefix id, word, successor, k), since parent id and word
-  name its tokens. Carried entries have k = 0 and children k >= 1, so a
-  child can share its identity only with another pending child. A
-  popped child leaves A for good.
+  parent, channel, posterior, the expansion's class-model bundle (None
+  when dense, where the channel is the word) and merged flag. Only when
+  it is popped does it read its word and class successor from the
+  bundle, advance the predictor and LM states and intern its prefix;
+  most children never are. Its identity is (parent prefix id, word,
+  successor, k), since parent id and word name its tokens. Carried
+  entries have k = 0 and children k >= 1, so a child can share its
+  identity only with another pending child. A popped child leaves A for
+  good.
 
 An expansion is one array pass. The joint row (word channels, blank
 last) is written into a buffer the scorer owns for the decode and
@@ -59,54 +61,52 @@ relative order of entries with equal scores. The reference records
 every finite child into a dict (insertion order; a merge keeps the
 older place) and cuts it by a stable sort whenever it exceeds the beam;
 a pop takes the first entry with the top score, the one ``max``
-returns. A holds the same entries as that reference, and entries with
-equal scores keep its relative order, so every pop takes the same entry
-and every stable cut keeps the same survivors:
+returns. A is kept as the reference's entries in the reference's order,
+stably sorted by score, so every pop takes A's head and every cut keeps
+A's first ``beam`` entries. A cut leaves the reference in rank order,
+and so does B's frame-end cut (a ``require-cat1`` survivor appended to
+it scores no higher than the rest); only a skipped cut leaves it
+unranked, and until its next cut the list ``order`` holds its order:
 
 1. Siblings never share a merge key (tokens, emission count, class
    state). With one word, a CAT1 successor is outside any class, CAT2
    and CAT3 successors differ in class tag or tree node (CAT2 at depth
    one, CAT3 deeper), and CAT2 successors differ by tag.
-2. Without a class model no child can merge into A at all: its only
-   possible parent has its tokens minus one and k minus one, and is
-   popped at most once per frame. So the dense methods keep A ranked
-   at all times. The selected children, ordered by score descending
-   and then channel ascending, are merged stably into A, A's entries
-   first on equal scores, and the merge stops at ``beam``; a
-   ``_Pending`` is built only for a child that makes the cut. That is
-   the reference's cut: its children enter after A's entries in channel
-   order, and a finite child outside the ``beam`` best is outranked by
-   ``beam`` selected siblings, each strictly higher, or equal and on a
-   lower channel. Where the reference skipped the cut, it held the same
-   <= ``beam`` entries unranked, and its ``max`` took the first top
-   entry in insertion order: the merged list's head.
-3. With a class model a child can only climb by merging into an A entry
-   that already exists: a pending child of an earlier-popped entry with
-   ``best``'s prefix id and k. The child finds it by (word, successor)
-   and updates it where it stands; a new child is appended, in channel
-   order, so A lists its entries in the reference's dict order. Merging
-   channels are looked for whenever ``beam`` children were selected;
-   when no finite channel is left out, any found is already among them.
-   Any other child outside the ``beam`` best is outranked by ``beam``
-   distinct A entries (the best siblings or the entries they merged
-   into), each strictly higher, or equal and ahead of it, so the
-   reference's cut drops it. A is cut by ``sorted(A, reverse=True)[:beam]``
-   whenever it exceeds the beam. The reference also cuts when only
-   unrecorded children push it past the beam. A then holds just the
-   ``beam`` distinct entries the selected children entered or updated,
-   and that cut only re-ranks them; skipping it is exact. Each of those
-   entries is a pending child of a parent with ``best``'s prefix id and
-   k. A later child merges only into pending children of a parent with
-   its own parent's prefix id and k, and every entry popped later this
-   frame has a k above ``best``'s. So the scores of those entries are
-   final, a stable sort keeps the equal ones in list order, and every
-   later entry follows all of them in both lists. A and the reference's
-   dict thus agree on the order of every two equal scores, which is all
-   a pop or a cut reads of the order. A is in rank order at frame start
-   (a ``require-cat1`` survivor appended to B's cut scores no higher
-   than the rest) and after a cut, and a pop keeps the order, so a pop
-   takes A's head. Recording children without a cut leaves A out of
-   order, and pops scan A with ``max`` until the next cut.
+2. A child can merge only into a pending child of a parent with its own
+   parent's prefix id and k: its tokens fix that prefix id, and its k
+   the parent's. Pending children are this frame's, so when no earlier
+   expansion of the frame had ``best``'s prefix id and k (always, with
+   no class model) nothing in A is a merge target. The selected
+   children, ordered by score descending and then channel ascending,
+   are then merged stably into A, A's entries first on equal scores,
+   and the merge stops at ``beam``; a ``_Pending`` is built only for a
+   child that makes the cut. That is the reference's rank order, since
+   its children enter after its entries in channel order, and its cut:
+   a finite child outside the ``beam`` best is outranked by ``beam``
+   selected siblings, each strictly higher, or equal and on a lower
+   channel. The reference skips the cut only when its entries and the
+   finite children number at most ``beam``. Then every finite child is
+   selected, A holds the reference's entries, and with a class model
+   ``order`` becomes the reference's order followed by the children in
+   channel order. Without one no merge ever reads ``order``, so it is
+   not kept.
+3. Otherwise, the merge path: the children's targets are looked up by
+   (word, successor) in the reference's order (``order``, or A when the
+   two agree), and each recorded child merges into its target where it
+   stands or is appended, in channel order, as the reference records
+   it. Merging channels are looked for whenever ``beam`` children were
+   selected; when no finite channel is left out, any found is already
+   among them. Any other child left out is outranked by ``beam`` distinct
+   entries, the best siblings or the entries they merged into, each
+   strictly higher, or equal and ahead of it; so the reference cuts
+   (it then holds more than ``beam`` entries), and its cut drops it. A
+   stable sort of the recorded list, cut at ``beam`` where the reference
+   cuts, is then A, and the recorded list is ``order`` where it does
+   not. The sort must read the reference's order, not A's: a merge
+   raises an entry's score, and may tie it with an entry that A ranks
+   ahead of it but the reference lists after it. Only these expansions
+   build successors for children that are not popped: those of their
+   own children and of the pending children they search.
 
 Every cut is ``sorted(..., reverse=True)[:beam]``, which the ``heapq``
 docs define as equal to ``heapq.nlargest``, and which is cheaper on a
@@ -121,11 +121,11 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .classlm import ClassModel, ClmState, encoder_rank_pass, enumerate_transitions
+from .classlm import ClassModel, ClmState, Transitions, encoder_rank_pass, enumerate_transitions
 from .core import NEG_INF, ExternalLm, log_softmax, log_sum_exp, top_ids
 from .fusion import (
     FusionConfig,
@@ -172,9 +172,11 @@ class DecodeStats:
     in A), whether or not the cut of A keeps them, ``n_popped_children``
     the pending children popped and so built into hypotheses,
     ``n_enumerations`` the class states this decode had to enumerate
-    because the class model's memo did not hold them, and
-    ``n_fused_rows`` the fused predictor rows it built because neither
-    its own row cache nor the memoized bundle's rows held them.
+    because the class model's memo did not hold them,
+    ``n_shared_bundles`` those of them built on a core the memo already
+    held (``classlm.ClassModel.core_key``), and ``n_fused_rows`` the
+    fused predictor rows it built because neither its own row cache nor
+    the memoized core's rows held them.
     Stats add field by field, so a sum counts over several decodes; a
     sum carries no ``warning``.
     """
@@ -186,6 +188,7 @@ class DecodeStats:
     n_children: int = 0
     n_popped_children: int = 0
     n_enumerations: int = 0
+    n_shared_bundles: int = 0
     n_fused_rows: int = 0
     wall_time: float = 0.0
     warning: str | None = None
@@ -235,14 +238,18 @@ class Hypothesis:
 
 @dataclass(slots=True)
 class _Pending:
-    """A child recorded in A but not built: ``parent`` emits ``word``
-    with log-posterior ``post``; ``successor`` is its class state."""
+    """A child recorded in A but not built: ``parent`` takes channel
+    ``channel`` of its expansion with log-posterior ``post``.
+    ``transitions`` is that expansion's class-model bundle, or None when
+    dense, where the channel is the word. The word and the class
+    successor are read from the bundle only when the child is popped or
+    looked up as a merge target (``_word_successor``)."""
 
     logscore: float
     parent: Hypothesis
-    word: int
+    channel: int
     post: float
-    successor: ClmState | None
+    transitions: Transitions | None
     merged: bool
 
 
@@ -291,13 +298,22 @@ def _cat1_possible(hyp: Hypothesis, clm: ClassModel) -> bool:
     return hyp.clm_state.class_tag is None or clm.exit_logmass(hyp.clm_state) > NEG_INF
 
 
-def _merge_targets(A: list, best: Hypothesis) -> dict:
-    """(word, successor) -> position in A of each pending child of
+def _word_successor(child: _Pending) -> tuple:
+    """(word, class successor) of a pending child; the successor is
+    None when dense."""
+    trans, i = child.transitions, child.channel
+    if trans is None:
+        return i, None
+    return int(trans.word[i]), trans.successor(i)
+
+
+def _merge_targets(D: list, best: Hypothesis) -> dict:
+    """(word, successor) -> position in ``D`` of each pending child of
     ``best``'s prefix and k: the entries a child of ``best`` can merge
     into, since they have its tokens and emission count."""
     return {
-        (e.word, e.successor): j
-        for j, e in enumerate(A)
+        _word_successor(e): j
+        for j, e in enumerate(D)
         if type(e) is _Pending and e.parent.prefix == best.prefix and e.parent.k == best.k
     }
 
@@ -307,6 +323,48 @@ def _merge_siblings(targets: dict, words: np.ndarray, scores: np.ndarray):
     merge target: the only children that can merge into A."""
     hits = np.isin(words, [word for word, _ in targets]).nonzero()[0]
     return hits[scores[hits] > NEG_INF]
+
+
+def _record_merging(D, best, transitions, words, scores, posts, keep, beam, stats):
+    """Record the children of ``best``, whose prefix id and k an earlier
+    expansion of the frame had, as the reference does: each merges into
+    its target in ``D``, A's entries in the reference's order, where it
+    stands, or is appended in channel order. Returns (A, order): ``D``
+    stably ranked, then cut at the beam where the reference cuts, and
+    ``D`` itself where it does not, else None."""
+    targets = _merge_targets(D, best)
+    if targets and keep.size == beam:  # finite channels may be left out
+        merging = _merge_siblings(targets, words, scores)
+        if merging.size:
+            keep = np.union1d(keep, merging)
+    stats.n_children += keep.size
+    for i, post in zip(keep.tolist(), posts[keep].tolist()):
+        child = _Pending(best.logscore + post, best, i, post, transitions, best.merged)
+        j = targets.get(_word_successor(child)) if targets else None
+        if j is None:
+            D.append(child)
+        else:
+            D[j] = _merge(D[j], child)
+    ranked = sorted(D, key=_score, reverse=True)
+    # the reference also holds the finite children not recorded
+    if len(D) + int(np.count_nonzero(scores > NEG_INF)) - keep.size > beam:
+        return ranked[:beam], None
+    return ranked, D
+
+
+def _uncut_order(order, before, A, best, scores, n_kept, beam):
+    """The reference's order of A after ``best``'s ``n_kept`` selected
+    children were merged into it (``before`` is A before, in the
+    reference's order when ``order`` is None): None where the reference
+    cuts, since a cut leaves it in rank order, else its entries followed
+    by the children in channel order."""
+    n = len(before) + n_kept
+    if n_kept == beam and not before:  # the reference records every finite child
+        n = int(np.count_nonzero(scores > NEG_INF))
+    if n > beam:
+        return None
+    children = [e for e in A if type(e) is _Pending and e.parent is best]
+    return (before if order is None else order) + sorted(children, key=attrgetter("channel"))
 
 
 def _score(entry) -> float:
@@ -324,11 +382,13 @@ class _FrameScorer:
     class model. Transitions come from the class model's memo, keyed by
     the class state alone, so they outlive the decode: hypotheses of
     this frame, later frames and later decodes revisit the same states.
-    A miss enumerates the state and fills the memo. Only an r'
-    encoder-rank gate makes transitions depend on the frame; the gate is
-    ranked once per frame, and the gated view of the memoized bundle is
-    cached for the decode by (state, frame). Successors and fused rows
-    belong to the memoized bundle; a view reads them through its index.
+    A miss enumerates the state and fills the memo; where the memo holds
+    the core of the state's ``core_key``, the new bundle is built on it
+    and counted in ``n_shared_bundles``. Only an r' encoder-rank gate
+    makes transitions depend on the frame; the gate is ranked once per
+    frame, and the gated view of the memoized bundle is cached for the
+    decode by (state, frame). Successors belong to the memoized bundle
+    and fused rows to its core; a view reads them through its index.
 
     The joint row is written into one buffer the scorer owns for the
     decode, grown to the widest row seen, and normalized by one
@@ -336,10 +396,11 @@ class _FrameScorer:
     out aliases the buffer.
 
     Fused rows are read-only and built once per key. A clm or three-way
-    row lives on the memoized bundle it is aligned with, across
-    decodes, keyed by the predictor and LM objects, their states, and
-    the fusion method and weights; the class model frees it with the
-    bundle. A dense method's row lives for the decode, in one dict keyed
+    row lives on the core of the memoized bundle it is aligned with,
+    across decodes, keyed by the predictor and LM objects, their states,
+    and the fusion method and weights, so class states with one core
+    share it; the class model frees it with the core. A dense method's
+    row lives for the decode, in one dict keyed
     by (predictor state, LM state). Either way, histories with one
     longest matched context share n-gram states, and so rows.
     """
@@ -362,7 +423,7 @@ class _FrameScorer:
         self._rows: dict = {}
         self._buf = np.empty(0)
         self._dense_words = None
-        self.n_enumerations = self.n_fused_rows = 0
+        self.n_enumerations = self.n_shared_bundles = self.n_fused_rows = 0
 
     def _joint(self, n: int) -> np.ndarray:
         """The first n + 1 floats of the decode's joint buffer."""
@@ -376,7 +437,7 @@ class _FrameScorer:
         if trans is None:
             self.n_enumerations += 1
             trans = enumerate_transitions(self.clm, clm_state)
-            self.clm.cache_transitions(clm_state, trans)
+            self.n_shared_bundles += self.clm.cache_transitions(clm_state, trans)
         if self.config.rank_rprime is None:
             return trans
         gated = self._gated.get((clm_state, t))
@@ -506,11 +567,11 @@ def beam_search(
         B: dict = {}  # (prefix id, class state) -> blank extension
         b_scores: list = []  # B's scores, negated, ascending
         extra_used = 0
-        a_ranked = True  # A's scores never rise along the list
+        expanded = set()  # (prefix id, k) of this frame's class-model parents
+        order = None  # the reference's order of A's entries, if not A's own
 
         while A:
-            top = 0 if a_ranked else max(range(len(A)), key=lambda j: A[j].logscore)
-            best = A[top]
+            best = A[0]
             # beam entries of B score at least best's: B settles the frame
             if len(b_scores) >= beam and b_scores[beam - 1] <= -best.logscore:
                 if config.exit_rule != "require-cat1" or any(
@@ -523,15 +584,18 @@ def beam_search(
                     break
                 extra_used += 1
                 stats.n_extra_expansions += 1
-            del A[top]
+            del A[0]
+            if order is not None:
+                del order[next(j for j, e in enumerate(order) if e is best)]
             if type(best) is _Pending:  # built now that it is popped
-                parent, word = best.parent, best.word
+                parent = best.parent
+                word, successor = _word_successor(best)
                 best = Hypothesis(
                     prefix_ids.setdefault((parent.prefix, word), len(prefix_ids) + 1),
                     best.logscore,
                     predictor.advance(parent.pred_state, word),
                     external_lm.advance(parent.lm_state, word) if use_lm else None,
-                    best.successor,
+                    successor,
                     parent.k + 1,
                     (parent.steps, (t, parent.k, word, best.post)),
                     best.merged,
@@ -562,41 +626,33 @@ def beam_search(
                 continue
             scores = best.logscore + posts
             keep = top_ids(scores, beam)
-            if transitions is None:
-                stats.n_children += keep.size
-                # score descending, channel ascending, merged after A's
-                # entries of equal score and cut at the beam
-                ranked, i = [], 0
-                for score, word, post in sorted(
-                    zip(scores[keep].tolist(), keep.tolist(), posts[keep].tolist()),
-                    key=itemgetter(0), reverse=True,
-                ):
-                    while i < len(A) and A[i].logscore >= score and len(ranked) < beam:
-                        ranked.append(A[i])
-                        i += 1
-                    if len(ranked) == beam:
-                        break
-                    ranked.append(_Pending(score, best, word, post, None, best.merged))
-                A = ranked + A[i : i + beam - len(ranked)]
-                continue
-            targets = _merge_targets(A, best)
-            if targets and keep.size == beam:  # finite channels may be left out
-                merging = _merge_siblings(targets, words, scores)
-                if merging.size:
-                    keep = np.union1d(keep, merging)
+            if transitions is not None:
+                parent_key = (best.prefix, best.k)
+                if parent_key in expanded:  # children may merge into A
+                    A, order = _record_merging(
+                        A if order is None else order, best, transitions, words,
+                        scores, posts, keep, beam, stats,
+                    )
+                    continue
+                expanded.add(parent_key)
             stats.n_children += keep.size
-            for i, word, post in zip(keep.tolist(), words[keep].tolist(), posts[keep].tolist()):
-                succ = transitions.successor(i)
-                child = _Pending(best.logscore + post, best, word, post, succ, best.merged)
-                j = targets.get((word, succ))
-                if j is None:
-                    A.append(child)
-                else:
-                    A[j] = _merge(A[j], child)
-            a_ranked = a_ranked and not keep.size
-            if len(A) > beam:
-                A = sorted(A, key=_score, reverse=True)[:beam]
-                a_ranked = True
+            # score descending, channel ascending, merged after A's
+            # entries of equal score and cut at the beam
+            ranked, i = [], 0
+            for score, channel, post in sorted(
+                zip(scores[keep].tolist(), keep.tolist(), posts[keep].tolist()),
+                key=itemgetter(0), reverse=True,
+            ):
+                while i < len(A) and A[i].logscore >= score and len(ranked) < beam:
+                    ranked.append(A[i])
+                    i += 1
+                if len(ranked) == beam:
+                    break
+                ranked.append(_Pending(score, best, channel, post, transitions, best.merged))
+            before, A = A, ranked + A[i : i + beam - len(ranked)]
+            # the reference skips its cut only when few children enter
+            if transitions is not None and (order is not None or len(before) + keep.size <= beam):
+                order = _uncut_order(order, before, A, best, scores, keep.size, beam)
 
         A = sorted(B.values(), key=_score, reverse=True)[:beam]
         if (
@@ -627,6 +683,7 @@ def beam_search(
         )
     results.sort(key=lambda r: (-r.logscore, r.tokens))
     stats.n_enumerations = frame_scorer.n_enumerations
+    stats.n_shared_bundles = frame_scorer.n_shared_bundles
     stats.n_fused_rows = frame_scorer.n_fused_rows
     stats.wall_time = time.perf_counter() - t0
     return results, stats

@@ -202,6 +202,21 @@ class NgramModel:
             node = (node[0] + 1, arc)
         return node
 
+    def minimal_context(self, context: tuple) -> tuple:
+        """The longest suffix of ``context`` that is a trie node with
+        children or a nonzero backoff weight (KenLM's state
+        minimization). Its ``suffix_chain`` yields the same ``dense_row``,
+        bit for bit: a longer matched node is childless, so it scatters
+        nothing, and its weight adds 0.0 to every shorter node's."""
+        while context:  # () is the root
+            node = self.node_of(context)
+            if node is not None:
+                lo, hi = self.node_span(node)
+                if hi > lo or self.node_bow(node) != 0.0:
+                    break
+            context = context[1:]
+        return context
+
     def suffix_chain(self, history) -> list[tuple]:
         """Matched suffix nodes of ``history``, longest first.
 

@@ -174,21 +174,15 @@ class NgramPredictor(ExternalLm):
         return self.advance((), self.model.bos_id)
 
     def advance(self, state, token_id: int):
-        """The longest suffix of ``state`` + ``token_id``, at most ``order -
-        1`` tokens, that is a trie node with children or a nonzero backoff
-        weight. Exact: if s'w is a node, s' is one with a child, a suffix
-        of ``state``; a childless zero-weight node adds nothing to a row."""
+        """The ``minimal_context`` of the last ``order - 1`` tokens of
+        ``state`` + ``token_id``. Exact: if s'w is a node, s' is one with
+        a child, a suffix of ``state``; a childless zero-weight node adds
+        nothing to a row."""
         key = (state, token_id)
         nxt = self._next.get(key)
         if nxt is None:
             nxt = (*state, int(token_id))[max(0, len(state) + 2 - self.model.order) :]
-            while nxt:  # () is the root
-                node = self.model.node_of(nxt)
-                if node is not None:
-                    lo, hi = self.model.node_span(node)
-                    if hi > lo or self.model.node_bow(node) != 0.0:
-                        break
-                nxt = nxt[1:]
+            nxt = self.model.minimal_context(nxt)
             if len(self._next) >= TOP_CACHE_ENTRIES:
                 self._next.clear()
             self._next[key] = nxt

@@ -271,7 +271,7 @@ def exhaustive_decode(
     beam at least that wide can never prune, so beam search must agree
     with this enumeration exactly.
     """
-    from fntfuse.classlm import CAT1, CAT2, enumerate_transitions
+    from fntfuse.classlm import CAT1, CAT2, encoder_rank_pass, enumerate_transitions
 
     fusion = config.fusion
     use_clm = fusion.method == "clm" or fusion.second_method == "clm"
@@ -304,7 +304,9 @@ def exhaustive_decode(
         lm_row = external_lm.full_dist(lm_state) if use_lm else None
 
         if use_clm:
-            trans = enumerate_transitions(class_model, clm_state, z_t, config.rank_rprime)
+            trans = enumerate_transitions(class_model, clm_state)
+            if config.rank_rprime is not None:
+                trans = mask_gated(trans, encoder_rank_pass(z_t, config.rank_rprime))
             if not len(trans):
                 blank_post = b - _lse(
                     [float(z_t[w] + z_u[w]) for w in range(n_vocab)] + [b]

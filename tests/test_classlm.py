@@ -271,7 +271,7 @@ class TestEnumerateTransitions:
         seen = set()
         prev: set = set()
         for rprime in (1, 2, 4, len(PIECES)):
-            trans = enumerate_transitions(model, state, scores, rprime)
+            trans = enumerate_transitions(model, state).gated(encoder_rank_pass(scores, rprime))
             s23 = indices(trans, CAT2) + indices(trans, CAT3)
             cur = {
                 (int(trans.category[i]), int(trans.word[i]), trans.successor(i))

@@ -35,7 +35,7 @@ def make_ngram(rng, vocab, order=2, n_sentences=12):
     return train_kneser_ney(sentences, order, vocab=vocab, eos=False)
 
 
-def make_clm(rng, vocab):
+def make_clm(rng, vocab, order=2):
     n = len(vocab)
     tokens = [vocab.token_of(i) for i in range(n)]
     entries = {
@@ -52,7 +52,7 @@ def make_clm(rng, vocab):
         sent[int(rng.integers(0, 3))] = "⟨X⟩" if rng.random() < 0.7 else tokens[0]
         corpus.append(sent)
     corpus.append(["⟨Y⟩"] if n >= 3 else ["⟨X⟩"])
-    return train_tagged_clm(corpus, entries, 2, vocab)
+    return train_tagged_clm(corpus, entries, order, vocab)
 
 
 def make_encoder(rng, n_frames, n_vocab, peak=None):
@@ -250,22 +250,48 @@ PRUNING_CASES = {
 }
 
 
+# (V, T) of the tie instances the class-model cases also merge on
+SIZES = [(5, 4)] * 5 + [(3, 6), (8, 3), (6, 5)]
+
+
+def count_merges(monkeypatch) -> dict:
+    """Counts, over the decodes that follow, the expansions that found a
+    merge target in A and the children that merged into one."""
+    counts = {"targets": 0, "merged": 0, "unranked": 0}
+    find, merge = decoder._merge_targets, decoder._merge
+
+    def targets(D, best):
+        out = find(D, best)
+        counts["targets"] += bool(out)
+        counts["unranked"] += any(a.logscore < b.logscore for a, b in zip(D, D[1:]))
+        return out
+
+    def merged(held, entry):
+        counts["merged"] += type(entry) is decoder._Pending
+        return merge(held, entry)
+
+    monkeypatch.setattr(decoder, "_merge_targets", targets)
+    monkeypatch.setattr(decoder, "_merge", merged)
+    return counts
+
+
 class TestPruningVsFullExpansion:
     """Unsaturated beams against the build-every-child reference loop:
     building only the children that can survive must not change a bit
     of the result."""
 
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
-    def test_identical_to_full_expansion(self, name):
+    def test_identical_to_full_expansion(self, name, monkeypatch):
         fusion = PRUNING_CASES[name]
         # require-cat1 and the r' gate are refused without a class model
         rules = ("standard", "require-cat1") if fusion.uses_clm else ("standard",)
         rprimes = (None, 1, 2, 3) if fusion.uses_clm else (None,)
+        merges = count_merges(monkeypatch)
         rng = np.random.default_rng(30)
         ties = pop_ties = 0
         width = dict.fromkeys(rprimes, 0)
-        for _ in range(5):
-            vocab, scorer, lm, encoder = make_tie_instance(rng, 5, 4)
+        for n_vocab, n_frames in SIZES:
+            vocab, scorer, lm, encoder = make_tie_instance(rng, n_vocab, n_frames)
             clm = make_clm(rng, vocab)
             for beam in (1, 2, 3, 4):
                 for rule in rules:
@@ -291,6 +317,9 @@ class TestPruningVsFullExpansion:
             assert pop_ties > 0  # and ties for the top of A at a pop
         else:
             assert width[1] < width[None]  # gated views drop transitions
+            # children of a parent whose prefix id and k an earlier
+            # expansion had find merge targets in A and merge into them
+            assert merges["targets"] > 0 and merges["merged"] > 0
 
     def test_identical_to_full_expansion_with_class_model_pop_ties(self):
         # class-model children tie for the top of A and merge into it; a
@@ -318,20 +347,62 @@ class TestPruningVsFullExpansion:
                     ] == want
         assert pop_ties > 0 and merged > 0
 
-    @pytest.mark.parametrize("name", ["none", "li", "clm"])
-    def test_identical_to_full_expansion_when_a_leaves_rank_order(self, name):
-        # three words under a wider beam: children enter A without a cut,
-        # so pops must scan A for its first top entry until the next cut
+    @pytest.mark.parametrize("name", ["none", "li", "clm", "three-way"])
+    def test_identical_to_full_expansion_when_a_leaves_rank_order(self, name, monkeypatch):
+        # three words under a wider beam: children enter the reference's
+        # A without a cut, so its order leaves rank order, and a merge
+        # into A must follow that order, not A's own
         fusion = PRUNING_CASES[name]
+        merges = count_merges(monkeypatch)
         rng = np.random.default_rng(32)
         for _ in range(4):
             vocab, scorer, lm, encoder = make_tie_instance(rng, 3, 5)
             clm = make_clm(rng, vocab)
-            for beam in (4, 6, 8):
+            for beam in (4, 6, 8, 12):
                 config = DecoderConfig(beam=beam, fusion=fusion, max_emit=2)
                 got, _ = beam_search(encoder, scorer, config, lm, clm)
                 want = full_expansion_beam_search(encoder, scorer, config, lm, clm)
                 assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+        if fusion.uses_clm:
+            assert merges["unranked"] > 0 and merges["merged"] > 0
+
+    @pytest.mark.parametrize("beam", [32, 40])
+    def test_identical_to_full_expansion_when_merges_tie_out_of_rank_order(
+        self, beam, monkeypatch
+    ):
+        # four classes, two over each word, in a symmetric corpus: the
+        # frame's children tie, pairs of them share a prefix id and k,
+        # and their merges raise entries in turn until two tie that the
+        # reference lists in the opposite order to their rank before
+        # the last merge; the beam is wide enough that nothing is cut
+        vocab = make_vocab(2)
+        entries = {
+            "⟨A⟩": [(("p0",), 1.0)], "⟨B⟩": [(("p1",), 1.0)],
+            "⟨C⟩": [(("p1",), 1.0)], "⟨D⟩": [(("p0",), 1.0)],
+        }
+        tokens = ["p0", "p1", *entries]
+        corpus = [[a, b] for a in tokens for b in tokens]
+        clm = train_tagged_clm(corpus, entries, 2, vocab)
+        scorer = FntScorer(_UniformLm(2))
+        encoder = EncoderOutput(np.full((2, 2), -math.log(2)), np.full(2, -8.0))
+        expanded = []
+        expand = decoder._FrameScorer.expand
+
+        def recorded(self, hyp, t, z_t_row, blank_logit):
+            expanded.append((t, hyp.pred_state, hyp.clm_state, hyp.k))
+            return expand(self, hyp, t, z_t_row, blank_logit)
+
+        monkeypatch.setattr(decoder._FrameScorer, "expand", recorded)
+        for max_emit in (2, 3):
+            config = DecoderConfig(
+                beam=beam, fusion=FusionConfig("clm", 0.5, rank_r=2), max_emit=max_emit
+            )
+            got, _ = beam_search(encoder, scorer, config, None, clm)
+            pops, expanded[:] = expanded[:], []
+            want = full_expansion_beam_search(encoder, scorer, config, None, clm)
+            assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+            assert pops == expanded  # every pop takes the reference's entry
+            expanded.clear()
 
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
     def test_identical_to_full_expansion_on_wider_beams(self, name):
@@ -894,7 +965,10 @@ class TestGatedTransitions:
         for t in range(encoder.n_frames):
             for state in states:
                 got = fs._transitions(state, t, encoder.scores[t])
-                want = enumerate_transitions(clm, state, encoder.scores[t], 2)
+                want = mask_gated(
+                    enumerate_transitions(clm, state),
+                    classlm.encoder_rank_pass(encoder.scores[t], 2),
+                )
                 for name in ("category", "word", "logprob", "tag"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
                 dropped += len(enumerate_transitions(clm, state)) - len(got)
@@ -989,10 +1063,11 @@ class TestGatedViews:
         assert any(s.class_tag is not None for s in states)
 
 
-def memo_entries(trans) -> int:
-    """What a memoized bundle counts toward the memo cap: its
-    transitions plus the values of its kept rows."""
-    return len(trans) + sum(row.size for row in trans.rows.values())
+def memo_entries(clm) -> int:
+    """What the memo counts toward its cap: each core its bundles are
+    on, once, with its transitions plus the values of its kept rows."""
+    cores = {id(t.core): t for t in clm._memo.values()}
+    return sum(len(t) + sum(row.size for row in t.rows.values()) for t in cores.values())
 
 
 MEMO_CASES = {
@@ -1076,8 +1151,9 @@ class TestTransitionMemo:
         cache = clm.cache_transitions
 
         def recorded(key, trans):
-            cache(key, trans)
+            shared = cache(key, trans)
             held.append(clm.n_memo_entries)
+            return shared
 
         monkeypatch.setattr(clm, "cache_transitions", recorded)
         got = [
@@ -1087,7 +1163,7 @@ class TestTransitionMemo:
         ]
         assert got == want
         assert held and max(held) <= cap
-        assert sum(memo_entries(t) for t in clm._memo.values()) == clm.n_memo_entries
+        assert memo_entries(clm) == clm.n_memo_entries
 
     def test_memo_clear_drops_rows(self, monkeypatch):
         cap = 120
@@ -1105,7 +1181,7 @@ class TestTransitionMemo:
                 row_clears.append(len(held))
                 assert not clm._memo and not any(t.rows for t in held)
                 assert not trans.rows
-            assert sum(memo_entries(t) for t in clm._memo.values()) == clm.n_memo_entries
+            assert memo_entries(clm) == clm.n_memo_entries
             assert clm.n_memo_entries <= cap
 
         monkeypatch.setattr(clm, "cache_row", checked)
@@ -1113,11 +1189,21 @@ class TestTransitionMemo:
             for config in MEMO_CASES.values():
                 self.decode(encoder, scorer, config, lm, clm)
         assert row_clears and max(row_clears) > 1
-        # a bundle the memo does not hold keeps no row
-        loose = enumerate_transitions(clm, clm.initial_state())
+        # a bundle built outside the memo is on the core the memo holds
+        # for its key, and reads that core's rows
+        state = clm.initial_state()
+        if clm.cached_transitions(state) is None:
+            clm.cache_transitions(state, enumerate_transitions(clm, state))
+        memoized = clm.cached_transitions(state)
+        loose = enumerate_transitions(clm, state)
+        assert loose is not memoized and loose.core is memoized.core
+        assert loose.rows is memoized.rows
+        # a bundle on a core the memo does not hold keeps no row
+        arrays = (loose.category, loose.word, loose.logprob, loose.tag)
+        own = classlm.Transitions(clm, state, *(a.copy() for a in arrays))
         before = clm.n_memo_entries
-        kept(loose, "key", np.zeros(len(loose)))
-        assert not loose.rows and clm.n_memo_entries == before
+        kept(own, "key", np.zeros(len(own)))
+        assert not own.rows and clm.n_memo_entries == before
 
     @pytest.mark.parametrize("rprime", [None, 2])
     def test_successors_are_built_once_and_match_enumeration(self, rprime):
@@ -1131,7 +1217,9 @@ class TestTransitionMemo:
             row = encoder.scores[t]
             for state in list(states):
                 got = fs._transitions(state, t, row)
-                want = enumerate_transitions(clm, state, row, rprime)
+                want = enumerate_transitions(clm, state)
+                if rprime is not None:
+                    want = mask_gated(want, classlm.encoder_rank_pass(row, rprime))
                 for i in range(len(got)):
                     succ = got.successor(i)
                     assert succ == want.successor(i)
@@ -1165,6 +1253,108 @@ class TestTransitionMemo:
         for arr in arrays + rows:
             with pytest.raises(ValueError, match="read-only"):
                 arr[:1] = 0
+
+
+class TestSharedCores:
+    """Class states with one ``core_key`` share one core: the arrays,
+    CAT1 gates and fused rows are built once and are bit-equal to a fresh
+    model's, while each state keeps its own exit history and successors."""
+
+    FUSIONS = {
+        "clm": FusionConfig("clm", 0.5, rank_r=2),
+        "three-way": FusionConfig("li", 0.3, rank_r=2, second_method="clm", second_alpha=0.6),
+    }
+
+    def instance(self):
+        rng = np.random.default_rng(71)
+        vocab, scorer, _ = make_instance(rng, 8, 1)
+        lm = NgramPredictor(make_ngram(rng, vocab))
+        return vocab, scorer, lm
+
+    def clm(self, vocab):
+        # order 3: a two-token exit history may minimize to a shorter one
+        return make_clm(np.random.default_rng(72), vocab, order=3)
+
+    def shared_groups(self, clm) -> list:
+        """Out-of-class states within three transitions of the initial
+        state, grouped by core key, where a group holds more than one
+        exit history."""
+        states = {clm.initial_state()}
+        for _ in range(3):
+            for state in list(states):
+                trans = enumerate_transitions(clm, state)
+                states.update(trans.successor(i) for i in range(len(trans)))
+        groups: dict = {}
+        for state in sorted(states, key=lambda s: s.history):
+            if state.class_tag is None:
+                groups.setdefault(clm.core_key(state), []).append(state)
+        return [g for g in groups.values() if len({clm.exit_history(s) for s in g}) > 1]
+
+    @pytest.mark.parametrize("name", list(FUSIONS))
+    def test_one_minimal_context_one_core(self, name):
+        vocab, scorer, lm = self.instance()
+        predictor, fusion = scorer.predictor, self.FUSIONS[name]
+        contexts = [  # (predictor state, LM state) pairs
+            (predictor.advance(predictor.initial_state(), w), lm.advance(lm.initial_state(), w))
+            for w in range(3)
+        ]
+        clm, fresh = self.clm(vocab), self.clm(vocab)
+        groups = self.shared_groups(self.clm(vocab))
+        assert groups
+        fs = decoder._FrameScorer(scorer, DecoderConfig(fusion=fusion), lm, clm)
+        for group in groups:
+            rows_before = fs.n_fused_rows
+            bundles = [fs._transitions(state, 0, None) for state in group]
+            assert all(t.core is bundles[0].core for t in bundles)
+            assert all(t.rows is bundles[0].rows for t in bundles)
+            for state, trans in zip(group, bundles):
+                want = enumerate_transitions(fresh, state)  # fresh's memo is empty
+                assert want.core is not trans.core
+                for attr in ("category", "word", "logprob", "tag"):
+                    got_arr, want_arr = getattr(trans, attr), getattr(want, attr)
+                    assert got_arr.dtype == want_arr.dtype
+                    assert got_arr.tobytes() == want_arr.tobytes()
+                assert (trans.cat2, trans.cat3) == (want.cat2, want.cat3)
+                for r in (1, 2, 3):
+                    assert trans.cat1_gate(r).tobytes() == want.cat1_gate(r).tobytes()
+                for i in range(len(trans)):
+                    cat, word, tag = (int(want.category[i]), int(want.word[i]), int(want.tag[i]))
+                    assert trans.successor(i) == classlm.advance(clm, state, cat, word, tag)
+                for pred_state, lm_state in contexts:
+                    hyp = decoder.Hypothesis(0, 0.0, pred_state, lm_state, state, 0, (), False)
+                    z_u = predictor.full_dist(pred_state)
+                    got = fs._fused_row(hyp, z_u, trans)
+                    if fusion.second_method is None:
+                        ref = clm_predictor_interp(z_u, want, 0.5, 2)
+                    else:
+                        ref = three_way(z_u, lm.full_dist(lm_state), want, 0.3, 0.6, 2)
+                    assert got.tobytes() == ref.tobytes()
+            # the rows are built once per core, for the group's first state
+            assert fs.n_fused_rows - rows_before == len(contexts)
+            # each state leaves the class from its own exit history
+            cat2 = bundles[0].cat2.start
+            assert len({t.successor(cat2) for t in bundles}) == len(group)
+        assert fs.n_shared_bundles == sum(len(g) - 1 for g in groups)
+        assert fs.n_enumerations == sum(len(g) for g in groups)
+
+    def test_decodes_share_cores_and_count_each_once(self):
+        vocab, scorer, lm = self.instance()
+        rng = np.random.default_rng(73)
+        encoders = [make_encoder(rng, 6, 8) for _ in range(3)]
+        clm = self.clm(vocab)
+        shared = 0
+        for encoder in encoders:
+            for config in MEMO_CASES.values():
+                got, stats = beam_search(encoder, scorer, config, lm, clm)
+                want, _ = beam_search(encoder, scorer, config, lm, self.clm(vocab))
+                assert [(r.tokens, r.logscore, r.steps) for r in got] == [
+                    (r.tokens, r.logscore, r.steps) for r in want
+                ]
+                assert stats.n_shared_bundles <= stats.n_enumerations
+                shared += stats.n_shared_bundles
+        assert shared > 0
+        assert len({id(t.core) for t in clm._memo.values()}) < len(clm._memo)
+        assert memo_entries(clm) == clm.n_memo_entries
 
 
 class TestConfigValidation:

@@ -276,10 +276,12 @@ class TestEvaluate:
         ]
         for name in (
             "n_frames", "n_expansions", "n_extra_expansions", "total_width",
-            "n_children", "n_popped_children", "n_enumerations", "n_fused_rows",
+            "n_children", "n_popped_children", "n_enumerations", "n_shared_bundles",
+            "n_fused_rows",
         ):
             assert getattr(rep.stats, name) == sum(getattr(s, name) for s in each), name
-        assert rep.stats.n_enumerations > 0 and rep.stats.n_fused_rows > 0
+        assert rep.stats.n_enumerations > rep.stats.n_shared_bundles > 0
+        assert rep.stats.n_fused_rows > 0
         warned = [s.warning for s in each if s.warning is not None]
         assert warned, "no decode exhausted its require-cat1 budget"
         assert rep.warning_kinds == tuple(sorted(Counter(warned).items()))
