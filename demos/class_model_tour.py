@@ -89,7 +89,7 @@ def show_transitions(state, label):
     for i in range(len(trans)):
         if trans.logprob[i] == -math.inf:
             continue
-        succ = trans.successor(i)
+        succ = trans.successor(state, i)
         print(
             f"  {CATS[int(trans.category[i])]} {vocab.token_of(int(trans.word[i])):>6}"
             f"  p={math.exp(trans.logprob[i]):.4f}"
@@ -103,14 +103,14 @@ state = model.initial_state()
 trans = show_transitions(state, "sentence start")
 
 # Step through 'call', then enter the name class via CAT2 'ann'. The
-# bundle holds the transitions as arrays; a successor state is built
-# only for the transition taken.
-step = lambda trs, cat, w: trs.successor(
-    next(i for i in range(len(trs)) if trs.category[i] == cat and trs.word[i] == w)
+# transitions are arrays; a successor state is built only for the
+# transition taken, from the state it leaves.
+step = lambda state, trs, cat, w: trs.successor(
+    state, next(i for i in range(len(trs)) if trs.category[i] == cat and trs.word[i] == w)
 )
-state = step(trans, CAT1, wid("call"))
+state = step(state, trans, CAT1, wid("call"))
 trans = show_transitions(state, "'call'")
-state = step(trans, CAT2, wid("ann"))
+state = step(state, trans, CAT2, wid("ann"))
 trans = show_transitions(state, "'call', inside ⟨NAME⟩ at 'ann'")
 
 # Inside the tree, the word mass splits between going deeper (CAT3
@@ -132,5 +132,5 @@ for _ in range(12):
         break
     mass = sum(math.exp(trans.logprob[i]) for i in alive)
     worst = max(worst, abs(mass - 1.0))
-    state = trans.successor(alive[int(rng.integers(len(alive)))])
+    state = trans.successor(state, alive[int(rng.integers(len(alive)))])
 print(f"\nrandom-walk transition mass error: {worst:.2e}")

@@ -83,60 +83,3 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALPHA_GRID",
-    "ArpaParseError",
-    "ClassModel",
-    "ClmState",
-    "DecodeStats",
-    "DecodedHypothesis",
-    "DecoderConfig",
-    "EditCounts",
-    "EncoderOutput",
-    "EvalReport",
-    "ExternalLm",
-    "FntScorer",
-    "FusionConfig",
-    "NEG_INF",
-    "NgramModel",
-    "NgramPredictor",
-    "Scenario",
-    "ScenarioSpec",
-    "SparseLmQueryResult",
-    "SweepReport",
-    "Transitions",
-    "Vocabulary",
-    "align",
-    "beam_search",
-    "bench_topr",
-    "blank_fallback",
-    "build_bench_model",
-    "build_prefix_tree",
-    "cli_scores",
-    "clm_predictor_interp",
-    "detokenize",
-    "enumerate_transitions",
-    "evaluate",
-    "li_scores",
-    "load_arpa",
-    "load_class_model",
-    "load_scores",
-    "log_softmax",
-    "log_sum_exp",
-    "mix_scores",
-    "parse_class_file",
-    "read_scenario",
-    "save_arpa",
-    "save_class_model",
-    "save_scores",
-    "sweep",
-    "synthesize_scenario",
-    "three_way",
-    "train_kneser_ney",
-    "train_tagged_clm",
-    "wer_counts",
-    "word_pieces",
-    "write_class_file",
-    "write_scenario",
-]

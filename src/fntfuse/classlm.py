@@ -19,26 +19,13 @@ The tagged n-gram is trained without an end-of-sentence event, so its
 outcome space is exactly words plus tags and the three categories'
 masses sum to one at every state.
 
-``enumerate_transitions`` returns the transitions leaving a state as one
-bundle of arrays (``Transitions``), not one object per transition: the
-CAT1 block is the exit mass plus the dense tagged-n-gram row over
-word-pieces, CAT2/CAT3 blocks are the tree nodes' tables, and a
-successor state is built only for a transition a caller takes, and
-kept on the bundle once built. A ``ClassModel`` memoizes
-one bundle per class state for its lifetime (``cached_transitions``).
-
-The arrays depend on a state only through its ``core_key``: the
-minimal context of its exit history (KenLM's state minimization, as
-``NgramModel.minimal_context`` computes it) and its tree node. So a
-bundle is a state's view of a core, which holds the arrays, the CAT1
-gates and the fused predictor rows the decoder builds for it
-(``cache_row``), keyed by the predictor and LM objects, their states
-and the fusion weights. States with one key share one core; each keeps
-its own exit history and successors. The memo counts each core once
-toward ``TRANSITION_MEMO_CAP`` array entries in all, transitions and
-row values alike, and a clear frees the cores' rows with their bundles.
-An r'-gated bundle is a view of the memoized one, whose successors and
-core serve it.
+The transitions leaving a state are one ``Transitions`` object of
+arrays, not one object per transition. They depend on the state only
+through its ``core_key`` (the minimized exit context, as in KenLM's
+state minimization, and the tree node), so every state with one key
+shares one object: ``enumerate_transitions`` returns the one the
+model's memo holds. A successor state is built when a caller takes a
+transition, from the state it leaves, and kept on the object.
 """
 
 from __future__ import annotations
@@ -55,7 +42,7 @@ from .ngram import NgramModel, train_kneser_ney
 
 CAT1, CAT2, CAT3 = 1, 2, 3
 
-# Array entries a ClassModel's memo may hold over all its bundles: a
+# Array entries a ClassModel's memo may hold over all its objects: a
 # transition is 21 bytes of arrays and a fused-row value 8, so ~22 MB
 # when full. Decoding 120 utterances of a V~120 entity-rich scenario
 # touches ~64k transitions.
@@ -137,19 +124,16 @@ class ClmState(NamedTuple):
 
 class ClassModel:
     """Tagged n-gram plus class prefix trees, immutable after build
-    apart from a memo of ``Transitions`` bundles.
+    apart from a memo of ``Transitions`` objects.
 
-    The memo maps a class state to the bundle enumerated for it, which
-    is a pure function of the model and the state, so decodes run one
-    after another may share it, and with it the fused rows kept on each
-    core. It also maps each core key to the core it holds, and
-    ``enumerate_transitions`` builds a state's bundle on that core. It
-    is not locked: one decode at a time. It holds at most
-    ``TRANSITION_MEMO_CAP`` entries, each held core's transitions plus
-    its rows' values, counted once however many bundles share the core
+    The memo maps a class state to the object of its ``core_key``, a
+    pure function of the model and the key, so decodes run one after
+    another may share it, with the successors and fused rows kept on
+    each object. It is not locked: one decode at a time. It holds at
+    most ``TRANSITION_MEMO_CAP`` entries, each held object's transitions
+    plus its rows' values, counted once however many states share it
     (``n_memo_entries``), and is emptied whole, rows included, when the
-    next core or row would pass that. The decoder keys it by the
-    ``ClmState``.
+    next object or row would pass that.
 
     ``trees`` maps each class's tag id to the root of its prefix tree.
     """
@@ -168,8 +152,8 @@ class ClassModel:
         self.n_words = len(base_vocab)
         self.tag_ids = sorted(trees)
         self.entries = entries  # tag -> [(piece strings, weight)], for persistence
-        self._memo: dict = {}  # class state -> bundle
-        self._cores: dict = {}  # core key -> held core
+        self._memo: dict = {}  # class state -> held object
+        self._held: dict = {}  # core key -> held object
         self.n_memo_entries = 0
         for tag_id in range(self.n_words, len(self.vocab)):
             token = self.vocab.token_of(tag_id)
@@ -209,37 +193,34 @@ class ClassModel:
             return None, state.node
         return self.ngram.minimal_context(self.exit_history(state)), state.node
 
-    def cached_transitions(self, key) -> "Transitions | None":
-        """The memoized bundle of the class state with this key, if any."""
-        return self._memo.get(key)
+    def cached_transitions(self, state: ClmState) -> "Transitions | None":
+        """The memoized object of ``state``, if any."""
+        return self._memo.get(state)
 
-    def cache_transitions(self, key, trans: "Transitions") -> bool:
-        """Memoize ``trans`` under ``key``. Its core counts toward the
-        cap once, when the first bundle on it is memoized, and a core
-        larger than the cap is not kept. Returns whether the memo held
-        the core already, that is, whether ``trans`` is a shared bundle."""
-        if key in self._memo:
+    def cache_transitions(self, state: ClmState, trans: "Transitions") -> bool:
+        """Memoize ``trans`` for ``state``. An object counts toward the
+        cap once, when first memoized, and one larger than the cap is
+        not kept. Returns whether the memo held ``trans`` already."""
+        if state in self._memo:
             return False
-        core = trans.core
-        shared = core.held
+        shared = trans.held
         if not shared:
             n = len(trans)
             if n > TRANSITION_MEMO_CAP:
                 return False
             if self.n_memo_entries + n > TRANSITION_MEMO_CAP:
                 self._clear_memo()
-            core.held = True
-            self._cores[core.key] = core  # a None key is never looked up
+            trans.held = True
+            self._held[trans.key] = trans
             self.n_memo_entries += n
-        self._memo[key] = trans
+        self._memo[state] = trans
         return shared
 
     def cache_row(self, trans: "Transitions", key, row: np.ndarray) -> None:
-        """Keep the read-only fused ``row`` on the core of the full
-        bundle ``trans`` under ``key`` while the memo holds that core;
-        its values count toward the cap, and a row that would pass it
-        clears the memo instead of being kept."""
-        if not trans.core.held:
+        """Keep the read-only fused ``row`` on ``trans`` under ``key``
+        while the memo holds ``trans``; a row that would pass the cap
+        clears the memo instead."""
+        if not trans.held:
             return
         if self.n_memo_entries + row.size > TRANSITION_MEMO_CAP:
             self._clear_memo()
@@ -248,13 +229,13 @@ class ClassModel:
         self.n_memo_entries += row.size
 
     def _clear_memo(self) -> None:
-        # a decode may still hold a bundle it took from the memo: its
-        # core's rows go now, and it keeps no new ones
+        # a decode may still hold an object it took from the memo: its
+        # rows go now, and it keeps no new ones
         for trans in self._memo.values():
-            trans.core.held = False
+            trans.held = False
             trans.rows.clear()
         self._memo.clear()
-        self._cores.clear()
+        self._held.clear()
         self.n_memo_entries = 0
 
 
@@ -270,18 +251,34 @@ def encoder_rank_pass(encoder_scores, rprime: int) -> np.ndarray:
     return ranks < rprime
 
 
-class _Core:
-    """What every bundle of one ``ClassModel.core_key`` shares: the
-    read-only arrays, their block bounds, the CAT1 gates and the fused
-    rows. ``key`` is None on a core built from given arrays, which is
-    never shared; ``held`` is True while the model's memo counts it."""
+class Transitions:
+    """The transitions leaving every class state of one ``core_key``,
+    as aligned read-only arrays in S1‖S2‖S3 order: ``category`` (int8),
+    ``word`` (int64), ``logprob``, and ``tag`` (int32), the class a CAT2
+    transition enters (-1 elsewhere). ``cat2`` and ``cat3`` slice out
+    those blocks; CAT1 is everything before them, and its transition i
+    emits word i (CAT1 is never gated), so a CAT1 rank cut is
+    ``top_ids`` of its scores.
+
+    ``key`` is None on an object built from given arrays, which is never
+    shared; ``held`` is True while the model's memo counts it. ``gates``
+    keeps the CAT1 rank cuts, ``rows`` the fused predictor rows the
+    decoder builds (``ClassModel.cache_row``), and successors are kept
+    per (state, transition).
+
+    A ``gated`` object is a view: ``parent`` is the object it gates
+    (None on a full one) and ``index`` the ascending positions it keeps
+    there. It holds only those, its ``word`` ids and its block bounds;
+    the parent serves its CAT1 gates, successors and rows.
+    """
 
     __slots__ = (
-        "key", "category", "word", "logprob", "tag", "cat2", "cat3", "gates", "rows", "held",
+        "model", "key", "category", "word", "logprob", "tag", "cat2", "cat3",
+        "gates", "rows", "held", "parent", "index", "_successors",
     )
 
-    def __init__(self, key, category, word, logprob, tag):
-        self.key = key
+    def __init__(self, model, category, word, logprob, tag, key=None):
+        self.model, self.key = model, key
         self.category, self.word, self.logprob, self.tag = category, word, logprob, tag
         for arr in (category, word, logprob, tag):
             arr.setflags(write=False)
@@ -290,81 +287,27 @@ class _Core:
         self.gates: dict = {}
         self.rows: dict = {}
         self.held = False
-
-
-class Transitions:
-    """All transitions leaving ``state``, as aligned read-only arrays in
-    S1‖S2‖S3 order: ``category`` (int8), ``word`` (int64), ``logprob``,
-    and ``tag`` (int32), the class a CAT2 transition enters (-1
-    elsewhere). ``cat2`` and ``cat3`` slice out those blocks; CAT1 is
-    everything before them, and its transition i emits word i (CAT1 is
-    never gated), so a CAT1 rank cut is ``top_ids`` of its scores.
-
-    A full bundle is its state's view of a core (``_Core``): the arrays,
-    the CAT1 gates and ``rows``, the fused predictor rows aligned with
-    them, are the core's, shared by every bundle on it. The decoder
-    builds rows, and ``ClassModel.cache_row`` keeps them while the memo
-    holds the core. The successors, and the exit history CAT1 and CAT2
-    successors start from, are the bundle's own.
-
-    A ``gated`` bundle is a view: ``parent`` is the bundle it gates (None
-    on a full bundle) and ``index`` the ascending positions it keeps
-    there. A view holds its gathered ``word`` ids and its block bounds;
-    its ``category``, ``logprob`` and ``tag`` are gathered from the
-    parent when first read. The parent's CAT1 gates, successors and
-    rows serve it.
-    """
-
-    __slots__ = (
-        "model", "state", "core", "category", "word", "logprob", "tag", "cat2", "cat3",
-        "parent", "index", "rows", "_successors", "_exit_history",
-    )
-
-    def __init__(self, model, state, category, word, logprob, tag):
-        """A bundle on a core of its own, built from the given arrays."""
-        self._bind(model, state, _Core(None, category, word, logprob, tag))
-
-    @classmethod
-    def on_core(cls, model, state, core: _Core) -> "Transitions":
-        trans = cls.__new__(cls)
-        trans._bind(model, state, core)
-        return trans
-
-    def _bind(self, model, state, core):
-        self.model, self.state, self.core = model, state, core
-        self.category, self.word, self.logprob, self.tag = (
-            core.category, core.word, core.logprob, core.tag,
-        )
-        self.cat2, self.cat3, self.rows = core.cat2, core.cat3, core.rows
         self.parent = self.index = None
         self._successors: dict = {}
-        self._exit_history = model.exit_history(state) if core.cat2.start else None
-
-    def __getattr__(self, name):
-        # only an unset slot gets here: a view's arrays not yet read
-        if name not in ("category", "logprob", "tag"):
-            raise AttributeError(name)
-        arr = getattr(self.parent, name)[self.index]
-        arr.setflags(write=False)
-        setattr(self, name, arr)
-        return arr
 
     def __len__(self) -> int:
         return self.word.size
 
-    def successor(self, i: int) -> ClmState:
-        """The state reached by transition ``i``, built once on the full
-        bundle; CAT1 transition i reaches the exit history plus word i."""
+    def successor(self, state: ClmState, i: int) -> ClmState:
+        """The state transition ``i`` reaches from ``state``, built once
+        per pair on the full object; CAT1 transition i reaches the exit
+        history plus word i."""
         if self.parent is not None:
-            return self.parent.successor(int(self.index[i]))
-        succ = self._successors.get(i)
+            return self.parent.successor(state, int(self.index[i]))
+        succ = self._successors.get((state, i))
         if succ is None:
             if 0 <= i < self.cat2.start:
-                succ = ClmState(self.model.truncate(self._exit_history + (int(i),)), None, None)
+                history = self.model.exit_history(state) + (int(i),)
+                succ = ClmState(self.model.truncate(history), None, None)
             else:
                 cat, word, tag = int(self.category[i]), int(self.word[i]), int(self.tag[i])
-                succ = advance(self.model, self.state, cat, word, tag)
-            self._successors[i] = succ
+                succ = advance(self.model, state, cat, word, tag)
+            self._successors[state, i] = succ
         return succ
 
     def gated(self, word_gate: np.ndarray) -> "Transitions":
@@ -374,8 +317,7 @@ class Transitions:
         keep = word_gate[self.word]
         keep[:n1] = True
         view = Transitions.__new__(Transitions)
-        view.model, view.state, view.parent = self.model, self.state, self
-        view.index = keep.nonzero()[0]
+        view.parent, view.index = self, keep.nonzero()[0]
         view.word = self.word[view.index]
         view.word.setflags(write=False)
         n12 = n1 + int(np.count_nonzero(keep[self.cat2]))
@@ -384,54 +326,53 @@ class Transitions:
 
     def cat1_gate(self, rank_r: int) -> np.ndarray:
         """Ascending indices of the ``rank_r`` most probable CAT1
-        transitions, computed once per ``rank_r`` on the core: the
-        ``top_ids`` cut (descending probability, ties to the lower word
-        id); zero-probability words are never gated.
+        transitions, computed once per ``rank_r``: the ``top_ids`` cut
+        (descending probability, ties to the lower word id);
+        zero-probability words are never gated.
         """
         if self.parent is not None:  # a view shares its parent's CAT1 block
             return self.parent.cat1_gate(rank_r)
-        gates = self.core.gates
-        gate = gates.get(rank_r)
+        gate = self.gates.get(rank_r)
         if gate is None:  # CAT1 transition i emits word i
-            gate = gates[rank_r] = top_ids(self.logprob[: self.cat2.start], rank_r)
+            gate = self.gates[rank_r] = top_ids(self.logprob[: self.cat2.start], rank_r)
         return gate
 
 
 def enumerate_transitions(model: ClassModel, state: ClmState) -> Transitions:
-    """All transitions leaving ``state``, on the core the model's memo
-    holds for its ``core_key`` if there is one, else on a new core.
+    """The transitions leaving ``state``: the object the model's memo
+    holds for its ``core_key``, else a new one.
 
     Repetitions of the same word across blocks are preserved; each
     leads to its own successor. An empty result is legal and signals
     blank fallback to the caller.
     """
     key = model.core_key(state)
-    core = model._cores.get(key)
-    if core is None:
-        context, node = key
-        blocks = []
-        if context is not None:
-            exit_lp = model.exit_logmass(state)
-            dense = model.ngram.dense_row(model.ngram.suffix_chain(context))
-            # CAT1 ranges over word-pieces only: drop the tags, bos and eos
-            blocks.append((CAT1, np.arange(model.n_words), exit_lp + dense[: model.n_words], -1))
-            for tag in model.tag_ids:
-                p_tag = float(dense[tag])  # the same value as ngram.logprob(tag, history)
-                if p_tag > NEG_INF:
-                    root = model.trees[tag]
-                    blocks.append(
-                        (CAT2, root.child_words, (exit_lp + p_tag) + root.child_logprobs, tag)
-                    )
-        if node is not None:
-            blocks.append((CAT3, node.child_words, node.child_logprobs, -1))
+    trans = model._held.get(key)
+    if trans is not None:
+        return trans
+    context, node = key
+    blocks = []
+    if context is not None:
+        exit_lp = model.exit_logmass(state)
+        dense = model.ngram.dense_row(model.ngram.suffix_chain(context))
+        # CAT1 ranges over word-pieces only: drop the tags, bos and eos
+        blocks.append((CAT1, np.arange(model.n_words), exit_lp + dense[: model.n_words], -1))
+        for tag in model.tag_ids:
+            p_tag = float(dense[tag])  # the same value as ngram.logprob(tag, history)
+            if p_tag > NEG_INF:
+                root = model.trees[tag]
+                blocks.append(
+                    (CAT2, root.child_words, (exit_lp + p_tag) + root.child_logprobs, tag)
+                )
+    if node is not None:
+        blocks.append((CAT3, node.child_words, node.child_logprobs, -1))
 
-        cats, words, logprobs, tags = zip(*blocks)
-        sizes = [w.size for w in words]
-        core = _Core(
-            key, np.repeat(np.array(cats, np.int8), sizes), np.concatenate(words),
-            np.concatenate(logprobs), np.repeat(np.array(tags, np.int32), sizes),
-        )
-    return Transitions.on_core(model, state, core)
+    cats, words, logprobs, tags = zip(*blocks)
+    sizes = [w.size for w in words]
+    return Transitions(
+        model, np.repeat(np.array(cats, np.int8), sizes), np.concatenate(words),
+        np.concatenate(logprobs), np.repeat(np.array(tags, np.int32), sizes), key,
+    )
 
 
 def advance(

@@ -37,10 +37,10 @@ Bookkeeping is O(1) per child, whatever the utterance length:
   pairs a key of (tokens, predictor state, LM state, class state)
   would.
 - A is a list with no keys. A child enters it pending: its score,
-  parent, channel, posterior, the expansion's class-model bundle (None
-  when dense, where the channel is the word) and merged flag. Only when
-  it is popped does it read its word and class successor from the
-  bundle, advance the predictor and LM states and intern its prefix;
+  parent, channel, posterior, the expansion's class-model transitions
+  (None when dense, where the channel is the word) and merged flag. Only
+  when it is popped does it read its word and class successor from
+  them, advance the predictor and LM states and intern its prefix;
   most children never are. Its identity is (parent prefix id, word,
   successor, k), since parent id and word name its tokens. Carried
   entries have k = 0 and children k >= 1, so a child can share its
@@ -173,10 +173,10 @@ class DecodeStats:
     the pending children popped and so built into hypotheses,
     ``n_enumerations`` the class states this decode had to enumerate
     because the class model's memo did not hold them,
-    ``n_shared_bundles`` those of them built on a core the memo already
-    held (``classlm.ClassModel.core_key``), and ``n_fused_rows`` the
-    fused predictor rows it built because neither its own row cache nor
-    the memoized core's rows held them.
+    ``n_shared_bundles`` those of them memoized onto a transitions
+    object the memo already held (one ``ClassModel.core_key``), and
+    ``n_fused_rows`` the fused predictor rows it built because neither
+    its own row cache nor the memoized object held them.
     Stats add field by field, so a sum counts over several decodes; a
     sum carries no ``warning``.
     """
@@ -240,9 +240,9 @@ class Hypothesis:
 class _Pending:
     """A child recorded in A but not built: ``parent`` takes channel
     ``channel`` of its expansion with log-posterior ``post``.
-    ``transitions`` is that expansion's class-model bundle, or None when
-    dense, where the channel is the word. The word and the class
-    successor are read from the bundle only when the child is popped or
+    ``transitions`` is that expansion's class-model transitions, or None
+    when dense, where the channel is the word. The word and the class
+    successor are read from them only when the child is popped or
     looked up as a merge target (``_word_successor``)."""
 
     logscore: float
@@ -304,7 +304,7 @@ def _word_successor(child: _Pending) -> tuple:
     trans, i = child.transitions, child.channel
     if trans is None:
         return i, None
-    return int(trans.word[i]), trans.successor(i)
+    return int(trans.word[i]), trans.successor(child.parent.clm_state, i)
 
 
 def _merge_targets(D: list, best: Hypothesis) -> dict:
@@ -378,17 +378,13 @@ class _FrameScorer:
     ``words`` is the word-id array aligned with the posterior vector:
     the class model's transition words, or one read-only ``arange``
     shared by every dense expansion of the decode. ``transitions`` is
-    the aligned class-model ``Transitions`` bundle, or None without a
-    class model. Transitions come from the class model's memo, keyed by
-    the class state alone, so they outlive the decode: hypotheses of
-    this frame, later frames and later decodes revisit the same states.
-    A miss enumerates the state and fills the memo; where the memo holds
-    the core of the state's ``core_key``, the new bundle is built on it
-    and counted in ``n_shared_bundles``. Only an r' encoder-rank gate
-    makes transitions depend on the frame; the gate is ranked once per
-    frame, and the gated view of the memoized bundle is cached for the
-    decode by (state, frame). Successors belong to the memoized bundle
-    and fused rows to its core; a view reads them through its index.
+    the aligned ``classlm.Transitions``, or None without a class model.
+    They come from the class model's memo, so they outlive the decode
+    and are shared by every class state of one core key; a miss
+    enumerates the state and fills the memo. Only an r' encoder-rank
+    gate makes transitions depend on the frame: the gate is ranked once
+    per frame, and the gated view is cached for the decode per
+    (transitions object, frame).
 
     The joint row is written into one buffer the scorer owns for the
     decode, grown to the widest row seen, and normalized by one
@@ -396,13 +392,11 @@ class _FrameScorer:
     out aliases the buffer.
 
     Fused rows are read-only and built once per key. A clm or three-way
-    row lives on the core of the memoized bundle it is aligned with,
-    across decodes, keyed by the predictor and LM objects, their states,
-    and the fusion method and weights, so class states with one core
-    share it; the class model frees it with the core. A dense method's
-    row lives for the decode, in one dict keyed
-    by (predictor state, LM state). Either way, histories with one
-    longest matched context share n-gram states, and so rows.
+    row lives on the memoized transitions it is aligned with, across
+    decodes, keyed by the predictor and LM objects, their states, and
+    the fusion method and weights; a view reads its parent's row at its
+    index. A dense method's row lives for the decode, keyed by
+    (predictor state, LM state).
     """
 
     def __init__(self, scorer, config, external_lm, class_model):
@@ -412,7 +406,7 @@ class _FrameScorer:
         self.clm = class_model
         self.fusion = fu = config.fusion
         self.use_clm = fu.uses_clm
-        # what a bundle row depends on besides the two states; equal
+        # what a class-model row depends on besides the two states; equal
         # states of two models are not the same row
         self._row_fields = (
             scorer.predictor, external_lm if fu.uses_lm else None,
@@ -440,12 +434,12 @@ class _FrameScorer:
             self.n_shared_bundles += self.clm.cache_transitions(clm_state, trans)
         if self.config.rank_rprime is None:
             return trans
-        gated = self._gated.get((clm_state, t))
+        gated = self._gated.get((trans, t))
         if gated is None:
             if self._gate_frame != t:
                 self._gate_frame = t
                 self._word_gate = encoder_rank_pass(z_t_row, self.config.rank_rprime)
-            gated = self._gated[clm_state, t] = trans.gated(self._word_gate)
+            gated = self._gated[trans, t] = trans.gated(self._word_gate)
         return gated
 
     def _fused_row(self, hyp: Hypothesis, z_u, trans):

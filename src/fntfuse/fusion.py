@@ -47,9 +47,10 @@ class FusionConfig:
 
     ``method`` selects the operator; "clm" requires a class model at
     decode time, everything else a dense external LM. A second stage
-    (only "clm") turns linear interpolation into the consecutive
-    three-way combination: li with the dense LM first, the class model
-    second. ``uses_lm`` and ``uses_clm`` say which models a decode
+    (only "clm", weighted by ``second_alpha``, which is 0 without one)
+    turns linear interpolation into the consecutive three-way
+    combination: li with the dense LM first, the class model second.
+    ``uses_lm`` and ``uses_clm`` say which models a decode
     reads; every other module asks them.
     """
 
@@ -72,6 +73,8 @@ class FusionConfig:
                 raise ValueError(
                     f"three-way fusion takes li as its first stage, got {self.method!r}"
                 )
+        elif self.second_alpha:
+            raise ValueError(f"second_alpha {self.second_alpha} needs a second stage")
         needs_rank = self.method == "cli" or self.uses_clm
         if needs_rank and self.rank_r < 1:
             raise ValueError(f"rank_r must be >= 1, got {self.rank_r}")

@@ -6,7 +6,7 @@ explicit recursions, full enumerations), so agreement with the library
 is evidence of correctness rather than a tautology. The exception is
 ``load_arpa_per_line``, a line-at-a-time reference for the bulk ARPA
 loader, which hands the trie builder the same arrays it does, and
-``mask_gated``, a copied r'-gated class-model bundle for the view that
+``mask_gated``, a copied r'-gated class-model object for the view that
 the library builds.
 """
 
@@ -200,13 +200,13 @@ def clm_prefix_masses(model, max_len):
 
 
 def mask_gated(trans, word_gate) -> Transitions:
-    """The r'-gated bundle built as a copy: ``trans`` without the
+    """The r'-gated transitions built as a copy: ``trans`` without the
     CAT2/CAT3 transitions whose word is False in ``word_gate``, masked
-    into a bundle of its own, with its own successors and CAT1 gates."""
+    into an object of its own, with its own successors and CAT1 gates."""
     keep = word_gate[trans.word]
     keep[: trans.cat2.start] = True
     arrays = (trans.category, trans.word, trans.logprob, trans.tag)
-    return Transitions(trans.model, trans.state, *(a[keep] for a in arrays))
+    return Transitions(trans.model, *(a[keep] for a in arrays))
 
 
 def wer_alignments(ref, hyp):
@@ -344,7 +344,7 @@ def exhaustive_decode(
                     score = li(base[w], lp, clm_alpha)
                 else:
                     score = lp
-                channels.append((w, trans.successor(i)))
+                channels.append((w, trans.successor(clm_state, i)))
                 raw.append(float(z_t[w]) + score)
             denom = _lse(raw + [b])
             return channels, [r - denom for r in raw], b - denom
@@ -590,7 +590,7 @@ def full_expansion_beam_search(
                         best[1] + post,
                         predictor.advance(best[2], w),
                         external_lm.advance(best[3], w) if use_lm else None,
-                        transitions.successor(i) if transitions is not None else None,
+                        transitions.successor(best[4], i) if transitions is not None else None,
                         best[5] + 1,
                         best[6] + ((t, best[5], w, post),),
                         best[7],

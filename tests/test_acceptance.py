@@ -283,7 +283,7 @@ def test_distributions_normalize(verdict):
             mass = sum(math.exp(trans.logprob[i]) for i in live)
             worst = max(worst, abs(mass - 1.0))
             n_states += 1
-            state = trans.successor(live[int(rng.integers(len(live)))])
+            state = trans.successor(state, live[int(rng.integers(len(live)))])
     devs["clm"] = worst
 
     elapsed = time.monotonic() - t0
@@ -462,7 +462,7 @@ def test_class_model_path_mass(verdict):
                 for i in range(len(trans)):
                     if trans.logprob[i] == NEG_INF:
                         continue
-                    succ = trans.successor(i)
+                    succ = trans.successor(state, i)
                     key = (words + (int(trans.word[i]),), succ)
                     prev = nxt.get(key)
                     add = mass * math.exp(trans.logprob[i])

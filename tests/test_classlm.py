@@ -241,7 +241,7 @@ class TestEnumerateTransitions:
         assert len(s1) == model.n_words
         for i in s1:
             assert trans.logprob[i] == model.ngram.logprob(int(trans.word[i]), state.history)
-            assert trans.successor(i).class_tag is None
+            assert trans.successor(state, i).class_tag is None
 
     def test_transition_mass_conserved_at_random_states(self):
         _, model = toy_class_model(order=2)
@@ -254,7 +254,7 @@ class TestEnumerateTransitions:
             assert total == pytest.approx(1.0, abs=1e-9)
             probs = np.array([math.exp(trans.logprob[i]) for i in candidates])
             pick = candidates[rng.choice(len(candidates), p=probs / probs.sum())]
-            state = trans.successor(pick)
+            state = trans.successor(state, pick)
 
     def test_words_never_tag_ids(self):
         _, model = toy_class_model()
@@ -270,15 +270,17 @@ class TestEnumerateTransitions:
         scores = rng.normal(size=model.n_words)
         seen = set()
         prev: set = set()
+        trans = enumerate_transitions(model, state)
         for rprime in (1, 2, 4, len(PIECES)):
-            trans = enumerate_transitions(model, state).gated(encoder_rank_pass(scores, rprime))
-            s23 = indices(trans, CAT2) + indices(trans, CAT3)
+            view = trans.gated(encoder_rank_pass(scores, rprime))
+            s23 = range(view.cat2.start, len(view))  # a view's CAT2/CAT3 blocks
             cur = {
-                (int(trans.category[i]), int(trans.word[i]), trans.successor(i))
-                for i in s23
+                (int(trans.category[j]), int(view.word[i]), view.successor(state, i))
+                for i, j in zip(s23, view.index[s23].tolist())
             }
+            assert all(cat in (CAT2, CAT3) for cat, _, _ in cur)
             assert prev <= cur
-            seen = {int(trans.word[i]) for i in s23}
+            seen = {int(view.word[i]) for i in s23}
             assert all(
                 bool(encoder_rank_pass(scores, rprime)[w]) for w in seen
             )
@@ -292,9 +294,9 @@ class TestEnumerateTransitions:
         in_s1 = indices(trans, CAT1, john)
         in_s2 = indices(trans, CAT2, john)
         assert in_s1 and in_s2
-        assert trans.successor(in_s1[0]) != trans.successor(in_s2[0])
-        assert trans.successor(in_s2[0]).class_tag is not None
-        assert trans.successor(in_s2[0]).class_tag == trans.tag[in_s2[0]]
+        assert trans.successor(state, in_s1[0]) != trans.successor(state, in_s2[0])
+        assert trans.successor(state, in_s2[0]).class_tag is not None
+        assert trans.successor(state, in_s2[0]).class_tag == trans.tag[in_s2[0]]
 
     def test_cat2_masses_equal_the_tag_logprob(self, tmp_path):
         vocab, model = toy_class_model()
@@ -320,7 +322,7 @@ class TestEnumerateTransitions:
         while len(states) < 40:
             trans = enumerate_transitions(clm, states[-1])
             live = np.flatnonzero(trans.logprob > NEG_INF)
-            states.append(trans.successor(int(rng.choice(live))))
+            states.append(trans.successor(states[-1], int(rng.choice(live))))
         for state in states:
             trans = enumerate_transitions(clm, state)
             exit_lp = clm.exit_logmass(state)
@@ -361,7 +363,7 @@ class TestCat1Gate:
             trans = enumerate_transitions(model, state)
             self.check(trans)
             live = np.flatnonzero(trans.logprob > NEG_INF).tolist()
-            frontier.extend(trans.successor(i) for i in live)
+            frontier.extend(trans.successor(state, i) for i in live)
         assert len(seen) == 80
         assert any(s.class_tag is not None for s in seen)
 
@@ -373,7 +375,7 @@ class TestCat1Gate:
             lp = rng.choice([NEG_INF, -3.0, -2.0, -1.5], size=n1)
             self.check(
                 Transitions(
-                    model, model.initial_state(), np.full(n1, CAT1, np.int8),
+                    model, np.full(n1, CAT1, np.int8),
                     np.arange(n1), lp, np.full(n1, -1, np.int32),
                 )
             )
@@ -385,7 +387,7 @@ class TestAdvance:
         state = model.initial_state()
         trans = enumerate_transitions(model, state)
         i = indices(trans, CAT2, tag=model.vocab.id_of("⟨NAME⟩"))[0]
-        succ = trans.successor(i)
+        succ = trans.successor(state, i)
         assert succ.class_tag == model.vocab.id_of("⟨NAME⟩")
         assert succ.history == state.history  # tag not yet in history
         assert succ.node is model.trees[succ.class_tag].children[int(trans.word[i])]
@@ -395,11 +397,11 @@ class TestAdvance:
         state = model.initial_state()
         trans = enumerate_transitions(model, state)
         i2 = indices(trans, CAT2, vocab.id_of("▁john"), model.vocab.id_of("⟨NAME⟩"))[0]
-        inside = trans.successor(i2)
+        inside = trans.successor(state, i2)
         assert inside.node.exit_logprob > NEG_INF  # "▁john" is a full entry
         on = vocab.id_of("▁on")
         trans = enumerate_transitions(model, inside)
-        after = trans.successor(indices(trans, CAT1, on)[0])
+        after = trans.successor(inside, indices(trans, CAT1, on)[0])
         assert after.history == model.truncate(
             state.history + (model.vocab.id_of("⟨NAME⟩"), on)
         )
@@ -418,13 +420,13 @@ class TestAdvance:
             seen.add(state)
             trans = enumerate_transitions(model, state)
             for i in range(trans.cat2.start):
-                assert trans.successor(i) == advance(model, state, CAT1, i)
+                assert trans.successor(state, i) == advance(model, state, CAT1, i)
             if len(trans):  # a negative index counts from the end
-                assert trans.successor(-1) == trans.successor(len(trans) - 1)
+                assert trans.successor(state, -1) == trans.successor(state, len(trans) - 1)
             inside += state.class_tag is not None and trans.cat2.start > 0
             outside += state.class_tag is None
             live = np.flatnonzero(trans.logprob > NEG_INF).tolist()
-            frontier.extend(trans.successor(i) for i in live)
+            frontier.extend(trans.successor(state, i) for i in live)
         assert inside and outside
 
     def test_same_prefix_two_distinct_states(self):
@@ -432,8 +434,8 @@ class TestAdvance:
         state = model.initial_state()
         trans = enumerate_transitions(model, state)
         john = vocab.id_of("▁john")
-        via_word = trans.successor(indices(trans, CAT1, john)[0])
-        via_class = trans.successor(indices(trans, CAT2, john)[0])
+        via_word = trans.successor(state, indices(trans, CAT1, john)[0])
+        via_class = trans.successor(state, indices(trans, CAT2, john)[0])
         assert via_word != via_class
 
     def test_mismatched_transition_faults(self):
@@ -451,7 +453,7 @@ class TestAdvance:
         at_john = ClmState(state.history, name, model.trees[name].children[john])
         trans = enumerate_transitions(model, at_his)
         i3 = indices(trans, CAT3)[0]
-        assert trans.successor(i3).node is not model.trees[kind]
+        assert trans.successor(at_his, i3).node is not model.trees[kind]
         with pytest.raises(ValueError, match="not under the current node"):
             advance(model, at_john, CAT3, int(trans.word[i3]))
         with pytest.raises(ValueError, match="does not start"):
@@ -476,7 +478,7 @@ class TestPathMassEquivalence:
                 for i in range(len(trans)):
                     if trans.logprob[i] == NEG_INF:
                         continue
-                    succ = trans.successor(i)
+                    succ = trans.successor(state, i)
                     key = (words + (int(trans.word[i]),), succ)
                     old = nxt.get(key)
                     add = mass * math.exp(trans.logprob[i])
@@ -544,5 +546,5 @@ class TestClassFileIO:
                 else:
                     np.testing.assert_allclose(lg, lw, atol=1e-9)
             pick = indices(want, CAT2)[0]
-            state_a = want.successor(pick)
-            state_b = got.successor(pick)
+            state_a = want.successor(state_a, pick)
+            state_b = got.successor(state_b, pick)

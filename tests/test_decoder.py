@@ -679,7 +679,7 @@ class TestExpand:
                 i = int(rng.integers(len(trans)))
                 word = int(trans.word[i])
                 pred, lms = scorer.predictor.advance(pred, word), lm.advance(lms, word)
-                clms = trans.successor(i)
+                clms = trans.successor(clms, i)
         for (words, posts, blank_post, snapshot), (w_words, w_posts, w_blank) in zip(got, want):
             assert np.array_equal(words, w_words)
             assert np.array_equal(posts, w_posts)
@@ -717,7 +717,8 @@ class TestExpand:
             i for i in range(len(trans))
             if trans.category[i] == classlm.CAT2 and trans.word[i] == 0
         ]
-        inside = trans.successor(enter[0])  # after p0: only p1 continues, no exit
+        # after p0: only p1 continues, no exit
+        inside = trans.successor(model.initial_state(), enter[0])
         z_t = log_softmax(np.array([0.0, -6.0, -6.0, -6.0]))  # the r' gate drops p1
         pred = scorer.predictor.initial_state()
         fs = decoder._FrameScorer(scorer, config, None, model)
@@ -814,7 +815,7 @@ class TestReplayConsistency:
                 if use_lm:
                     lms = lm.advance(lms, word)
                 if transitions is not None:
-                    clms = transitions.successor(i)
+                    clms = transitions.successor(clms, i)
             total += post
         return total
 
@@ -958,28 +959,28 @@ class TestGatedTransitions:
         for _ in range(2):
             for state in list(states):
                 trans = enumerate_transitions(clm, state)
-                states.update(trans.successor(i) for i in range(len(trans)))
+                states.update(trans.successor(state, i) for i in range(len(trans)))
         config = DecoderConfig(fusion=FusionConfig("clm", 0.5, rank_r=2), rank_rprime=2)
         fs = _FrameScorer(scorer, config, None, clm)
         dropped = 0
         for t in range(encoder.n_frames):
             for state in states:
                 got = fs._transitions(state, t, encoder.scores[t])
-                want = mask_gated(
-                    enumerate_transitions(clm, state),
-                    classlm.encoder_rank_pass(encoder.scores[t], 2),
-                )
+                full = enumerate_transitions(clm, state)
+                want = mask_gated(full, classlm.encoder_rank_pass(encoder.scores[t], 2))
+                np.testing.assert_array_equal(got.word, want.word)
                 for name in ("category", "word", "logprob", "tag"):
-                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-                dropped += len(enumerate_transitions(clm, state)) - len(got)
+                    got_arr = getattr(full, name)[got.index]
+                    np.testing.assert_array_equal(got_arr, getattr(want, name))
+                dropped += len(full) - len(got)
         assert any(s.class_tag is not None for s in states)
         assert dropped > 0  # the r' gate removes CAT2/CAT3 transitions
 
 
 class TestGatedViews:
-    """An r'-gated bundle is a view of the memoized bundle: it must hold
-    the arrays of the mask-built copy, the memoized bundle's successors,
-    and the fused rows the copy gives, byte for byte."""
+    """An r'-gated view of the memoized transitions must select the
+    arrays of the mask-built copy, read the memoized object's
+    successors, and give the fused rows the copy gives, byte for byte."""
 
     V = 6  # make_clm's classes hold words 0-2 only
 
@@ -1005,7 +1006,7 @@ class TestGatedViews:
         for _ in range(2):
             for state in list(states):
                 trans = enumerate_transitions(clm, state)
-                states.update(trans.successor(i) for i in range(len(trans)))
+                states.update(trans.successor(state, i) for i in range(len(trans)))
         predictor = scorer.predictor
         contexts = [  # (predictor state, LM state) pairs
             (predictor.advance(predictor.initial_state(), w), lm.advance(lm.initial_state(), w))
@@ -1027,17 +1028,19 @@ class TestGatedViews:
                         assert view.parent is parent and parent.parent is None
                         want = mask_gated(parent, gate)
                         for name in ("category", "word", "logprob", "tag"):
-                            got_arr, want_arr = getattr(view, name), getattr(want, name)
+                            got_arr = getattr(parent, name)[view.index]
+                            want_arr = getattr(want, name)
                             assert got_arr.dtype == want_arr.dtype
                             assert got_arr.tobytes() == want_arr.tobytes()
-                            assert not got_arr.flags.writeable
+                        assert view.word.tobytes() == want.word.tobytes()
+                        assert not view.word.flags.writeable
                         assert (view.cat2, view.cat3) == (want.cat2, want.cat3)
                         assert (np.diff(view.index) > 0).all()
                         assert view.cat2.start == parent.cat2.start  # the CAT1 prefix
                         emptied += view.cat2.start == len(view) < len(parent)
                         for i in range(len(view)):
-                            succ = view.successor(i)
-                            assert succ is parent.successor(int(view.index[i]))
+                            succ = view.successor(state, i)
+                            assert succ is parent.successor(state, int(view.index[i]))
                             cat, word, tag = (
                                 int(want.category[i]), int(want.word[i]), int(want.tag[i])
                             )
@@ -1053,7 +1056,7 @@ class TestGatedViews:
                             else:
                                 ref = three_way(z_u, lm.full_dist(lm_state), want, 0.3, 0.6, 2)
                             assert got.tobytes() == ref.tobytes()
-                # rows are kept once, on the memoized bundles, under the
+                # rows are kept once, on the memoized objects, under the
                 # configuration's fields
                 assert not fs._rows
                 for state in states:
@@ -1064,10 +1067,10 @@ class TestGatedViews:
 
 
 def memo_entries(clm) -> int:
-    """What the memo counts toward its cap: each core its bundles are
-    on, once, with its transitions plus the values of its kept rows."""
-    cores = {id(t.core): t for t in clm._memo.values()}
-    return sum(len(t) + sum(row.size for row in t.rows.values()) for t in cores.values())
+    """What the memo counts toward its cap: each object it holds, once,
+    with its transitions plus the values of its kept rows."""
+    held = {id(t): t for t in clm._memo.values()}
+    return sum(len(t) + sum(row.size for row in t.rows.values()) for t in held.values())
 
 
 MEMO_CASES = {
@@ -1189,18 +1192,15 @@ class TestTransitionMemo:
             for config in MEMO_CASES.values():
                 self.decode(encoder, scorer, config, lm, clm)
         assert row_clears and max(row_clears) > 1
-        # a bundle built outside the memo is on the core the memo holds
-        # for its key, and reads that core's rows
+        # enumerating a key the memo holds returns the held object
         state = clm.initial_state()
         if clm.cached_transitions(state) is None:
             clm.cache_transitions(state, enumerate_transitions(clm, state))
         memoized = clm.cached_transitions(state)
-        loose = enumerate_transitions(clm, state)
-        assert loose is not memoized and loose.core is memoized.core
-        assert loose.rows is memoized.rows
-        # a bundle on a core the memo does not hold keeps no row
-        arrays = (loose.category, loose.word, loose.logprob, loose.tag)
-        own = classlm.Transitions(clm, state, *(a.copy() for a in arrays))
+        assert enumerate_transitions(clm, state) is memoized
+        # an object the memo does not hold keeps no row
+        arrays = (memoized.category, memoized.word, memoized.logprob, memoized.tag)
+        own = classlm.Transitions(clm, *(a.copy() for a in arrays))
         before = clm.n_memo_entries
         kept(own, "key", np.zeros(len(own)))
         assert not own.rows and clm.n_memo_entries == before
@@ -1221,9 +1221,9 @@ class TestTransitionMemo:
                 if rprime is not None:
                     want = mask_gated(want, classlm.encoder_rank_pass(row, rprime))
                 for i in range(len(got)):
-                    succ = got.successor(i)
-                    assert succ == want.successor(i)
-                    assert got.successor(i) is succ
+                    succ = got.successor(state, i)
+                    assert succ == want.successor(state, i)
+                    assert got.successor(state, i) is succ
                     states.append(succ)
         assert any(s.class_tag is not None for s in states)
 
@@ -1256,9 +1256,10 @@ class TestTransitionMemo:
 
 
 class TestSharedCores:
-    """Class states with one ``core_key`` share one core: the arrays,
-    CAT1 gates and fused rows are built once and are bit-equal to a fresh
-    model's, while each state keeps its own exit history and successors."""
+    """Class states with one ``core_key`` share one ``Transitions``
+    object: the arrays, CAT1 gates and fused rows are built once and are
+    bit-equal to a fresh model's, while each state reaches its own
+    successors."""
 
     FUSIONS = {
         "clm": FusionConfig("clm", 0.5, rank_r=2),
@@ -1283,7 +1284,7 @@ class TestSharedCores:
         for _ in range(3):
             for state in list(states):
                 trans = enumerate_transitions(clm, state)
-                states.update(trans.successor(i) for i in range(len(trans)))
+                states.update(trans.successor(state, i) for i in range(len(trans)))
         groups: dict = {}
         for state in sorted(states, key=lambda s: s.history):
             if state.class_tag is None:
@@ -1304,12 +1305,11 @@ class TestSharedCores:
         fs = decoder._FrameScorer(scorer, DecoderConfig(fusion=fusion), lm, clm)
         for group in groups:
             rows_before = fs.n_fused_rows
-            bundles = [fs._transitions(state, 0, None) for state in group]
-            assert all(t.core is bundles[0].core for t in bundles)
-            assert all(t.rows is bundles[0].rows for t in bundles)
-            for state, trans in zip(group, bundles):
+            shared = [fs._transitions(state, 0, None) for state in group]
+            assert all(t is shared[0] for t in shared)
+            for state, trans in zip(group, shared):
                 want = enumerate_transitions(fresh, state)  # fresh's memo is empty
-                assert want.core is not trans.core
+                assert want is not trans
                 for attr in ("category", "word", "logprob", "tag"):
                     got_arr, want_arr = getattr(trans, attr), getattr(want, attr)
                     assert got_arr.dtype == want_arr.dtype
@@ -1319,7 +1319,7 @@ class TestSharedCores:
                     assert trans.cat1_gate(r).tobytes() == want.cat1_gate(r).tobytes()
                 for i in range(len(trans)):
                     cat, word, tag = (int(want.category[i]), int(want.word[i]), int(want.tag[i]))
-                    assert trans.successor(i) == classlm.advance(clm, state, cat, word, tag)
+                    assert trans.successor(state, i) == classlm.advance(clm, state, cat, word, tag)
                 for pred_state, lm_state in contexts:
                     hyp = decoder.Hypothesis(0, 0.0, pred_state, lm_state, state, 0, (), False)
                     z_u = predictor.full_dist(pred_state)
@@ -1329,13 +1329,57 @@ class TestSharedCores:
                     else:
                         ref = three_way(z_u, lm.full_dist(lm_state), want, 0.3, 0.6, 2)
                     assert got.tobytes() == ref.tobytes()
-            # the rows are built once per core, for the group's first state
+            # the rows are built once per object, for the group's first state
             assert fs.n_fused_rows - rows_before == len(contexts)
             # each state leaves the class from its own exit history
-            cat2 = bundles[0].cat2.start
-            assert len({t.successor(cat2) for t in bundles}) == len(group)
+            cat2 = shared[0].cat2.start
+            assert len({shared[0].successor(s, cat2) for s in group}) == len(group)
         assert fs.n_shared_bundles == sum(len(g) - 1 for g in groups)
         assert fs.n_enumerations == sum(len(g) for g in groups)
+
+    def test_states_of_one_key_get_one_object(self):
+        vocab, _, _ = self.instance()
+        clm = self.clm(vocab)
+        for group in self.shared_groups(self.clm(vocab)):
+            first = enumerate_transitions(clm, group[0])
+            assert not clm.cache_transitions(group[0], first)
+            for state in group[1:]:
+                trans = enumerate_transitions(clm, state)
+                assert trans is first
+                assert clm.cache_transitions(state, trans)  # memoized onto a held object
+            arrays = zip(first.category.tolist(), first.word.tolist(), first.tag.tolist())
+            moves = list(enumerate(arrays))
+            succs = [tuple(first.successor(state, i) for i, _ in moves) for state in group]
+            for state, got in zip(group, succs):
+                assert got == tuple(classlm.advance(clm, state, *move) for _, move in moves)
+            assert len(set(succs)) == len(group)  # each state leaves from its own history
+            assert all(clm.cached_transitions(state) is first for state in group)
+
+    def test_one_gated_view_per_object_and_frame(self, monkeypatch):
+        vocab, scorer, lm = self.instance()
+        encoder = make_encoder(np.random.default_rng(77), 8, 8)
+        config = DecoderConfig(beam=8, fusion=self.FUSIONS["clm"], rank_rprime=3)
+        want, _ = beam_search(encoder, scorer, config, lm, self.clm(vocab))
+        asked, views, frame = set(), [], [None]
+        transitions, gated = decoder._FrameScorer._transitions, classlm.Transitions.gated
+
+        def recording_transitions(fs, clm_state, t, z_t_row):
+            asked.add((clm_state, t))
+            frame[0] = t
+            return transitions(fs, clm_state, t, z_t_row)
+
+        def recording_gated(trans, word_gate):
+            views.append((trans, frame[0]))
+            return gated(trans, word_gate)
+
+        monkeypatch.setattr(decoder._FrameScorer, "_transitions", recording_transitions)
+        monkeypatch.setattr(classlm.Transitions, "gated", recording_gated)
+        got, _ = beam_search(encoder, scorer, config, lm, self.clm(vocab))
+        assert [(r.tokens, r.logscore, r.steps) for r in got] == [
+            (r.tokens, r.logscore, r.steps) for r in want
+        ]
+        assert len(set(views)) == len(views)
+        assert len(views) < len(asked)  # states of one key share a view
 
     def test_decodes_share_cores_and_count_each_once(self):
         vocab, scorer, lm = self.instance()
@@ -1353,7 +1397,7 @@ class TestSharedCores:
                 assert stats.n_shared_bundles <= stats.n_enumerations
                 shared += stats.n_shared_bundles
         assert shared > 0
-        assert len({id(t.core) for t in clm._memo.values()}) < len(clm._memo)
+        assert len({id(t) for t in clm._memo.values()}) < len(clm._memo)
         assert memo_entries(clm) == clm.n_memo_entries
 
 

@@ -211,6 +211,12 @@ class TestFusionConfig:
         with pytest.raises(ValueError, match="rank_r"):
             FusionConfig("cli", 0.1, rank_r=0)
 
+    def test_second_alpha_needs_a_second_stage(self):
+        # without a second stage the weight would be ignored, plain li
+        with pytest.raises(ValueError, match="second_alpha 0.9 needs a second stage"):
+            FusionConfig("li", 0.5, second_alpha=0.9)
+        FusionConfig("li", 0.5, second_alpha=0.0)
+
 
 def exit_state(model, vocab):
     # inside ⟨TYPE⟩ at "▁his": children plus exit mass, so all three
@@ -317,7 +323,7 @@ class TestClmPredictorInterp:
         john = self.vocab.id_of("▁john")
         hits = np.flatnonzero(trans.word == john).tolist()
         assert len(hits) >= 2
-        assert len({trans.successor(i) for i in hits}) == len(hits)
+        assert len({trans.successor(state, i) for i in hits}) == len(hits)
 
 
 class TestThreeWay:
