@@ -38,7 +38,8 @@ Bookkeeping is O(1) per child, whatever the utterance length:
   would.
 - A is a list with no keys. A child enters it pending: its score,
   parent, channel, posterior, the expansion's class-model transitions
-  (None when dense, where the channel is the word) and merged flag. Only
+  (None when dense, where the channel is the word), merged flag and
+  ``seq``. Only
   when it is popped does it read its word and class successor from
   them, advance the predictor and LM states and intern its prefix;
   most children never are. Its identity is (parent prefix id, word,
@@ -57,16 +58,24 @@ recorded in A, plus, with a class model, every child whose identity
 matches a pending child already in A.
 
 Pops and cuts read two things of A: which entries it holds, and the
-relative order of entries with equal scores. The reference records
-every finite child into a dict (insertion order; a merge keeps the
-older place) and cuts it by a stable sort whenever it exceeds the beam;
-a pop takes the first entry with the top score, the one ``max``
-returns. A is kept as the reference's entries in the reference's order,
-stably sorted by score, so every pop takes A's head and every cut keeps
-A's first ``beam`` entries. A cut leaves the reference in rank order,
-and so does B's frame-end cut (a ``require-cat1`` survivor appended to
-it scores no higher than the rest); only a skipped cut leaves it
-unranked, and until its next cut the list ``order`` holds its order:
+order of entries with equal scores. The reference records every finite
+child into a dict (insertion order; a merge keeps the older place),
+cuts it by a stable sort whenever it exceeds the beam, and pops the
+first entry with the top score, the one ``max`` returns. A holds the
+reference's entries sorted by (-score, ``seq``), where ``seq`` is an
+entry's place in the dict, so a pop takes A's head and a cut keeps A's
+first ``beam`` entries. ``seq`` follows the dict:
+
+- a frame's carried entries are numbered in A's order, B's after its
+  cut (a ``require-cat1`` survivor appended to it scores no higher);
+- a child gets the expansion's base number plus its channel, above
+  every earlier entry's, as the reference appends children in channel
+  order;
+- a merge keeps the held entry's number, whichever object it returns;
+- a cut of the reference leaves it in rank order, A's, so the entries
+  present are renumbered in A's order, once, at the first merge-path
+  expansion after it (step 3): until then no score changes, and pops
+  and stable merges keep their order.
 
 1. Siblings never share a merge key (tokens, emission count, class
    state). With one word, a CAT1 successor is outside any class, CAT2
@@ -80,40 +89,35 @@ unranked, and until its next cut the list ``order`` holds its order:
    children, ordered by score descending and then channel ascending,
    are then merged stably into A, A's entries first on equal scores,
    and the merge stops at ``beam``; a ``_Pending`` is built only for a
-   child that makes the cut. That is the reference's rank order, since
-   its children enter after its entries in channel order, and its cut:
-   a finite child outside the ``beam`` best is outranked by ``beam``
+   child that makes the cut. That keeps the key's order, since the
+   children's numbers exceed A's, and makes the reference's cut: a
+   finite child outside the ``beam`` best is outranked by ``beam``
    selected siblings, each strictly higher, or equal and on a lower
-   channel. The reference skips the cut only when its entries and the
-   finite children number at most ``beam``. Then every finite child is
-   selected, A holds the reference's entries, and with a class model
-   ``order`` becomes the reference's order followed by the children in
-   channel order. Without one no merge ever reads ``order``, so it is
-   not kept.
-3. Otherwise, the merge path: the children's targets are looked up by
-   (word, successor) in the reference's order (``order``, or A when the
-   two agree), and each recorded child merges into its target where it
-   stands or is appended, in channel order, as the reference records
-   it. Merging channels are looked for whenever ``beam`` children were
-   selected; when no finite channel is left out, any found is already
-   among them. Any other child left out is outranked by ``beam`` distinct
-   entries, the best siblings or the entries they merged into, each
-   strictly higher, or equal and ahead of it; so the reference cuts
-   (it then holds more than ``beam`` entries), and its cut drops it. A
-   stable sort of the recorded list, cut at ``beam`` where the reference
-   cuts, is then A, and the recorded list is ``order`` where it does
-   not. The sort must read the reference's order, not A's: a merge
-   raises an entry's score, and may tie it with an entry that A ranks
-   ahead of it but the reference lists after it. Only these expansions
-   build successors for children that are not popped: those of their
-   own children and of the pending children they search.
+   channel. Where the reference skips its cut it holds at most ``beam``
+   entries, so the cut changes nothing there. It cuts when more than
+   ``beam`` entries and finite children are left after merges (all
+   finite children are selected unless ``beam`` are).
+3. Otherwise, the merge path: each child whose (word, successor) is a
+   target's merges into it where it stands, and A is re-sorted by the
+   key. A merge raises an entry's score, and may tie it with an entry
+   that A ranked ahead of it but the reference lists after it; ``seq``
+   orders the two as the reference does. Merging channels are looked
+   for whenever ``beam`` children were selected; when no finite channel
+   is left out, any found is already among them. The other selected
+   children take step 2's stable merge, and any child left out is
+   outranked by ``beam`` distinct entries, the best siblings or the
+   entries they merged into, each strictly higher, or equal and ahead
+   of it in the key. Only these expansions build successors for
+   children that are not popped: those of their own children and of
+   the pending children they search.
 
-Every cut is ``sorted(..., reverse=True)[:beam]``, which the ``heapq``
-docs define as equal to ``heapq.nlargest``, and which is cheaper on a
-few entries. B settles the frame when ``beam`` of its entries score at
-least the top of A. B's scores are kept negated in an ascending list,
-updated as each blank extension enters or merges into B, so the test
-reads B's ``beam``-th best score instead of counting over B.
+B's frame-end cut is ``sorted(..., reverse=True)[:beam]``, which the
+``heapq`` docs define as equal to ``heapq.nlargest``, and which is
+cheaper on a few entries. B settles the frame when ``beam`` of its
+entries score at least the top of A. B's scores are kept negated in an
+ascending list, updated as each blank extension enters or merges into
+B, so the test reads B's ``beam``-th best score instead of counting
+over B.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -224,7 +228,7 @@ class DecodedHypothesis:
 class Hypothesis:
     """A carried or popped hypothesis. ``prefix`` is its interned token
     prefix; ``steps`` is () at the start, else (parent's steps, (frame,
-    k, token-or-None, log-posterior))."""
+    k, token-or-None, log-posterior)); ``seq`` orders it in A."""
 
     prefix: int
     logscore: float
@@ -234,6 +238,7 @@ class Hypothesis:
     k: int
     steps: tuple
     merged: bool
+    seq: int = 0
 
 
 @dataclass(slots=True)
@@ -243,7 +248,8 @@ class _Pending:
     ``transitions`` is that expansion's class-model transitions, or None
     when dense, where the channel is the word. The word and the class
     successor are read from them only when the child is popped or
-    looked up as a merge target (``_word_successor``)."""
+    looked up as a merge target (``_word_successor``). ``seq`` is its
+    place in the reference's order (module docstring)."""
 
     logscore: float
     parent: Hypothesis
@@ -251,6 +257,7 @@ class _Pending:
     post: float
     transitions: Transitions | None
     merged: bool
+    seq: int
 
 
 def _unwind(steps: tuple) -> tuple:
@@ -283,13 +290,14 @@ def _fill_joint(row: np.ndarray, enc, pred, blank: float) -> np.ndarray:
 
 def _merge(held, entry):
     """The entry that represents ``held`` and ``entry``, two entries of
-    one merge key: the higher-scoring one (``held`` on a tie), updated in
-    place to their summed score. The caller puts it where ``held`` was."""
+    one merge key: the higher-scoring one (``held`` on a tie), given their
+    summed score and ``held``'s seq. The caller puts it where ``held`` was."""
     total = float(np.logaddexp(held.logscore, entry.logscore))
     if held.logscore >= entry.logscore:
         entry = held
     entry.logscore = total
     entry.merged = True
+    entry.seq = held.seq
     return entry
 
 
@@ -325,46 +333,24 @@ def _merge_siblings(targets: dict, words: np.ndarray, scores: np.ndarray):
     return hits[scores[hits] > NEG_INF]
 
 
-def _record_merging(D, best, transitions, words, scores, posts, keep, beam, stats):
-    """Record the children of ``best``, whose prefix id and k an earlier
-    expansion of the frame had, as the reference does: each merges into
-    its target in ``D``, A's entries in the reference's order, where it
-    stands, or is appended in channel order. Returns (A, order): ``D``
-    stably ranked, then cut at the beam where the reference cuts, and
-    ``D`` itself where it does not, else None."""
-    targets = _merge_targets(D, best)
-    if targets and keep.size == beam:  # finite channels may be left out
-        merging = _merge_siblings(targets, words, scores)
-        if merging.size:
-            keep = np.union1d(keep, merging)
-    stats.n_children += keep.size
-    for i, post in zip(keep.tolist(), posts[keep].tolist()):
-        child = _Pending(best.logscore + post, best, i, post, transitions, best.merged)
-        j = targets.get(_word_successor(child)) if targets else None
+def _merge_children(A, targets, best, transitions, words, scores, posts, keep, beam, seq):
+    """Merge each child of ``best`` (channels ``keep``, plus
+    ``_merge_siblings`` when finite channels may be left out; numbers
+    from ``seq``) that finds its target in A into it where it stands,
+    then sort A by (-score, seq). Returns the others' channels and the
+    number merged."""
+    if keep.size == beam:
+        keep = np.union1d(keep, _merge_siblings(targets, words, scores))
+    rest = []
+    for i, score, post in zip(keep.tolist(), scores[keep].tolist(), posts[keep].tolist()):
+        child = _Pending(score, best, i, post, transitions, best.merged, seq + i)
+        j = targets.get(_word_successor(child))
         if j is None:
-            D.append(child)
+            rest.append(i)
         else:
-            D[j] = _merge(D[j], child)
-    ranked = sorted(D, key=_score, reverse=True)
-    # the reference also holds the finite children not recorded
-    if len(D) + int(np.count_nonzero(scores > NEG_INF)) - keep.size > beam:
-        return ranked[:beam], None
-    return ranked, D
-
-
-def _uncut_order(order, before, A, best, scores, n_kept, beam):
-    """The reference's order of A after ``best``'s ``n_kept`` selected
-    children were merged into it (``before`` is A before, in the
-    reference's order when ``order`` is None): None where the reference
-    cuts, since a cut leaves it in rank order, else its entries followed
-    by the children in channel order."""
-    n = len(before) + n_kept
-    if n_kept == beam and not before:  # the reference records every finite child
-        n = int(np.count_nonzero(scores > NEG_INF))
-    if n > beam:
-        return None
-    children = [e for e in A if type(e) is _Pending and e.parent is best]
-    return (before if order is None else order) + sorted(children, key=attrgetter("channel"))
+            A[j] = _merge(A[j], child)
+    A.sort(key=lambda e: (-e.logscore, e.seq))
+    return np.array(rest, dtype=keep.dtype), keep.size - len(rest)
 
 
 def _score(entry) -> float:
@@ -561,8 +547,11 @@ def beam_search(
         B: dict = {}  # (prefix id, class state) -> blank extension
         b_scores: list = []  # B's scores, negated, ascending
         extra_used = 0
-        expanded = set()  # (prefix id, k) of this frame's class-model parents
-        order = None  # the reference's order of A's entries, if not A's own
+        expanded: dict = {}  # (prefix id, k) -> the frame's first class-model parent
+        for seq, h in enumerate(A):
+            h.seq = seq
+        next_seq = len(A)  # above every entry's seq
+        cut_seq = 0  # entries below it were in A at a reference cut not yet renumbered
 
         while A:
             best = A[0]
@@ -579,8 +568,6 @@ def beam_search(
                 extra_used += 1
                 stats.n_extra_expansions += 1
             del A[0]
-            if order is not None:
-                del order[next(j for j, e in enumerate(order) if e is best)]
             if type(best) is _Pending:  # built now that it is popped
                 parent = best.parent
                 word, successor = _word_successor(best)
@@ -620,16 +607,19 @@ def beam_search(
                 continue
             scores = best.logscore + posts
             keep = top_ids(scores, beam)
-            if transitions is not None:
-                parent_key = (best.prefix, best.k)
-                if parent_key in expanded:  # children may merge into A
-                    A, order = _record_merging(
-                        A if order is None else order, best, transitions, words,
-                        scores, posts, keep, beam, stats,
+            n_selected, n_merged = keep.size, 0
+            key = (best.prefix, best.k)
+            if transitions is not None and expanded.setdefault(key, best) is not best:
+                # children may merge into A; renumber what the last cut left in A's order
+                for seq, e in enumerate([e for e in A if e.seq < cut_seq]):
+                    e.seq = seq
+                cut_seq = 0
+                targets = _merge_targets(A, best)
+                if targets:
+                    keep, n_merged = _merge_children(
+                        A, targets, best, transitions, words, scores, posts, keep, beam, next_seq
                     )
-                    continue
-                expanded.add(parent_key)
-            stats.n_children += keep.size
+            stats.n_children += keep.size + n_merged
             # score descending, channel ascending, merged after A's
             # entries of equal score and cut at the beam
             ranked, i = [], 0
@@ -642,11 +632,16 @@ def beam_search(
                     i += 1
                 if len(ranked) == beam:
                     break
-                ranked.append(_Pending(score, best, channel, post, transitions, best.merged))
-            before, A = A, ranked + A[i : i + beam - len(ranked)]
-            # the reference skips its cut only when few children enter
-            if transitions is not None and (order is not None or len(before) + keep.size <= beam):
-                order = _uncut_order(order, before, A, best, scores, keep.size, beam)
+                ranked.append(_Pending(
+                    score, best, channel, post, transitions, best.merged, next_seq + channel
+                ))
+            next_seq += words.size
+            # where the reference, which holds every finite child, cuts
+            if transitions is not None and (len(A) - n_merged + n_selected > beam or (
+                n_selected == beam and np.count_nonzero(scores > NEG_INF) > beam
+            )):
+                cut_seq = next_seq
+            A = ranked + A[i : i + beam - len(ranked)]
 
         A = sorted(B.values(), key=_score, reverse=True)[:beam]
         if (

@@ -27,7 +27,7 @@ from .fusion import DENSE_METHODS, FusionConfig
 from .ngram import NgramModel, train_kneser_ney
 
 ALPHA_GRID = (0.01, 0.05, 0.1, 0.25, 0.5, 0.9)
-SF_ALPHA_MAX = 0.25  # shallow fusion diverges above this; sweep omits it
+SF_ALPHA_MAX = 0.25  # sweep's largest sf weight: the sf-vs-li ACCEPT line reads up to it
 
 
 class EditCounts(NamedTuple):
@@ -210,8 +210,10 @@ def evaluate(
     Utterances are decoded one after another and reported in input
     order; the decoded top hypothesis is detokenized to words before
     alignment. Entity errors count reference entity words whose
-    alignment op is anything but a match.
+    alignment op is anything but a match. Empty ``tests`` are refused.
     """
+    if not tests:
+        raise ValueError(f"{name}: no test utterances to evaluate")
     rows = []
     entity_tokens = entity_errors = 0
     total = DecodeStats()

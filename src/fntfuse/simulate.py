@@ -512,4 +512,6 @@ def read_scenario(directory) -> Scenario:
         tests.append(
             TestUtterance(utt_id, words, tuple(ref_pieces.split()), entities, enc)
         )
+    if not tests:
+        raise ValueError("refs.tsv: no test utterances")
     return Scenario(vocab, train, adapt, clm, classes, tests)

@@ -284,6 +284,15 @@ def test_jobs_flag_is_a_usage_error(command, scenario_dir, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["decode", "eval", "sweep"])
+def test_scenario_without_test_utterances_exits_1(command, scenario_dir, tmp_path, capsys):
+    empty = tmp_path / "scn"
+    shutil.copytree(scenario_dir, empty)
+    (empty / "refs.tsv").write_text("", encoding="utf-8")
+    assert main([command, "--scenario", str(empty)]) == 1
+    assert "error: refs.tsv: no test utterances" in capsys.readouterr().err
+
+
 def readme_commands():
     """The ``fntfuse ...`` lines of the README's "Command line" block."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

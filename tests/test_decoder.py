@@ -10,7 +10,7 @@ import pytest
 from fntfuse import classlm, decoder, simulate
 from fntfuse.classlm import enumerate_transitions, train_tagged_clm
 from fntfuse.core import NEG_INF, ExternalLm, Vocabulary, log_softmax, log_sum_exp, top_ids
-from fntfuse.decoder import DecoderConfig, beam_search, blank_fallback
+from fntfuse.decoder import EXIT_RULES, DecoderConfig, beam_search, blank_fallback
 from fntfuse.evalmetrics import evaluate
 from fntfuse.fusion import FusionConfig, clm_predictor_interp, three_way
 from fntfuse.ngram import train_kneser_ney
@@ -256,14 +256,16 @@ SIZES = [(5, 4)] * 5 + [(3, 6), (8, 3), (6, 5)]
 
 def count_merges(monkeypatch) -> dict:
     """Counts, over the decodes that follow, the expansions that found a
-    merge target in A and the children that merged into one."""
+    merge target in A, those at which A's rank order differed from its
+    ``seq`` order (the reference's order after a skipped cut), and the
+    children that merged into a target."""
     counts = {"targets": 0, "merged": 0, "unranked": 0}
     find, merge = decoder._merge_targets, decoder._merge
 
-    def targets(D, best):
-        out = find(D, best)
+    def targets(A, best):
+        out = find(A, best)
         counts["targets"] += bool(out)
-        counts["unranked"] += any(a.logscore < b.logscore for a, b in zip(D, D[1:]))
+        counts["unranked"] += any(a.seq > b.seq for a, b in zip(A, A[1:]))
         return out
 
     def merged(held, entry):
@@ -404,6 +406,37 @@ class TestPruningVsFullExpansion:
             assert pops == expanded  # every pop takes the reference's entry
             expanded.clear()
 
+    @pytest.mark.parametrize(
+        "n_frames, gamma, beam, max_emit", [(1, 0.0, 8, 3), (2, 3.0, 7, 2), (2, 3.0, 8, 2)]
+    )
+    def test_identical_to_full_expansion_when_mirrored_merges_tie(
+        self, n_frames, gamma, beam, max_emit
+    ):
+        # p0 enters class A or D at one score, and the corpus is the same
+        # under swapping p0 with p1 and A with D. The two parents' rows
+        # differ by swapping their first two entries, so they normalize
+        # alike, and the second parent's children merge into the first
+        # one's p0 and p1 children with the operands swapped: the two
+        # then tie exactly, p1 ahead before the merge. Only the held
+        # entry's seq, one per channel, puts p0 first, as the reference
+        # lists it
+        vocab = make_vocab(2)
+        entries = {"⟨A⟩": [(("p0",), 1.0)], "⟨D⟩": [(("p0",), 1.0)]}
+        corpus = [
+            ["⟨A⟩", "p1"], ["⟨A⟩", "p1"], ["⟨A⟩", "p0"],
+            ["⟨D⟩", "p0"], ["⟨D⟩", "p0"], ["⟨D⟩", "p1"],
+            ["p0", "p0", "p1"], ["p1", "p1", "p0"],
+        ]
+        clm = train_tagged_clm(corpus, entries, 2, vocab)
+        scorer = FntScorer(_UniformLm(2), gamma=gamma)
+        encoder = EncoderOutput(np.full((n_frames, 2), -math.log(2)), np.full(n_frames, -8.0))
+        config = DecoderConfig(
+            beam=beam, fusion=FusionConfig("clm", 0.9, rank_r=2), max_emit=max_emit
+        )
+        got, _ = beam_search(encoder, scorer, config, None, clm)
+        want = full_expansion_beam_search(encoder, scorer, config, None, clm)
+        assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
     def test_identical_to_full_expansion_on_wider_beams(self, name):
         # eight words, six frames and three emissions per frame: a
@@ -466,6 +499,32 @@ class TestPruningVsFullExpansion:
         assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
         assert min(len(r.tokens) for r in got) > 25
         assert min(len(r.steps) for r in got) >= encoder.n_frames
+
+    def test_identical_to_full_expansion_on_seeded_tie_fuzz(self, monkeypatch):
+        # random tie instances, V 3-8 and T 3-6, each decoded at three
+        # beams drawn from 1-16 with and without class models: merges,
+        # some into an A whose rank order is not the reference's, occur
+        merges = count_merges(monkeypatch)
+        cases = [("none", "standard")] + [
+            (name, rule) for name in ("clm", "three-way") for rule in EXIT_RULES
+        ]
+        rng = np.random.default_rng(70)
+        for _ in range(32):
+            n_vocab, n_frames = int(rng.integers(3, 9)), int(rng.integers(3, 7))
+            vocab, scorer, lm, encoder = make_tie_instance(rng, n_vocab, n_frames)
+            clm = make_clm(rng, vocab)
+            for name, rule in cases:
+                for beam in rng.integers(1, 17, size=3).tolist():
+                    config = DecoderConfig(
+                        beam=beam, fusion=PRUNING_CASES[name], exit_rule=rule,
+                        max_emit=int(rng.integers(2, 4)),
+                    )
+                    got, got_stats = beam_search(encoder, scorer, config, lm, clm)
+                    stats = {}
+                    want = full_expansion_beam_search(encoder, scorer, config, lm, clm, stats)
+                    assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+                    assert got_stats.n_expansions == stats["expansions"]
+        assert merges["merged"] > 0 and merges["unranked"] > 0
 
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
     def test_popped_children_are_a_share_of_those_recorded(self, name):

@@ -287,6 +287,11 @@ class TestEvaluate:
         assert rep.warning_kinds == tuple(sorted(Counter(warned).items()))
         assert rep.n_warnings == len(warned)
 
+    def test_no_utterances_is_refused(self):
+        scn, scorer, _ = scenario_setup()
+        with pytest.raises(ValueError, match="base: no test utterances"):
+            evaluate("base", [], scn.vocab, scorer, DecoderConfig(beam=4))
+
 
 class TestSweep:
     def run_sweep(self, methods=("li",), grid=(0.0, 0.5), **kw):

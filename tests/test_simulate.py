@@ -812,6 +812,13 @@ class TestScenarioIO:
         with pytest.raises(ValueError, match="refs.tsv line 2: no reference words"):
             read_scenario(tmp_path / "scn")
 
+    def test_refs_without_rows_is_refused(self, tmp_path):
+        scn = synthesize_scenario(small_spec(n_test=3))
+        write_scenario(scn, tmp_path / "scn")
+        (tmp_path / "scn" / "refs.tsv").write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="refs.tsv: no test utterances"):
+            read_scenario(tmp_path / "scn")
+
     @pytest.mark.parametrize("index", ["-1", "n"])
     def test_refs_entity_index_out_of_range_names_line(self, index, tmp_path):
         scn = synthesize_scenario(small_spec(n_test=3))
