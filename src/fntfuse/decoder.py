@@ -39,14 +39,13 @@ Bookkeeping is O(1) per child, whatever the utterance length:
 - A is a list with no keys. A child enters it pending: its score,
   parent, channel, posterior, the expansion's class-model transitions
   (None when dense, where the channel is the word), merged flag and
-  ``seq``. Only
-  when it is popped does it read its word and class successor from
-  them, advance the predictor and LM states and intern its prefix;
-  most children never are. Its identity is (parent prefix id, word,
-  successor, k), since parent id and word name its tokens. Carried
-  entries have k = 0 and children k >= 1, so a child can share its
-  identity only with another pending child. A popped child leaves A for
-  good.
+  ``seq``. Only when it is popped does it read its word and class
+  successor from them, advance the predictor and LM states and intern
+  its prefix; most children never are. Its identity is (parent prefix
+  id, word, successor, k), since parent id and word name its tokens.
+  Carried entries have k = 0 and children k >= 1, so a child can share
+  its identity only with another pending child. A popped child leaves A
+  for good.
 
 An expansion is one array pass. The joint row (word channels, blank
 last) is written into a buffer the scorer owns for the decode and
@@ -57,25 +56,15 @@ channel index as ``heapq.nlargest`` keeps them. Only those children are
 recorded in A, plus, with a class model, every child whose identity
 matches a pending child already in A.
 
-Pops and cuts read two things of A: which entries it holds, and the
-order of entries with equal scores. The reference records every finite
-child into a dict (insertion order; a merge keeps the older place),
-cuts it by a stable sort whenever it exceeds the beam, and pops the
-first entry with the top score, the one ``max`` returns. A holds the
-reference's entries sorted by (-score, ``seq``), where ``seq`` is an
-entry's place in the dict, so a pop takes A's head and a cut keeps A's
-first ``beam`` entries. ``seq`` follows the dict:
-
-- a frame's carried entries are numbered in A's order, B's after its
-  cut (a ``require-cat1`` survivor appended to it scores no higher);
-- a child gets the expansion's base number plus its channel, above
-  every earlier entry's, as the reference appends children in channel
-  order;
-- a merge keeps the held entry's number, whichever object it returns;
-- a cut of the reference leaves it in rank order, A's, so the entries
-  present are renumbered in A's order, once, at the first merge-path
-  expansion after it (step 3): until then no score changes, and pops
-  and stable merges keep their order.
+A is sorted by one key, (-score, ``seq``), where ``seq`` is an entry's
+creation number: 0 for a carried entry, and for a child the expansion's
+base number plus its channel, above every earlier entry's. A merge
+keeps the held entry's number and a cut renumbers nothing, so a pop
+takes A's head and a cut keeps A's first ``beam`` entries, as a search
+that records every finite child and ranks by the same key would.
+Carried entries are no merge target, so their scores never change and
+they stay in B's cut order (a ``require-cat1`` survivor appended to it
+scores no higher), ahead of every child of equal score.
 
 1. Siblings never share a merge key (tokens, emission count, class
    state). With one word, a CAT1 successor is outside any class, CAT2
@@ -90,26 +79,22 @@ first ``beam`` entries. ``seq`` follows the dict:
    are then merged stably into A, A's entries first on equal scores,
    and the merge stops at ``beam``; a ``_Pending`` is built only for a
    child that makes the cut. That keeps the key's order, since the
-   children's numbers exceed A's, and makes the reference's cut: a
+   children's numbers exceed A's, and makes that search's cut: a
    finite child outside the ``beam`` best is outranked by ``beam``
    selected siblings, each strictly higher, or equal and on a lower
-   channel. Where the reference skips its cut it holds at most ``beam``
-   entries, so the cut changes nothing there. It cuts when more than
-   ``beam`` entries and finite children are left after merges (all
-   finite children are selected unless ``beam`` are).
+   channel.
 3. Otherwise, the merge path: each child whose (word, successor) is a
    target's merges into it where it stands, and A is re-sorted by the
-   key. A merge raises an entry's score, and may tie it with an entry
-   that A ranked ahead of it but the reference lists after it; ``seq``
-   orders the two as the reference does. Merging channels are looked
-   for whenever ``beam`` children were selected; when no finite channel
-   is left out, any found is already among them. The other selected
-   children take step 2's stable merge, and any child left out is
-   outranked by ``beam`` distinct entries, the best siblings or the
-   entries they merged into, each strictly higher, or equal and ahead
-   of it in the key. Only these expansions build successors for
-   children that are not popped: those of their own children and of
-   the pending children they search.
+   key: a merge raises an entry's score and may tie it with an entry
+   that A ranked ahead of it, and ``seq`` orders the two. Merging
+   channels are looked for whenever ``beam`` children were selected;
+   when no finite channel is left out, any found is already among them.
+   The other selected children take step 2's stable merge, and any
+   child left out is outranked by ``beam`` distinct entries, the best
+   siblings or the entries they merged into, each strictly higher, or
+   equal and ahead of it in the key. Only these expansions build
+   successors for children that are not popped: those of their own
+   children and of the pending children they search.
 
 B's frame-end cut is ``sorted(..., reverse=True)[:beam]``, which the
 ``heapq`` docs define as equal to ``heapq.nlargest``, and which is
@@ -228,7 +213,8 @@ class DecodedHypothesis:
 class Hypothesis:
     """A carried or popped hypothesis. ``prefix`` is its interned token
     prefix; ``steps`` is () at the start, else (parent's steps, (frame,
-    k, token-or-None, log-posterior)); ``seq`` orders it in A."""
+    k, token-or-None, log-posterior)). ``seq`` stays 0, a carried
+    entry's number in A (module docstring)."""
 
     prefix: int
     logscore: float
@@ -249,7 +235,7 @@ class _Pending:
     when dense, where the channel is the word. The word and the class
     successor are read from them only when the child is popped or
     looked up as a merge target (``_word_successor``). ``seq`` is its
-    place in the reference's order (module docstring)."""
+    creation number (module docstring)."""
 
     logscore: float
     parent: Hypothesis
@@ -291,7 +277,8 @@ def _fill_joint(row: np.ndarray, enc, pred, blank: float) -> np.ndarray:
 def _merge(held, entry):
     """The entry that represents ``held`` and ``entry``, two entries of
     one merge key: the higher-scoring one (``held`` on a tie), given their
-    summed score and ``held``'s seq. The caller puts it where ``held`` was."""
+    summed score and ``held``'s number. The caller puts it where ``held``
+    was."""
     total = float(np.logaddexp(held.logscore, entry.logscore))
     if held.logscore >= entry.logscore:
         entry = held
@@ -335,10 +322,10 @@ def _merge_siblings(targets: dict, words: np.ndarray, scores: np.ndarray):
 
 def _merge_children(A, targets, best, transitions, words, scores, posts, keep, beam, seq):
     """Merge each child of ``best`` (channels ``keep``, plus
-    ``_merge_siblings`` when finite channels may be left out; numbers
-    from ``seq``) that finds its target in A into it where it stands,
-    then sort A by (-score, seq). Returns the others' channels and the
-    number merged."""
+    ``_merge_siblings`` when finite channels may be left out; numbered
+    ``seq`` plus channel) that finds its target in A into it where it
+    stands, then sort A by (-score, seq). Returns the others' channels
+    and the number merged."""
     if keep.size == beam:
         keep = np.union1d(keep, _merge_siblings(targets, words, scores))
     rest = []
@@ -540,6 +527,7 @@ def beam_search(
     )
     beam = config.beam
     A = [init]  # the carried set: the previous frame's B after its cut
+    next_seq = 1  # the next expansion's base number; carried entries have 0
 
     for t in range(encoder.n_frames):
         z_t_row = encoder.scores[t]
@@ -548,10 +536,6 @@ def beam_search(
         b_scores: list = []  # B's scores, negated, ascending
         extra_used = 0
         expanded: dict = {}  # (prefix id, k) -> the frame's first class-model parent
-        for seq, h in enumerate(A):
-            h.seq = seq
-        next_seq = len(A)  # above every entry's seq
-        cut_seq = 0  # entries below it were in A at a reference cut not yet renumbered
 
         while A:
             best = A[0]
@@ -607,13 +591,10 @@ def beam_search(
                 continue
             scores = best.logscore + posts
             keep = top_ids(scores, beam)
-            n_selected, n_merged = keep.size, 0
-            key = (best.prefix, best.k)
-            if transitions is not None and expanded.setdefault(key, best) is not best:
-                # children may merge into A; renumber what the last cut left in A's order
-                for seq, e in enumerate([e for e in A if e.seq < cut_seq]):
-                    e.seq = seq
-                cut_seq = 0
+            n_merged = 0
+            if transitions is not None and (
+                expanded.setdefault((best.prefix, best.k), best) is not best
+            ):  # children may merge into A
                 targets = _merge_targets(A, best)
                 if targets:
                     keep, n_merged = _merge_children(
@@ -636,11 +617,6 @@ def beam_search(
                     score, best, channel, post, transitions, best.merged, next_seq + channel
                 ))
             next_seq += words.size
-            # where the reference, which holds every finite child, cuts
-            if transitions is not None and (len(A) - n_merged + n_selected > beam or (
-                n_selected == beam and np.count_nonzero(scores > NEG_INF) > beam
-            )):
-                cut_seq = next_seq
             A = ranked + A[i : i + beam - len(ranked)]
 
         A = sorted(B.values(), key=_score, reverse=True)[:beam]

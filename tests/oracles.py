@@ -485,11 +485,13 @@ def full_expansion_beam_search(
     """Beam search that builds every child of every expansion.
 
     The decoder's search loop without pruning before the merge: every
-    finite channel becomes a child, children merge into A, and A is cut
-    back to the beam by a stable sort, as ``heapq.nlargest`` does it.
-    Channel posteriors come
-    from the decoder's own ``_FrameScorer``, so only the search
-    bookkeeping is re-implemented. Returns the n-best as
+    finite channel becomes a child and children merge into A. A ranks
+    its entries by (-score, creation number): carried entries are
+    numbered first, in B's cut order, then each child as it is made, in
+    channel order; a merge keeps the held entry's number. A pop takes
+    A's first entry, and A is cut back to its first ``beam`` entries.
+    Channel posteriors come from the decoder's own ``_FrameScorer``, so
+    only the search bookkeeping is re-implemented. Returns the n-best as
     (tokens, logscore, steps, merged) tuples, best first, one per token
     sequence of the final beam, as ``beam_search`` does.
 
@@ -500,6 +502,7 @@ def full_expansion_beam_search(
     none changes a decision.
     """
     import heapq
+    import itertools
     from types import SimpleNamespace
 
     import numpy as np
@@ -516,7 +519,8 @@ def full_expansion_beam_search(
     predictor = scorer.predictor
     edge_ties = pop_ties = expansions = 0
 
-    # hypothesis: [tokens, logscore, pred, lm, clm, k, steps, merged]
+    # hypothesis: [tokens, logscore, pred, lm, clm, k, steps, merged],
+    # then, in A, its creation number
     def key(h):
         return (h[0], h[2], h[3], h[4])
 
@@ -524,16 +528,19 @@ def full_expansion_beam_search(
         old = pool.get(k)
         if old is not None:
             rep = old if old[1] >= h[1] else h
-            h = rep[:1] + [float(np.logaddexp(old[1], h[1]))] + rep[2:7] + [True]
+            h = rep[:1] + [float(np.logaddexp(old[1], h[1]))] + rep[2:7] + [True] + old[8:]
         pool[k] = h
 
     def can_exit(h):
         s = h[4]
         return s is None or s.class_tag is None or class_model.exit_logmass(s) > -math.inf
 
+    def rank(kv):
+        return -kv[1][1], kv[1][8]
+
     def top(pool):
         nonlocal edge_ties
-        ranked = sorted(pool.items(), key=lambda kv: kv[1][1], reverse=True)
+        ranked = sorted(pool.items(), key=rank)
         if ranked[config.beam - 1][1][1] == ranked[config.beam][1][1]:
             edge_ties += 1
         return ranked[: config.beam]
@@ -549,14 +556,15 @@ def full_expansion_beam_search(
         False,
     ]
     B = {key(init): init}
+    created = itertools.count()
     for t in range(encoder.n_frames):
         z_t, blank_logit = encoder.scores[t], float(encoder.blank_logits[t])
         A = {}
         for h in B.values():
-            merge(A, key(h) + (0,), h[:5] + [0] + h[6:])
+            merge(A, key(h) + (0,), h[:5] + [0] + h[6:] + [next(created)])
         B, extra = {}, 0
         while A:
-            best_key = max(A, key=lambda k: A[k][1])
+            best_key = min(A.items(), key=rank)[0]
             best = A[best_key]
             if sum(1 for h in B.values() if h[1] >= best[1]) >= config.beam:
                 if config.exit_rule != "require-cat1" or any(
@@ -594,6 +602,7 @@ def full_expansion_beam_search(
                         best[5] + 1,
                         best[6] + ((t, best[5], w, post),),
                         best[7],
+                        next(created),
                     ]
                     merge(A, key(child) + (child[5],), child)
             if len(A) > config.beam:

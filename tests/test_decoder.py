@@ -256,24 +256,31 @@ SIZES = [(5, 4)] * 5 + [(3, 6), (8, 3), (6, 5)]
 
 def count_merges(monkeypatch) -> dict:
     """Counts, over the decodes that follow, the expansions that found a
-    merge target in A, those at which A's rank order differed from its
-    ``seq`` order (the reference's order after a skipped cut), and the
-    children that merged into a target."""
-    counts = {"targets": 0, "merged": 0, "unranked": 0}
-    find, merge = decoder._merge_targets, decoder._merge
+    merge target in A, the children that merged into a target, and the
+    merge-path sorts of A that leave two neighbours at exactly one score
+    with different ``seq``, an order only the creation number decides."""
+    counts = {"targets": 0, "merged": 0, "seq_ties": 0}
+    find, merge, merge_children = decoder._merge_targets, decoder._merge, decoder._merge_children
 
     def targets(A, best):
         out = find(A, best)
         counts["targets"] += bool(out)
-        counts["unranked"] += any(a.seq > b.seq for a, b in zip(A, A[1:]))
         return out
 
     def merged(held, entry):
         counts["merged"] += type(entry) is decoder._Pending
         return merge(held, entry)
 
+    def sorted_merge(A, *args):
+        out = merge_children(A, *args)
+        counts["seq_ties"] += any(
+            a.logscore == b.logscore and a.seq != b.seq for a, b in zip(A, A[1:])
+        )
+        return out
+
     monkeypatch.setattr(decoder, "_merge_targets", targets)
     monkeypatch.setattr(decoder, "_merge", merged)
+    monkeypatch.setattr(decoder, "_merge_children", sorted_merge)
     return counts
 
 
@@ -351,9 +358,11 @@ class TestPruningVsFullExpansion:
 
     @pytest.mark.parametrize("name", ["none", "li", "clm", "three-way"])
     def test_identical_to_full_expansion_when_a_leaves_rank_order(self, name, monkeypatch):
-        # three words under a wider beam: children enter the reference's
-        # A without a cut, so its order leaves rank order, and a merge
-        # into A must follow that order, not A's own
+        # three words under beams wider than an expansion's children: A
+        # holds children of several expansions uncut, merges into them
+        # reorder A, and with clm some leave two entries tied exactly,
+        # which only their creation numbers order (three-way's LM scores
+        # leave no such tie here)
         fusion = PRUNING_CASES[name]
         merges = count_merges(monkeypatch)
         rng = np.random.default_rng(32)
@@ -366,7 +375,9 @@ class TestPruningVsFullExpansion:
                 want = full_expansion_beam_search(encoder, scorer, config, lm, clm)
                 assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
         if fusion.uses_clm:
-            assert merges["unranked"] > 0 and merges["merged"] > 0
+            assert merges["merged"] > 0
+        if name == "clm":
+            assert merges["seq_ties"] > 0
 
     @pytest.mark.parametrize("beam", [32, 40])
     def test_identical_to_full_expansion_when_merges_tie_out_of_rank_order(
@@ -374,9 +385,10 @@ class TestPruningVsFullExpansion:
     ):
         # four classes, two over each word, in a symmetric corpus: the
         # frame's children tie, pairs of them share a prefix id and k,
-        # and their merges raise entries in turn until two tie that the
-        # reference lists in the opposite order to their rank before
-        # the last merge; the beam is wide enough that nothing is cut
+        # and their merges raise entries in turn until two tie exactly,
+        # which only their creation numbers order; the reference also
+        # cuts A between equal scores, which the same key decides
+        merges = count_merges(monkeypatch)
         vocab = make_vocab(2)
         entries = {
             "⟨A⟩": [(("p0",), 1.0)], "⟨B⟩": [(("p1",), 1.0)],
@@ -401,16 +413,22 @@ class TestPruningVsFullExpansion:
             )
             got, _ = beam_search(encoder, scorer, config, None, clm)
             pops, expanded[:] = expanded[:], []
-            want = full_expansion_beam_search(encoder, scorer, config, None, clm)
+            stats = {}
+            want = full_expansion_beam_search(encoder, scorer, config, None, clm, stats)
             assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
             assert pops == expanded  # every pop takes the reference's entry
+            assert stats["edge_ties"] > 0
             expanded.clear()
+        assert merges["seq_ties"] > 0
 
+    # at beam 26 a child that merged and won keeps the held entry's
+    # number into a later merge-path sort of the frame
     @pytest.mark.parametrize(
-        "n_frames, gamma, beam, max_emit", [(1, 0.0, 8, 3), (2, 3.0, 7, 2), (2, 3.0, 8, 2)]
+        "n_frames, gamma, beam, max_emit",
+        [(1, 0.0, 8, 3), (2, 3.0, 7, 2), (2, 3.0, 8, 2), (2, 3.0, 26, 2)],
     )
     def test_identical_to_full_expansion_when_mirrored_merges_tie(
-        self, n_frames, gamma, beam, max_emit
+        self, n_frames, gamma, beam, max_emit, monkeypatch
     ):
         # p0 enters class A or D at one score, and the corpus is the same
         # under swapping p0 with p1 and A with D. The two parents' rows
@@ -419,7 +437,8 @@ class TestPruningVsFullExpansion:
         # one's p0 and p1 children with the operands swapped: the two
         # then tie exactly, p1 ahead before the merge. Only the held
         # entry's seq, one per channel, puts p0 first, as the reference
-        # lists it
+        # ranks it
+        merges = count_merges(monkeypatch)
         vocab = make_vocab(2)
         entries = {"⟨A⟩": [(("p0",), 1.0)], "⟨D⟩": [(("p0",), 1.0)]}
         corpus = [
@@ -436,6 +455,7 @@ class TestPruningVsFullExpansion:
         got, _ = beam_search(encoder, scorer, config, None, clm)
         want = full_expansion_beam_search(encoder, scorer, config, None, clm)
         assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+        assert merges["seq_ties"] > 0
 
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
     def test_identical_to_full_expansion_on_wider_beams(self, name):
@@ -502,8 +522,8 @@ class TestPruningVsFullExpansion:
 
     def test_identical_to_full_expansion_on_seeded_tie_fuzz(self, monkeypatch):
         # random tie instances, V 3-8 and T 3-6, each decoded at three
-        # beams drawn from 1-16 with and without class models: merges,
-        # some into an A whose rank order is not the reference's, occur
+        # beams drawn from 1-16 with and without class models: merges
+        # occur, and some leave ties that only creation numbers order
         merges = count_merges(monkeypatch)
         cases = [("none", "standard")] + [
             (name, rule) for name in ("clm", "three-way") for rule in EXIT_RULES
@@ -524,7 +544,7 @@ class TestPruningVsFullExpansion:
                     want = full_expansion_beam_search(encoder, scorer, config, lm, clm, stats)
                     assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
                     assert got_stats.n_expansions == stats["expansions"]
-        assert merges["merged"] > 0 and merges["unranked"] > 0
+        assert merges["merged"] > 0 and merges["seq_ties"] > 0
 
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
     def test_popped_children_are_a_share_of_those_recorded(self, name):
