@@ -23,8 +23,11 @@ def _checked(values) -> tuple[np.ndarray, float]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D score vector, got shape {arr.shape}")
-    # the ufunc reductions ndarray.max and .sum call, without their wrappers
-    m = float(np.maximum.reduce(arr)) if arr.size else NEG_INF
+    # the max as the entry argmax picks: one dispatch, where ndarray.max
+    # is a ufunc reduction. Like the reduction's, it is NaN if the row
+    # holds one, else +inf if it holds one; of tied zeros it may pick the
+    # other sign, which the callers' results do not show
+    m = arr.item(arr.argmax()) if arr.size else NEG_INF
     # one comparison catches both: NaN compares False, as does +inf
     if not m < np.inf:
         raise ValueError("NaN or +inf in score vector")
@@ -61,10 +64,12 @@ def top_ids(row: np.ndarray, r: int) -> np.ndarray:
     of them if fewer are finite), ties at the cut to the lower id, the
     order in which ``heapq.nlargest`` keeps equal keys.
 
-    The one top-r cut: beam children, ``ExternalLm.top_r`` and the class
-    model's CAT1 gate. A partition of a copy of the row and one ``>=
-    cut`` scan; ties at the cut and fewer than ``r`` finite entries take
-    further passes only when they occur."""
+    The one top-r cut: ``ExternalLm.top_r``, the class model's CAT1 gate
+    and the decoder's children where they can merge into A. The
+    decoder's other expansions read this set best first, one ``argmax``
+    at a time (``decoder._ranked_children``). A partition of a copy of
+    the row and one ``>= cut`` scan; ties at the cut and fewer than
+    ``r`` finite entries take further passes only when they occur."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     n = row.size

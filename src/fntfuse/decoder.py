@@ -49,12 +49,17 @@ Bookkeeping is O(1) per child, whatever the utterance length:
 
 An expansion is one array pass. The joint row (word channels, blank
 last) is written into a buffer the scorer owns for the decode and
-normalized by one log-softmax. ``core.top_ids`` of the children's
-scores (parent score plus posterior, -inf for a dead channel) selects
-the ``beam`` best finite channels in ascending order, ties to the lower
-channel index as ``heapq.nlargest`` keeps them. Only those children are
-recorded in A, plus, with a class model, every child whose identity
-matches a pending child already in A.
+normalized by one log-softmax. The children's scores (parent score plus
+posterior, -inf for a dead channel) are written into the same buffer,
+and ``_ranked_children`` reads them best first: each step is one
+``argmax``, which takes the first maximum, so children come score
+descending, then channel ascending, and -inf is written over each one
+read. The ``beam`` best finite children, ties at the cut to the lower
+channel index as ``heapq.nlargest`` keeps them (``core.top_ids``' set),
+are the most it reads, and the merge into A stops it at the first
+child that misses A's cut. Only children it reads are recorded in A,
+plus, with a class model, every child whose identity matches a pending
+child already in A.
 
 A is sorted by one key, (-score, ``seq``), where ``seq`` is an entry's
 creation number: 0 for a carried entry, and for a child the expansion's
@@ -74,27 +79,28 @@ scores no higher), ahead of every child of equal score.
    parent's prefix id and k: its tokens fix that prefix id, and its k
    the parent's. Pending children are this frame's, so when no earlier
    expansion of the frame had ``best``'s prefix id and k (always, with
-   no class model) nothing in A is a merge target. The selected
-   children, ordered by score descending and then channel ascending,
+   no class model) nothing in A is a merge target. The ranked children
    are then merged stably into A, A's entries first on equal scores,
    and the merge stops at ``beam``; a ``_Pending`` is built only for a
-   child that makes the cut. That keeps the key's order, since the
-   children's numbers exceed A's, and makes that search's cut: a
-   finite child outside the ``beam`` best is outranked by ``beam``
-   selected siblings, each strictly higher, or equal and on a lower
-   channel.
-3. Otherwise, the merge path: each child whose (word, successor) is a
-   target's merges into it where it stands, and A is re-sorted by the
-   key: a merge raises an entry's score and may tie it with an entry
-   that A ranked ahead of it, and ``seq`` orders the two. Merging
-   channels are looked for whenever ``beam`` children were selected;
-   when no finite channel is left out, any found is already among them.
-   The other selected children take step 2's stable merge, and any
-   child left out is outranked by ``beam`` distinct entries, the best
-   siblings or the entries they merged into, each strictly higher, or
-   equal and ahead of it in the key. Only these expansions build
-   successors for children that are not popped: those of their own
-   children and of the pending children they search.
+   child that makes the cut, and no child is ranked after the one that
+   misses it. That keeps the key's order, since the children's numbers
+   exceed A's, and makes that search's cut: a finite child outside the
+   ``beam`` best is outranked by ``beam`` ranked siblings, each
+   strictly higher, or equal and on a lower channel.
+3. Otherwise, the merge path: ``core.top_ids`` selects the ``beam``
+   best children, and each of them whose (word, successor) is a
+   target's merges into it where it stands; A is re-sorted by the key:
+   a merge raises an entry's score and may tie it with an entry that A
+   ranked ahead of it, and ``seq`` orders the two. Merging channels are
+   looked for whenever ``beam`` children were selected; when no finite
+   channel is left out, any found is already among them. The other
+   selected children are ranked for step 2's stable merge from a row
+   that is -inf outside them, and any child left out is outranked by
+   ``beam`` distinct entries, the best siblings or the entries they
+   merged into, each strictly higher, or equal and ahead of it in the
+   key. Only these expansions build successors for children that are
+   not popped: those of their own children and of the pending children
+   they search.
 
 B's frame-end cut is ``sorted(..., reverse=True)[:beam]``, which the
 ``heapq`` docs define as equal to ``heapq.nlargest``, and which is
@@ -110,7 +116,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
 
 import numpy as np
 
@@ -156,10 +161,13 @@ class DecodeStats:
     """Per-utterance instrumentation for width and exit-rule accounting.
 
     ``total_width`` counts the channels scored over all expansions,
-    ``n_children`` the children selected from them (the ``beam`` best
-    finite ones per expansion, plus any that merge into a pending child
-    in A), whether or not the cut of A keeps them, ``n_popped_children``
-    the pending children popped and so built into hypotheses,
+    ``n_children`` the children that could enter A (the ``beam`` best
+    finite ones per expansion, plus, where children can merge, those
+    searched for a merge target), whether or not the cut of A keeps
+    them, ``n_ranked_children`` those of them the merge into A read
+    (the ones it entered, plus the one that stopped it),
+    ``n_popped_children`` the pending children popped and so built into
+    hypotheses,
     ``n_enumerations`` the class states this decode had to enumerate
     because the class model's memo did not hold them,
     ``n_shared_bundles`` those of them memoized onto a transitions
@@ -175,6 +183,7 @@ class DecodeStats:
     n_extra_expansions: int = 0
     total_width: int = 0
     n_children: int = 0
+    n_ranked_children: int = 0
     n_popped_children: int = 0
     n_enumerations: int = 0
     n_shared_bundles: int = 0
@@ -320,12 +329,14 @@ def _merge_siblings(targets: dict, words: np.ndarray, scores: np.ndarray):
     return hits[scores[hits] > NEG_INF]
 
 
-def _merge_children(A, targets, best, transitions, words, scores, posts, keep, beam, seq):
-    """Merge each child of ``best`` (channels ``keep``, plus
+def _merge_children(A, targets, best, transitions, words, scores, posts, beam, seq):
+    """Merge each child of ``best`` (the ``top_ids`` of ``scores``, plus
     ``_merge_siblings`` when finite channels may be left out; numbered
     ``seq`` plus channel) that finds its target in A into it where it
-    stands, then sort A by (-score, seq). Returns the others' channels
-    and the number merged."""
+    stands, then sort A by (-score, seq). Leaves ``scores`` -inf outside
+    the other children, which the stable merge ranks next, and returns
+    the number of children searched."""
+    keep = top_ids(scores, beam)
     if keep.size == beam:
         keep = np.union1d(keep, _merge_siblings(targets, words, scores))
     rest = []
@@ -337,7 +348,26 @@ def _merge_children(A, targets, best, transitions, words, scores, posts, keep, b
         else:
             A[j] = _merge(A[j], child)
     A.sort(key=lambda e: (-e.logscore, e.seq))
-    return np.array(rest, dtype=keep.dtype), keep.size - len(rest)
+    live = scores[rest]
+    scores.fill(NEG_INF)
+    scores[rest] = live
+    return keep.size
+
+
+def _ranked_children(scores, posts, beam):
+    """(score, channel, posterior) of the ``beam`` best finite channels of
+    ``scores``, score descending, then channel ascending: the
+    ``top_ids(scores, beam)`` children in the order the stable merge
+    reads them. Each step is one ``argmax``, which takes the first
+    maximum, and writes -inf over the channel it yields, so a merge that
+    stops early ranks no further child. ``scores`` is not empty."""
+    for _ in range(beam):
+        i = int(scores.argmax())
+        score = scores.item(i)
+        if score == NEG_INF:
+            return
+        scores[i] = NEG_INF
+        yield score, i, posts.item(i)
 
 
 def _score(entry) -> float:
@@ -397,6 +427,12 @@ class _FrameScorer:
         if self._buf.size <= n:
             self._buf = np.empty(n + 1)
         return self._buf[: n + 1]
+
+    def child_scores(self, logscore, posts) -> np.ndarray:
+        """``logscore`` plus ``posts``, the children's scores, written into
+        the joint buffer: the row normalized into ``posts`` is read no
+        more, and the next expansion writes its own."""
+        return np.add(posts, logscore, out=self._buf[: posts.size])
 
     def _transitions(self, clm_state, t, z_t_row):
         # the state itself is the memo key: equal states are equal keys
@@ -535,7 +571,9 @@ def beam_search(
         B: dict = {}  # (prefix id, class state) -> blank extension
         b_scores: list = []  # B's scores, negated, ascending
         extra_used = 0
-        expanded: dict = {}  # (prefix id, k) -> the frame's first class-model parent
+        # (prefix id, k) -> the frame's first class-model parent with a
+        # channel; an expansion with none records no child
+        expanded: dict = {}
 
         while A:
             best = A[0]
@@ -587,35 +625,35 @@ def beam_search(
                 B[b_key] = took_blank
             insort(b_scores, -took_blank.logscore)
 
-            if best.k >= config.max_emit:
+            if best.k >= config.max_emit or not posts.size:
                 continue
-            scores = best.logscore + posts
-            keep = top_ids(scores, beam)
-            n_merged = 0
-            if transitions is not None and (
-                expanded.setdefault((best.prefix, best.k), best) is not best
+            scores = frame_scorer.child_scores(best.logscore, posts)
+            if (
+                transitions is not None
+                and expanded.setdefault((best.prefix, best.k), best) is not best
+                and (targets := _merge_targets(A, best))
             ):  # children may merge into A
-                targets = _merge_targets(A, best)
-                if targets:
-                    keep, n_merged = _merge_children(
-                        A, targets, best, transitions, words, scores, posts, keep, beam, next_seq
-                    )
-            stats.n_children += keep.size + n_merged
+                stats.n_children += _merge_children(
+                    A, targets, best, transitions, words, scores, posts, beam, next_seq
+                )
+            elif scores.item(scores.argmin()) > NEG_INF:
+                stats.n_children += min(beam, scores.size)
+            else:
+                stats.n_children += min(beam, int(np.count_nonzero(scores > NEG_INF)))
             # score descending, channel ascending, merged after A's
             # entries of equal score and cut at the beam
             ranked, i = [], 0
-            for score, channel, post in sorted(
-                zip(scores[keep].tolist(), keep.tolist(), posts[keep].tolist()),
-                key=itemgetter(0), reverse=True,
-            ):
+            for score, channel, post in _ranked_children(scores, posts, beam):
                 while i < len(A) and A[i].logscore >= score and len(ranked) < beam:
                     ranked.append(A[i])
                     i += 1
                 if len(ranked) == beam:
+                    stats.n_ranked_children += 1  # read, and it stops the merge
                     break
                 ranked.append(_Pending(
                     score, best, channel, post, transitions, best.merged, next_seq + channel
                 ))
+            stats.n_ranked_children += len(ranked) - i
             next_seq += words.size
             A = ranked + A[i : i + beam - len(ranked)]
 

@@ -93,6 +93,59 @@ class TestSoftmax:
         assert out[1] == NEG_INF
 
 
+class TestMaxEntry:
+    """``log_sum_exp`` and ``log_softmax`` take the max as the entry
+    ``argmax`` picks. They must stay bitwise equal to the formulas over
+    ``np.maximum.reduce``, which may pick the other of two tied zeros:
+    the max's sign drops out, since a tie makes the sum at least 2."""
+
+    ROWS = [
+        [-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0, 0.0], [-0.0, -1.0, 0.0, -0.0],
+        [0.0], [-0.0], [NEG_INF, -0.0, NEG_INF, 0.0], [3.0, NEG_INF, 3.0],
+        [NEG_INF], [NEG_INF, NEG_INF],
+    ]
+
+    @staticmethod
+    def reduced(x):
+        """(max, log-sum-exp) by the ``np.maximum.reduce`` formula."""
+        m = float(np.maximum.reduce(x))
+        if m == NEG_INF:
+            return m, m
+        return m, m + float(np.log(np.add.reduce(np.exp(x - m))))
+
+    def rows(self):
+        rng = np.random.default_rng(9)
+        yield from (np.array(r) for r in self.ROWS)
+        for n in (1, 5, 121, 1101):
+            x = rng.normal(scale=5.0, size=n)
+            x[1::7] = NEG_INF
+            yield x
+
+    def test_bitwise_equal_to_the_reduce_formula(self):
+        signs = 0
+        for x in self.rows():
+            m, lse = self.reduced(x)
+            signs += math.copysign(1.0, m) != math.copysign(1.0, x[x.argmax()])
+            assert np.float64(log_sum_exp(x)).tobytes() == np.float64(lse).tobytes()
+            if lse == NEG_INF:
+                with pytest.raises(ValueError, match="zero-mass"):
+                    log_softmax(x)
+            else:
+                assert log_softmax(x).tobytes() == (x - lse).tobytes()
+        assert signs > 0  # the two maxima differ in sign on some rows
+
+    @pytest.mark.parametrize(
+        "row",
+        [[0.0, math.nan], [math.inf, math.nan], [math.nan, math.inf],
+         [NEG_INF, math.inf, 0.0], [math.inf, math.inf]],
+    )
+    def test_nan_or_pos_inf_faults_as_the_max(self, row):
+        assert not float(np.maximum.reduce(np.array(row))) < math.inf
+        for fn in (log_sum_exp, log_softmax):
+            with pytest.raises(ValueError, match=r"NaN or \+inf"):
+                fn(row)
+
+
 class TestVocabulary:
     def test_bijection(self):
         vocab = Vocabulary(["▁a", "▁b", "c"])

@@ -2,6 +2,7 @@
 joint softmax, blank fallback, merge, and exit-rule mechanics."""
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -239,6 +240,41 @@ class _UniformLm(ExternalLm):
         raise NotImplementedError
 
 
+def make_mirrored_instance(rng, n_vocab, n_frames):
+    """Scorer, external LM, class model and encoder that are the same
+    under swapping two words and the two classes.
+
+    A random tagged corpus is joined by its image under that swap, both
+    classes hold one random entry list, the scorer and LM are uniform,
+    and the encoder scores the two words alike. So a word entered
+    through one class and its twin through the other score alike, and
+    children of the two parents merge with their operands swapped and
+    tie exactly.
+    """
+    vocab = make_vocab(n_vocab)
+    tokens = list(vocab)
+    a, b = (int(i) for i in rng.choice(n_vocab, size=2, replace=False))
+    swap = {tokens[a]: tokens[b], tokens[b]: tokens[a], "⟨X⟩": "⟨Y⟩", "⟨Y⟩": "⟨X⟩"}
+    pieces = tokens + ["⟨X⟩", "⟨Y⟩"]
+    entry = [
+        (tuple(tokens[int(i)] for i in rng.integers(0, n_vocab, size=rng.integers(1, 3))), 1.0)
+        for _ in range(int(rng.integers(1, 3)))
+    ]
+    corpus = [
+        [pieces[int(i)] for i in rng.integers(0, len(pieces), size=rng.integers(1, 4))]
+        for _ in range(int(rng.integers(3, 7)))
+    ]
+    corpus += [[swap.get(p, p) for p in sent] for sent in corpus]
+    clm = train_tagged_clm(corpus, {"⟨X⟩": entry, "⟨Y⟩": entry}, 2, vocab)
+    scorer = FntScorer(_UniformLm(n_vocab), gamma=float(rng.choice([0.0, 3.0])))
+    rows = rng.integers(0, 2, size=(n_frames, n_vocab)) * 3.0
+    rows[:, b] = rows[:, a]
+    encoder = EncoderOutput(
+        np.array([log_softmax(r) for r in rows]), rng.integers(-6, -3, size=n_frames) * 1.0
+    )
+    return scorer, _UniformLm(n_vocab), clm, encoder
+
+
 PRUNING_CASES = {
     "none": FusionConfig(),
     "sf": FusionConfig("sf", 0.25),
@@ -357,12 +393,12 @@ class TestPruningVsFullExpansion:
         assert pop_ties > 0 and merged > 0
 
     @pytest.mark.parametrize("name", ["none", "li", "clm", "three-way"])
-    def test_identical_to_full_expansion_when_a_leaves_rank_order(self, name, monkeypatch):
+    def test_identical_to_full_expansion_when_merges_reorder_a(self, name, monkeypatch):
         # three words under beams wider than an expansion's children: A
-        # holds children of several expansions uncut, merges into them
-        # reorder A, and with clm some leave two entries tied exactly,
-        # which only their creation numbers order (three-way's LM scores
-        # leave no such tie here)
+        # holds children of several expansions uncut, a merge raises an
+        # entry past others, and with clm some leave two entries tied
+        # exactly, which only their creation numbers order (three-way's
+        # LM scores leave no such tie here)
         fusion = PRUNING_CASES[name]
         merges = count_merges(monkeypatch)
         rng = np.random.default_rng(32)
@@ -380,9 +416,7 @@ class TestPruningVsFullExpansion:
             assert merges["seq_ties"] > 0
 
     @pytest.mark.parametrize("beam", [32, 40])
-    def test_identical_to_full_expansion_when_merges_tie_out_of_rank_order(
-        self, beam, monkeypatch
-    ):
+    def test_identical_to_full_expansion_when_symmetric_merges_tie(self, beam, monkeypatch):
         # four classes, two over each word, in a symmetric corpus: the
         # frame's children tie, pairs of them share a prefix id and k,
         # and their merges raise entries in turn until two tie exactly,
@@ -545,6 +579,24 @@ class TestPruningVsFullExpansion:
                     assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
                     assert got_stats.n_expansions == stats["expansions"]
         assert merges["merged"] > 0 and merges["seq_ties"] > 0
+        # mirrored instances, V 2-5 and T 1-3, at beams drawn from 1-40:
+        # twin children merge and tie exactly, so A's order on those ties
+        # is the creation number's and the ranked children's alone
+        seq_ties = merges["seq_ties"]
+        rng = np.random.default_rng(73)
+        for _ in range(16):
+            n_vocab, n_frames = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            scorer, lm, clm, encoder = make_mirrored_instance(rng, n_vocab, n_frames)
+            for name, rule in cases[1:]:
+                for beam in rng.integers(1, 41, size=3).tolist():
+                    config = DecoderConfig(
+                        beam=beam, fusion=PRUNING_CASES[name], exit_rule=rule,
+                        max_emit=int(rng.integers(2, 4)),
+                    )
+                    got, _ = beam_search(encoder, scorer, config, lm, clm)
+                    want = full_expansion_beam_search(encoder, scorer, config, lm, clm)
+                    assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+        assert merges["seq_ties"] > seq_ties
 
     @pytest.mark.parametrize("name", list(PRUNING_CASES))
     def test_popped_children_are_a_share_of_those_recorded(self, name):
@@ -554,6 +606,8 @@ class TestPruningVsFullExpansion:
         config = DecoderConfig(beam=3, fusion=PRUNING_CASES[name], max_emit=2)
         _, stats = beam_search(encoder, scorer, config, lm, clm)
         assert 0 < stats.n_popped_children <= stats.n_children
+        # a popped child was read by the merge that entered it into A
+        assert stats.n_popped_children <= stats.n_ranked_children <= stats.n_children
 
     @pytest.mark.parametrize("method", ["none", "cli"])
     def test_dense_decode_builds_at_most_beam_children(self, method):
@@ -619,14 +673,15 @@ def test_golden_counters(name):
 
 
 class TestChildSelection:
-    """``top_ids`` against ``heapq.nlargest`` over the finite
-    indices, exactly, on rows with ties at the cut and -inf entries
-    scattered through them."""
+    """``top_ids`` against ``heapq.nlargest`` over the finite indices,
+    and the decoder's ranked children against ``top_ids``, exactly, on
+    rows with ties at the cut and -inf entries scattered through them."""
 
-    @pytest.mark.parametrize("beam", [1, 2, 4, 7])
-    def test_matches_nlargest_over_finite_indices(self, beam):
+    @staticmethod
+    def rows(beam):
+        """(scores, finite ids) of three-level rows: n finite entries
+        below, at and above ``beam``, and none, among 0, 1 or 9 -inf."""
         rng = np.random.default_rng(51)
-        tied_cuts = 0
         for n_finite in sorted({max(beam - 1, 0), beam, beam + 1, 8 * beam + 5, 0}):
             for n_dead in (0, 1, 9):
                 for _ in range(40):
@@ -634,15 +689,46 @@ class TestChildSelection:
                     live = rng.permutation(scores.size)[:n_finite]
                     # three levels: ties at the cut are common
                     scores[live] = rng.integers(0, 3, size=n_finite) * 0.5 - 7.0
-                    finite = np.flatnonzero(scores > NEG_INF).tolist()
-                    want = sorted(heapq.nlargest(beam, finite, key=lambda i: scores[i]))
-                    keep = top_ids(scores, beam)
-                    assert keep.dtype.kind == "i"
-                    assert keep.tolist() == want
-                    ranked = sorted(scores[finite], reverse=True)
-                    if n_finite > beam and ranked[beam - 1] == ranked[beam]:
-                        tied_cuts += 1
+                    yield scores, np.flatnonzero(scores > NEG_INF).tolist()
+
+    @pytest.mark.parametrize("beam", [1, 2, 4, 7])
+    def test_matches_nlargest_over_finite_indices(self, beam):
+        tied_cuts = 0
+        for scores, finite in self.rows(beam):
+            want = sorted(heapq.nlargest(beam, finite, key=lambda i: scores[i]))
+            keep = top_ids(scores, beam)
+            assert keep.dtype.kind == "i"
+            assert keep.tolist() == want
+            ranked = sorted(scores[finite], reverse=True)
+            if len(finite) > beam and ranked[beam - 1] == ranked[beam]:
+                tied_cuts += 1
         assert tied_cuts > 0  # the rows reach ties at the cut
+
+    @pytest.mark.parametrize("beam", [1, 2, 4, 7])
+    def test_ranked_children_are_top_ids_by_score_then_channel(self, beam):
+        # each prefix the merge can stop at: the top_ids children ranked
+        # by (-score, channel), their posteriors, and -inf written over
+        # exactly the channels read
+        tied = 0
+        for scores, _ in self.rows(beam):
+            if not scores.size:  # an expansion with no channel ranks nothing
+                continue
+            posts = scores - 1.5
+            keep = top_ids(scores, beam).tolist()
+            want = sorted(((scores[i], i, posts[i]) for i in keep), key=lambda c: (-c[0], c[1]))
+            tied += any(a[0] == b[0] for a, b in zip(want, want[1:]))
+            for n in range(len(want) + 1):
+                row = scores.copy()
+                got = list(itertools.islice(decoder._ranked_children(row, posts, beam), n))
+                assert got == want[:n]
+                assert all(type(x) is t for c in got for x, t in zip(c, (float, int, float)))
+                read = [i for _, i, _ in got]
+                assert np.all(row[read] == NEG_INF)
+                rest = np.setdiff1d(np.arange(row.size), read)
+                assert np.array_equal(row[rest], scores[rest])
+            assert list(decoder._ranked_children(scores.copy(), posts, beam)) == want
+        # ties among the ranked children, which channel orders
+        assert tied > 0 or beam == 1
 
 
 def _joint_cases():

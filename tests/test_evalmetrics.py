@@ -276,8 +276,8 @@ class TestEvaluate:
         ]
         for name in (
             "n_frames", "n_expansions", "n_extra_expansions", "total_width",
-            "n_children", "n_popped_children", "n_enumerations", "n_shared_bundles",
-            "n_fused_rows",
+            "n_children", "n_ranked_children", "n_popped_children", "n_enumerations",
+            "n_shared_bundles", "n_fused_rows",
         ):
             assert getattr(rep.stats, name) == sum(getattr(s, name) for s in each), name
         assert rep.stats.n_enumerations > rep.stats.n_shared_bundles > 0
