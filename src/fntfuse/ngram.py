@@ -10,8 +10,13 @@ context's first word is found by a direct word-id index into the
 unigram arcs, the rest by binary search. Dense rows start from the
 unigram row, scattered once per model, and scatter each longer node's
 finite arcs shortest context first, so a word's longest finite arc
-decides, as in rank-r queries. A point score is its word's entry of the
-dense row, and a global top-r is ``core.top_ids`` of it.
+decides, as in rank-r queries. A node's finite arcs are one span of its
+block, since -inf arcs sort last. A row is the unigram row plus one
+backoff weight, overwritten at the chain's arcs (KenLM's backoff
+layout), so an elementwise map of a row, such as a predictor's floor,
+is taken over the unigram row's few distinct values and those arcs
+alone. A point score is its word's entry of the dense row, and a global
+top-r is ``core.top_ids`` of it.
 
 Training (array passes after the sort-based estimation of KenLM's
 ``lmplz``) and the ARPA loader hand ``NgramModel`` the same input: per
@@ -143,6 +148,18 @@ class NgramModel:
             arc_of_rank = np.empty(n, dtype=np.int64)
             arc_of_rank[layout] = np.arange(n)
         self._children[order] = np.zeros(n + 1, dtype=np.int64)
+        # node i of level k's finite arcs are [_children[k][i],
+        # _finite_end[k][i]), since -inf arcs sort last in a block; on a
+        # level with no -inf arc, the spans end at the block ends
+        self._finite_end = [None] * (order + 1)
+        for k in range(1, order):
+            off = self._children[k]
+            finite = self._probs[k + 1] > NEG_INF
+            if finite.all():
+                self._finite_end[k] = off[1:]
+            else:
+                seen = np.concatenate(([0], np.cumsum(finite)))
+                self._finite_end[k] = off[:-1] + (seen[off[1:]] - seen[off[:-1]])
         # the empty context's row and arc per word, for every query to share
         unigrams = np.full(n_symbols, -1, dtype=np.int64)
         unigrams[self._words[1]] = np.arange(self._words[1].size)
@@ -150,6 +167,9 @@ class NgramModel:
         finite = self._probs[1] > NEG_INF
         self._root_row = np.full(n_symbols, NEG_INF)
         self._root_row[self._words[1][finite]] = self._probs[1][finite]
+        # its few distinct values (17 of 1,102 on dense-1k), so a map of a
+        # row runs over them, not over every word
+        self._root_values, self._root_inverse = np.unique(self._root_row, return_inverse=True)
 
     # -- structure access ------------------------------------------------
 
@@ -292,23 +312,33 @@ class NgramModel:
             np.asarray(out_m, dtype=np.int32),
         )
 
-    def dense_row(self, chain) -> np.ndarray:
+    def dense_row(self, chain, fn=None) -> np.ndarray:
         """All ``len(vocab) + 2`` log-probabilities over ``chain``, a
         ``suffix_chain`` (it ends at the root): the model's unigram row,
         scattered once at construction, plus the root's backoff weight,
-        then one scatter per longer node, shortest context first, so a
-        longer context overwrites a shorter one and -inf arcs never
-        write. Bit-identical to scattering ``top_r_chain(chain,
-        len(vocab) + 2)``, where the longest context claims a word first
-        and -inf arcs are skipped: IEEE addition commutes, and -inf plus
-        a weight stays -inf. ``logprob`` reads one entry of it."""
+        then one scatter per longer node, shortest context first, of its
+        finite arcs (one span of its block), so a longer context
+        overwrites a shorter one and -inf arcs never write. Bit-identical
+        to scattering ``top_r_chain(chain, len(vocab) + 2)``, where the
+        longest context claims a word first and -inf arcs are skipped:
+        IEEE addition commutes, and -inf plus a weight stays -inf.
+        ``logprob`` reads one entry of it.
+
+        ``fn``, an elementwise map of float64 arrays, gives ``fn`` of
+        that row, bit for bit: it maps the unigram row's distinct values
+        plus the root's weight, then gathers them per word, and maps each
+        longer node's arcs before they are written. ``np.unique`` merges
+        -0.0 with 0.0, which is harmless: the weight starts at +0.0, so
+        it is never -0.0, and then -0.0 and 0.0 plus it are one float."""
         *longer, (_, acc) = chain
-        row = self._root_row + acc
-        for node, acc in reversed(longer):
-            lo, hi = self.node_span(node)
-            probs = self._probs[node[0] + 1][lo:hi]
-            finite = probs > NEG_INF
-            row[self._words[node[0] + 1][lo:hi][finite]] = acc + probs[finite]
+        if fn is None:
+            row = self._root_row + acc
+        else:
+            row = fn(self._root_values + acc)[self._root_inverse]
+        for (level, i), acc in reversed(longer):
+            lo, end = self._children[level][i], self._finite_end[level][i]
+            arcs = acc + self._probs[level + 1][lo:end]
+            row[self._words[level + 1][lo:end]] = arcs if fn is None else fn(arcs)
         return row
 
     def level_columns(self, k: int):

@@ -29,11 +29,12 @@ SCORES_DTYPE = np.dtype("<f8")
 
 # Bounds of an NgramPredictor's caches, each emptied whole when full:
 # dense rows for up to ROW_CACHE_VALUES // V states (16 MB of floats at
-# most), and up to TOP_CACHE_ENTRIES top-r id arrays (~12 MB at ~360
-# bytes an entry at r = 4) and as many successors. A decodebench pass
-# holds at most ~450 states, ~450 id arrays and ~610 successors.
+# most), top-r id arrays of up to ROW_CACHE_VALUES ids in all (16 MB of
+# int64 at most, whatever r is), and up to SUCCESSOR_CACHE_ENTRIES
+# successors. A decodebench pass holds at most ~450 states, ~450 id
+# arrays and ~610 successors.
 ROW_CACHE_VALUES = 1 << 21
-TOP_CACHE_ENTRIES = 1 << 15
+SUCCESSOR_CACHE_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ class NgramPredictor(ExternalLm):
 
     Rows per state, top-r ids per (state, r) and successors per
     (state, token) are cached across decodes, bounded as the module's
-    ``ROW_CACHE_VALUES`` comment says.
+    ``ROW_CACHE_VALUES`` comment says. ``rows_built``, ``tops_built``
+    and ``successors_built`` count the cache misses, for inspection.
     """
 
     def __init__(self, model: NgramModel, floor: float = 0.0):
@@ -168,7 +170,14 @@ class NgramPredictor(ExternalLm):
         self.n_words = len(model.vocab)
         self._dense: dict[tuple, np.ndarray] = {}
         self._top: dict[tuple, np.ndarray] = {}
+        self._top_ids = 0  # ids held in _top
         self._next: dict[tuple, tuple] = {}
+        self.rows_built = self.tops_built = self.successors_built = 0
+        if floor > 0.0:  # the uniform mix, one float64 op sequence per entry
+            scale, uniform = math.log1p(-floor), math.log(floor / self.n_words)
+            self._floor_map = lambda row: np.logaddexp(scale + row, uniform)
+        else:
+            self._floor_map = None
 
     def initial_state(self):
         return self.advance((), self.model.bos_id)
@@ -183,24 +192,26 @@ class NgramPredictor(ExternalLm):
         if nxt is None:
             nxt = (*state, int(token_id))[max(0, len(state) + 2 - self.model.order) :]
             nxt = self.model.minimal_context(nxt)
-            if len(self._next) >= TOP_CACHE_ENTRIES:
+            if len(self._next) >= SUCCESSOR_CACHE_ENTRIES:
                 self._next.clear()
             self._next[key] = nxt
+            self.successors_built += 1
         return nxt
 
     def full_dist(self, state) -> np.ndarray:
-        """Cached per state, one dict lookup when warm; read-only."""
+        """Cached per state, one dict lookup when warm; read-only. A
+        floored row is ``dense_row`` with the floor as its map, which
+        floors the unigram row's distinct values and the chain's arcs,
+        not every word."""
         row = self._dense.get(state)
         if row is None:
             if len(self._dense) >= ROW_CACHE_VALUES // self.n_words:
                 self._dense.clear()
-            row = self.model.dense_row(self.model.suffix_chain(state))[: self.n_words]
-            if self.floor > 0.0:
-                row = np.logaddexp(
-                    math.log1p(-self.floor) + row, math.log(self.floor / self.n_words)
-                )
+            chain = self.model.suffix_chain(state)
+            row = self.model.dense_row(chain, self._floor_map)[: self.n_words]
             row.flags.writeable = False
             self._dense[state] = row
+            self.rows_built += 1
         return row
 
     def top_r(self, state, r: int) -> np.ndarray:
@@ -210,9 +221,12 @@ class NgramPredictor(ExternalLm):
         if hit is None:
             hit = super().top_r(state, r)
             hit.flags.writeable = False
-            if len(self._top) >= TOP_CACHE_ENTRIES:
+            if self._top_ids + hit.size > ROW_CACHE_VALUES:
                 self._top.clear()
+                self._top_ids = 0
             self._top[key] = hit
+            self._top_ids += hit.size
+            self.tops_built += 1
         return hit
 
 

@@ -245,29 +245,38 @@ def make_mirrored_instance(rng, n_vocab, n_frames):
     under swapping two words and the two classes.
 
     A random tagged corpus is joined by its image under that swap, both
-    classes hold one random entry list, the scorer and LM are uniform,
+    classes hold one single-word entry, the scorer and LM are uniform,
     and the encoder scores the two words alike. So a word entered
     through one class and its twin through the other score alike, and
     children of the two parents merge with their operands swapped and
-    tie exactly.
+    tie exactly. The instance is built so that such twin merges happen
+    at a wide enough beam:
+    - the swapped words are channels 0 and 1, the first two terms of
+      every sum, so the two parents' rows normalize to the same floats;
+    - no two tags are adjacent, so a class goes to either class at one
+      probability;
+    - the corpus gains "⟨X⟩ p1" six times and "⟨X⟩ p0" three times, so
+      the swapped operands differ and the twin merges' winners differ;
+    - the first frame favours the entry word and the swapped words.
     """
     vocab = make_vocab(n_vocab)
     tokens = list(vocab)
-    a, b = (int(i) for i in rng.choice(n_vocab, size=2, replace=False))
+    a, b = 0, 1
     swap = {tokens[a]: tokens[b], tokens[b]: tokens[a], "⟨X⟩": "⟨Y⟩", "⟨Y⟩": "⟨X⟩"}
-    pieces = tokens + ["⟨X⟩", "⟨Y⟩"]
-    entry = [
-        (tuple(tokens[int(i)] for i in rng.integers(0, n_vocab, size=rng.integers(1, 3))), 1.0)
-        for _ in range(int(rng.integers(1, 3)))
-    ]
-    corpus = [
-        [pieces[int(i)] for i in rng.integers(0, len(pieces), size=rng.integers(1, 4))]
-        for _ in range(int(rng.integers(3, 7)))
-    ]
+    tags = {"⟨X⟩", "⟨Y⟩"}
+    pieces = tokens + sorted(tags)
+    w = int(rng.integers(n_vocab))
+    entry = [((tokens[w],), 1.0)]
+    corpus = []
+    for _ in range(int(rng.integers(3, 7))):
+        sent = [pieces[int(i)] for i in rng.integers(0, len(pieces), size=rng.integers(1, 4))]
+        corpus.append([p for q, p in zip([None, *sent], sent) if {q, p} - tags])
+    corpus += [["⟨X⟩", tokens[b]], ["⟨X⟩", tokens[b]], ["⟨X⟩", tokens[a]]] * 3
     corpus += [[swap.get(p, p) for p in sent] for sent in corpus]
     clm = train_tagged_clm(corpus, {"⟨X⟩": entry, "⟨Y⟩": entry}, 2, vocab)
     scorer = FntScorer(_UniformLm(n_vocab), gamma=float(rng.choice([0.0, 3.0])))
     rows = rng.integers(0, 2, size=(n_frames, n_vocab)) * 3.0
+    rows[0, [w, a]] = 3.0
     rows[:, b] = rows[:, a]
     encoder = EncoderOutput(
         np.array([log_softmax(r) for r in rows]), rng.integers(-6, -3, size=n_frames) * 1.0
@@ -292,11 +301,14 @@ SIZES = [(5, 4)] * 5 + [(3, 6), (8, 3), (6, 5)]
 
 def count_merges(monkeypatch) -> dict:
     """Counts, over the decodes that follow, the expansions that found a
-    merge target in A, the children that merged into a target, and the
+    merge target in A, the children that merged into a target, the
     merge-path sorts of A that leave two neighbours at exactly one score
-    with different ``seq``, an order only the creation number decides."""
-    counts = {"targets": 0, "merged": 0, "seq_ties": 0}
+    with different ``seq``, an order only the creation number decides,
+    and the twin merges: those whose two scores another merge of the
+    same expansion met swapped."""
+    counts = {"targets": 0, "merged": 0, "seq_ties": 0, "twins": 0}
     find, merge, merge_children = decoder._merge_targets, decoder._merge, decoder._merge_children
+    met = set()  # (held, child) scores of the expansion's merges
 
     def targets(A, best):
         out = find(A, best)
@@ -305,9 +317,13 @@ def count_merges(monkeypatch) -> dict:
 
     def merged(held, entry):
         counts["merged"] += type(entry) is decoder._Pending
+        scores = (held.logscore, entry.logscore)
+        counts["twins"] += scores[0] != scores[1] and scores[::-1] in met
+        met.add(scores)
         return merge(held, entry)
 
     def sorted_merge(A, *args):
+        met.clear()
         out = merge_children(A, *args)
         counts["seq_ties"] += any(
             a.logscore == b.logscore and a.seq != b.seq for a, b in zip(A, A[1:])
@@ -585,6 +601,7 @@ class TestPruningVsFullExpansion:
         seq_ties = merges["seq_ties"]
         rng = np.random.default_rng(73)
         for _ in range(16):
+            twins = merges["twins"]
             n_vocab, n_frames = int(rng.integers(2, 6)), int(rng.integers(1, 4))
             scorer, lm, clm, encoder = make_mirrored_instance(rng, n_vocab, n_frames)
             for name, rule in cases[1:]:
@@ -596,6 +613,7 @@ class TestPruningVsFullExpansion:
                     got, _ = beam_search(encoder, scorer, config, lm, clm)
                     want = full_expansion_beam_search(encoder, scorer, config, lm, clm)
                     assert [(r.tokens, r.logscore, r.steps, r.merged) for r in got] == want
+            assert merges["twins"] > twins  # every instance merges twins
         assert merges["seq_ties"] > seq_ties
 
     @pytest.mark.parametrize("name", list(PRUNING_CASES))

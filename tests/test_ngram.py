@@ -9,6 +9,7 @@ import pytest
 from fntfuse.core import NEG_INF, Vocabulary
 from fntfuse.arpa import load_arpa, save_arpa
 from fntfuse.ngram import NgramModel, train_kneser_ney
+from fntfuse.simulate import NgramPredictor
 
 from helpers import random_corpus, random_history, toy_class_model
 from oracles import OracleKn
@@ -301,6 +302,150 @@ class TestDenseRow:
         # the -inf arc for c after a is skipped: bow(a) times P(c) shows through
         ln10 = math.log(10.0)
         assert model.dense_row(model.suffix_chain((a,)))[c] == (-0.25 * ln10) + (-1.0 * ln10)
+
+
+# -inf arcs above the root: node b's arcs are all -inf, a's and <s> a's
+# end in one, and a d is a childless node with a backoff weight; no
+# context gives </s> mass. The unigram row holds 0.0 (c) and -0.0 (d).
+ZERO_ARCS = """\\data\\
+ngram 1=6
+ngram 2=8
+ngram 3=4
+
+\\1-grams:
+-99\t<s>\t-0.3
+-0.5\ta\t-0.25
+-0.75\tb\t-0.1
+0\tc\t-0.2
+-0\td
+-99\t</s>
+
+\\2-grams:
+-0.4\t<s> a\t-0.15
+-0.2\ta b\t-0.05
+-99\ta c
+-0.3\ta d\t-0.35
+-99\tb a
+-99\tb c
+-0.5\tc d
+-99\tc </s>
+
+\\3-grams:
+-99\t<s> a b
+-0.6\t<s> a d
+-0.7\ta b c
+-99\ta b a
+
+\\end\\
+"""
+
+
+def zero_arcs_model(tmp_path):
+    path = tmp_path / "zero-arcs.arpa"
+    path.write_text(ZERO_ARCS, encoding="utf-8")
+    return load_arpa(path, Vocabulary(["a", "b", "c", "d"]))
+
+
+def floor_map(floor, n):
+    """The predictor's floor mix over n words, as an elementwise map:
+    the reference formula when applied to a whole row."""
+    scale, uniform = math.log1p(-floor), math.log(floor / n)
+    return lambda row: np.logaddexp(scale + row, uniform)
+
+
+def chains_of(model, rng, n):
+    """Suffix chains of the empty history and of n random ones."""
+    histories = [()] + [random_history(rng, len(model.vocab), model.bos_id) for _ in range(n)]
+    return [model.suffix_chain(h) for h in histories]
+
+
+class TestMappedDenseRow:
+    """A map given to ``dense_row`` reads the unigram row's distinct
+    values and the chain's finite arc spans, not every word; its rows
+    must equal the map of the whole row bit for bit."""
+
+    @pytest.mark.parametrize("floor", [0.05, 0.3])
+    @pytest.mark.parametrize("eos", [True, False])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_floored_rows_equal_the_floor_of_every_entry(self, order, eos, floor):
+        rng = np.random.default_rng(order + 10 * eos)
+        for model in kn_corpus_models(order, eos):
+            n = len(model.vocab)
+            fn = floor_map(floor, n)
+            for chain in chains_of(model, rng, 12):
+                want = fn(model.dense_row(chain)[:n])
+                assert model.dense_row(chain, fn)[:n].tobytes() == want.tobytes()
+            if not eos:  # a predictor refuses a model that gives </s> mass
+                self.assert_predictor_rows(model, floor, rng)
+
+    @pytest.mark.parametrize("floor", [0.05, 0.3])
+    def test_floored_rows_of_arpa_models(self, floor, tmp_path):
+        rng = np.random.default_rng(5)
+        vocab, sentences = random_corpus(rng, n_types=30, n_sentences=200)
+        path = tmp_path / "eos0.arpa"
+        save_arpa(train_kneser_ney(sentences, 3, vocab=vocab, eos=False), path)
+        models = [*arpa_round_trip_models(tmp_path), load_arpa(path, vocab), zero_arcs_model(tmp_path)]
+        for model in models:
+            n = len(model.vocab)
+            fn = floor_map(floor, n)
+            for chain in chains_of(model, rng, 60):
+                want = fn(model.dense_row(chain)[:n])
+                assert model.dense_row(chain, fn)[:n].tobytes() == want.tobytes()
+        for model in models[1:]:  # the first gives </s> mass
+            self.assert_predictor_rows(model, floor, rng)
+
+    def assert_predictor_rows(self, model, floor, rng):
+        """Every state a random walk reaches: ``full_dist`` equals the
+        floor of the state's whole row."""
+        pred = NgramPredictor(model, floor)
+        n = pred.n_words
+        states = {pred.initial_state()}
+        for _ in range(4):
+            state = pred.initial_state()
+            for tok in rng.integers(0, n, size=40).tolist():
+                state = pred.advance(state, tok)
+                states.add(state)
+        for state in states:
+            want = floor_map(floor, n)(model.dense_row(model.suffix_chain(state))[:n])
+            assert pred.full_dist(state).tobytes() == want.tobytes()
+
+    def test_finite_spans_hold_exactly_the_finite_arcs(self, tmp_path):
+        models = [zero_arcs_model(tmp_path), *arpa_round_trip_models(tmp_path)]
+        models += kn_corpus_models(3, True)[:5]
+        for model in models:
+            for level in range(1, model.order):
+                off, end = model._children[level], model._finite_end[level]
+                probs = model._probs[level + 1]
+                for i in range(off.size - 1):
+                    lo, hi = int(off[i]), int(off[i + 1])
+                    assert lo <= end[i] <= hi
+                    assert (probs[lo:end[i]] > NEG_INF).all()
+                    assert (probs[end[i]:hi] == NEG_INF).all()
+
+    def test_zero_arcs_nodes(self, tmp_path):
+        model = zero_arcs_model(tmp_path)
+        a, b, c, d = range(4)
+        for context, n_finite, n_arcs in [
+            ((b,), 0, 2), ((a,), 2, 3), ((a, d), 0, 0), ((model.bos_id, a), 1, 2),
+        ]:
+            node = model.node_of(context)
+            lo, hi = model.node_span(node)
+            assert hi - lo == n_arcs
+            assert model._finite_end[node[0]][node[1]] - lo == n_finite
+        # np.unique keeps one zero of the two; the row's weight is never -0.0
+        assert np.signbit(model._root_row[[c, d]]).tolist() == [False, True]
+        assert (model._root_values == 0.0).sum() == 1
+        symbols = range(len(model.vocab) + 2)
+        histories = [()] + [(x,) for x in symbols] + [(x, y) for x in symbols for y in symbols]
+        fn = floor_map(0.3, 4)
+        for h in histories:
+            chain = model.suffix_chain(h)
+            row = model.dense_row(chain)
+            assert row.tobytes() == scattered_top_r(model, chain).tobytes()
+            assert model.dense_row(chain, fn)[:4].tobytes() == fn(row[:4]).tobytes()
+        # the all -inf node b writes nothing: bow(b) times P(a) shows through
+        ln10 = math.log(10.0)
+        assert model.dense_row(model.suffix_chain((b,)))[a] == (-0.1 * ln10) + (-0.5 * ln10)
 
 
 TRIE_ARRAYS = (

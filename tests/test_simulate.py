@@ -485,7 +485,7 @@ class TestNgramPredictor:
         for _, state in walk:  # uncapped: each state's row and top-3 once
             first.setdefault(state, (pred.full_dist(state), pred.top_r(state, 3)))
         monkeypatch.setattr(simulate, "ROW_CACHE_VALUES", 5 * pred.n_words)
-        monkeypatch.setattr(simulate, "TOP_CACHE_ENTRIES", 7)
+        monkeypatch.setattr(simulate, "SUCCESSOR_CACHE_ENTRIES", 7)
         capped, _ = self.make(floor)
         held = []
         for _ in range(2):
@@ -501,8 +501,45 @@ class TestNgramPredictor:
                 held.append((len(capped._dense), len(capped._top), len(capped._next)))
         assert len(first) > 7  # more states than either cache holds
         rows, tops, nexts = zip(*held)
-        assert max(rows) == 5 and max(tops) == max(nexts) == 7
+        # the top-r cache holds ids, 5 * 8 of them: 13 arrays of 3
+        assert max(rows) == 5 and max(tops) == 13 and max(nexts) == 7
         assert min(rows[1:]) == min(tops[1:]) == min(nexts[1:]) == 1  # all were emptied
+
+    @pytest.mark.parametrize("floor", [0.0, 0.05])
+    def test_top_r_cache_holds_the_id_cap_and_refills_identically(self, floor, monkeypatch):
+        # ranks of mixed r: the cap counts ids held, not arrays
+        pred, _ = self.make(floor)
+        rng = np.random.default_rng(16)
+        queries = [
+            (state, int(rng.choice([1, 3, pred.n_words])))
+            for _, state in self.walk(pred, rng, 300)
+        ]
+        first = {q: pred.top_r(*q) for q in queries}
+        monkeypatch.setattr(simulate, "ROW_CACHE_VALUES", 20)
+        capped, _ = self.make(floor)
+        held = []
+        for _ in range(2):
+            for q in queries:
+                assert capped.top_r(*q).tolist() == first[q].tolist()
+                held.append(capped._top_ids)
+                assert held[-1] == sum(ids.size for ids in capped._top.values())
+        assert sum(ids.size for ids in first.values()) > 20  # more than the cache holds
+        assert max(held) <= 20 and max(held) > 20 - pred.n_words
+        assert min(held[1:]) < pred.n_words  # it was emptied
+        assert capped.tops_built > len(first) == pred.tops_built
+
+    def test_builds_are_counted_once_per_cache_miss(self):
+        pred, _ = self.make(0.05)
+        walk = self.walk(pred, np.random.default_rng(17), 200)
+        for _ in range(2):
+            state = pred.initial_state()
+            for history, _ in walk[1:]:
+                state = pred.advance(state, history[-1])
+                pred.full_dist(state)
+                pred.top_r(state, 3)
+        assert pred.rows_built == len(pred._dense) > 1
+        assert pred.tops_built == len(pred._top) == pred.rows_built
+        assert pred.successors_built == len(pred._next) > 1
 
     @pytest.mark.parametrize("floor", [0.0, 0.05])
     def test_states_with_one_suffix_chain_share_one_row(self, floor):
