@@ -66,8 +66,9 @@ def top_ids(row: np.ndarray, r: int) -> np.ndarray:
 
     The one top-r cut: ``ExternalLm.top_r``, the class model's CAT1 gate
     and the decoder's children where they can merge into A. The
-    decoder's other expansions read this set best first, one ``argmax``
-    at a time (``decoder._ranked_children``). A partition of a copy of
+    decoder's other expansions read this set of their scores best first
+    off the joint row, one ``argmax`` at a time
+    (``decoder._ranked_children``). A partition of a copy of
     the row and one ``>= cut`` scan; ties at the cut and fewer than
     ``r`` finite entries take further passes only when they occur."""
     if r < 1:

@@ -47,19 +47,33 @@ Bookkeeping is O(1) per child, whatever the utterance length:
   its identity only with another pending child. A popped child leaves A
   for good.
 
-An expansion is one array pass. The joint row (word channels, blank
-last) is written into a buffer the scorer owns for the decode and
-normalized by one log-softmax. The children's scores (parent score plus
-posterior, -inf for a dead channel) are written into the same buffer,
-and ``_ranked_children`` reads them best first: each step is one
-``argmax``, which takes the first maximum, so children come score
-descending, then channel ascending, and -inf is written over each one
-read. The ``beam`` best finite children, ties at the cut to the lower
-channel index as ``heapq.nlargest`` keeps them (``core.top_ids``' set),
-are the most it reads, and the merge into A stops it at the first
-child that misses A's cut. Only children it reads are recorded in A,
-plus, with a class model, every child whose identity matches a pending
-child already in A.
+An expansion computes one scalar, no posterior array. The joint row
+(word channels, blank last) is written into a buffer the scorer owns
+for the decode, and its log-normalizer ``norm`` is taken by
+``log_softmax``'s own float64 steps. A child on channel i with joint
+value x has posterior ``x - norm`` and score ``(x - norm) + logscore``,
+Python floats built only for the channels read: the operations numpy
+would perform on the whole row, so every value is bit for bit the
+same. ``_ranked_children`` reads the children off the raw word channels
+best first: each step is one ``argmax``, which takes the first maximum,
+and -inf is written over each channel read. The ``beam`` best finite
+children, score descending, then channel ascending, ties at the cut to
+the lower channel index as ``heapq.nlargest`` keeps them
+(``core.top_ids``' set), are the most it yields, and the merge into A
+stops it at the first child that misses A's cut. Only children it reads
+are recorded in A, plus, with a class model, every child whose identity
+matches a pending child already in A.
+
+Reading by raw value is reading by score. ``x -> (x - norm) + logscore``
+is monotone non-decreasing, so a higher raw value never scores lower,
+and equal raw values come from ``argmax`` in channel order. Only where
+distinct raw values round to one score could raw order and channel order
+disagree. So for the channel read, of value x and score s: if the next
+float below x, ``nextafter(x, -inf)``, scores below s, every unread
+channel (raw value at most x) either equals x or scores below s, and the
+child is yielded. Otherwise the reader reads ahead every channel of score
+s, yields them in channel order, and keeps the first channel it read
+with another score as the next child.
 
 A is sorted by one key, (-score, ``seq``), where ``seq`` is an entry's
 creation number: 0 for a carried entry, and for a child the expansion's
@@ -93,9 +107,11 @@ scores no higher), ahead of every child of equal score.
    a merge raises an entry's score and may tie it with an entry that A
    ranked ahead of it, and ``seq`` orders the two. Merging channels are
    looked for whenever ``beam`` children were selected; when no finite
-   channel is left out, any found is already among them. The other
-   selected children are ranked for step 2's stable merge from a row
-   that is -inf outside them, and any child left out is outranked by
+   channel is left out, any found is already among them. This path
+   alone builds the posteriors and scores as arrays, for ``top_ids``
+   and the merges. The other selected children are ranked for step 2's
+   stable merge from the joint row, with -inf written over every word
+   channel outside them, and any child left out is outranked by
    ``beam`` distinct entries, the best siblings or the entries they
    merged into, each strictly higher, or equal and ahead of it in the
    key. Only these expansions build successors for children that are
@@ -115,6 +131,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, insort
+from math import nextafter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -164,7 +181,10 @@ class DecodeStats:
     ``n_children`` the children that could enter A (the ``beam`` best
     finite ones per expansion, plus, where children can merge, those
     searched for a merge target), whether or not the cut of A keeps
-    them, ``n_ranked_children`` those of them the merge into A read
+    them (outside the merge path, "finite" is read on the joint row's
+    word channels: the count over scores is the same, since a finite
+    joint value has a finite score unless the score leaves the float64
+    range), ``n_ranked_children`` those of them the merge into A read
     (the ones it entered, plus the one that stopped it),
     ``n_popped_children`` the pending children popped and so built into
     hypotheses,
@@ -329,13 +349,16 @@ def _merge_siblings(targets: dict, words: np.ndarray, scores: np.ndarray):
     return hits[scores[hits] > NEG_INF]
 
 
-def _merge_children(A, targets, best, transitions, words, scores, posts, beam, seq):
-    """Merge each child of ``best`` (the ``top_ids`` of ``scores``, plus
+def _merge_children(A, targets, best, transitions, words, row, norm, beam, seq):
+    """Merge each child of ``best`` (the ``top_ids`` of its scores, plus
     ``_merge_siblings`` when finite channels may be left out; numbered
     ``seq`` plus channel) that finds its target in A into it where it
-    stands, then sort A by (-score, seq). Leaves ``scores`` -inf outside
-    the other children, which the stable merge ranks next, and returns
-    the number of children searched."""
+    stands, then sort A by (-score, seq). ``row`` is the expansion's
+    joint word channels and ``norm`` their log-normalizer. Leaves
+    ``row`` -inf outside the other children, which the stable merge
+    ranks next, and returns the number of children searched."""
+    posts = row - norm
+    scores = posts + best.logscore
     keep = top_ids(scores, beam)
     if keep.size == beam:
         keep = np.union1d(keep, _merge_siblings(targets, words, scores))
@@ -348,26 +371,50 @@ def _merge_children(A, targets, best, transitions, words, scores, posts, beam, s
         else:
             A[j] = _merge(A[j], child)
     A.sort(key=lambda e: (-e.logscore, e.seq))
-    live = scores[rest]
-    scores.fill(NEG_INF)
-    scores[rest] = live
+    live = row[rest]
+    row.fill(NEG_INF)
+    row[rest] = live
     return keep.size
 
 
-def _ranked_children(scores, posts, beam):
-    """(score, channel, posterior) of the ``beam`` best finite channels of
-    ``scores``, score descending, then channel ascending: the
-    ``top_ids(scores, beam)`` children in the order the stable merge
-    reads them. Each step is one ``argmax``, which takes the first
-    maximum, and writes -inf over the channel it yields, so a merge that
-    stops early ranks no further child. ``scores`` is not empty."""
-    for _ in range(beam):
-        i = int(scores.argmax())
-        score = scores.item(i)
+def _ranked_children(row, norm, logscore, beam):
+    """(score, channel, posterior) of the ``beam`` best finite children
+    of an expansion, score descending, then channel ascending: the
+    ``top_ids`` children of its scores in the order the stable merge
+    reads them. ``row`` is the joint word channels, not empty, ``norm``
+    their log-normalizer and ``logscore`` the parent's score; a child's
+    posterior is ``x - norm`` and its score that plus ``logscore``.
+    Each read is one ``argmax`` on ``row`` and writes -inf over the
+    channel read, so a merge that stops early ranks no further child;
+    the module docstring has why reading by raw value, with the
+    ``nextafter`` test, yields the score order."""
+    n = 0
+    i = int(row.argmax())
+    x = row.item(i)
+    while n < beam:
+        score = (x - norm) + logscore
         if score == NEG_INF:
             return
-        scores[i] = NEG_INF
-        yield score, i, posts.item(i)
+        row[i] = NEG_INF
+        if (nextafter(x, NEG_INF) - norm) + logscore != score:
+            n += 1
+            yield score, i, x - norm
+            i = int(row.argmax())
+            x = row.item(i)
+            continue
+        # distinct raw values may share this score: read them all ahead
+        tied = [(i, x)]
+        while True:
+            i = int(row.argmax())
+            x = row.item(i)
+            if (x - norm) + logscore != score:
+                break
+            row[i] = NEG_INF
+            tied.append((i, x))
+        tied.sort()
+        for j, y in tied[: beam - n]:
+            yield score, j, y - norm
+        n += len(tied)
 
 
 def _score(entry) -> float:
@@ -375,10 +422,10 @@ def _score(entry) -> float:
 
 
 class _FrameScorer:
-    """Builds (words, transitions, posteriors, blank posterior) for one
-    expansion.
+    """Builds (words, transitions, joint row, log-normalizer) for one
+    expansion (``joint``), or its posteriors (``expand``).
 
-    ``words`` is the word-id array aligned with the posterior vector:
+    ``words`` is the word-id array aligned with the row's word channels:
     the class model's transition words, or one read-only ``arange``
     shared by every dense expansion of the decode. ``transitions`` is
     the aligned ``classlm.Transitions``, or None without a class model.
@@ -390,9 +437,10 @@ class _FrameScorer:
     (transitions object, frame).
 
     The joint row is written into one buffer the scorer owns for the
-    decode, grown to the widest row seen, and normalized by one
-    ``log_softmax``, whose result is a fresh array: no posterior handed
-    out aliases the buffer.
+    decode, grown to the widest row seen; the row ``joint`` hands out is
+    that buffer, which the next expansion writes over. Its normalizer is
+    taken through a second buffer of the same size, so normalizing
+    allocates no array. ``expand``'s posteriors are a fresh array.
 
     Fused rows are read-only and built once per key. A clm or three-way
     row lives on the memoized transitions it is aligned with, across
@@ -418,21 +466,28 @@ class _FrameScorer:
         self._gated: dict = {}
         self._gate_frame = self._word_gate = None
         self._rows: dict = {}
-        self._buf = np.empty(0)
+        self._buf = self._mass = np.empty(0)
         self._dense_words = None
         self.n_enumerations = self.n_shared_bundles = self.n_fused_rows = 0
 
     def _joint(self, n: int) -> np.ndarray:
         """The first n + 1 floats of the decode's joint buffer."""
         if self._buf.size <= n:
-            self._buf = np.empty(n + 1)
+            self._buf, self._mass = np.empty(n + 1), np.empty(n + 1)
         return self._buf[: n + 1]
 
-    def child_scores(self, logscore, posts) -> np.ndarray:
-        """``logscore`` plus ``posts``, the children's scores, written into
-        the joint buffer: the row normalized into ``posts`` is read no
-        more, and the next expansion writes its own."""
-        return np.add(posts, logscore, out=self._buf[: posts.size])
+    def _norm(self, row) -> float:
+        """``log_softmax(row)``'s log-normalizer, by its own steps and with
+        its errors: the max as ``argmax`` picks it, the shifted row
+        exponentiated in place, one ``np.add.reduce`` and ``np.log``."""
+        m = row.item(row.argmax())
+        if not m < np.inf:  # NaN compares False, as does +inf
+            raise ValueError("NaN or +inf in score vector")
+        if m == NEG_INF:
+            raise ValueError("cannot normalize a zero-mass score vector")
+        mass = np.subtract(row, m, out=self._mass[: row.size])
+        np.exp(mass, out=mass)
+        return m + float(np.log(np.add.reduce(mass)))
 
     def _transitions(self, clm_state, t, z_t_row):
         # the state itself is the memo key: equal states are equal keys
@@ -492,7 +547,12 @@ class _FrameScorer:
                 self.clm.cache_row(trans, key, row)
         return row
 
-    def expand(self, hyp: Hypothesis, t: int, z_t_row, blank_logit):
+    def joint(self, hyp: Hypothesis, t: int, z_t_row, blank_logit):
+        """(words, transitions, row, norm): ``row`` is the joint buffer,
+        word channels then blank last, and ``norm`` its log-normalizer,
+        so channel i's posterior is ``row[i] - norm``. A hypothesis the
+        class model leaves no word channel has a row of blank alone,
+        holding its ``blank_fallback`` posterior, and a ``norm`` of 0."""
         fu = self.fusion
         z_u = self.scorer.predictor.full_dist(hyp.pred_state)
         b = self.scorer.blank_score(blank_logit, hyp.k)
@@ -500,7 +560,9 @@ class _FrameScorer:
         if self.use_clm:
             trans = self._transitions(hyp.clm_state, t, z_t_row)
             if not len(trans):
-                return trans.word, trans, np.empty(0), blank_fallback(z_t_row, z_u, b)
+                row = self._joint(0)
+                row[0] = blank_fallback(z_t_row, z_u, b)
+                return trans.word, trans, row, 0.0
             words = trans.word
             aug = self._fused_row(hyp, z_u, trans)
             row = _fill_joint(self._joint(words.size), z_t_row[words], aug, b)
@@ -519,6 +581,15 @@ class _FrameScorer:
             else:
                 fused = self._fused_row(hyp, z_u, None)
                 _fill_joint(row, z_t_row, fused, b)
+        return words, trans, row, self._norm(row)
+
+    def expand(self, hyp: Hypothesis, t: int, z_t_row, blank_logit):
+        """(words, transitions, word posteriors, blank posterior), the
+        posteriors a fresh array: ``log_softmax`` of ``joint``'s row,
+        equal to ``row - norm``. The reference searches read it."""
+        words, trans, row, norm = self.joint(hyp, t, z_t_row, blank_logit)
+        if not words.size:  # blank fallback
+            return words, trans, np.empty(0), row.item(0) - norm
         posts = log_softmax(row)
         return words, trans, posts[:-1], float(posts[-1])
 
@@ -605,11 +676,11 @@ def beam_search(
                 )
                 stats.n_popped_children += 1
 
-            words, transitions, posts, blank_post = frame_scorer.expand(
-                best, t, z_t_row, blank_logit
-            )
+            words, transitions, row, norm = frame_scorer.joint(best, t, z_t_row, blank_logit)
+            n_words = words.size
+            blank_post = row.item(n_words) - norm
             stats.n_expansions += 1
-            stats.total_width += words.size
+            stats.total_width += n_words
 
             took_blank = Hypothesis(
                 best.prefix, best.logscore + blank_post, best.pred_state,
@@ -625,25 +696,25 @@ def beam_search(
                 B[b_key] = took_blank
             insort(b_scores, -took_blank.logscore)
 
-            if best.k >= config.max_emit or not posts.size:
+            if best.k >= config.max_emit or not n_words:
                 continue
-            scores = frame_scorer.child_scores(best.logscore, posts)
+            row = row[:n_words]
             if (
                 transitions is not None
                 and expanded.setdefault((best.prefix, best.k), best) is not best
                 and (targets := _merge_targets(A, best))
             ):  # children may merge into A
                 stats.n_children += _merge_children(
-                    A, targets, best, transitions, words, scores, posts, beam, next_seq
+                    A, targets, best, transitions, words, row, norm, beam, next_seq
                 )
-            elif scores.item(scores.argmin()) > NEG_INF:
-                stats.n_children += min(beam, scores.size)
+            elif row.item(row.argmin()) > NEG_INF:
+                stats.n_children += min(beam, n_words)
             else:
-                stats.n_children += min(beam, int(np.count_nonzero(scores > NEG_INF)))
+                stats.n_children += min(beam, int(np.count_nonzero(row > NEG_INF)))
             # score descending, channel ascending, merged after A's
             # entries of equal score and cut at the beam
             ranked, i = [], 0
-            for score, channel, post in _ranked_children(scores, posts, beam):
+            for score, channel, post in _ranked_children(row, norm, best.logscore, beam):
                 while i < len(A) and A[i].logscore >= score and len(ranked) < beam:
                     ranked.append(A[i])
                     i += 1
@@ -654,7 +725,7 @@ def beam_search(
                     score, best, channel, post, transitions, best.merged, next_seq + channel
                 ))
             stats.n_ranked_children += len(ranked) - i
-            next_seq += words.size
+            next_seq += n_words
             A = ranked + A[i : i + beam - len(ranked)]
 
         A = sorted(B.values(), key=_score, reverse=True)[:beam]

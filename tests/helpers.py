@@ -90,6 +90,12 @@ class RowScorer:
         self.z_u = np.asarray(z_u, dtype=np.float64)
         self.predictor = self
 
+    def initial_state(self):
+        return None
+
+    def advance(self, state, token_id):
+        return None
+
     def full_dist(self, state):
         return self.z_u
 
@@ -100,7 +106,8 @@ class RowScorer:
 def decoder_joint(z_t, z_u, blank):
     """(word posteriors, blank posterior) of one unfused expansion with
     encoder row ``z_t``, predictor row ``z_u`` and blank logit ``blank``,
-    as ``decoder._FrameScorer.expand`` computes them in a decode."""
+    as ``decoder._FrameScorer.expand`` computes them: equal to those a
+    decode reads off ``_FrameScorer.joint``'s row."""
     fs = decoder._FrameScorer(RowScorer(z_u), decoder.DecoderConfig(), None, None)
     hyp = SimpleNamespace(pred_state=None, lm_state=None, clm_state=None, k=0)
     _, _, posts, blank_post = fs.expand(hyp, 0, np.asarray(z_t, dtype=np.float64), blank)

@@ -17,7 +17,7 @@ from fntfuse.fusion import FusionConfig, clm_predictor_interp, three_way
 from fntfuse.ngram import train_kneser_ney
 from fntfuse.simulate import EncoderOutput, FntScorer, NgramPredictor
 
-from helpers import decoder_joint
+from helpers import RowScorer, decoder_joint
 from oracles import exhaustive_decode, full_expansion_beam_search, mask_gated
 
 SATURATE = 4096
@@ -450,13 +450,13 @@ class TestPruningVsFullExpansion:
         scorer = FntScorer(_UniformLm(2))
         encoder = EncoderOutput(np.full((2, 2), -math.log(2)), np.full(2, -8.0))
         expanded = []
-        expand = decoder._FrameScorer.expand
+        joint = decoder._FrameScorer.joint  # the reference's expand calls it too
 
         def recorded(self, hyp, t, z_t_row, blank_logit):
             expanded.append((t, hyp.pred_state, hyp.clm_state, hyp.k))
-            return expand(self, hyp, t, z_t_row, blank_logit)
+            return joint(self, hyp, t, z_t_row, blank_logit)
 
-        monkeypatch.setattr(decoder._FrameScorer, "expand", recorded)
+        monkeypatch.setattr(decoder._FrameScorer, "joint", recorded)
         for max_emit in (2, 3):
             config = DecoderConfig(
                 beam=beam, fusion=FusionConfig("clm", 0.5, rank_r=2), max_emit=max_emit
@@ -722,31 +722,94 @@ class TestChildSelection:
                 tied_cuts += 1
         assert tied_cuts > 0  # the rows reach ties at the cut
 
+    @staticmethod
+    def reference(row, norm, logscore, beam):
+        """The ranked children from materialized arrays: ``top_ids`` of
+        ``(row - norm) + logscore``, ranked by (-score, channel)."""
+        posts = row - norm
+        scores = posts + logscore
+        keep = top_ids(scores, beam).tolist()
+        return sorted(((scores[i], i, posts[i]) for i in keep), key=lambda c: (-c[0], c[1]))
+
+    @staticmethod
+    def check_prefixes(row, norm, logscore, beam, want):
+        """Each prefix the merge can stop at: the children, as Python
+        floats and ints, and -inf written over the channels read and
+        over no other channel but the rest of the last child's
+        equal-score group, read ahead."""
+        for n in range(len(want) + 1):
+            work = row.copy()
+            got = list(itertools.islice(
+                decoder._ranked_children(work, norm, logscore, beam), n
+            ))
+            assert got == want[:n]
+            assert all(type(x) is t for c in got for x, t in zip(c, (float, int, float)))
+            read = [i for _, i, _ in got]
+            assert np.all(work[read] == NEG_INF)
+            changed = set(np.flatnonzero(work != row).tolist()) - set(read)
+            assert all((row[i] - norm) + logscore == got[-1][0] for i in changed)
+
     @pytest.mark.parametrize("beam", [1, 2, 4, 7])
     def test_ranked_children_are_top_ids_by_score_then_channel(self, beam):
-        # each prefix the merge can stop at: the top_ids children ranked
-        # by (-score, channel), their posteriors, and -inf written over
-        # exactly the channels read
         tied = 0
-        for scores, _ in self.rows(beam):
-            if not scores.size:  # an expansion with no channel ranks nothing
+        for row, _ in self.rows(beam):
+            if not row.size:  # an expansion with no channel ranks nothing
                 continue
-            posts = scores - 1.5
-            keep = top_ids(scores, beam).tolist()
-            want = sorted(((scores[i], i, posts[i]) for i in keep), key=lambda c: (-c[0], c[1]))
+            want = self.reference(row, 1.5, -2.25, beam)
             tied += any(a[0] == b[0] for a, b in zip(want, want[1:]))
-            for n in range(len(want) + 1):
-                row = scores.copy()
-                got = list(itertools.islice(decoder._ranked_children(row, posts, beam), n))
-                assert got == want[:n]
-                assert all(type(x) is t for c in got for x, t in zip(c, (float, int, float)))
-                read = [i for _, i, _ in got]
-                assert np.all(row[read] == NEG_INF)
-                rest = np.setdiff1d(np.arange(row.size), read)
-                assert np.array_equal(row[rest], scores[rest])
-            assert list(decoder._ranked_children(scores.copy(), posts, beam)) == want
+            self.check_prefixes(row, 1.5, -2.25, beam, want)
+            assert list(decoder._ranked_children(row.copy(), 1.5, -2.25, beam)) == want
         # ties among the ranked children, which channel orders
         assert tied > 0 or beam == 1
+
+    @staticmethod
+    def near_tie_rows(n_rows):
+        """(row, norm) of rows whose distinct values sit a few
+        ``np.spacing`` steps apart around a few centres, some repeated
+        exactly at several channels, some -inf; ``norm`` is the
+        log-normalizer of the row with a blank appended."""
+        rng = np.random.default_rng(58)
+        for _ in range(n_rows):
+            n = int(rng.integers(1, 25))
+            centres = rng.normal(size=int(rng.integers(1, 4))) * 3.0 - 4.0
+            c = centres[rng.integers(0, centres.size, size=n)]
+            row = c + np.spacing(c) * rng.integers(-4, 5, size=n)
+            copies = rng.random(n) < 0.3  # equal values at several channels
+            row[copies] = row[rng.integers(0, n, size=int(copies.sum()))]
+            row[rng.random(n) < 0.15] = NEG_INF
+            yield row, float(log_sum_exp(np.append(row, rng.normal() - 2.0)))
+
+    @staticmethod
+    def unguarded(row, norm, logscore, beam):
+        """Children in raw-value order, without the ``nextafter`` test."""
+        out = []
+        for _ in range(beam):
+            i = int(row.argmax())
+            x = row.item(i)
+            if x == NEG_INF:
+                break
+            row[i] = NEG_INF
+            out.append(((x - norm) + logscore, i, x - norm))
+        return out
+
+    def test_ranked_children_of_rows_that_round_to_one_score(self):
+        mismatches = unguarded_mismatches = read_ahead = 0
+        for row, norm in self.near_tie_rows(400):
+            for logscore in (-0.1, -3.7, -55.3, -1234.5):
+                for beam in range(1, 6):
+                    want = self.reference(row, norm, logscore, beam)
+                    got = list(decoder._ranked_children(row.copy(), norm, logscore, beam))
+                    mismatches += got != want
+                    unguarded_mismatches += self.unguarded(row.copy(), norm, logscore, beam) != want
+                    read_ahead += any(
+                        (np.nextafter(row[i], NEG_INF) - norm) + logscore == score
+                        for score, i, _ in got
+                    )
+                    if beam == 5:
+                        self.check_prefixes(row, norm, logscore, beam, want)
+        assert mismatches == 0
+        # the rows reach rounding ties that raw order alone ranks wrong
+        assert unguarded_mismatches > 0 and read_ahead > 0
 
 
 def _joint_cases():
@@ -868,6 +931,20 @@ class TestExpand:
             assert np.array_equal(posts, w_posts)
             assert np.array_equal(posts, snapshot)  # no later expand wrote over it
             assert blank_post == w_blank
+
+    def test_joint_norm_is_the_log_softmax_normalizer(self):
+        # one scorer, its buffers grown and reused across widths: the
+        # row less its norm is log_softmax of the row, bit for bit
+        rng = np.random.default_rng(59)
+        scorer = RowScorer(np.zeros(1))
+        fs = decoder._FrameScorer(scorer, DecoderConfig(), None, None)
+        for n in (9, 1, 4097, 2, 127, 128, 129, 1000, 7, 8):
+            scorer.z_u = rng.normal(size=n) * 4.0
+            scorer.z_u[rng.random(n) < 0.2] = NEG_INF
+            z_t, blank = rng.normal(size=n) * 4.0, float(rng.normal())
+            _, _, row, norm = fs.joint(_Stub(None, None, None, 0), 0, z_t, blank)
+            assert type(norm) is float and row.size == n + 1
+            assert (row - norm).tobytes() == log_softmax(np.append(z_t + scorer.z_u, blank)).tobytes()
 
     @pytest.mark.parametrize("name", ["none", "sf", "cli"])
     def test_dense_word_index_is_shared_and_read_only(self, name):
@@ -1623,6 +1700,15 @@ class TestConfigValidation:
         encoder = make_encoder(rng, 1, 5)
         with pytest.raises(ValueError, match="covers"):
             beam_search(encoder, scorer, DecoderConfig())
+
+    def test_joint_rows_that_cannot_normalize_fault(self):
+        # the decoder normalizes each joint row itself, with log_softmax's
+        # checks: no word or blank mass, or a NaN, fails the decode
+        encoder = EncoderOutput(np.full((2, 3), -math.log(3)), np.array([-1.0, NEG_INF]))
+        with pytest.raises(ValueError, match="cannot normalize a zero-mass score vector"):
+            beam_search(encoder, RowScorer(np.full(3, NEG_INF)), DecoderConfig())
+        with pytest.raises(ValueError, match="NaN or \\+inf in score vector"):
+            beam_search(encoder, RowScorer([0.0, math.nan, -1.0]), DecoderConfig())
 
     @pytest.mark.parametrize("method", ["sf", "li", "lli", "cli", "three-way"])
     def test_short_external_lm_faults(self, method):
